@@ -33,7 +33,6 @@ from .rate import (
     decay_rate,
     free_rate_at_rest,
     free_rate_boosted,
-    level_contribution,
     level_integrand,
     lifetime,
     lll_ratio_exact,
@@ -89,7 +88,6 @@ __all__ = [
     "kz_cutoff",
     "laguerre_assoc",
     "landau_energy",
-    "level_contribution",
     "level_integrand",
     "lifetime",
     "lll_ratio_exact",

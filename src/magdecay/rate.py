@@ -19,14 +19,13 @@ does not affect the decay clock.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature
 from .landau import DecayChannel, MagnetizedState, kz_cutoff, landau_energy, max_daughter_level
-from .specfun import overlap_weight
+from .specfun import overlap_weight_rows
 
 __all__ = [
     "QuadratureConfig",
@@ -34,7 +33,6 @@ __all__ = [
     "RateResult",
     "RateConvergenceError",
     "level_integrand",
-    "level_contribution",
     "decay_rate",
     "free_rate_at_rest",
     "free_rate_boosted",
@@ -108,16 +106,17 @@ def _check_neutral_massless(channel: DecayChannel) -> None:
 
 
 def _integrand_arrays(
-    channel: DecayChannel, state: MagnetizedState, n: int, k_z: np.ndarray
+    channel: DecayChannel, state: MagnetizedState, n: np.ndarray, k_z: np.ndarray
 ) -> np.ndarray:
+    """w(n_i, m, X(k_z_i)) / omega_n_i(k_z_i), one daughter level per point."""
     omega = state.energy(channel.m_parent)
     omega_n = np.sqrt(channel.m_charged**2 + (2 * n + 1) * state.field + k_z * k_z)
     x = ((omega - omega_n) ** 2 - k_z * k_z) / (2.0 * state.field)
     # x is the neutral daughter's squared transverse momentum over 2*field;
     # roundoff at the kinematic edge may leave it barely negative
-    if np.any(x < -1e-9 * max(1.0, omega * omega / state.field)):
+    if np.fmin.reduce(x) < -1e-9 * max(1.0, omega * omega / state.field):
         raise ValueError("longitudinal momentum outside the kinematic window")
-    return overlap_weight(n, state.level, np.clip(x, 0.0, None)) / omega_n
+    return overlap_weight_rows(n, state.level, np.maximum(x, 0.0)) / omega_n
 
 
 def level_integrand(channel: DecayChannel, state: MagnetizedState, n: int, k_z: float) -> float:
@@ -126,47 +125,22 @@ def level_integrand(channel: DecayChannel, state: MagnetizedState, n: int, k_z: 
     cut = kz_cutoff(channel, state, n)
     if abs(k_z) > cut * (1.0 + 1e-12):
         raise ValueError(f"|k_z| = {abs(k_z)} outside the kinematic window {cut}")
-    return float(_integrand_arrays(channel, state, n, np.asarray([k_z]))[0])
-
-
-def level_contribution(
-    channel: DecayChannel,
-    state: MagnetizedState,
-    n: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
-    """Width share of daughter level ``n`` and its error estimate [MeV]."""
-    _check_neutral_massless(channel)
-    cut = kz_cutoff(channel, state, n)
-    if cut <= 0.0:
-        return 0.0, 0.0
-    omega = state.energy(channel.m_parent)
-    prefactor = channel.coupling**2 / (16.0 * math.pi * omega) * 2.0
-    try:
-        value, err = quadrature.integrate(
-            lambda kz: _integrand_arrays(channel, state, n, kz),
-            0.0,
-            cut,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_subdivisions=cfg.max_subdivisions,
-        )
-    except quadrature.QuadraturePanelError as exc:
-        raise RateConvergenceError(n, exc) from exc
-    return prefactor * value, prefactor * err
+    return float(_integrand_arrays(channel, state, np.array([n]), np.array([k_z]))[0])
 
 
 def decay_rate(
     channel: DecayChannel,
     state: MagnetizedState,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> RateResult:
     """Total width of the magnetized parent and its ratio to the boosted free rate.
 
-    Level contributions are independent and may be computed concurrently
-    (``workers`` > 1); the reduction is always the same compensated sum in
-    ascending ``n``, so the result does not depend on scheduling.
+    Every open daughter level n is one interval [0, kz_cut(n)] of a single
+    multi-interval quadrature, so each refinement round evaluates the
+    pending panels of all levels together; each level still gets its own
+    tolerance, panel budget and compensated sum.  The reduction is the
+    compensated sum in ascending ``n``.  When a level exhausts its panel
+    budget, :class:`RateConvergenceError` names the lowest such level.
     """
     _check_neutral_massless(channel)
     omega = state.energy(channel.m_parent)
@@ -178,17 +152,25 @@ def decay_rate(
     if n_top is None:
         return RateResult(0.0, (), 0.0, boosted, -1, lorentz_gamma, 0.0)
 
-    levels = range(n_top + 1)
-    compute = lambda n: level_contribution(channel, state, n, cfg)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(compute, levels))
-    else:
-        pairs = [compute(n) for n in levels]
+    cuts = [kz_cutoff(channel, state, n) for n in range(n_top + 1)]
+    try:
+        values, errors = quadrature.integrate(
+            lambda k_z, n: _integrand_arrays(channel, state, n, k_z),
+            np.zeros(len(cuts)),
+            np.array(cuts),
+            rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol,
+            max_subdivisions=cfg.max_subdivisions,
+        )
+    except quadrature.QuadraturePanelError as exc:
+        raise RateConvergenceError(exc.interval, exc) from exc
 
-    contributions = tuple(LevelRate(n, v, e) for n, (v, e) in zip(levels, pairs))
-    gamma_total = math.fsum(v for v, _ in pairs)
-    quad_error = math.fsum(e for _, e in pairs)
+    prefactor = channel.coupling**2 / (16.0 * math.pi * omega) * 2.0
+    contributions = tuple(
+        LevelRate(n, prefactor * v, prefactor * e) for n, (v, e) in enumerate(zip(values, errors))
+    )
+    gamma_total = math.fsum(c.rate for c in contributions)
+    quad_error = math.fsum(c.quad_error for c in contributions)
     ratio = lorentz_gamma * gamma_total / free_rest
     return RateResult(
         gamma_total=gamma_total,

