@@ -23,6 +23,35 @@ def parse_csv(text):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+# stdout bytes of two commands, pinned so that refactors which must not move
+# a single output bit are checked against the bits, not only against reruns
+GOLDEN_TABLE = (
+    "p_perp2_MeV2,m,ratio,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
+    "30000,65,1.0009370936443764,1.4924408868053397e-13,4.3879168510675274e+29,7.1582310319155588e-15,38711702574860848\n"
+    "10000,30,1.0002015013350882,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
+    "5000,20,1.0000754363521318,1.1441562168056207e-13,2.4285619936056032e+29,1.7534013489149406e-14,20614768444336468\n"
+    "1000,5,1.0000260396564731,6.8640297205414408e-14,1.075679331546185e+29,3.9207246080136348e-14,15367372840323550\n"
+)
+GOLDEN_RATE_1E4_30 = (
+    "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
+    "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377555,1.0002015013350882,1.8230686596934756e-14,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["table"], GOLDEN_TABLE),
+        (["rate", "--p-perp2", "1e4", "--m", "30"], GOLDEN_RATE_1E4_30),
+    ],
+    ids=["table", "rate-1e4-30"],
+)
+def test_golden_stdout_bytes(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
 class TestRateCommand:
     def test_single_record(self, capsys):
         code, out, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "30")
