@@ -175,37 +175,37 @@ def _cmd_rate(args, config) -> list[dict]:
     return [_rate_record(channel, p_perp_sq, m_level, _quad_config(args, config))]
 
 
-def _cmd_scan_m(args, config) -> list[dict]:
-    p_list = _pick(args, config, "p_perp2", _float_list, [1e4])
+def _level_range(args, config) -> range:
     m_min = _pick(args, config, "m_min", int)
     m_max = _pick(args, config, "m_max", int)
     if m_min is None or m_max is None:
-        raise _UsageError("scan-m requires --m-min and --m-max")
+        raise _UsageError(f"{args.command} requires --m-min and --m-max")
     if not 0 <= m_min <= m_max:
         raise _UsageError(f"need 0 <= m_min <= m_max, got [{m_min}, {m_max}]")
+    return range(m_min, m_max + 1)
+
+
+def _cmd_scan_m(args, config) -> list[dict]:
+    p_list = _pick(args, config, "p_perp2", _float_list, [1e4])
+    levels = _level_range(args, config)
     channel = _channel(args, config)
     cfg = _quad_config(args, config)
     return [
         {"p_perp2_MeV2": p2, "m": m, **_rate_record(channel, p2, m, cfg)}
         for p2 in p_list
-        for m in range(m_min, m_max + 1)
+        for m in levels
     ]
 
 
 def _cmd_scan_field(args, config) -> list[dict]:
     radius = _pick(args, config, "radius", float, 0.1)
-    m_min = _pick(args, config, "m_min", int)
-    m_max = _pick(args, config, "m_max", int)
     if radius <= 0.0:
         raise _UsageError(f"radius must be positive, got {radius}")
-    if m_min is None or m_max is None:
-        raise _UsageError("scan-field requires --m-min and --m-max")
-    if not 0 <= m_min <= m_max:
-        raise _UsageError(f"need 0 <= m_min <= m_max, got [{m_min}, {m_max}]")
+    levels = _level_range(args, config)
     channel = _channel(args, config)
     cfg = _quad_config(args, config)
     records = []
-    for m in range(m_min, m_max + 1):
+    for m in levels:
         p_perp = landau.radial_energy_for_radius(radius, m)
         records.append({"m": m, **_rate_record(channel, p_perp * p_perp, m, cfg)})
     return records

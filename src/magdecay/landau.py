@@ -1,8 +1,8 @@
 """Kinematics of charged scalars in a constant magnetic field.
 
-Landau energies, orbit geometry, the kinematic cutoffs that make the decay
-sum finite, the discrete field/level/radius/energy relations, and the
-normalized transverse wavefunctions used by the brute-force overlap check.
+Landau energies, the kinematic cutoffs that make the decay sum finite, the
+discrete field/level/radius/energy relations, and the normalized transverse
+wavefunctions used by the brute-force overlap check.
 
 Conventions: natural units (MeV), ``field`` is the product |e|B in MeV^2,
 and only that product ever enters a formula, so the charge sign never
@@ -22,14 +22,10 @@ from .specfun import MAX_HERMITE_ORDER
 __all__ = [
     "DecayChannel",
     "MagnetizedState",
-    "LandauWavefunction",
     "landau_energy",
-    "max_daughter_level",
-    "kz_cutoff",
+    "kz_cutoffs",
     "field_for_radial_energy",
-    "field_for_radius",
     "radial_energy_for_radius",
-    "orbit_radius_sq",
     "transverse_wavefunction",
 ]
 
@@ -63,69 +59,53 @@ class DecayChannel:
 class MagnetizedState:
     """Parent particle in Landau level ``level`` of field ``field`` [MeV^2].
 
-    The longitudinal momentum ``k_z`` is kept as a field for clarity but is
-    pinned to zero; the level sum downstream is derived for that case only.
+    Its longitudinal momentum is zero; the level sum downstream is derived
+    for that case only.
     """
 
     field: float
     level: int
-    k_z: float = 0.0
 
     def __post_init__(self) -> None:
         if self.field <= 0.0:
             raise ValueError(f"field must be positive, got {self.field}")
         if self.level < 0:
             raise ValueError(f"level must be nonnegative, got {self.level}")
-        if self.k_z != 0.0:
-            raise ValueError("parent longitudinal momentum is fixed to zero")
 
     def energy(self, mass: float) -> float:
         """Landau energy of a particle of ``mass`` in this state."""
-        return landau_energy(mass, self.level, self.field, self.k_z)
-
-    def radial_energy_sq(self) -> float:
-        """p_perp^2 = (2 level + 1) field."""
-        return (2 * self.level + 1) * self.field
+        return landau_energy(mass, self.level, self.field)
 
 
-def landau_energy(mass: float, level: int, field: float, k_z: float = 0.0) -> float:
-    """sqrt(mass^2 + (2 level + 1) field + k_z^2)."""
+def landau_energy(mass: float, level: int, field: float) -> float:
+    """sqrt(mass^2 + (2 level + 1) field), at zero longitudinal momentum."""
     if field <= 0.0:
         raise ValueError(f"field must be positive, got {field}")
     if mass < 0.0:
         raise ValueError(f"mass must be nonnegative, got {mass}")
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
-    return math.sqrt(mass * mass + (2 * level + 1) * field + k_z * k_z)
+    return math.sqrt(mass * mass + (2 * level + 1) * field)
 
 
-def max_daughter_level(channel: DecayChannel, state: MagnetizedState) -> int | None:
-    """Largest Landau level open to the charged daughter, or None if closed.
+def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
+    """Largest |k_z| [MeV] open to the charged daughter in each level 0..n_max.
 
-    The bound is (omega^2 - field - m_charged^2) / (2 field) with omega the
-    parent energy.  A value within 1e-9 of an integer is nudged down by
-    1e-12 before flooring so a level with exactly zero phase space is
-    excluded deterministically (it would contribute zero either way).
+    n_max is the floor of (omega^2 - field - m_charged^2) / (2 field) with
+    omega the parent energy; an empty array means no level is open.  A bound
+    within 1e-9 of an integer is nudged down by 1e-12 before flooring so a
+    level with exactly zero phase space is excluded deterministically (it
+    would contribute zero either way).
     """
     omega = state.energy(channel.m_parent)
     arg = (omega * omega - state.field - channel.m_charged**2) / (2.0 * state.field)
-    if arg < 0.0:
-        return None
     if abs(arg - round(arg)) < 1e-9:
         arg -= 1e-12
-    return max(int(math.floor(arg)), 0) if arg >= 0.0 else None
-
-
-def kz_cutoff(channel: DecayChannel, state: MagnetizedState, n: int) -> float:
-    """Largest |k_z| open to the charged daughter in level ``n`` [MeV]."""
-    n_top = max_daughter_level(channel, state)
-    if n_top is None or n > n_top:
-        raise ValueError(f"daughter level {n} above the kinematic cutoff {n_top}")
-    if n < 0:
-        raise ValueError(f"daughter level must be nonnegative, got {n}")
-    omega = state.energy(channel.m_parent)
+    if arg < 0.0:
+        return np.empty(0)
+    n = np.arange(math.floor(arg) + 1)
     cut = (omega * omega - channel.m_charged**2 - (2 * n + 1) * state.field) / (2.0 * omega)
-    return max(cut, 0.0)
+    return np.maximum(cut, 0.0)
 
 
 def field_for_radial_energy(p_perp_sq: float, level: int) -> float:
@@ -137,15 +117,6 @@ def field_for_radial_energy(p_perp_sq: float, level: int) -> float:
     return p_perp_sq / (2 * level + 1)
 
 
-def field_for_radius(radius: float, level: int) -> float:
-    """|e|B = (2 level + 1) / radius^2 at fixed orbit radius [1/MeV]."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    return (2 * level + 1) / (radius * radius)
-
-
 def radial_energy_for_radius(radius: float, level: int) -> float:
     """p_perp = (2 level + 1) / radius at fixed orbit radius [1/MeV]."""
     if radius <= 0.0:
@@ -153,15 +124,6 @@ def radial_energy_for_radius(radius: float, level: int) -> float:
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     return (2 * level + 1) / radius
-
-
-def orbit_radius_sq(level: int, field: float) -> float:
-    """Squared orbit radius (2 level + 1)/|e|B in 1/MeV^2."""
-    if field <= 0.0:
-        raise ValueError(f"field must be positive, got {field}")
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    return (2 * level + 1) / field
 
 
 def transverse_wavefunction(n: int, field: float, rho):
@@ -195,31 +157,3 @@ def transverse_wavefunction(n: int, field: float, rho):
         psi_prev = psi_cur
     value = field**0.25 * psi_prev
     return float(value) if scalar else value
-
-
-@dataclass(frozen=True)
-class LandauWavefunction:
-    """Transverse mode of level ``n`` with guiding-center shift.
-
-    ``center_offset`` is the k_y / sqrt(field) term inside
-    rho = sqrt(field) x + center_offset.
-    """
-
-    n: int
-    field: float
-    center_offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.field <= 0.0:
-            raise ValueError(f"field must be positive, got {self.field}")
-        if self.n < 0:
-            raise ValueError(f"level must be nonnegative, got {self.n}")
-
-    def center(self) -> float:
-        """x position of the Gaussian envelope center."""
-        return -self.center_offset / math.sqrt(self.field)
-
-    def value_at(self, x):
-        """I_n evaluated at position ``x`` [1/MeV]; scalar or ndarray."""
-        rho = math.sqrt(self.field) * np.asarray(x, dtype=float) + self.center_offset
-        return transverse_wavefunction(self.n, self.field, rho)

@@ -148,18 +148,6 @@ class OverlapVerification:
     def passed(self) -> bool:
         return not self.failures
 
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "index_max": self.index_max,
-            "tolerance": self.tolerance,
-            "max_rel_err": self.max_rel_err,
-            "worst": dict(vars(self.worst)),
-            "failures": len(self.failures),
-            "passed": self.passed,
-        }
-
 
 def verify_closed_form(
     trials: int,

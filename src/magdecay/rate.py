@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .landau import DecayChannel, MagnetizedState, kz_cutoff, landau_energy, max_daughter_level
+from .landau import DecayChannel, MagnetizedState, kz_cutoffs
 from .specfun import overlap_weight_rows
 
 __all__ = [
@@ -32,11 +32,9 @@ __all__ = [
     "LevelRate",
     "RateResult",
     "RateConvergenceError",
-    "level_integrand",
     "decay_rate",
     "free_rate_at_rest",
     "free_rate_boosted",
-    "lifetime",
     "lll_ratio_exact",
     "lll_ratio_factored",
 ]
@@ -44,21 +42,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the per-level quadrature.
-
-    ``abs_tol`` of zero means a floor of 1e-18 times the running estimate,
-    i.e. an essentially pure relative target.
-    """
+    """Relative tolerance and panel budget of the per-level quadrature."""
 
     rel_tol: float = 1e-9
-    abs_tol: float = 0.0
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol < 0.0:
-            raise ValueError(f"abs_tol must be nonnegative, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
@@ -119,15 +110,6 @@ def _integrand_arrays(
     return overlap_weight_rows(n, state.level, np.maximum(x, 0.0)) / omega_n
 
 
-def level_integrand(channel: DecayChannel, state: MagnetizedState, n: int, k_z: float) -> float:
-    """Integrand w(n, m, X(k_z)) / omega_n(k_z) in 1/MeV."""
-    _check_neutral_massless(channel)
-    cut = kz_cutoff(channel, state, n)
-    if abs(k_z) > cut * (1.0 + 1e-12):
-        raise ValueError(f"|k_z| = {abs(k_z)} outside the kinematic window {cut}")
-    return float(_integrand_arrays(channel, state, np.array([n]), np.array([k_z]))[0])
-
-
 def decay_rate(
     channel: DecayChannel,
     state: MagnetizedState,
@@ -148,18 +130,16 @@ def decay_rate(
     free_rest = free_rate_at_rest(channel)
     boosted = free_rate_boosted(channel, lorentz_gamma)
 
-    n_top = max_daughter_level(channel, state)
-    if n_top is None:
+    cuts = kz_cutoffs(channel, state)
+    if cuts.size == 0:
         return RateResult(0.0, (), 0.0, boosted, -1, lorentz_gamma, 0.0)
 
-    cuts = [kz_cutoff(channel, state, n) for n in range(n_top + 1)]
     try:
         values, errors = quadrature.integrate(
             lambda k_z, n: _integrand_arrays(channel, state, n, k_z),
-            np.zeros(len(cuts)),
-            np.array(cuts),
+            np.zeros(cuts.size),
+            cuts,
             rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
             max_subdivisions=cfg.max_subdivisions,
         )
     except quadrature.QuadraturePanelError as exc:
@@ -177,7 +157,7 @@ def decay_rate(
         level_contributions=contributions,
         ratio=ratio,
         gamma_free_boosted=boosted,
-        n_max_used=n_top,
+        n_max_used=cuts.size - 1,
         lorentz_gamma=lorentz_gamma,
         quad_error=quad_error,
     )
@@ -194,13 +174,6 @@ def free_rate_boosted(channel: DecayChannel, lorentz_gamma: float) -> float:
     if lorentz_gamma < 1.0:
         raise ValueError(f"lorentz_gamma must be >= 1, got {lorentz_gamma}")
     return free_rate_at_rest(channel) / lorentz_gamma
-
-
-def lifetime(rate: float) -> float:
-    """Mean lifetime 1/rate in 1/MeV."""
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    return 1.0 / rate
 
 
 def _lll_validate(channel: DecayChannel, field: float) -> None:
@@ -238,7 +211,7 @@ def lll_ratio_exact(
         return np.exp(root_a * root_b) / root_b
 
     value, _ = quadrature.integrate(
-        integrand, 0.0, x_max, cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions
+        integrand, 0.0, x_max, cfg.rel_tol, max_subdivisions=cfg.max_subdivisions
     )
     return prefactor * value
 
@@ -268,6 +241,6 @@ def lll_ratio_factored(
         return np.exp(root_b) / root_b
 
     value, _ = quadrature.integrate(
-        integrand, 0.0, x_max, cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions
+        integrand, 0.0, x_max, cfg.rel_tol, max_subdivisions=cfg.max_subdivisions
     )
     return prefactor * value

@@ -8,68 +8,42 @@ conversions here are the only place SI units appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
-    "OrbitObservables",
+    "HBAR_C_MEV_FM",
+    "HBAR_MEV_S",
+    "C_M_PER_S",
+    "ELECTRON_MASS_MEV",
+    "ELECTRON_CRITICAL_FIELD_GAUSS",
     "radius_si",
     "acceleration_si",
     "de_broglie_si",
     "field_to_gauss",
-    "classical_radius",
     "classical_acceleration",
-    "orbit_observables",
 ]
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 anchors for the natural-unit -> SI boundary.
-
-    ``electron_critical_field_gauss`` is the field at which |e|B equals the
-    squared electron mass; it anchors the MeV^2 -> Gauss conversion.
-    """
-
-    hbar_c_mev_fm: float = 197.3269804
-    hbar_mev_s: float = 6.582119569e-22
-    c_m_per_s: float = 2.99792458e8
-    electron_mass_mev: float = 0.51099895
-    electron_critical_field_gauss: float = 4.414e13
-
-    def __post_init__(self) -> None:
-        if min(self.hbar_c_mev_fm, self.hbar_mev_s, self.c_m_per_s) <= 0:
-            raise ValueError("physical constants must be positive")
-
-
-CONSTANTS = PhysicalConstants()
+# CODATA 2018 anchors for the natural-unit -> SI boundary
+HBAR_C_MEV_FM = 197.3269804
+HBAR_MEV_S = 6.582119569e-22
+C_M_PER_S = 2.99792458e8
+ELECTRON_MASS_MEV = 0.51099895
+# the field at which |e|B equals the squared electron mass; it anchors the
+# MeV^2 -> Gauss conversion
+ELECTRON_CRITICAL_FIELD_GAUSS = 4.414e13
 
 _FM_TO_M = 1e-15
 
 
-@dataclass(frozen=True)
-class OrbitObservables:
-    """SI-unit snapshot of one magnetized orbit."""
-
-    radius_m: float
-    acceleration_m_s2: float
-    de_broglie_m: float
-    field_gauss: float
-
-
-def radius_si(p_perp: float, m_level: int, constants: PhysicalConstants = CONSTANTS) -> float:
+def radius_si(p_perp: float, m_level: int) -> float:
     """Orbit radius (2m+1)/p_perp in meters for radial momentum ``p_perp`` [MeV]."""
     if p_perp <= 0.0:
         raise ValueError(f"p_perp must be positive, got {p_perp}")
     if m_level < 0:
         raise ValueError(f"m_level must be nonnegative, got {m_level}")
-    return (2 * m_level + 1) / p_perp * constants.hbar_c_mev_fm * _FM_TO_M
+    return (2 * m_level + 1) / p_perp * HBAR_C_MEV_FM * _FM_TO_M
 
 
-def acceleration_si(
-    p_perp: float, m_level: int, omega: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def acceleration_si(p_perp: float, m_level: int, omega: float) -> float:
     """Centripetal acceleration p_perp^3 / ((2m+1) omega^2) in m/s^2.
 
     ``omega`` is the total energy of the orbiting particle in MeV.
@@ -81,31 +55,23 @@ def acceleration_si(
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     a_natural = p_perp**3 / ((2 * m_level + 1) * omega * omega)
-    return a_natural * constants.c_m_per_s / constants.hbar_mev_s
+    return a_natural * C_M_PER_S / HBAR_MEV_S
 
 
-def de_broglie_si(p_perp: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def de_broglie_si(p_perp: float) -> float:
     """de Broglie wavelength 2*pi*hbar*c / p_perp in meters."""
     if p_perp <= 0.0:
         raise ValueError(f"p_perp must be positive, got {p_perp}")
-    return 2.0 * math.pi * constants.hbar_c_mev_fm / p_perp * _FM_TO_M
+    return 2.0 * math.pi * HBAR_C_MEV_FM / p_perp * _FM_TO_M
 
 
-def field_to_gauss(field: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def field_to_gauss(field: float) -> float:
     """Convert |e|B [MeV^2] to Gauss by linear scaling from the electron critical field."""
     if field < 0.0:
         raise ValueError(f"field must be nonnegative, got {field}")
-    m_e_sq = constants.electron_mass_mev**2
-    return field / m_e_sq * constants.electron_critical_field_gauss
+    m_e_sq = ELECTRON_MASS_MEV**2
+    return field / m_e_sq * ELECTRON_CRITICAL_FIELD_GAUSS
 
-
-def classical_radius(p_perp: float, field: float) -> float:
-    """Classical orbit radius p_perp/|e|B in 1/MeV."""
-    if p_perp <= 0.0:
-        raise ValueError(f"p_perp must be positive, got {p_perp}")
-    if field <= 0.0:
-        raise ValueError(f"field must be positive, got {field}")
-    return p_perp / field
 
 def classical_acceleration(p_perp: float, field: float, gamma: float, mass: float) -> float:
     """Classical centripetal acceleration |e|B p_perp / (gamma^2 mass^2) in MeV."""
@@ -115,18 +81,3 @@ def classical_acceleration(p_perp: float, field: float, gamma: float, mass: floa
         raise ValueError(f"mass must be positive, got {mass}")
     return field * p_perp / (gamma * gamma * mass * mass)
 
-
-def orbit_observables(
-    p_perp: float,
-    m_level: int,
-    omega: float,
-    field: float,
-    constants: PhysicalConstants = CONSTANTS,
-) -> OrbitObservables:
-    """Bundle the four SI observables of one orbit."""
-    return OrbitObservables(
-        radius_m=radius_si(p_perp, m_level, constants),
-        acceleration_m_s2=acceleration_si(p_perp, m_level, omega, constants),
-        de_broglie_m=de_broglie_si(p_perp, constants),
-        field_gauss=field_to_gauss(field, constants),
-    )

@@ -14,6 +14,7 @@ from magdecay import (
     RateConvergenceError,
     decay_rate,
     field_for_radial_energy,
+    landau,
     quadrature,
     rate,
     specfun,
@@ -214,7 +215,7 @@ class TestLevelSum:
             decay_rate(MUON, state, hard)
         # the lowest level that fails on its own is the one reported
         for n in range(info.value.n + 1):
-            cut = rate.kz_cutoff(MUON, state, n)
+            cut = landau.kz_cutoffs(MUON, state)[n]
             integrand = lambda k_z: rate._integrand_arrays(MUON, state, np.full(k_z.size, n), k_z)
             if n < info.value.n:
                 quadrature.integrate(integrand, 0.0, cut, 1e-12, 0.0, 1)

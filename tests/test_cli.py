@@ -123,17 +123,28 @@ class TestScanM:
         rows = parse_csv(out)
         assert [float(r["p_perp2_MeV2"]) for r in rows] == [1e3, 1e3, 2e3, 2e3]
 
-    def test_empty_range_rejected(self, capsys):
-        code, _, err = run(capsys, "scan-m", "--p-perp2", "1e3", "--m-min", "5", "--m-max", "4")
-        assert code == 2
-        assert "m_min" in err
-
     def test_default_momentum_curve(self, capsys):
         code, out, _ = run(capsys, "scan-m", "--m-min", "30", "--m-max", "30")
         assert code == 0
         row = parse_csv(out)[0]
         assert float(row["p_perp2_MeV2"]) == 1e4
         assert float(row["ratio"]) == pytest.approx(1.0002015013350884, rel=1e-7)
+
+
+@pytest.mark.parametrize("command", ["scan-m", "scan-field"])
+@pytest.mark.parametrize(
+    "bounds,message",
+    [
+        (["--m-min", "5", "--m-max", "4"], "m_min"),
+        (["--m-min", "-1", "--m-max", "4"], "m_min"),
+        (["--m-min", "5"], "{command} requires --m-min and --m-max"),
+    ],
+    ids=["inverted", "negative", "missing"],
+)
+def test_level_range_rejected(capsys, command, bounds, message):
+    code, _, err = run(capsys, command, *bounds)
+    assert code == 2
+    assert message.format(command=command) in err
 
 
 class TestScanField:

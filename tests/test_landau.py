@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magdecay import landau, quadrature
+from magdecay import landau, quadrature, units
 
 M_MU = 105.7
 
@@ -35,13 +35,11 @@ class TestChannelAndState:
             landau.MagnetizedState(field=0.0, level=0)
         with pytest.raises(ValueError):
             landau.MagnetizedState(field=1.0, level=-1)
-        with pytest.raises(ValueError):
-            landau.MagnetizedState(field=1.0, level=0, k_z=3.0)
 
     def test_state_energy_and_radial(self):
-        state = landau.MagnetizedState(field=3e4 / 131, level=65)
+        state = landau.MagnetizedState(field=landau.field_for_radial_energy(3e4, 65), level=65)
         assert state.energy(M_MU) == pytest.approx(math.sqrt(M_MU**2 + 3e4), rel=1e-14)
-        assert state.radial_energy_sq() == pytest.approx(3e4, rel=1e-14)
+        assert state.field == pytest.approx(3e4 / 131, rel=1e-14)
 
 
 class TestLandauEnergy:
@@ -65,58 +63,51 @@ class TestLandauEnergy:
         mass=st.floats(0.0, 500.0),
         level=st.integers(0, 200),
         field=st.floats(1e-3, 1e5),
-        k_z=st.floats(0.0, 300.0),
     )
     @settings(max_examples=150, deadline=None)
-    def test_strictly_increasing_in_each_argument(self, mass, level, field, k_z):
-        base = landau.landau_energy(mass, level, field, k_z)
-        assert landau.landau_energy(mass + 1.0, level, field, k_z) > base
-        assert landau.landau_energy(mass, level + 1, field, k_z) > base
-        assert landau.landau_energy(mass, level, field * 1.5, k_z) > base
-        assert landau.landau_energy(mass, level, field, k_z + 1.0) > base
+    def test_strictly_increasing_in_each_argument(self, mass, level, field):
+        base = landau.landau_energy(mass, level, field)
+        assert landau.landau_energy(mass + 1.0, level, field) > base
+        assert landau.landau_energy(mass, level + 1, field) > base
+        assert landau.landau_energy(mass, level, field * 1.5) > base
 
 
 class TestDaughterCutoffs:
     def test_reference_level_count(self):
         channel = muon_like()
         state = landau.MagnetizedState(field=3e4 / 131, level=65)
-        assert landau.max_daughter_level(channel, state) == 89
+        assert len(landau.kz_cutoffs(channel, state)) - 1 == 89
 
     def test_critical_field_leaves_one_level(self):
         channel = muon_like()
         state = landau.MagnetizedState(field=M_MU**2, level=0)
-        assert landau.max_daughter_level(channel, state) == 0
+        assert len(landau.kz_cutoffs(channel, state)) == 1
 
     def test_exactly_saturated_level_is_dropped(self):
         # at field = M^2/2 and m = 0 the bound is exactly 1; the level with
         # zero phase space is excluded, deterministically
         channel = landau.DecayChannel(m_parent=2.0)
         state = landau.MagnetizedState(field=2.0, level=0)
-        assert landau.max_daughter_level(channel, state) == 0
+        assert len(landau.kz_cutoffs(channel, state)) == 1
 
     def test_kz_reference_values(self):
         channel = muon_like()
         state = landau.MagnetizedState(field=3e4 / 131, level=65)
-        assert landau.kz_cutoff(channel, state, 0) == pytest.approx(100.89071873568656, rel=1e-12)
-        assert landau.kz_cutoff(channel, state, 0) == pytest.approx(100.89, rel=1e-4)
+        cut = landau.kz_cutoffs(channel, state)[0]
+        assert cut == pytest.approx(100.89071873568656, rel=1e-12)
+        assert cut == pytest.approx(100.89, rel=1e-4)
 
         lll = landau.MagnetizedState(field=100.0, level=0)
         expected = M_MU**2 / (2.0 * math.sqrt(M_MU**2 + 100.0))
-        assert landau.kz_cutoff(channel, lll, 0) == pytest.approx(expected, rel=1e-14)
-        assert landau.kz_cutoff(channel, lll, 0) == pytest.approx(52.61, rel=1e-4)
-
-    def test_kz_rejects_level_above_cutoff(self):
-        channel = muon_like()
-        state = landau.MagnetizedState(field=M_MU**2, level=0)
-        with pytest.raises(ValueError):
-            landau.kz_cutoff(channel, state, 1)
+        cut = landau.kz_cutoffs(channel, lll)[0]
+        assert cut == pytest.approx(expected, rel=1e-14)
+        assert cut == pytest.approx(52.61, rel=1e-4)
 
     def test_kz_strictly_decreasing_in_level(self):
         channel = muon_like()
         state = landau.MagnetizedState(field=3e4 / 131, level=65)
-        n_top = landau.max_daughter_level(channel, state)
-        cuts = [landau.kz_cutoff(channel, state, n) for n in range(n_top + 1)]
-        assert all(a > b for a, b in zip(cuts, cuts[1:]))
+        cuts = landau.kz_cutoffs(channel, state)
+        assert np.all(cuts[:-1] > cuts[1:])
         assert cuts[-1] >= 0.0
 
 
@@ -132,26 +123,24 @@ class TestDiscreteRelations:
         )
 
     def test_radius_relations(self):
-        assert landau.field_for_radius(0.1, 0) == pytest.approx(100.0, rel=1e-14)
+        assert landau.radial_energy_for_radius(0.1, 0) == pytest.approx(10.0, rel=1e-14)
         assert landau.radial_energy_for_radius(0.1, 10) == pytest.approx(210.0, rel=1e-14)
 
     @given(radius=st.floats(1e-4, 10.0), m=st.integers(0, 500))
     def test_radius_relation_consistency(self, radius, m):
+        # the scan-field chain: p_perp from the radius, then the field from
+        # p_perp, must give the radius lock |e|B R^2 = 2m + 1
         p = landau.radial_energy_for_radius(radius, m)
-        field = landau.field_for_radius(radius, m)
-        assert p * p == pytest.approx((2 * m + 1) * field, rel=1e-12)
-
-    def test_orbit_radius_sq(self):
-        assert landau.orbit_radius_sq(0, 100.0) == pytest.approx(0.01, rel=1e-14)
-        assert landau.orbit_radius_sq(5, 1000.0 / 11.0) == pytest.approx(0.121, rel=1e-14)
+        field = landau.field_for_radial_energy(p * p, m)
+        assert field * radius * radius == pytest.approx(2 * m + 1, rel=1e-12)
 
     @given(n=st.integers(0, 300), field=st.floats(1e-3, 1e6))
     def test_orbit_radius_matches_classical(self, n, field):
-        from magdecay.units import classical_radius
-
+        # the SI orbit radius of level n is sqrt((2n + 1)/|e|B); the classical
+        # p_perp/|e|B is checked in test_units
         p_perp = math.sqrt((2 * n + 1) * field)
-        assert classical_radius(p_perp, field) == pytest.approx(
-            math.sqrt(landau.orbit_radius_sq(n, field)), rel=1e-12
+        assert units.radius_si(p_perp, n) == pytest.approx(
+            math.sqrt((2 * n + 1) / field) * units.HBAR_C_MEV_FM * 1e-15, rel=1e-12
         )
 
     @given(
@@ -163,7 +152,8 @@ class TestDiscreteRelations:
     def test_quantum_classical_energy_consistency(self, mass, n, radius):
         # classical sqrt(M^2 + (field * R)^2) against the Landau energy when
         # the field takes its radius-locked discrete value
-        field = landau.field_for_radius(radius, n)
+        p = landau.radial_energy_for_radius(radius, n)
+        field = landau.field_for_radial_energy(p * p, n)
         classical = math.sqrt(mass**2 + (field * radius) ** 2)
         assert classical == pytest.approx(landau.landau_energy(mass, n, field), rel=1e-12)
 
@@ -186,10 +176,10 @@ class TestTransverseWavefunction:
     def test_unit_norm_in_x(self, n):
         field = 2.7
         scale = math.sqrt(field)
-        mode = landau.LandauWavefunction(n=n, field=field)
         half = (8.0 + math.sqrt(2 * n + 1.0)) / scale
         norm, _ = quadrature.integrate(
-            lambda x: mode.value_at(x) ** 2, -half, half, rel_tol=1e-11
+            lambda x: landau.transverse_wavefunction(n, field, scale * x) ** 2,
+            -half, half, rel_tol=1e-11,
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -205,10 +195,3 @@ class TestTransverseWavefunction:
     def test_order_cap_propagates(self):
         with pytest.raises(ValueError):
             landau.transverse_wavefunction(500, 1.0, 0.0)
-
-    def test_shifted_mode_center(self):
-        mode = landau.LandauWavefunction(n=0, field=4.0, center_offset=1.0)
-        assert mode.center() == pytest.approx(-0.5, rel=1e-14)
-        peak = mode.value_at(mode.center())
-        assert peak == pytest.approx((4.0 / math.pi) ** 0.25, rel=1e-13)
-        assert mode.value_at(np.array([0.0, 0.5])).shape == (2,)

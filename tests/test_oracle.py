@@ -62,12 +62,15 @@ class TestNumericOverlap:
 class TestWavefunctionNormalization:
     @pytest.mark.parametrize("n", range(13))
     def test_unit_norm_up_to_oracle_cap(self, n):
-        field = 3.7
-        mode = landau.LandauWavefunction(n=n, field=field, center_offset=0.35)
-        half = (8.0 + math.sqrt(2.0 * n + 1.0)) / math.sqrt(field) + 0.2
-        center = mode.center()
+        # a guiding-center-shifted mode, rho = sqrt(field) x + offset, as the
+        # oracle's amplitude integrand shifts the daughter mode
+        field, offset = 3.7, 0.35
+        scale = math.sqrt(field)
+        half = (8.0 + math.sqrt(2.0 * n + 1.0)) / scale + 0.2
+        center = -offset / scale
         norm, _ = quadrature.integrate(
-            lambda x: mode.value_at(x) ** 2, center - half, center + half, rel_tol=1e-11
+            lambda x: landau.transverse_wavefunction(n, field, scale * x + offset) ** 2,
+            center - half, center + half, rel_tol=1e-11,
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -96,11 +99,3 @@ class TestVerifyClosedForm:
     def test_rejects_out_of_range_index_max(self):
         with pytest.raises(ValueError):
             oracle.verify_closed_form(5, index_max=oracle.MAX_ORACLE_INDEX + 1)
-
-    def test_report_dict_is_plain_data(self):
-        report = oracle.verify_closed_form(3, seed=0)
-        d = report.as_dict()
-        assert d["passed"] is True
-        assert set(d) == {
-            "trials", "seed", "index_max", "tolerance", "max_rel_err", "worst", "failures", "passed",
-        }

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,14 +10,11 @@ from magdecay import (
     QuadratureConfig,
     decay_rate,
     field_for_radial_energy,
-    free_rate_at_rest,
-    free_rate_boosted,
-    kz_cutoff,
-    level_integrand,
-    lifetime,
     lll_ratio_exact,
     lll_ratio_factored,
 )
+from magdecay.landau import kz_cutoffs
+from magdecay.rate import _integrand_arrays, free_rate_at_rest, free_rate_boosted
 
 M_MU = 105.7
 MUON = DecayChannel(m_parent=M_MU)
@@ -24,6 +22,11 @@ MUON = DecayChannel(m_parent=M_MU)
 
 def magnetized(p_perp_sq, m):
     return MagnetizedState(field=field_for_radial_energy(p_perp_sq, m), level=m)
+
+
+def integrand_at(channel, state, n, k_z):
+    """The level sum's integrand w(n, m, X(k_z)) / omega_n(k_z) at one point."""
+    return float(_integrand_arrays(channel, state, np.array([n]), np.array([k_z]))[0])
 
 
 class TestFreeRates:
@@ -48,11 +51,9 @@ class TestFreeRates:
 
     def test_lifetime_dilation(self):
         gamma = 3.7
-        assert lifetime(free_rate_boosted(MUON, gamma)) == pytest.approx(
-            gamma * lifetime(free_rate_at_rest(MUON)), rel=1e-14
+        assert 1.0 / free_rate_boosted(MUON, gamma) == pytest.approx(
+            gamma / free_rate_at_rest(MUON), rel=1e-14
         )
-        with pytest.raises(ValueError):
-            lifetime(0.0)
 
 
 class TestLevelIntegrand:
@@ -61,33 +62,29 @@ class TestLevelIntegrand:
         # exp(-(3/2 - sqrt(2))) and the daughter energy to M
         state = MagnetizedState(field=M_MU**2, level=0)
         expected = math.exp(-(1.5 - math.sqrt(2.0))) / M_MU
-        assert level_integrand(MUON, state, 0, 0.0) == pytest.approx(expected, rel=1e-13)
+        assert integrand_at(MUON, state, 0, 0.0) == pytest.approx(expected, rel=1e-13)
 
     def test_even_in_kz(self):
         state = magnetized(3e4, 65)
+        cuts = kz_cutoffs(MUON, state)
         for n in (0, 3, 40):
-            cut = kz_cutoff(MUON, state, n)
+            cut = cuts[n]
             for frac in (0.2, 0.77):
                 k = frac * cut
-                assert level_integrand(MUON, state, n, k) == pytest.approx(
-                    level_integrand(MUON, state, n, -k), rel=1e-14
+                assert integrand_at(MUON, state, n, k) == pytest.approx(
+                    integrand_at(MUON, state, n, -k), rel=1e-14
                 )
 
     def test_vanishes_at_kinematic_edge_for_distinct_levels(self):
         state = magnetized(3e4, 65)
-        cut = kz_cutoff(MUON, state, 3)
-        assert level_integrand(MUON, state, 3, cut) == pytest.approx(0.0, abs=1e-30)
+        cut = kz_cutoffs(MUON, state)[3]
+        assert integrand_at(MUON, state, 3, cut) == pytest.approx(0.0, abs=1e-30)
 
     def test_rejects_momentum_outside_window(self):
         state = magnetized(3e4, 65)
-        cut = kz_cutoff(MUON, state, 0)
+        cut = kz_cutoffs(MUON, state)[0]
         with pytest.raises(ValueError):
-            level_integrand(MUON, state, 0, cut * 1.01)
-
-    def test_rejects_massive_neutral_daughter(self):
-        heavy_nu = DecayChannel(m_parent=M_MU, m_neutral=1.0)
-        with pytest.raises(ValueError):
-            level_integrand(heavy_nu, magnetized(1e4, 30), 0, 0.0)
+            integrand_at(MUON, state, 0, cut * 1.01)
 
 
 class TestDecayRate:

@@ -69,7 +69,7 @@ class TestAcceleration:
         field = p_perp**2 / (2 * m + 1)
         classical = units.classical_acceleration(p_perp, field, omega / mass, mass)
         si = units.acceleration_si(p_perp, m, omega)
-        assert si == pytest.approx(classical * units.CONSTANTS.c_m_per_s / units.CONSTANTS.hbar_mev_s, rel=1e-12)
+        assert si == pytest.approx(classical * units.C_M_PER_S / units.HBAR_MEV_S, rel=1e-12)
 
 
 class TestDeBroglie:
@@ -92,7 +92,7 @@ class TestDeBroglie:
 
 class TestFieldToGauss:
     def test_electron_critical_anchor(self):
-        m_e = units.CONSTANTS.electron_mass_mev
+        m_e = units.ELECTRON_MASS_MEV
         assert units.field_to_gauss(m_e**2) == 4.414e13
         assert units.field_to_gauss(0.511**2) == pytest.approx(4.414e13, rel=1e-5)
 
@@ -113,31 +113,19 @@ class TestFieldToGauss:
 
 
 class TestClassicalKinematics:
-    def test_radius_direct(self):
-        assert units.classical_radius(10.0, 100.0) == pytest.approx(0.1, rel=1e-15)
-
     def test_acceleration_direct(self):
         assert units.classical_acceleration(10.0, 100.0, 1.0, 10.0) == pytest.approx(10.0, rel=1e-15)
 
     @given(p=st.floats(1e-2, 1e4), m=st.integers(0, 200))
     def test_radius_consistent_with_quantized_field(self, p, m):
+        # the SI radius is the classical p_perp/|e|B at the quantized field
         from magdecay import field_for_radial_energy
 
-        radius = units.classical_radius(p, field_for_radial_energy(p * p, m))
-        assert radius == pytest.approx((2 * m + 1) / p, rel=1e-12)
+        classical = p / field_for_radial_energy(p * p, m)
+        assert units.radius_si(p, m) == pytest.approx(classical * HBAR_C * 1e-15, rel=1e-12)
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            units.classical_radius(10.0, 0.0)
+            units.classical_acceleration(10.0, 0.0, 1.0, 10.0)
         with pytest.raises(ValueError):
             units.classical_acceleration(10.0, 100.0, 1.0, 0.0)
-
-
-def test_orbit_observables_bundle():
-    omega = math.sqrt(M_MU**2 + 1e4)
-    obs = units.orbit_observables(100.0, 30, omega, 1e4 / 61)
-    assert obs.radius_m == units.radius_si(100.0, 30)
-    assert obs.acceleration_m_s2 == units.acceleration_si(100.0, 30, omega)
-    assert obs.de_broglie_m == units.de_broglie_si(100.0)
-    assert obs.field_gauss == units.field_to_gauss(1e4 / 61)
-    assert min(vars(obs).values()) > 0.0
