@@ -23,7 +23,7 @@ def parse_csv(text):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
-# stdout bytes of two commands, pinned so that refactors which must not move
+# stdout bytes of three commands, pinned so that refactors which must not move
 # a single output bit are checked against the bits, not only against reruns
 GOLDEN_TABLE = (
     "p_perp2_MeV2,m,ratio,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
@@ -36,6 +36,12 @@ GOLDEN_RATE_1E4_30 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
     "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377555,1.0002015013350882,1.8230686596934756e-14,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
 )
+GOLDEN_VERIFY_3_0 = (
+    "check,passed,metric,value,threshold\n"
+    "overlap_closed_form,true,max_rel_err,6.4158193235192838e-14,9.9999999999999995e-07\n"
+    "lowest_level_equivalence,true,max_rel_err,1.6029445475005178e-15,9.9999999999999995e-08\n"
+    "overlap_completeness,true,max_abs_dev,5.2402526762307389e-14,1e-10\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -43,8 +49,9 @@ GOLDEN_RATE_1E4_30 = (
     [
         (["table"], GOLDEN_TABLE),
         (["rate", "--p-perp2", "1e4", "--m", "30"], GOLDEN_RATE_1E4_30),
+        (["verify", "--trials", "3", "--seed", "0"], GOLDEN_VERIFY_3_0),
     ],
-    ids=["table", "rate-1e4-30"],
+    ids=["table", "rate-1e4-30", "verify-3-0"],
 )
 def test_golden_stdout_bytes(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
