@@ -12,7 +12,6 @@ from .landau import DecayChannel, MagnetizedState, field_for_radial_energy
 from .oracle import verify_closed_form
 from .rate import (
     LevelRate,
-    QuadratureConfig,
     RateConvergenceError,
     RateResult,
     decay_rate,
@@ -27,7 +26,6 @@ __all__ = [
     "DecayChannel",
     "LevelRate",
     "MagnetizedState",
-    "QuadratureConfig",
     "RateConvergenceError",
     "RateResult",
     "decay_rate",

@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"parent mass in MeV (default {_DEF_M_PARENT})")
         p.add_argument("--M-e", dest="m_e", type=float, default=None,
                        help="charged daughter mass in MeV (default 0)")
-        p.add_argument("--M-nu", dest="m_nu", type=float, default=None,
-                       help="neutral daughter mass in MeV (default 0; rates require 0)")
         p.add_argument("--G", dest="coupling", type=float, default=None,
                        help="coupling in MeV (default 1; ratios are G-independent)")
         p.add_argument("--tol", dest="tol", type=float, default=None,
@@ -101,7 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 _CONFIG_KEY_TO_DEST = {"m": "m_level", "g": "coupling"}
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The destinations of every command's options, the keys a config may set."""
+    dests = {dest for name in _COMMANDS for dest in vars(parser.parse_args([name]))}
+    return dests - {"command", "config"}
+
+
+def _read_config(path: str, known: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
@@ -110,9 +114,12 @@ def _read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise _UsageError(f"config line is not 'key = value': {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_").lower()
-            values[_CONFIG_KEY_TO_DEST.get(key, key)] = value.strip()
+            name, _, value = line.partition("=")
+            key = name.strip().replace("-", "_").lower()
+            key = _CONFIG_KEY_TO_DEST.get(key, key)
+            if key not in known:
+                raise _UsageError(f"unknown config key {name.strip()!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -129,26 +136,28 @@ def _pick(args, config: dict[str, str], key: str, cast, default=None):
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError("no values")
+    return values
 
 
 def _channel(args, config) -> landau.DecayChannel:
     return landau.DecayChannel(
         m_parent=_pick(args, config, "m_mu", float, _DEF_M_PARENT),
         m_charged=_pick(args, config, "m_e", float, 0.0),
-        m_neutral=_pick(args, config, "m_nu", float, 0.0),
         coupling=_pick(args, config, "coupling", float, 1.0),
     )
 
 
-def _quad_config(args, config) -> rate.QuadratureConfig:
-    return rate.QuadratureConfig(rel_tol=_pick(args, config, "tol", float, 1e-9))
+def _rel_tol(args, config) -> float:
+    return _pick(args, config, "tol", float, 1e-9)
 
 
-def _rate_record(channel, p_perp_sq: float, m_level: int, cfg) -> dict:
+def _rate_record(channel, p_perp_sq: float, m_level: int, rel_tol: float) -> dict:
     field = landau.field_for_radial_energy(p_perp_sq, m_level)
     state = landau.MagnetizedState(field=field, level=m_level)
-    result = rate.decay_rate(channel, state, cfg)
+    result = rate.decay_rate(channel, state, rel_tol)
     p_perp = math.sqrt(p_perp_sq)
     omega = state.energy(channel.m_parent)
     return {
@@ -172,7 +181,7 @@ def _cmd_rate(args, config) -> list[dict]:
     if p_perp_sq is None or m_level is None:
         raise _UsageError("rate requires --p-perp2 and --m")
     channel = _channel(args, config)
-    return [_rate_record(channel, p_perp_sq, m_level, _quad_config(args, config))]
+    return [_rate_record(channel, p_perp_sq, m_level, _rel_tol(args, config))]
 
 
 def _level_range(args, config) -> range:
@@ -189,9 +198,9 @@ def _cmd_scan_m(args, config) -> list[dict]:
     p_list = _pick(args, config, "p_perp2", _float_list, [1e4])
     levels = _level_range(args, config)
     channel = _channel(args, config)
-    cfg = _quad_config(args, config)
+    rel_tol = _rel_tol(args, config)
     return [
-        {"p_perp2_MeV2": p2, "m": m, **_rate_record(channel, p2, m, cfg)}
+        {"p_perp2_MeV2": p2, "m": m, **_rate_record(channel, p2, m, rel_tol)}
         for p2 in p_list
         for m in levels
     ]
@@ -203,11 +212,11 @@ def _cmd_scan_field(args, config) -> list[dict]:
         raise _UsageError(f"radius must be positive, got {radius}")
     levels = _level_range(args, config)
     channel = _channel(args, config)
-    cfg = _quad_config(args, config)
+    rel_tol = _rel_tol(args, config)
     records = []
     for m in levels:
         p_perp = landau.radial_energy_for_radius(radius, m)
-        records.append({"m": m, **_rate_record(channel, p_perp * p_perp, m, cfg)})
+        records.append({"m": m, **_rate_record(channel, p_perp * p_perp, m, rel_tol)})
     return records
 
 
@@ -226,7 +235,7 @@ def _cmd_scan_lll(args, config) -> list[dict]:
         raise _UsageError("need eB-max > eB-min")
     if points < 2:
         raise _UsageError(f"need at least 2 grid points, got {points}")
-    cfg = _quad_config(args, config)
+    rel_tol = _rel_tol(args, config)
     grid = np.exp(np.linspace(math.log(eb_min), math.log(eb_max), points))
     grid[0], grid[-1] = eb_min, eb_max
     records = []
@@ -237,9 +246,9 @@ def _cmd_scan_lll(args, config) -> list[dict]:
             {
                 "eB_MeV2": field,
                 "p_perp_MeV": math.sqrt(field),
-                "ratio_exact": rate.lll_ratio_exact(channel, field, cfg),
-                "ratio_factored": rate.lll_ratio_factored(channel, field, cfg),
-                "ratio_general": rate.decay_rate(channel, state, cfg).ratio,
+                "ratio_exact": rate.lll_ratio_exact(channel, field, rel_tol),
+                "ratio_factored": rate.lll_ratio_factored(channel, field, rel_tol),
+                "ratio_general": rate.decay_rate(channel, state, rel_tol).ratio,
             }
         )
     return records
@@ -250,10 +259,10 @@ _TABLE_POINTS = ((3.0e4, 65), (1.0e4, 30), (5.0e3, 20), (1.0e3, 5))
 
 def _cmd_table(args, config) -> list[dict]:
     channel = _channel(args, config)
-    cfg = _quad_config(args, config)
+    rel_tol = _rel_tol(args, config)
     records = []
     for p_perp_sq, m_level in _TABLE_POINTS:
-        full = _rate_record(channel, p_perp_sq, m_level, cfg)
+        full = _rate_record(channel, p_perp_sq, m_level, rel_tol)
         records.append(
             {
                 "p_perp2_MeV2": p_perp_sq,
@@ -274,16 +283,16 @@ def _cmd_verify(args, config) -> list[dict]:
     if trials <= 0:
         raise _UsageError(f"trials must be positive, got {trials}")
     channel = _channel(args, config)
-    cfg = _quad_config(args, config)
+    rel_tol = _rel_tol(args, config)
 
-    report = oracle.verify_closed_form(trials, seed=seed, cfg=cfg)
+    report = oracle.verify_closed_form(trials, seed=seed, rel_tol=rel_tol)
     records = [
         {
             "check": "overlap_closed_form",
             "passed": report.passed,
             "metric": "max_rel_err",
             "value": report.max_rel_err,
-            "threshold": report.tolerance,
+            "threshold": oracle.VERIFY_TOLERANCE,
         }
     ]
 
@@ -291,8 +300,8 @@ def _cmd_verify(args, config) -> list[dict]:
     for factor in _LLL_FIELDS_OVER_MSQ:
         field = factor * channel.m_parent**2
         state = landau.MagnetizedState(field=field, level=0)
-        exact = rate.lll_ratio_exact(channel, field, cfg)
-        general = rate.decay_rate(channel, state, cfg).ratio
+        exact = rate.lll_ratio_exact(channel, field, rel_tol)
+        general = rate.decay_rate(channel, state, rel_tol).ratio
         worst_lll = max(worst_lll, abs(general - exact) / exact)
     records.append(
         {
@@ -360,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         try:
-            config = _read_config(args.config) if args.config else {}
+            config = _read_config(args.config, _config_keys(parser)) if args.config else {}
         except OSError as exc:
             raise _UsageError(f"cannot read config file: {exc}") from exc
         fmt = _pick(args, config, "format", str, "csv")

@@ -32,24 +32,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecayChannel:
-    """Two-body scalar decay parent -> charged + neutral.
+    """Two-body scalar decay parent -> charged + massless neutral.
 
-    ``coupling`` is the dimensionful interaction strength in MeV; rate
-    *ratios* do not depend on it.
+    The level sum and its cutoffs are derived for a massless neutral
+    daughter only.  ``coupling`` is the dimensionful interaction strength
+    in MeV; rate *ratios* do not depend on it.
     """
 
     m_parent: float
     m_charged: float = 0.0
-    m_neutral: float = 0.0
     coupling: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.m_parent <= 0.0 or self.m_charged < 0.0 or self.m_neutral < 0.0:
+        if self.m_parent <= 0.0 or self.m_charged < 0.0:
             raise ValueError("masses must be nonnegative and the parent massive")
-        if self.m_parent <= self.m_charged + self.m_neutral:
+        if self.m_parent <= self.m_charged:
+            # the neutral daughter adds nothing to the threshold
             raise ValueError(
                 f"decay closed: parent {self.m_parent} MeV <= daughters "
-                f"{self.m_charged} + {self.m_neutral} MeV"
+                f"{self.m_charged} + 0.0 MeV"
             )
         if self.coupling <= 0.0:
             raise ValueError(f"coupling must be positive, got {self.coupling}")

@@ -25,11 +25,12 @@ import numpy as np
 
 from . import quadrature
 from .landau import transverse_wavefunction
-from .rate import QuadratureConfig, DEFAULT_CONFIG
 from .specfun import overlap_weight
 
 __all__ = [
     "MAX_ORACLE_INDEX",
+    "VERIFY_INDEX_MAX",
+    "VERIFY_TOLERANCE",
     "OverlapParams",
     "transverse_overlap_sq",
     "closed_form_overlap_sq",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 MAX_ORACLE_INDEX = 12
+# the randomized comparison draws both indices from [0, VERIFY_INDEX_MAX]
+# and fails a draw whose relative error reaches VERIFY_TOLERANCE
+VERIFY_INDEX_MAX = 8
+VERIFY_TOLERANCE = 1e-6
 
 # quadrature details of the reference path: window half-width in units of
 # the magnetic length, growth cap, and the absolute floor for the two real
@@ -81,9 +86,7 @@ def closed_form_overlap_sq(params: OverlapParams) -> float:
     return overlap_weight(params.n, params.m, params.displacement_sq()) / params.field
 
 
-def transverse_overlap_sq(
-    params: OverlapParams, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def transverse_overlap_sq(params: OverlapParams, rel_tol: float = 1e-9) -> float:
     """|A|^2 per unit field by direct quadrature, in 1/MeV^2.
 
     Working in the dimensionless transverse coordinate, the amplitude is
@@ -113,11 +116,11 @@ def transverse_overlap_sq(
         lo, hi = center - width, center + width
         re, _ = quadrature.integrate(
             lambda r: np.cos(q * r) * product(r),
-            lo, hi, cfg.rel_tol, _ABS_TOL, cfg.max_subdivisions,
+            lo, hi, rel_tol, _ABS_TOL,
         )
         im, _ = quadrature.integrate(
             lambda r: -np.sin(q * r) * product(r),
-            lo, hi, cfg.rel_tol, _ABS_TOL, cfg.max_subdivisions,
+            lo, hi, rel_tol, _ABS_TOL,
         )
         return re * re + im * im
 
@@ -138,8 +141,6 @@ class OverlapVerification:
 
     trials: int
     seed: int
-    index_max: int
-    tolerance: float
     max_rel_err: float
     worst: OverlapParams
     failures: tuple[tuple[OverlapParams, float], ...]
@@ -149,13 +150,7 @@ class OverlapVerification:
         return not self.failures
 
 
-def verify_closed_form(
-    trials: int,
-    seed: int = 0,
-    index_max: int = 8,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    tolerance: float = 1e-6,
-) -> OverlapVerification:
+def verify_closed_form(trials: int, seed: int = 0, rel_tol: float = 1e-9) -> OverlapVerification:
     """Compare quadrature against the closed form on seeded random draws.
 
     Momentum magnitudes are drawn from [0.3, 3] sqrt(field) with random
@@ -166,16 +161,14 @@ def verify_closed_form(
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
-    if not 0 <= index_max <= MAX_ORACLE_INDEX:
-        raise ValueError(f"index_max must lie in [0, {MAX_ORACLE_INDEX}], got {index_max}")
 
     rng = np.random.default_rng(seed)
     max_err = -1.0
     worst: OverlapParams | None = None
     failures: list[tuple[OverlapParams, float]] = []
     for _ in range(trials):
-        n = int(rng.integers(0, index_max + 1))
-        m = int(rng.integers(0, index_max + 1))
+        n = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
+        m = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
         field = float(10.0 ** rng.uniform(-0.3, 3.3))
         scale = math.sqrt(field)
         k_x = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
@@ -183,19 +176,17 @@ def verify_closed_form(
         params = OverlapParams(n=n, m=m, k_x_neutral=k_x, delta_k_y=d_ky, field=field)
 
         reference = closed_form_overlap_sq(params)
-        numeric = transverse_overlap_sq(params, cfg)
+        numeric = transverse_overlap_sq(params, rel_tol)
         rel_err = abs(numeric - reference) / reference
         if rel_err > max_err:
             max_err, worst = rel_err, params
-        if rel_err >= tolerance:
+        if rel_err >= VERIFY_TOLERANCE:
             failures.append((params, rel_err))
 
     assert worst is not None
     return OverlapVerification(
         trials=trials,
         seed=seed,
-        index_max=index_max,
-        tolerance=tolerance,
         max_rel_err=max_err,
         worst=worst,
         failures=tuple(failures),

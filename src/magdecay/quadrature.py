@@ -183,8 +183,10 @@ def integrate(
     others still run to the end, and then :class:`QuadraturePanelError` is
     raised for the lowest such interval.
     """
-    if rel_tol <= 0.0 or abs_tol < 0.0:
-        raise ValueError("rel_tol must be positive and abs_tol nonnegative")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    if not 0.0 <= abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be nonnegative and finite, got {abs_tol}")
     lo = np.asarray(a, dtype=float)
     hi = np.asarray(b, dtype=float)
     single = lo.ndim == 0 and hi.ndim == 0

@@ -28,7 +28,6 @@ from .landau import DecayChannel, MagnetizedState, kz_cutoffs
 from .specfun import overlap_weight_rows
 
 __all__ = [
-    "QuadratureConfig",
     "LevelRate",
     "RateResult",
     "RateConvergenceError",
@@ -38,23 +37,6 @@ __all__ = [
     "lll_ratio_exact",
     "lll_ratio_factored",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Relative tolerance and panel budget of the per-level quadrature."""
-
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -89,13 +71,6 @@ class RateConvergenceError(RuntimeError):
         self.error_estimate = cause.error_estimate
 
 
-def _check_neutral_massless(channel: DecayChannel) -> None:
-    # the level sum and its cutoffs are derived for a massless neutral
-    # daughter; anything else silently changes the phase space
-    if channel.m_neutral != 0.0:
-        raise ValueError("rate formulas require a massless neutral daughter (m_neutral = 0)")
-
-
 def _integrand_arrays(
     channel: DecayChannel, state: MagnetizedState, n: np.ndarray, k_z: np.ndarray
 ) -> np.ndarray:
@@ -110,11 +85,7 @@ def _integrand_arrays(
     return overlap_weight_rows(n, state.level, np.maximum(x, 0.0)) / omega_n
 
 
-def decay_rate(
-    channel: DecayChannel,
-    state: MagnetizedState,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> RateResult:
+def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1e-9) -> RateResult:
     """Total width of the magnetized parent and its ratio to the boosted free rate.
 
     Every open daughter level n is one interval [0, kz_cut(n)] of a single
@@ -123,24 +94,20 @@ def decay_rate(
     tolerance, panel budget and compensated sum.  The reduction is the
     compensated sum in ascending ``n``.  When a level exhausts its panel
     budget, :class:`RateConvergenceError` names the lowest such level.
+    A closed channel (no open level) has width and ratio zero.
     """
-    _check_neutral_massless(channel)
     omega = state.energy(channel.m_parent)
     lorentz_gamma = omega / channel.m_parent
     free_rest = free_rate_at_rest(channel)
     boosted = free_rate_boosted(channel, lorentz_gamma)
 
     cuts = kz_cutoffs(channel, state)
-    if cuts.size == 0:
-        return RateResult(0.0, (), 0.0, boosted, -1, lorentz_gamma, 0.0)
-
     try:
         values, errors = quadrature.integrate(
             lambda k_z, n: _integrand_arrays(channel, state, n, k_z),
             np.zeros(cuts.size),
             cuts,
-            rel_tol=cfg.rel_tol,
-            max_subdivisions=cfg.max_subdivisions,
+            rel_tol,
         )
     except quadrature.QuadraturePanelError as exc:
         raise RateConvergenceError(exc.interval, exc) from exc
@@ -179,7 +146,6 @@ def free_rate_boosted(channel: DecayChannel, lorentz_gamma: float) -> float:
 def _lll_validate(channel: DecayChannel, field: float) -> None:
     if channel.m_charged != 0.0:
         raise ValueError("lowest-level closed forms require a massless charged daughter")
-    _check_neutral_massless(channel)
     if field <= channel.m_parent**2 / 2.0:
         raise ValueError(
             f"field {field} MeV^2 leaves more than the lowest daughter level open "
@@ -188,7 +154,7 @@ def _lll_validate(channel: DecayChannel, field: float) -> None:
 
 
 def lll_ratio_exact(
-    channel: DecayChannel, field: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+    channel: DecayChannel, field: float, rel_tol: float = 1e-9
 ) -> float:
     """Rate ratio with parent and daughter pinned to the lowest Landau level.
 
@@ -210,14 +176,12 @@ def lll_ratio_exact(
         root_b = np.sqrt(1.0 + x * x / field)
         return np.exp(root_a * root_b) / root_b
 
-    value, _ = quadrature.integrate(
-        integrand, 0.0, x_max, cfg.rel_tol, max_subdivisions=cfg.max_subdivisions
-    )
+    value, _ = quadrature.integrate(integrand, 0.0, x_max, rel_tol)
     return prefactor * value
 
 
 def lll_ratio_factored(
-    channel: DecayChannel, field: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+    channel: DecayChannel, field: float, rel_tol: float = 1e-9
 ) -> float:
     """Lowest-level ratio with the exponential split into separate factors.
 
@@ -240,7 +204,5 @@ def lll_ratio_factored(
         root_b = np.sqrt(1.0 + x * x / field)
         return np.exp(root_b) / root_b
 
-    value, _ = quadrature.integrate(
-        integrand, 0.0, x_max, cfg.rel_tol, max_subdivisions=cfg.max_subdivisions
-    )
+    value, _ = quadrature.integrate(integrand, 0.0, x_max, rel_tol)
     return prefactor * value

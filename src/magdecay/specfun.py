@@ -51,6 +51,8 @@ MAX_OVERLAP_INDEX = 10_000
 # exp(-x/2) must stay inside the normal float64 range or the recurrence
 # seed loses the scale of the answer
 MAX_OVERLAP_ARGUMENT = 1400.0
+# the completeness sum stops after 8 consecutive weights below this
+_COMPLETENESS_TAIL = 1e-16
 # the smallest subnormal: its logarithm is finite, and max(x, _TINY) == x
 # for every positive x
 _TINY = 5e-324
@@ -211,18 +213,16 @@ def _phi_ascending(k: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return phi
 
 
-def overlap_completeness_sum(m: int, x: float, tail: float = 1e-16) -> tuple[float, int]:
-    """Compensated sum of w(n, m, x) over n with the tail truncated at ``tail``.
+def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
+    """Compensated sum of w(n, m, x) over n with the tail truncated at 1e-16.
 
     Unitarity of the displacement makes the full sum exactly one; the
     weights die off super-exponentially once n is past the peak near m + x,
-    so truncation is safe after a run of 8 sub-``tail`` terms beyond it.
+    so truncation is safe after a run of 8 sub-1e-16 terms beyond it.
     The weights are evaluated a block of levels at a time, each block twice
     as long as the one before, until that rule fires.  Returns (total, last
     n included).
     """
-    if tail <= 0.0:
-        raise ValueError(f"tail must be positive, got {tail}")
     terms: list[float] = []
     consecutive_small = 0
     n = 0
@@ -232,7 +232,7 @@ def overlap_completeness_sum(m: int, x: float, tail: float = 1e-16) -> tuple[flo
         weights = overlap_weight_rows(np.arange(n, stop), m, np.full(stop - n, float(x)))
         for w in weights.tolist():
             terms.append(w)
-            consecutive_small = consecutive_small + 1 if w < tail else 0
+            consecutive_small = consecutive_small + 1 if w < _COMPLETENESS_TAIL else 0
             if consecutive_small >= 8 and n > m + x:
                 return math.fsum(terms), n
             n += 1

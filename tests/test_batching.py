@@ -2,6 +2,7 @@
 level sum built on them give the bits and the work of one-at-a-time
 evaluation, whatever the batch."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from magdecay import (
     DecayChannel,
     MagnetizedState,
-    QuadratureConfig,
     RateConvergenceError,
     decay_rate,
     field_for_radial_energy,
@@ -203,16 +203,17 @@ class TestMultiIntervalIntegrate:
 
 class TestLevelSum:
     def test_level_contribution_positive_and_bounded_error(self):
-        cfg = QuadratureConfig()
-        level = decay_rate(MUON, magnetized(5e3, 20), cfg).level_contributions[7]
+        level = decay_rate(MUON, magnetized(5e3, 20), rel_tol=1e-9).level_contributions[7]
         assert level.rate > 0.0
-        assert level.quad_error <= cfg.rel_tol * level.rate + 1e-25
+        assert level.quad_error <= 1e-9 * level.rate + 1e-25
 
-    def test_convergence_error_carries_partial(self):
-        hard = QuadratureConfig(rel_tol=1e-12, max_subdivisions=1)
+    def test_convergence_error_carries_partial(self, monkeypatch):
         state = magnetized(3e4, 65)
-        with pytest.raises(RateConvergenceError) as info:
-            decay_rate(MUON, state, hard)
+        # the level sum runs with a one-panel budget for every level
+        one_panel = functools.partial(quadrature.integrate, max_subdivisions=1)
+        with monkeypatch.context() as patch, pytest.raises(RateConvergenceError) as info:
+            patch.setattr(quadrature, "integrate", one_panel)
+            decay_rate(MUON, state, rel_tol=1e-12)
         # the lowest level that fails on its own is the one reported
         for n in range(info.value.n + 1):
             cut = landau.kz_cutoffs(MUON, state)[n]

@@ -102,9 +102,15 @@ class TestRateCommand:
         assert info.value.code == 2
 
     def test_computation_error_exits_1(self, capsys):
-        code, _, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "30", "--M-nu", "5.0")
+        code, _, err = run(capsys, "scan-lll", "--M-e", "0.5")
         assert code == 1
         assert "massless" in err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_exits_1(self, capsys, tol):
+        code, out, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "30", "--tol", tol)
+        assert code == 1 and out == ""
+        assert f"rel_tol must be positive and finite, got {float(tol)}" in err
 
 
 class TestScanM:
@@ -276,6 +282,27 @@ class TestConfigFile:
         config.write_text("just words\n")
         code, _, _ = run(capsys, "rate", "--config", str(config))
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["p_perp", "m_nu"])
+    def test_unknown_key_rejected(self, capsys, tmp_path, key):
+        config = tmp_path / "typo.cfg"
+        config.write_text(f"p_perp2 = 1e4\nm = 30\n{key} = 5\n")
+        code, out, err = run(capsys, "rate", "--config", str(config))
+        assert code == 2 and out == ""
+        assert f"unknown config key {key!r}" in err
+
+    def test_keys_of_other_commands_accepted(self, capsys, tmp_path):
+        config = tmp_path / "shared.cfg"
+        config.write_text("p_perp2 = 1e3\nm = 5\nm_min = 3\neB-max = 1e7\ntrials = 4\n")
+        code, _, _ = run(capsys, "rate", "--config", str(config))
+        assert code == 0
+
+    def test_empty_momentum_list_rejected(self, capsys, tmp_path):
+        config = tmp_path / "empty.cfg"
+        config.write_text("p_perp2 = ,\nm_min = 3\nm_max = 3\n")
+        code, out, err = run(capsys, "scan-m", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "p_perp2" in err
 
     def test_bad_format_value_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

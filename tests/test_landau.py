@@ -10,15 +10,13 @@ M_MU = 105.7
 
 
 def muon_like(**overrides):
-    kwargs = {"m_parent": M_MU, "m_charged": 0.0, "m_neutral": 0.0, "coupling": 1.0}
+    kwargs = {"m_parent": M_MU, "m_charged": 0.0, "coupling": 1.0}
     kwargs.update(overrides)
     return landau.DecayChannel(**kwargs)
 
 
 class TestChannelAndState:
     def test_closed_channel_rejected(self):
-        with pytest.raises(ValueError):
-            landau.DecayChannel(m_parent=1.0, m_charged=0.6, m_neutral=0.5)
         with pytest.raises(ValueError):
             landau.DecayChannel(m_parent=1.0, m_charged=1.0)
 

@@ -95,7 +95,3 @@ class TestVerifyClosedForm:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             oracle.verify_closed_form(0)
-
-    def test_rejects_out_of_range_index_max(self):
-        with pytest.raises(ValueError):
-            oracle.verify_closed_form(5, index_max=oracle.MAX_ORACLE_INDEX + 1)

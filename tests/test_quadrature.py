@@ -55,10 +55,12 @@ class TestAdaptiveIntegrate:
             quadrature.integrate(np.exp, 1.0, 0.0)
 
     def test_bad_tolerances_rejected(self):
-        with pytest.raises(ValueError):
-            quadrature.integrate(np.exp, 0.0, 1.0, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            quadrature.integrate(np.exp, 0.0, 1.0, abs_tol=-1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+                quadrature.integrate(np.exp, 0.0, 1.0, rel_tol=bad)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="abs_tol must be nonnegative and finite"):
+                quadrature.integrate(np.exp, 0.0, 1.0, abs_tol=bad)
 
     def test_non_finite_integrand_rejected(self):
         def nan_left_of_half(x):

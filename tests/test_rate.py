@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from magdecay import (
     DecayChannel,
     MagnetizedState,
-    QuadratureConfig,
+    RateResult,
     decay_rate,
     field_for_radial_energy,
     lll_ratio_exact,
@@ -136,10 +136,15 @@ class TestDecayRate:
         high = decay_rate(MUON, magnetized(1e4, 120)).ratio
         assert abs(high - 1.0) < abs(low - 1.0)
 
-    def test_rejects_massive_neutral_daughter(self):
-        heavy_nu = DecayChannel(m_parent=M_MU, m_neutral=5.0)
-        with pytest.raises(ValueError):
-            decay_rate(heavy_nu, magnetized(1e4, 30))
+    def test_closed_channel_is_zero_and_checks_tolerance(self, monkeypatch):
+        # no open level: only a field far beyond the documented range gets here
+        monkeypatch.setattr("magdecay.rate.kz_cutoffs", lambda channel, state: np.empty(0))
+        state = magnetized(1e4, 30)
+        gamma = state.energy(M_MU) / M_MU
+        closed = RateResult(0.0, (), 0.0, free_rate_boosted(MUON, gamma), -1, gamma, 0.0)
+        assert decay_rate(MUON, state) == closed
+        with pytest.raises(ValueError, match="rel_tol"):
+            decay_rate(MUON, state, rel_tol=0.0)
 
     def test_massive_charged_daughter(self):
         heavy_e = DecayChannel(m_parent=M_MU, m_charged=30.0)
@@ -207,6 +212,6 @@ class TestQuadratureHonesty:
     @pytest.mark.parametrize("p_sq,m", [(1e3, 5), (5e3, 12), (3e4, 40)])
     def test_halving_tolerance_within_reported_error(self, p_sq, m):
         state = magnetized(p_sq, m)
-        loose = decay_rate(MUON, state, QuadratureConfig(rel_tol=1e-7))
-        tight = decay_rate(MUON, state, QuadratureConfig(rel_tol=5e-8))
+        loose = decay_rate(MUON, state, rel_tol=1e-7)
+        tight = decay_rate(MUON, state, rel_tol=5e-8)
         assert abs(loose.gamma_total - tight.gamma_total) <= loose.quad_error

@@ -167,7 +167,3 @@ class TestCompletenessSum:
     def test_truncation_is_past_the_peak(self):
         _, n_used = specfun.overlap_completeness_sum(5, 50.0)
         assert n_used > 55
-
-    def test_rejects_bad_tail(self):
-        with pytest.raises(ValueError):
-            specfun.overlap_completeness_sum(0, 1.0, tail=0.0)
