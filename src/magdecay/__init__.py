@@ -4,8 +4,9 @@ Exact Landau-level sums for the decay width, the dimensionless ratio to the
 time-dilated inertial rate, stable overlap-weight numerics, brute-force
 verification oracles, and SI-unit orbit observables.  The package exports
 what the level sum, its lowest-level closed forms and the verification
-need; kinematics, unit conversions and the reference paths live in their
-submodules (``landau``, ``units``, ``specfun``, ``quadrature``, ``oracle``).
+need; kinematics, unit conversions, the quadrature and the oracle's parts
+live in their submodules (``landau``, ``units``, ``specfun``,
+``quadrature``, ``oracle``).
 """
 
 from .landau import DecayChannel, MagnetizedState, field_for_radial_energy

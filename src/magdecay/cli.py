@@ -30,6 +30,17 @@ class _UsageError(Exception):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """Parse a float flag or config value; nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magdecay",
@@ -39,13 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--M-mu", dest="m_mu", type=float, default=None,
+        p.add_argument("--M-mu", dest="m_mu", type=_finite_float, default=None,
                        help=f"parent mass in MeV (default {_DEF_M_PARENT})")
-        p.add_argument("--M-e", dest="m_e", type=float, default=None,
+        p.add_argument("--M-e", dest="m_e", type=_finite_float, default=None,
                        help="charged daughter mass in MeV (default 0)")
-        p.add_argument("--G", dest="coupling", type=float, default=None,
+        p.add_argument("--G", dest="coupling", type=_finite_float, default=None,
                        help="coupling in MeV (default 1; ratios are G-independent)")
-        p.add_argument("--tol", dest="tol", type=float, default=None,
+        p.add_argument("--tol", dest="tol", type=_finite_float, default=None,
                        help="relative quadrature tolerance (default 1e-9)")
         p.add_argument("--format", dest="format", choices=("csv", "json"), default=None,
                        help="output format (default csv)")
@@ -53,29 +64,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a 'key = value' config file; flags override it")
 
     p_rate = sub.add_parser("rate", help="single (p_perp^2, m) point with SI observables")
-    p_rate.add_argument("--p-perp2", dest="p_perp2", type=float, default=None,
+    p_rate.add_argument("--p-perp2", dest="p_perp2", type=_finite_float, default=None,
                         help="squared radial momentum in MeV^2")
     p_rate.add_argument("--m", dest="m_level", type=int, default=None, help="parent Landau level")
     add_common(p_rate)
 
     p_scanm = sub.add_parser("scan-m", help="ratio vs parent level at fixed radial momentum")
-    p_scanm.add_argument("--p-perp2", dest="p_perp2", type=float, action="append", default=None,
+    p_scanm.add_argument("--p-perp2", dest="p_perp2", type=_finite_float, action="append",
+                         default=None,
                          help="squared radial momentum in MeV^2; repeat for several curves")
     p_scanm.add_argument("--m-min", dest="m_min", type=int, default=None)
     p_scanm.add_argument("--m-max", dest="m_max", type=int, default=None)
     add_common(p_scanm)
 
     p_scanf = sub.add_parser("scan-field", help="ratio vs level at fixed orbit radius")
-    p_scanf.add_argument("--radius", dest="radius", type=float, default=None,
+    p_scanf.add_argument("--radius", dest="radius", type=_finite_float, default=None,
                          help="orbit radius in 1/MeV (default 0.1)")
     p_scanf.add_argument("--m-min", dest="m_min", type=int, default=None)
     p_scanf.add_argument("--m-max", dest="m_max", type=int, default=None)
     add_common(p_scanf)
 
     p_lll = sub.add_parser("scan-lll", help="lowest-level ratio vs field on a log grid")
-    p_lll.add_argument("--eB-min", dest="eb_min", type=float, default=None,
+    p_lll.add_argument("--eB-min", dest="eb_min", type=_finite_float, default=None,
                        help="lowest field in MeV^2 (must exceed M^2/2)")
-    p_lll.add_argument("--eB-max", dest="eb_max", type=float, default=None)
+    p_lll.add_argument("--eB-max", dest="eb_max", type=_finite_float, default=None)
     p_lll.add_argument("--points", dest="points", type=int, default=None,
                        help="grid size (default 40)")
     add_common(p_lll)
@@ -130,13 +142,13 @@ def _pick(args, config: dict[str, str], key: str, cast, default=None):
     if key in config:
         try:
             return cast(config[key])
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise _UsageError(f"config key {key!r}: {exc}") from exc
     return default
 
 
 def _float_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
+    values = [_finite_float(part.strip()) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError("no values")
     return values
@@ -144,14 +156,14 @@ def _float_list(text: str) -> list[float]:
 
 def _channel(args, config) -> landau.DecayChannel:
     return landau.DecayChannel(
-        m_parent=_pick(args, config, "m_mu", float, _DEF_M_PARENT),
-        m_charged=_pick(args, config, "m_e", float, 0.0),
-        coupling=_pick(args, config, "coupling", float, 1.0),
+        m_parent=_pick(args, config, "m_mu", _finite_float, _DEF_M_PARENT),
+        m_charged=_pick(args, config, "m_e", _finite_float, 0.0),
+        coupling=_pick(args, config, "coupling", _finite_float, 1.0),
     )
 
 
 def _rel_tol(args, config) -> float:
-    return _pick(args, config, "tol", float, 1e-9)
+    return _pick(args, config, "tol", _finite_float, 1e-9)
 
 
 def _rate_record(channel, p_perp_sq: float, m_level: int, rel_tol: float) -> dict:
@@ -176,7 +188,7 @@ def _rate_record(channel, p_perp_sq: float, m_level: int, rel_tol: float) -> dic
 
 
 def _cmd_rate(args, config) -> list[dict]:
-    p_perp_sq = _pick(args, config, "p_perp2", float)
+    p_perp_sq = _pick(args, config, "p_perp2", _finite_float)
     m_level = _pick(args, config, "m_level", int)
     if p_perp_sq is None or m_level is None:
         raise _UsageError("rate requires --p-perp2 and --m")
@@ -207,7 +219,7 @@ def _cmd_scan_m(args, config) -> list[dict]:
 
 
 def _cmd_scan_field(args, config) -> list[dict]:
-    radius = _pick(args, config, "radius", float, 0.1)
+    radius = _pick(args, config, "radius", _finite_float, 0.1)
     if radius <= 0.0:
         raise _UsageError(f"radius must be positive, got {radius}")
     levels = _level_range(args, config)
@@ -222,8 +234,8 @@ def _cmd_scan_field(args, config) -> list[dict]:
 
 def _cmd_scan_lll(args, config) -> list[dict]:
     channel = _channel(args, config)
-    eb_min = _pick(args, config, "eb_min", float, 6.0e3)
-    eb_max = _pick(args, config, "eb_max", float, 1.0e7)
+    eb_min = _pick(args, config, "eb_min", _finite_float, 6.0e3)
+    eb_max = _pick(args, config, "eb_max", _finite_float, 1.0e7)
     points = _pick(args, config, "points", int, 40)
     threshold = channel.m_parent**2 / 2.0
     if eb_min <= threshold:
@@ -353,15 +365,14 @@ def _format_cell(value) -> str:
 
 
 def _emit(records: list[dict], fmt: str, stream) -> None:
+    """Write the records, or nothing at all if one of them cannot be formatted."""
     if fmt == "json":
-        for record in records:
-            stream.write(json.dumps(record, allow_nan=False, separators=(",", ":")))
-            stream.write("\n")
-        return
-    keys = list(records[0])
-    stream.write(",".join(keys) + "\n")
-    for record in records:
-        stream.write(",".join(_format_cell(record[key]) for key in keys) + "\n")
+        lines = [json.dumps(record, allow_nan=False, separators=(",", ":")) for record in records]
+    else:
+        keys = list(records[0])
+        lines = [",".join(keys)]
+        lines += [",".join(_format_cell(record[key]) for key in keys) for record in records]
+    stream.write("".join(line + "\n" for line in lines))
 
 
 def main(argv=None) -> int:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import MAX_HERMITE_ORDER
-
 __all__ = [
+    "MAX_HERMITE_ORDER",
     "DecayChannel",
     "MagnetizedState",
     "landau_energy",
@@ -27,7 +26,11 @@ __all__ = [
     "field_for_radial_energy",
     "radial_energy_for_radius",
     "transverse_wavefunction",
+    "oscillator_modes",
 ]
+
+# the highest order transverse_wavefunction accepts
+MAX_HERMITE_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -131,13 +134,9 @@ def transverse_wavefunction(n: int, field: float, rho):
     """Normalized transverse mode I_n(rho), unit-normalized in x.
 
     Equals (sqrt(field) / (sqrt(pi) 2^n n!))^(1/2) exp(-rho^2/2) H_n(rho),
-    evaluated through the bounded oscillator recurrence
-
-        psi_0 = pi^(-1/4) exp(-rho^2/2),
-        psi_{k+1} = sqrt(2/(k+1)) rho psi_k - sqrt(k/(k+1)) psi_{k-1},
-
-    so no intermediate ever overflows.  With rho = sqrt(field) x + shift the
-    square integrates to one over x.
+    that is field^(1/4) times the dimensionless mode of
+    :func:`oscillator_modes`.  With rho = sqrt(field) x + shift the square
+    integrates to one over x.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -146,15 +145,33 @@ def transverse_wavefunction(n: int, field: float, rho):
     if field <= 0.0:
         raise ValueError(f"field must be positive, got {field}")
     rho = np.asarray(rho, dtype=float)
-    scalar = rho.ndim == 0
+    value = field**0.25 * oscillator_modes(n, rho.ravel()).reshape(rho.shape)
+    return float(value) if rho.ndim == 0 else value
+
+
+def oscillator_modes(order, rho: np.ndarray) -> np.ndarray:
+    """Unit-normalized oscillator modes psi_{order_i}(rho_i) of a 1-D array ``rho``.
+
+    ``order`` is one nonnegative int or an integer array shaped like
+    ``rho``.  Every row runs through the bounded recurrence
+
+        psi_0 = pi^(-1/4) exp(-rho^2/2),
+        psi_{k+1} = sqrt(2/(k+1)) rho psi_k - sqrt(k/(k+1)) psi_{k-1},
+
+    up to the largest order, and keeps its value at its own order, so no
+    intermediate ever overflows and each row gets the bits it would get
+    alone.
+    """
+    top = int(np.max(order))
     psi_prev = math.pi**-0.25 * np.exp(-rho * rho / 2.0)
-    if n > 0:
+    value = psi_prev.copy()
+    if top > 0:
         psi_cur = math.sqrt(2.0) * rho * psi_prev
-        for k in range(1, n):
+        for k in range(1, top):
+            np.copyto(value, psi_cur, where=order == k)
             psi_prev, psi_cur = psi_cur, (
                 math.sqrt(2.0 / (k + 1.0)) * rho * psi_cur
                 - math.sqrt(k / (k + 1.0)) * psi_prev
             )
-        psi_prev = psi_cur
-    value = field**0.25 * psi_prev
-    return float(value) if scalar else value
+        np.copyto(value, psi_cur, where=order == top)
+    return value

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["QuadraturePanelError", "gauss_kronrod_panel", "integrate"]
+__all__ = ["QuadraturePanelError", "integrate"]
 
 # 15-point Kronrod abscissae on [-1, 1] (ascending); every second one,
 # starting from the second, is a node of the embedded 7-point Gauss rule
@@ -109,15 +109,6 @@ _WEIGHTS_K1 = _WEIGHTS_K[:, None].copy()
 # rows of a panel table, one column per panel: its ends, its rule results,
 # and the index of the interval it belongs to
 _LO, _HI, _VALUE, _ERROR, _MASS, _OWNER = range(6)
-
-
-def gauss_kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
-    """One (value, error) Gauss-Kronrod evaluation of ``f`` on [a, b]."""
-    panel = np.zeros((6, 1))
-    panel[_LO], panel[_HI] = a, b
-    _panel_rule(lambda x, panels: f(x), panel)
-    value, error, mass = panel[_VALUE:_OWNER, 0].tolist()
-    return value, max(error, _ROUNDOFF * mass)
 
 
 def _evaluate_panels(f, panels) -> None:

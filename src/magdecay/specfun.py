@@ -23,9 +23,7 @@ through the correspondingly normalized three-term recurrence
 
 whose iterates are bounded by 1 in magnitude, and returns phi**2.
 :func:`overlap_weight_rows` runs that recurrence for many (n_i, x_i) rows
-at once; ``overlap_weight`` and ``overlap_completeness_sum`` call it.  The raw
-``hermite`` and ``laguerre_assoc`` recurrences are kept as reference paths
-for cross-checks at small order.
+at once; ``overlap_weight`` and ``overlap_completeness_sum`` call it.
 """
 
 from __future__ import annotations
@@ -35,18 +33,13 @@ import math
 import numpy as np
 
 __all__ = [
-    "MAX_HERMITE_ORDER",
     "MAX_OVERLAP_INDEX",
     "MAX_OVERLAP_ARGUMENT",
-    "hermite",
-    "laguerre_assoc",
-    "log_factorial_ratio",
     "overlap_weight",
     "overlap_weight_rows",
     "overlap_completeness_sum",
 ]
 
-MAX_HERMITE_ORDER = 200
 MAX_OVERLAP_INDEX = 10_000
 # exp(-x/2) must stay inside the normal float64 range or the recurrence
 # seed loses the scale of the answer
@@ -56,58 +49,6 @@ _COMPLETENESS_TAIL = 1e-16
 # the smallest subnormal: its logarithm is finite, and max(x, _TINY) == x
 # for every positive x
 _TINY = 5e-324
-
-
-def hermite(n: int, rho):
-    """Physicists' Hermite polynomial H_n(rho) by upward recurrence.
-
-    Reference path only: the raw values overflow for large ``n`` and
-    ``|rho|``, hence the order cap.
-    """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    if n > MAX_HERMITE_ORDER:
-        raise ValueError(f"order {n} above cap {MAX_HERMITE_ORDER}")
-    rho = np.asarray(rho, dtype=float)
-    h_prev = np.ones_like(rho)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = 2.0 * rho
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * rho * h_cur - 2.0 * k * h_prev
-    return h_cur if h_cur.ndim else float(h_cur)
-
-
-def laguerre_assoc(k: int, d: int, x):
-    """Associated Laguerre polynomial L_k^d(x) by upward recurrence in k.
-
-    Reference path only; see :func:`overlap_weight` for the bounded
-    evaluation used in production.
-    """
-    if k < 0 or d < 0:
-        raise ValueError(f"indices must be nonnegative, got k={k}, d={d}")
-    if k > MAX_OVERLAP_INDEX or d > MAX_OVERLAP_INDEX:
-        raise ValueError(f"indices (k={k}, d={d}) above cap {MAX_OVERLAP_INDEX}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("argument must be nonnegative")
-    l_prev = np.ones_like(x)
-    if k == 0:
-        return l_prev if l_prev.ndim else float(l_prev)
-    l_cur = 1.0 + d - x
-    for j in range(1, k):
-        l_prev, l_cur = l_cur, ((2.0 * j + 1.0 + d - x) * l_cur - (j + d) * l_prev) / (j + 1.0)
-    return l_cur if l_cur.ndim else float(l_cur)
-
-
-def log_factorial_ratio(n: int, m: int) -> float:
-    """ln(min(n,m)! / max(n,m)!), exactly 0.0 for n == m."""
-    if n < 0 or m < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, m={m}")
-    if n == m:
-        return 0.0
-    lo, hi = min(n, m), max(n, m)
-    return math.lgamma(lo + 1) - math.lgamma(hi + 1)
 
 
 def overlap_weight(n: int, m: int, x):

@@ -106,11 +106,39 @@ class TestRateCommand:
         assert code == 1
         assert "massless" in err
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_bad_tolerance_exits_1(self, capsys, tol):
         code, out, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "30", "--tol", tol)
         assert code == 1 and out == ""
         assert f"rel_tol must be positive and finite, got {float(tol)}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["rate", "--p-perp2", "1e4", "--m", "30", "--tol", "nan"], "--tol"),
+        (["rate", "--p-perp2", "1e4", "--m", "30", "--tol", "inf"], "--tol"),
+        (["rate", "--p-perp2", "1e4", "--m", "30", "--G", "nan"], "--G"),
+        (["rate", "--p-perp2", "1e4", "--m", "30", "--M-mu", "nan"], "--M-mu"),
+        (["rate", "--p-perp2", "1e4", "--m", "30", "--M-e", "nan"], "--M-e"),
+        (["rate", "--p-perp2", "inf", "--m", "30"], "--p-perp2"),
+        (["scan-m", "--p-perp2", "1e4", "--p-perp2", "nan", "--m-min", "1", "--m-max", "2"],
+         "--p-perp2"),
+        (["scan-field", "--radius", "nan", "--m-min", "0", "--m-max", "1"], "--radius"),
+        (["scan-lll", "--eB-min", "nan"], "--eB-min"),
+        (["scan-lll", "--eB-max", "inf"], "--eB-max"),
+    ],
+    ids=[
+        "tol-nan", "tol-inf", "G-nan", "M-mu-nan", "M-e-nan", "p-perp2-inf",
+        "scan-m-p-perp2-nan", "radius-nan", "eB-min-nan", "eB-max-inf",
+    ],
+)
+def test_non_finite_float_flag_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert info.value.code == 2 and out.out == ""
+    assert f"argument {flag}: not a finite number" in out.err
 
 
 class TestScanM:
@@ -304,6 +332,18 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert "p_perp2" in err
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [("G = nan", "coupling"), ("tol = inf", "tol"), ("p_perp2 = 1e3, nan", "p_perp2")],
+    )
+    def test_non_finite_value_rejected(self, capsys, tmp_path, text, key):
+        config = tmp_path / "nan.cfg"
+        config.write_text(f"p_perp2 = 1e3\nm = 5\nm_min = 3\nm_max = 3\n{text}\n")
+        command = "scan-m" if key == "p_perp2" else "rate"
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == 2 and out == ""
+        assert f"config key {key!r}: not a finite number" in err
+
     def test_bad_format_value_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("format = yaml\n")
@@ -330,3 +370,13 @@ def test_emit_aborts_on_non_finite_values():
     for fmt in ("csv", "json"):
         with pytest.raises(ValueError):
             _emit([{"ratio": float("inf")}], fmt, io.StringIO())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unformattable_record_writes_nothing(capsys, monkeypatch, fmt):
+    # the header and the finite first row must not reach stdout either
+    records = [{"ratio": 1.0}, {"ratio": float("nan")}]
+    monkeypatch.setitem(cli._COMMANDS, "table", lambda args, config: records)
+    code, out, err = run(capsys, "table", "--format", fmt)
+    assert code == 1 and out == ""
+    assert "error:" in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magdecay import landau, quadrature, units
+from reference_paths import hermite
 
 M_MU = 105.7
 
@@ -182,8 +183,6 @@ class TestTransverseWavefunction:
         assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_direct_formula_small_order(self):
-        from magdecay.specfun import hermite
-
         field, n, rho = 1.9, 4, 0.83
         direct = (
             math.sqrt(field) / (math.sqrt(math.pi) * 2**n * math.factorial(n))

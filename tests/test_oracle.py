@@ -1,8 +1,87 @@
 import math
 
+import numpy as np
 import pytest
 
 from magdecay import landau, oracle, quadrature
+
+
+def loop_wavefunction(n, rho):
+    """The one-order oscillator recurrence the batched modes must reproduce."""
+    psi_prev = math.pi**-0.25 * np.exp(-rho * rho / 2.0)
+    if n > 0:
+        psi_cur = math.sqrt(2.0) * rho * psi_prev
+        for k in range(1, n):
+            psi_prev, psi_cur = psi_cur, (
+                math.sqrt(2.0 / (k + 1.0)) * rho * psi_cur
+                - math.sqrt(k / (k + 1.0)) * psi_prev
+            )
+        psi_prev = psi_cur
+    return psi_prev
+
+
+def loop_overlap_sq(params, rel_tol=1e-9):
+    """The one-trial-at-a-time oracle: two quadratures per window, doubling."""
+    root_field = math.sqrt(params.field)
+    q = params.k_x_neutral / root_field
+    delta = params.delta_k_y / root_field
+    center = -delta / 2.0
+    half_width = oracle._WINDOW_PAD + math.sqrt(2.0 * max(params.n, params.m) + 1.0)
+
+    def product(rho):
+        return loop_wavefunction(params.m, rho) * loop_wavefunction(params.n, rho + delta)
+
+    def modulus_sq(width):
+        lo, hi = center - width, center + width
+        re, _ = quadrature.integrate(
+            lambda r: np.cos(q * r) * product(r), lo, hi, rel_tol, oracle._ABS_TOL
+        )
+        im, _ = quadrature.integrate(
+            lambda r: -np.sin(q * r) * product(r), lo, hi, rel_tol, oracle._ABS_TOL
+        )
+        return re * re + im * im
+
+    value = modulus_sq(half_width)
+    for _ in range(oracle._MAX_DOUBLINGS):
+        half_width *= 2.0
+        wider = modulus_sq(half_width)
+        converged = abs(wider - value) <= 1e-12 * abs(wider) + 1e-28
+        value = wider
+        if converged:
+            break
+    return value / params.field
+
+
+def loop_verification(trials, seed):
+    """verify_closed_form with the oracle run one trial at a time."""
+    rng = np.random.default_rng(seed)
+    max_err, worst, failures = -1.0, None, []
+    for _ in range(trials):
+        n = int(rng.integers(0, oracle.VERIFY_INDEX_MAX + 1))
+        m = int(rng.integers(0, oracle.VERIFY_INDEX_MAX + 1))
+        field = float(10.0 ** rng.uniform(-0.3, 3.3))
+        scale = math.sqrt(field)
+        k_x = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
+        d_ky = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
+        params = oracle.OverlapParams(n=n, m=m, k_x_neutral=k_x, delta_k_y=d_ky, field=field)
+        reference = oracle.closed_form_overlap_sq(params)
+        rel_err = abs(loop_overlap_sq(params) - reference) / reference
+        if rel_err > max_err:
+            max_err, worst = rel_err, params
+        if rel_err >= oracle.VERIFY_TOLERANCE:
+            failures.append((params, rel_err))
+    return oracle.OverlapVerification(trials, seed, max_err, worst, tuple(failures))
+
+
+def random_params(count, seed):
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(count):
+        n, m = (int(v) for v in rng.integers(0, oracle.MAX_ORACLE_INDEX + 1, size=2))
+        field = float(10.0 ** rng.uniform(-0.3, 3.3))
+        k_x, d_ky = rng.uniform(-3.0, 3.0, size=2) * math.sqrt(field)
+        drawn.append(oracle.OverlapParams(n, m, float(k_x), float(d_ky), field))
+    return drawn
 
 
 class TestOverlapParams:
@@ -95,3 +174,45 @@ class TestVerifyClosedForm:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             oracle.verify_closed_form(0)
+
+
+class TestBatchedOracle:
+    """All trials share one quadrature per window stage, with the bits of the loop."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 20260808])
+    def test_report_equals_one_trial_at_a_time(self, seed):
+        assert oracle.verify_closed_form(100, seed) == loop_verification(100, seed)
+
+    def test_every_trial_bit_identical_over_several_doublings(self, monkeypatch):
+        # a narrow first window makes the trials converge after different
+        # numbers of doublings, so later stages run only some of them
+        monkeypatch.setattr(oracle, "_WINDOW_PAD", 0.5)
+        drawn = random_params(60, seed=3)
+        stages = []
+        integrate = quadrature.integrate
+
+        def counting(f, a, b, *args):
+            stages.append(len(a))
+            return integrate(f, a, b, *args)
+
+        monkeypatch.setattr(quadrature, "integrate", counting)
+        batched = oracle._overlap_sq_batch(drawn, 1e-9)
+        monkeypatch.setattr(quadrature, "integrate", integrate)
+        assert [v.hex() for v in batched] == [loop_overlap_sq(p).hex() for p in drawn]
+        assert stages[0] == stages[1] == 2 * len(drawn)
+        assert len(stages) > 3 and stages == sorted(stages, reverse=True)
+        assert stages[-1] < stages[0]
+
+    def test_single_trial_is_the_batch_of_one(self):
+        for p in random_params(5, seed=8):
+            assert oracle.transverse_overlap_sq(p).hex() == loop_overlap_sq(p).hex()
+
+    def test_per_point_modes_match_each_order_alone(self):
+        rng = np.random.default_rng(13)
+        rho = rng.uniform(-9.0, 9.0, size=600)
+        order = rng.integers(0, oracle.MAX_ORACLE_INDEX + 1, size=600)
+        modes = landau.oscillator_modes(order, rho)
+        for n in range(oracle.MAX_ORACLE_INDEX + 1):
+            alone = landau.transverse_wavefunction(n, 1.0, rho)
+            assert np.array_equal(alone, loop_wavefunction(n, rho))
+            assert np.array_equal(modes[order == n], alone[order == n])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magdecay import specfun
+from magdecay import landau, specfun
+from reference_paths import hermite, laguerre_assoc, log_factorial_ratio
 
 
 def hermite_explicit(n, r):
@@ -30,22 +31,22 @@ class TestHermite:
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("rho", [-2.5, -1.0, 0.0, 0.3, 1.0, 1.7, 2.0])
     def test_matches_explicit_polynomials(self, n, rho):
-        assert specfun.hermite(n, rho) == pytest.approx(hermite_explicit(n, rho), rel=1e-13, abs=1e-13)
+        assert hermite(n, rho) == pytest.approx(hermite_explicit(n, rho), rel=1e-13, abs=1e-13)
 
     def test_reference_points(self):
-        assert specfun.hermite(0, 17.3) == 1.0
-        assert specfun.hermite(2, 1.0) == pytest.approx(2.0, rel=1e-14)
-        assert specfun.hermite(3, 2.0) == pytest.approx(40.0, rel=1e-14)
+        assert hermite(0, 17.3) == 1.0
+        assert hermite(2, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert hermite(3, 2.0) == pytest.approx(40.0, rel=1e-14)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            specfun.hermite(specfun.MAX_HERMITE_ORDER + 1, 0.5)
+            hermite(landau.MAX_HERMITE_ORDER + 1, 0.5)
         with pytest.raises(ValueError):
-            specfun.hermite(-1, 0.5)
+            hermite(-1, 0.5)
 
     def test_vectorized(self):
         rho = np.linspace(-2, 2, 7)
-        np.testing.assert_allclose(specfun.hermite(2, rho), 4 * rho**2 - 2, rtol=1e-13)
+        np.testing.assert_allclose(hermite(2, rho), 4 * rho**2 - 2, rtol=1e-13)
 
 
 class TestLaguerre:
@@ -53,36 +54,36 @@ class TestLaguerre:
     @pytest.mark.parametrize("d", [0, 1, 2, 5])
     @pytest.mark.parametrize("x", [0.0, 0.4, 2.0, 7.5])
     def test_matches_explicit_series(self, k, d, x):
-        assert specfun.laguerre_assoc(k, d, x) == pytest.approx(
+        assert laguerre_assoc(k, d, x) == pytest.approx(
             laguerre_explicit(k, d, x), rel=1e-13, abs=1e-13
         )
 
     def test_reference_points(self):
-        assert specfun.laguerre_assoc(0, 4, 11.0) == 1.0
-        assert specfun.laguerre_assoc(2, 1, 2.0) == pytest.approx(-1.0, rel=1e-14)
-        assert specfun.laguerre_assoc(1, 0, 0.0) == 1.0
+        assert laguerre_assoc(0, 4, 11.0) == 1.0
+        assert laguerre_assoc(2, 1, 2.0) == pytest.approx(-1.0, rel=1e-14)
+        assert laguerre_assoc(1, 0, 0.0) == 1.0
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            specfun.laguerre_assoc(2, 1, -0.5)
+            laguerre_assoc(2, 1, -0.5)
 
 
 class TestLogFactorialRatio:
     def test_equal_indices_exactly_zero(self):
-        assert specfun.log_factorial_ratio(5, 5) == 0.0
-        assert specfun.log_factorial_ratio(0, 0) == 0.0
+        assert log_factorial_ratio(5, 5) == 0.0
+        assert log_factorial_ratio(0, 0) == 0.0
 
     def test_direct_value(self):
-        assert specfun.log_factorial_ratio(0, 3) == pytest.approx(math.log(1 / 6), rel=1e-12)
+        assert log_factorial_ratio(0, 3) == pytest.approx(math.log(1 / 6), rel=1e-12)
 
     @given(n=st.integers(0, 500), m=st.integers(0, 500))
     def test_symmetric(self, n, m):
-        assert specfun.log_factorial_ratio(n, m) == specfun.log_factorial_ratio(m, n)
+        assert log_factorial_ratio(n, m) == log_factorial_ratio(m, n)
 
     @given(n=st.integers(0, 40), m=st.integers(0, 40))
     def test_matches_factorials(self, n, m):
         exact = math.log(math.factorial(min(n, m)) / math.factorial(max(n, m)))
-        assert specfun.log_factorial_ratio(n, m) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        assert log_factorial_ratio(n, m) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 class TestOverlapWeight:
@@ -106,8 +107,8 @@ class TestOverlapWeight:
     @pytest.mark.parametrize("x", [1e-3, 0.7, 4.0, 17.0, 30.0])
     def test_agrees_with_naive_path(self, n, m, x):
         k, d = min(n, m), abs(n - m)
-        naive = math.exp(specfun.log_factorial_ratio(n, m) - x + d * math.log(x)) * (
-            specfun.laguerre_assoc(k, d, x) ** 2
+        naive = math.exp(log_factorial_ratio(n, m) - x + d * math.log(x)) * (
+            laguerre_assoc(k, d, x) ** 2
         )
         assert specfun.overlap_weight(n, m, x) == pytest.approx(naive, rel=1e-10, abs=1e-300)
 
