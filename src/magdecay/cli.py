@@ -10,6 +10,7 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -106,18 +107,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in this process shares.
+
+    It is built on the first call, not at import.  Reuse is safe because
+    ``parse_args`` leaves the parser as it was: each ``append`` flag has
+    ``default=None``, so every parse starts a fresh list, and the help
+    formatter reads the terminal width when it prints, not when it is built.
+    """
+    return build_parser()
+
+
 # config keys are the long flag names, lower-cased, dashes as underscores;
 # the two short flags map onto their argparse destinations
 _CONFIG_KEY_TO_DEST = {"m": "m_level", "g": "coupling"}
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+@functools.cache
+def _config_keys() -> frozenset[str]:
     """The destinations of every command's options, the keys a config may set."""
-    dests = {dest for name in _COMMANDS for dest in vars(parser.parse_args([name]))}
-    return dests - {"command", "config"}
+    dests = {dest for name in _COMMANDS for dest in vars(_parser().parse_args([name]))}
+    return frozenset(dests - {"command", "config"})
 
 
-def _read_config(path: str, known: set[str]) -> dict[str, str]:
+def _read_config(path: str, known: frozenset[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
@@ -376,11 +390,10 @@ def _emit(records: list[dict], fmt: str, stream) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         try:
-            config = _read_config(args.config, _config_keys(parser)) if args.config else {}
+            config = _read_config(args.config, _config_keys()) if args.config else {}
         except OSError as exc:
             raise _UsageError(f"cannot read config file: {exc}") from exc
         fmt = _pick(args, config, "format", str, "csv")

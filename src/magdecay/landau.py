@@ -1,8 +1,8 @@
 """Kinematics of charged scalars in a constant magnetic field.
 
 Landau energies, the kinematic cutoffs that make the decay sum finite, the
-discrete field/level/radius/energy relations, and the normalized transverse
-wavefunctions used by the brute-force overlap check.
+discrete field/level/radius/energy relations, and the unit-normalized
+oscillator modes used by the brute-force overlap check.
 
 Conventions: natural units (MeV), ``field`` is the product |e|B in MeV^2,
 and only that product ever enters a formula, so the charge sign never
@@ -18,19 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_HERMITE_ORDER",
     "DecayChannel",
     "MagnetizedState",
     "landau_energy",
     "kz_cutoffs",
     "field_for_radial_energy",
     "radial_energy_for_radius",
-    "transverse_wavefunction",
     "oscillator_modes",
 ]
-
-# the highest order transverse_wavefunction accepts
-MAX_HERMITE_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -47,6 +42,11 @@ class DecayChannel:
     coupling: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.m_parent, self.m_charged, self.coupling))):
+            raise ValueError(
+                f"masses and coupling must be finite, got m_parent={self.m_parent}, "
+                f"m_charged={self.m_charged}, coupling={self.coupling}"
+            )
         if self.m_parent <= 0.0 or self.m_charged < 0.0:
             raise ValueError("masses must be nonnegative and the parent massive")
         if self.m_parent <= self.m_charged:
@@ -71,6 +71,8 @@ class MagnetizedState:
     level: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.field):
+            raise ValueError(f"field must be finite, got {self.field}")
         if self.field <= 0.0:
             raise ValueError(f"field must be positive, got {self.field}")
         if self.level < 0:
@@ -83,6 +85,8 @@ class MagnetizedState:
 
 def landau_energy(mass: float, level: int, field: float) -> float:
     """sqrt(mass^2 + (2 level + 1) field), at zero longitudinal momentum."""
+    if not (math.isfinite(field) and math.isfinite(mass)):
+        raise ValueError(f"field and mass must be finite, got field={field}, mass={mass}")
     if field <= 0.0:
         raise ValueError(f"field must be positive, got {field}")
     if mass < 0.0:
@@ -114,6 +118,8 @@ def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
 
 def field_for_radial_energy(p_perp_sq: float, level: int) -> float:
     """|e|B = p_perp^2 / (2 level + 1): the discrete fields compatible with fixed p_perp."""
+    if not math.isfinite(p_perp_sq):
+        raise ValueError(f"p_perp_sq must be finite, got {p_perp_sq}")
     if p_perp_sq <= 0.0:
         raise ValueError(f"p_perp_sq must be positive, got {p_perp_sq}")
     if level < 0:
@@ -123,30 +129,13 @@ def field_for_radial_energy(p_perp_sq: float, level: int) -> float:
 
 def radial_energy_for_radius(radius: float, level: int) -> float:
     """p_perp = (2 level + 1) / radius at fixed orbit radius [1/MeV]."""
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     return (2 * level + 1) / radius
-
-
-def transverse_wavefunction(n: int, field: float, rho):
-    """Normalized transverse mode I_n(rho), unit-normalized in x.
-
-    Equals (sqrt(field) / (sqrt(pi) 2^n n!))^(1/2) exp(-rho^2/2) H_n(rho),
-    that is field^(1/4) times the dimensionless mode of
-    :func:`oscillator_modes`.  With rho = sqrt(field) x + shift the square
-    integrates to one over x.
-    """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    if n > MAX_HERMITE_ORDER:
-        raise ValueError(f"order {n} above cap {MAX_HERMITE_ORDER}")
-    if field <= 0.0:
-        raise ValueError(f"field must be positive, got {field}")
-    rho = np.asarray(rho, dtype=float)
-    value = field**0.25 * oscillator_modes(n, rho.ravel()).reshape(rho.shape)
-    return float(value) if rho.ndim == 0 else value
 
 
 def oscillator_modes(order, rho: np.ndarray) -> np.ndarray:

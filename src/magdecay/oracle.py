@@ -73,6 +73,11 @@ class OverlapParams:
     field: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.k_x_neutral, self.delta_k_y, self.field))):
+            raise ValueError(
+                f"momenta and field must be finite, got k_x_neutral={self.k_x_neutral}, "
+                f"delta_k_y={self.delta_k_y}, field={self.field}"
+            )
         if self.field <= 0.0:
             raise ValueError(f"field must be positive, got {self.field}")
         if min(self.n, self.m) < 0:

@@ -138,6 +138,8 @@ def free_rate_at_rest(channel: DecayChannel) -> float:
 
 def free_rate_boosted(channel: DecayChannel, lorentz_gamma: float) -> float:
     """Field-free width seen in the lab, i.e. the rest width over gamma."""
+    if not math.isfinite(lorentz_gamma):
+        raise ValueError(f"lorentz_gamma must be finite, got {lorentz_gamma}")
     if lorentz_gamma < 1.0:
         raise ValueError(f"lorentz_gamma must be >= 1, got {lorentz_gamma}")
     return free_rate_at_rest(channel) / lorentz_gamma
@@ -146,6 +148,8 @@ def free_rate_boosted(channel: DecayChannel, lorentz_gamma: float) -> float:
 def _lll_validate(channel: DecayChannel, field: float) -> None:
     if channel.m_charged != 0.0:
         raise ValueError("lowest-level closed forms require a massless charged daughter")
+    if not math.isfinite(field):
+        raise ValueError(f"field must be finite, got {field}")
     if field <= channel.m_parent**2 / 2.0:
         raise ValueError(
             f"field {field} MeV^2 leaves more than the lowest daughter level open "

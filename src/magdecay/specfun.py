@@ -86,7 +86,10 @@ def overlap_weight_rows(n, m: int, x) -> np.ndarray:
         raise ValueError(f"indices must be nonnegative, got m={m}")
     if m > MAX_OVERLAP_INDEX or np.maximum.reduce(n) > MAX_OVERLAP_INDEX:
         raise ValueError(f"indices above cap {MAX_OVERLAP_INDEX}")
-    if np.fmin.reduce(x) < 0.0:
+    lowest = np.minimum.reduce(x)
+    if math.isnan(lowest):
+        raise ValueError("argument must not be NaN")
+    if lowest < 0.0:
         raise ValueError("argument must be nonnegative")
     if np.fmax.reduce(x) > MAX_OVERLAP_ARGUMENT:
         raise ValueError(f"argument above cap {MAX_OVERLAP_ARGUMENT}")
@@ -164,6 +167,8 @@ def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
     as long as the one before, until that rule fires.  Returns (total, last
     n included).
     """
+    if not math.isfinite(x):
+        raise ValueError(f"argument must be finite, got {x}")
     terms: list[float] = []
     consecutive_small = 0
     n = 0

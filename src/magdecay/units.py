@@ -19,7 +19,6 @@ __all__ = [
     "acceleration_si",
     "de_broglie_si",
     "field_to_gauss",
-    "classical_acceleration",
 ]
 
 # CODATA 2018 anchors for the natural-unit -> SI boundary
@@ -36,6 +35,8 @@ _FM_TO_M = 1e-15
 
 def radius_si(p_perp: float, m_level: int) -> float:
     """Orbit radius (2m+1)/p_perp in meters for radial momentum ``p_perp`` [MeV]."""
+    if not math.isfinite(p_perp):
+        raise ValueError(f"p_perp must be finite, got {p_perp}")
     if p_perp <= 0.0:
         raise ValueError(f"p_perp must be positive, got {p_perp}")
     if m_level < 0:
@@ -48,10 +49,14 @@ def acceleration_si(p_perp: float, m_level: int, omega: float) -> float:
 
     ``omega`` is the total energy of the orbiting particle in MeV.
     """
+    if not math.isfinite(p_perp):
+        raise ValueError(f"p_perp must be finite, got {p_perp}")
     if p_perp <= 0.0:
         raise ValueError(f"p_perp must be positive, got {p_perp}")
     if m_level < 0:
         raise ValueError(f"m_level must be nonnegative, got {m_level}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     a_natural = p_perp**3 / ((2 * m_level + 1) * omega * omega)
@@ -60,6 +65,8 @@ def acceleration_si(p_perp: float, m_level: int, omega: float) -> float:
 
 def de_broglie_si(p_perp: float) -> float:
     """de Broglie wavelength 2*pi*hbar*c / p_perp in meters."""
+    if not math.isfinite(p_perp):
+        raise ValueError(f"p_perp must be finite, got {p_perp}")
     if p_perp <= 0.0:
         raise ValueError(f"p_perp must be positive, got {p_perp}")
     return 2.0 * math.pi * HBAR_C_MEV_FM / p_perp * _FM_TO_M
@@ -67,17 +74,10 @@ def de_broglie_si(p_perp: float) -> float:
 
 def field_to_gauss(field: float) -> float:
     """Convert |e|B [MeV^2] to Gauss by linear scaling from the electron critical field."""
+    if not math.isfinite(field):
+        raise ValueError(f"field must be finite, got {field}")
     if field < 0.0:
         raise ValueError(f"field must be nonnegative, got {field}")
     m_e_sq = ELECTRON_MASS_MEV**2
     return field / m_e_sq * ELECTRON_CRITICAL_FIELD_GAUSS
-
-
-def classical_acceleration(p_perp: float, field: float, gamma: float, mass: float) -> float:
-    """Classical centripetal acceleration |e|B p_perp / (gamma^2 mass^2) in MeV."""
-    if min(p_perp, field, gamma) <= 0.0:
-        raise ValueError("p_perp, field and gamma must be positive")
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    return field * p_perp / (gamma * gamma * mass * mass)
 

@@ -1,18 +1,21 @@
 """Reference evaluations that only the tests use.
 
 Raw recurrences for the Hermite and associated Laguerre polynomials, the
-log factorial ratio of the closed-form weight, and a one-panel
-Gauss-Kronrod evaluation.  Tests cross-check the production paths in
-``magdecay`` against them at small order; the package never calls them.
+log factorial ratio of the closed-form weight, a one-panel Gauss-Kronrod
+evaluation, the field-scaled transverse wavefunction and the classical
+centripetal acceleration.  Tests cross-check the production paths in
+``magdecay`` against them; the package never calls them.
 """
 
 import math
 
 import numpy as np
 
-from magdecay import quadrature
-from magdecay.landau import MAX_HERMITE_ORDER
+from magdecay import landau, quadrature
 from magdecay.specfun import MAX_OVERLAP_INDEX
+
+# the highest order hermite and transverse_wavefunction accept
+MAX_HERMITE_ORDER = 200
 
 
 def hermite(n: int, rho):
@@ -77,3 +80,31 @@ def gauss_kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
     quadrature._panel_rule(lambda x, panels: f(x), panel)
     value, error, mass = panel[quadrature._VALUE : quadrature._OWNER, 0].tolist()
     return value, max(error, quadrature._ROUNDOFF * mass)
+
+
+def transverse_wavefunction(n: int, field: float, rho):
+    """Normalized transverse mode I_n(rho), unit-normalized in x.
+
+    Equals (sqrt(field) / (sqrt(pi) 2^n n!))^(1/2) exp(-rho^2/2) H_n(rho),
+    that is field^(1/4) times the dimensionless mode of
+    ``landau.oscillator_modes``.  With rho = sqrt(field) x + shift the
+    square integrates to one over x.
+    """
+    if n < 0:
+        raise ValueError(f"order must be nonnegative, got {n}")
+    if n > MAX_HERMITE_ORDER:
+        raise ValueError(f"order {n} above cap {MAX_HERMITE_ORDER}")
+    if field <= 0.0:
+        raise ValueError(f"field must be positive, got {field}")
+    rho = np.asarray(rho, dtype=float)
+    value = field**0.25 * landau.oscillator_modes(n, rho.ravel()).reshape(rho.shape)
+    return float(value) if rho.ndim == 0 else value
+
+
+def classical_acceleration(p_perp: float, field: float, gamma: float, mass: float) -> float:
+    """Classical centripetal acceleration |e|B p_perp / (gamma^2 mass^2) in MeV."""
+    if min(p_perp, field, gamma) <= 0.0:
+        raise ValueError("p_perp, field and gamma must be positive")
+    if mass <= 0.0:
+        raise ValueError(f"mass must be positive, got {mass}")
+    return field * p_perp / (gamma * gamma * mass * mass)

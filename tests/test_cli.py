@@ -380,3 +380,82 @@ def test_unformattable_record_writes_nothing(capsys, monkeypatch, fmt):
     code, out, err = run(capsys, "table", "--format", fmt)
     assert code == 1 and out == ""
     assert "error:" in err
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._parser.cache_clear()
+    cli._config_keys.cache_clear()
+    yield
+    cli._parser.cache_clear()
+    cli._config_keys.cache_clear()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, tmp_path, fresh_parser_cache):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    config = tmp_path / "rate.cfg"
+    config.write_text("p_perp2 = 1e3\nm = 0\n")
+    for argv in (
+        ["rate", "--p-perp2", "1e3", "--m", "0"],
+        ["rate", "--config", str(config)],
+        ["scan-field", "--m-min", "0", "--m-max", "0"],
+        ["rate", "--p-perp2", "1e3"],
+        ["rate", "--p-perp2", "1e3", "--m", "0", "--format", "json"],
+    ):
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(
+    monkeypatch, capsys, tmp_path, fresh_parser_cache
+):
+    # exit code, stdout and stderr of each call, with one parser for the whole
+    # sequence and with a new parser for every call, must be the same
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "rate.cfg"
+    config.write_text("p_perp2 = 1e3\nm = 5\nformat = json\n")
+    sequence = [
+        ["rate", "--bogus", "1"],
+        ["rate", "--p-perp2", "1e4", "--m", "30"],
+        ["scan-m", "--p-perp2", "1e3", "--p-perp2", "2e3", "--m-min", "3", "--m-max", "3"],
+        ["scan-m", "--p-perp2", "1e3", "--m-min", "3", "--m-max", "3"],
+        ["rate", "--config", str(config)],
+        ["rate", "--help"],
+        ["rate", "--p-perp2", "1e4", "--m", "30"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        return results
+
+    shared = outcomes()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli.build_parser)
+        cli._config_keys.cache_clear()
+        fresh = outcomes()
+
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0]
+    assert shared[1][1] == shared[6][1] == GOLDEN_RATE_1E4_30
+    assert [float(r["p_perp2_MeV2"]) for r in parse_csv(shared[3][1])] == [1e3]
+    assert "unrecognized arguments: --bogus 1" in shared[0][2]
+    assert shared[5][1].startswith("usage: magdecay rate")

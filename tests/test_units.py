@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magdecay import units
+from reference_paths import classical_acceleration
 
 HBAR_C = 197.3269804
 M_MU = 105.7
@@ -67,7 +68,7 @@ class TestAcceleration:
         p_perp, m, mass = 70.0, 11, 105.7
         omega = math.sqrt(mass**2 + p_perp**2)
         field = p_perp**2 / (2 * m + 1)
-        classical = units.classical_acceleration(p_perp, field, omega / mass, mass)
+        classical = classical_acceleration(p_perp, field, omega / mass, mass)
         si = units.acceleration_si(p_perp, m, omega)
         assert si == pytest.approx(classical * units.C_M_PER_S / units.HBAR_MEV_S, rel=1e-12)
 
@@ -112,9 +113,26 @@ class TestFieldToGauss:
         assert units.field_to_gauss(2 * x) == pytest.approx(2 * units.field_to_gauss(x), rel=1e-14)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: units.radius_si(v, 3),
+        lambda v: units.acceleration_si(v, 3, 200.0),
+        lambda v: units.acceleration_si(10.0, 3, v),
+        lambda v: units.de_broglie_si(v),
+        lambda v: units.field_to_gauss(v),
+    ],
+    ids=["radius-p_perp", "acceleration-p_perp", "acceleration-omega", "de_broglie", "gauss"],
+)
+def test_non_finite_input_rejected(call, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(value)
+
+
 class TestClassicalKinematics:
     def test_acceleration_direct(self):
-        assert units.classical_acceleration(10.0, 100.0, 1.0, 10.0) == pytest.approx(10.0, rel=1e-15)
+        assert classical_acceleration(10.0, 100.0, 1.0, 10.0) == pytest.approx(10.0, rel=1e-15)
 
     @given(p=st.floats(1e-2, 1e4), m=st.integers(0, 200))
     def test_radius_consistent_with_quantized_field(self, p, m):
@@ -126,6 +144,6 @@ class TestClassicalKinematics:
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            units.classical_acceleration(10.0, 0.0, 1.0, 10.0)
+            classical_acceleration(10.0, 0.0, 1.0, 10.0)
         with pytest.raises(ValueError):
-            units.classical_acceleration(10.0, 100.0, 1.0, 0.0)
+            classical_acceleration(10.0, 100.0, 1.0, 0.0)
