@@ -1,13 +1,14 @@
 """Panel-adaptive Gauss-Kronrod quadrature over many intervals at once.
 
-A 7-point Gauss rule embedded in a 15-point Kronrod rule supplies the value
-and the error estimate on each panel.  Panels whose error exceeds their
-width-proportional share of their interval's tolerance are bisected.  The
-panels of the intervals still open live in one flat table (a block of
-``_BLOCK`` intervals at a time), and each refinement round evaluates the
-pending panels of all of them together, in vectorized integrand calls of
-at most ``_CHUNK`` panels, which keeps the per-point cost low for
-integrands built on index recurrences.
+A 30-point Gauss rule embedded in a 61-point Kronrod rule (QUADPACK's
+qk61) supplies the value and the error estimate on each panel.  Panels
+whose error exceeds their width-proportional share of their interval's
+tolerance are bisected.  The panels of the intervals still open live in
+one flat table (a block of ``_BLOCK`` intervals at a time), and each
+refinement round evaluates the pending panels of all of them together, in
+vectorized integrand calls of at most ``_CHUNK`` panels (7,680 points),
+which keeps the per-point cost low for integrands built on index
+recurrences.
 
 The refinement policy is deterministic and per interval: panel order,
 splits, and the final compensated sums of an interval do not depend on
@@ -24,59 +25,113 @@ import numpy as np
 
 __all__ = ["QuadraturePanelError", "integrate"]
 
-# 15-point Kronrod abscissae on [-1, 1] (ascending); every second one,
-# starting from the second, is a node of the embedded 7-point Gauss rule
-_NODES = np.array(
-    [
-        -0.9914553711208126,
-        -0.9491079123427585,
-        -0.8648644233597691,
-        -0.7415311855993944,
-        -0.5860872354676911,
-        -0.4058451513773972,
-        -0.2077849550078985,
-        0.0,
-        0.2077849550078985,
-        0.4058451513773972,
-        0.5860872354676911,
-        0.7415311855993944,
-        0.8648644233597691,
-        0.9491079123427585,
-        0.9914553711208126,
-    ]
+# QUADPACK's qk61 pair: the nonnegative half of the 61-point Kronrod
+# abscissae on [-1, 1], descending to the middle node 0, their Kronrod
+# weights, and the weights of the embedded 30-point Gauss rule, whose
+# nodes are _XGK[1], _XGK[3], ..., _XGK[29].  Written by
+# ``scripts/gauss_kronrod.py 30`` (40-digit arithmetic, nearest doubles).
+_XGK = (
+    0.9994844100504906,
+    0.9968934840746495,
+    0.9916309968704046,
+    0.9836681232797472,
+    0.9731163225011262,
+    0.9600218649683075,
+    0.94437444474856,
+    0.9262000474292743,
+    0.9055733076999078,
+    0.8825605357920527,
+    0.8572052335460612,
+    0.8295657623827684,
+    0.799727835821839,
+    0.7677774321048262,
+    0.7337900624532268,
+    0.6978504947933158,
+    0.6600610641266269,
+    0.6205261829892429,
+    0.5793452358263617,
+    0.5366241481420199,
+    0.49248046786177857,
+    0.44703376953808915,
+    0.4004012548303944,
+    0.3527047255308781,
+    0.30407320227362505,
+    0.25463692616788985,
+    0.20452511668230988,
+    0.15386991360858354,
+    0.10280693796673702,
+    0.0514718425553177,
+    0.0,
 )
 
-_WEIGHTS_K = np.array(
-    [
-        0.0229353220105292,
-        0.0630920926299785,
-        0.1047900103222502,
-        0.1406532597155259,
-        0.1690047266392679,
-        0.1903505780647854,
-        0.2044329400752989,
-        0.2094821410847278,
-        0.2044329400752989,
-        0.1903505780647854,
-        0.1690047266392679,
-        0.1406532597155259,
-        0.1047900103222502,
-        0.0630920926299785,
-        0.0229353220105292,
-    ]
+_WGK = (
+    0.0013890136986770077,
+    0.003890461127099884,
+    0.0066307039159312926,
+    0.009273279659517764,
+    0.011823015253496341,
+    0.014369729507045804,
+    0.01692088918905327,
+    0.019414141193942382,
+    0.021828035821609193,
+    0.0241911620780806,
+    0.0265099548823331,
+    0.02875404876504129,
+    0.030907257562387762,
+    0.03298144705748372,
+    0.034979338028060025,
+    0.03688236465182123,
+    0.038678945624727595,
+    0.040374538951535956,
+    0.041969810215164244,
+    0.04345253970135607,
+    0.04481480013316266,
+    0.04605923827100699,
+    0.04718554656929915,
+    0.04818586175708713,
+    0.04905543455502978,
+    0.04979568342707421,
+    0.05040592140278235,
+    0.05088179589874961,
+    0.051221547849258774,
+    0.05142612853745902,
+    0.05149472942945157,
 )
 
-# 7-point Gauss weights scattered onto the 15-node layout
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[1::2] = [
-    0.1294849661688697,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
-    0.3818300505051189,
-    0.2797053914892767,
-    0.1294849661688697,
-]
+_WG = (
+    0.007968192496166605,
+    0.01846646831109096,
+    0.02878470788332337,
+    0.03879919256962705,
+    0.04840267283059405,
+    0.057493156217619065,
+    0.06597422988218049,
+    0.0737559747377052,
+    0.08075589522942021,
+    0.08689978720108298,
+    0.09212252223778612,
+    0.09636873717464425,
+    0.09959342058679527,
+    0.1017623897484055,
+    0.10285265289355884,
+)
+
+
+def _mirror(half, sign: float = 1.0) -> np.ndarray:
+    """The full ascending layout of a descending nonnegative half, mirrored
+    about its last (middle) entry, so the rule's symmetry is exact."""
+    half = np.asarray(half, dtype=float)
+    return np.concatenate((sign * half[:-1], half[::-1]))
+
+
+# the 61 Kronrod abscissae (ascending) and weights, and the 30 Gauss
+# weights scattered onto that layout: the Gauss nodes sit at its odd
+# positions, none of them at the middle, so the 15 tabulated weights and
+# their mirror image fill them
+_NODES = _mirror(_XGK, -1.0)
+_WEIGHTS_K = _mirror(_WGK)
+_WEIGHTS_G = np.zeros(_NODES.size)
+_WEIGHTS_G[1::2] = np.concatenate((_WG, _WG[::-1]))
 
 
 class QuadraturePanelError(RuntimeError):
@@ -94,10 +149,10 @@ class QuadraturePanelError(RuntimeError):
         self.interval = interval
 
 
-# panels per integrand call: bounds the memory of a call, and keeps the
-# work arrays of a recurrence-based integrand in cache, however many
-# panels a round refines
-_CHUNK = 512
+# panels per integrand call: at most 7,680 points per call bounds the
+# memory of a call, and keeps the work arrays of a recurrence-based
+# integrand in cache, however many panels a round refines
+_CHUNK = 7680 // _NODES.size
 # intervals per adaptive loop: bounds the panel table and the per-round
 # lists of its sums however many intervals one call integrates
 _BLOCK = 128

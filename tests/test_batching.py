@@ -235,7 +235,7 @@ class TestLevelSum:
 
     @pytest.mark.parametrize(
         "p_perp_sq,m,levels,points",
-        [(1e4, 30, 65, 15_135), (1e4, 300, 636, 1_008_990)],
+        [(1e4, 30, 65, 5_795), (1e4, 300, 636, 400_160)],
     )
     def test_pinned_work_counts(self, monkeypatch, p_perp_sq, m, levels, points):
         counted = {"points": 0}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from magdecay import quadrature
 from reference_paths import gauss_kronrod_panel
@@ -17,6 +18,40 @@ class TestPanelRule:
     def test_kronrod_exact_for_odd_powers(self, degree):
         value, _ = gauss_kronrod_panel(lambda x: x**degree, -1.0, 1.0)
         assert value == pytest.approx(0.0, abs=1e-15)
+
+    @staticmethod
+    def legendre_moments(weights, top):
+        """sum_i w_i P_k(x_i) for k = 0 .. top; exactly 2 delta_k0 for a rule
+        that integrates P_k on [-1, 1] exactly."""
+        x = quadrature._NODES
+        return [math.fsum(weights * legendre.legval(x, [0.0] * k + [1.0])) for k in range(top + 1)]
+
+    def test_kronrod_rule_exact_through_degree_91(self):
+        moments = self.legendre_moments(quadrature._WEIGHTS_K, 92)
+        assert moments[0] == pytest.approx(2.0, abs=1e-15)
+        assert max(map(abs, moments[1:92])) < 1e-14
+        # and not beyond: degree 92 is where the 61-point rule stops
+        assert abs(moments[92]) > 1e-6
+
+    def test_embedded_gauss_rule_exact_through_degree_59(self):
+        moments = self.legendre_moments(quadrature._WEIGHTS_G, 60)
+        assert moments[0] == pytest.approx(2.0, abs=1e-15)
+        assert max(map(abs, moments[1:60])) < 1e-14
+        assert abs(moments[60]) > 1e-6
+
+    def test_nodes_antisymmetric_with_gauss_nodes_at_odd_positions(self):
+        x = quadrature._NODES
+        assert x.size == 61 and np.all(np.diff(x) > 0.0)
+        assert np.array_equal(x, -x[::-1]) and x[30] == 0.0
+        assert np.array_equal(np.flatnonzero(quadrature._WEIGHTS_G), np.arange(1, 61, 2))
+        # the Gauss nodes are the roots of P_30
+        assert np.abs(legendre.legval(x[1::2], [0.0] * 30 + [1.0])).max() < 1e-13
+
+    def test_weights_positive_symmetric_and_sum_to_two(self):
+        for weights in (quadrature._WEIGHTS_K, quadrature._WEIGHTS_G[1::2]):
+            assert np.all(weights > 0.0)
+            assert np.array_equal(weights, weights[::-1])
+            assert math.fsum(weights) == pytest.approx(2.0, abs=4e-16)
 
     def test_error_estimate_is_conservative_on_smooth_function(self):
         value, err = gauss_kronrod_panel(np.exp, 0.0, 1.0)

@@ -223,3 +223,20 @@ class TestQuadratureHonesty:
         loose = decay_rate(MUON, state, rel_tol=1e-7)
         tight = decay_rate(MUON, state, rel_tol=5e-8)
         assert abs(loose.gamma_total - tight.gamma_total) <= loose.quad_error
+
+    @pytest.mark.parametrize("p_sq", [1e3, 1e4, 3e4])
+    @pytest.mark.parametrize("m", [0, 5, 30])
+    def test_default_tolerance_error_bounds_a_tight_run(self, p_sq, m):
+        # every level's estimate at the default tolerance, and the total's,
+        # bounds its distance to a run four orders tighter
+        state = magnetized(p_sq, m)
+        default = decay_rate(MUON, state, rel_tol=1e-9)
+        tight = decay_rate(MUON, state, rel_tol=1e-13)
+        slack = 4.0 * np.finfo(float).eps
+        pairs = zip(default.level_contributions, tight.level_contributions, strict=True)
+        for level, reference in pairs:
+            assert level.n == reference.n
+            shift = abs(level.rate - reference.rate)
+            assert shift <= level.quad_error + slack * abs(level.rate), level.n
+        shift = abs(default.gamma_total - tight.gamma_total)
+        assert shift <= default.quad_error + slack * default.gamma_total

@@ -1,10 +1,16 @@
 """Smoke tests of the scripts under ``scripts/``: they import the package's
-public names, so trimming the package surface must not break them."""
+public names, so trimming the package surface must not break them; and the
+generator of the quadrature constants reproduces QUADPACK's and the
+package's."""
 
 import importlib.util
 import math
 import sys
 from pathlib import Path
+
+import pytest
+
+from magdecay import quadrature
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -36,3 +42,41 @@ def test_make_figure_data_writes_the_table(monkeypatch, capsys, tmp_path):
     lines = (tmp_path / name).read_text(encoding="utf-8").split("\n")
     assert lines[0] == "p_perp2_MeV2,m,ratio,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss"
     assert len(lines) == 6 and lines[-1] == ""
+
+
+# QUADPACK's qk15 constants as the package carried them to 16 decimals:
+# the nonnegative Kronrod nodes descending, their weights, and the weights
+# of the Gauss nodes among them (every second one)
+QK15_XGK = (
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993944,
+    0.5860872354676911, 0.4058451513773972, 0.2077849550078985, 0.0,
+)
+QK15_WGK = (
+    0.0229353220105292, 0.0630920926299785, 0.1047900103222502, 0.1406532597155259,
+    0.1690047266392679, 0.1903505780647854, 0.2044329400752989, 0.2094821410847278,
+)
+QK15_WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189, 0.4179591836734694)
+
+
+def gauss_kronrod_constants(monkeypatch, capsys, n):
+    """Run ``scripts/gauss_kronrod.py n`` and return its printed tuples."""
+    pytest.importorskip("mpmath")
+    script = load("gauss_kronrod")
+    monkeypatch.setattr(sys, "argv", ["gauss_kronrod.py", str(n)])
+    assert script.main() == 0
+    printed = {}
+    exec(capsys.readouterr().out, printed)
+    return printed["XGK"], printed["WGK"], printed["WG"]
+
+
+def test_gauss_kronrod_reproduces_qk15(monkeypatch, capsys):
+    # the literals carry 16 decimals; the script prints the nearest doubles
+    for got, literal in zip(gauss_kronrod_constants(monkeypatch, capsys, 7),
+                            (QK15_XGK, QK15_WGK, QK15_WG)):
+        assert len(got) == len(literal)
+        assert all(abs(a - b) <= 2e-16 for a, b in zip(got, literal))
+
+
+def test_gauss_kronrod_writes_the_quadrature_constants(monkeypatch, capsys):
+    constants = gauss_kronrod_constants(monkeypatch, capsys, 30)
+    assert constants == (quadrature._XGK, quadrature._WGK, quadrature._WG)
