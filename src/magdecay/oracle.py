@@ -137,7 +137,8 @@ def _overlap_sq_batch(trials: list[OverlapParams], rel_tol: float) -> list[float
     def modulus_sq(active: np.ndarray, width: np.ndarray) -> list[float]:
         # interval 2j is the real part of trial active[j], 2j + 1 its
         # imaginary part; the modes of both factors share one recurrence
-        def integrand(r: np.ndarray, i: np.ndarray) -> np.ndarray:
+        def integrand(panel_r: np.ndarray, panel_i: np.ndarray) -> np.ndarray:
+            r, i = panel_r.ravel(), panel_i.repeat(panel_r.shape[1])
             t = active[i >> 1]
             rho = np.concatenate((r, r + delta[t]))
             modes = landau.oscillator_modes(np.concatenate((m[t], n[t])), rho)
@@ -148,7 +149,7 @@ def _overlap_sq_batch(trials: list[OverlapParams], rel_tol: float) -> list[float
             out = np.empty_like(r)
             out[real] = np.cos(phase[real]) * product[real]
             out[imag] = -np.sin(phase[imag]) * product[imag]
-            return out
+            return out.reshape(panel_r.shape)
 
         lo = (center[active] - width).repeat(2)
         hi = (center[active] + width).repeat(2)

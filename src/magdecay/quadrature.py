@@ -169,7 +169,8 @@ _LO, _HI, _VALUE, _ERROR, _MASS, _OWNER = range(6)
 def _evaluate_panels(f, panels) -> None:
     """Fill in the rule results of every panel, ``_CHUNK`` panels per call of f.
 
-    ``f(x, panels)`` gets the rule's points and the panels they belong to.
+    ``f(x, panels)`` gets the rule's points, one row per panel, and the
+    panels.
     """
     for s in range(0, panels.shape[1], _CHUNK):
         _panel_rule(f, panels[:, s : s + _CHUNK])
@@ -180,7 +181,7 @@ def _panel_rule(f, panels) -> None:
     mid = 0.5 * (panels[_LO] + panels[_HI])
     half = 0.5 * (panels[_HI] - panels[_LO])
     points = mid[:, None] + half[:, None] * _NODES
-    values = f(points.ravel(), panels)
+    values = f(points, panels)
     values = np.asarray(values, dtype=float).reshape(points.shape)
     if not np.isfinite(values).all():
         raise FloatingPointError("integrand returned a non-finite value")
@@ -216,11 +217,13 @@ def integrate(
 ):
     """Adaptively integrate vectorized ``f`` over [a, b], or over many intervals.
 
-    With scalar ``a`` and ``b``, ``f(x)`` is called on arrays of points and
-    (value, error_estimate) is returned.  With 1-D arrays ``a`` and ``b``,
-    interval i is [a_i, b_i], ``f(x, i)`` receives with each point the index
-    of its interval, and two lists (values, error_estimates) are returned;
-    every interval gets exactly the result it would get alone.
+    With scalar ``a`` and ``b``, ``f(x)`` is called on 1-D arrays of points
+    and (value, error_estimate) is returned.  With 1-D arrays ``a`` and
+    ``b``, interval i is [a_i, b_i]; ``f(x, i)`` receives the points as a
+    (panels, 61) array, one panel's Kronrod points per row, with the index
+    of each row's interval in ``i``, and returns values of the shape of
+    ``x``.  Two lists (values, error_estimates) are returned, and every
+    interval gets exactly the result it would get alone.
 
     Each error estimate aims at rel_tol * |value| + abs_tol; an ``abs_tol``
     of zero falls back to an internal floor of 1e-18 times the running
@@ -238,12 +241,12 @@ def integrate(
     single = lo.ndim == 0 and hi.ndim == 0
     if single:
         lo, hi, g = lo.reshape(1), hi.reshape(1), f
-        f = lambda x, panels: g(x)
+        f = lambda x, panels: g(x.ravel())
     elif lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError(f"interval ends must be 1-D of one length, got {lo.shape}, {hi.shape}")
     else:
         g = f
-        f = lambda x, panels: g(x, panels[_OWNER].astype(np.int64).repeat(_NODES.size))
+        f = lambda x, panels: g(x, panels[_OWNER].astype(np.int64))
     if np.count_nonzero(hi < lo):
         i = np.argmax(hi < lo)
         raise ValueError(f"inverted interval [{lo[i]}, {hi[i]}]")

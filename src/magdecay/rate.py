@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+# absolute floor of every level integral's tolerance, in units of rel_tol
+# times the a-priori scale of the level sum: a level hundreds of orders
+# below the width, its weights near the subnormal range, cannot meet a
+# tolerance relative to its own value, and need not
+_LEVEL_ABS_FLOOR = 1e-20
+
+
 @dataclass(frozen=True)
 class LevelRate:
     """One daughter level's share of the width, with its quadrature error."""
@@ -74,13 +81,14 @@ class RateConvergenceError(RuntimeError):
 def _integrand_arrays(
     channel: DecayChannel, state: MagnetizedState, n: np.ndarray, k_z: np.ndarray
 ) -> np.ndarray:
-    """w(n_i, m, X(k_z_i)) / omega_n_i(k_z_i), one daughter level per point."""
+    """w(n_i, m, X(k_z_ij)) / omega_n_i(k_z_ij) for a row k_z_i of points per level n_i."""
     omega = state.energy(channel.m_parent)
-    omega_n = np.sqrt(channel.m_charged**2 + (2 * n + 1) * state.field + k_z * k_z)
+    level = channel.m_charged**2 + (2 * n + 1) * state.field
+    omega_n = np.sqrt(level[:, None] + k_z * k_z)
     x = ((omega - omega_n) ** 2 - k_z * k_z) / (2.0 * state.field)
     # x is the neutral daughter's squared transverse momentum over 2*field;
     # roundoff at the kinematic edge may leave it barely negative
-    if np.fmin.reduce(x) < -1e-9 * max(1.0, omega * omega / state.field):
+    if np.fmin.reduce(x, axis=None) < -1e-9 * max(1.0, omega * omega / state.field):
         raise ValueError("longitudinal momentum outside the kinematic window")
     return overlap_weight_rows(n, state.level, np.maximum(x, 0.0)) / omega_n
 
@@ -91,9 +99,12 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     Every open daughter level n is one interval [0, kz_cut(n)] of a single
     multi-interval quadrature, so each refinement round evaluates the
     pending panels of all levels together; each level still gets its own
-    tolerance, panel budget and compensated sum.  The reduction is the
-    compensated sum in ascending ``n``.  When a level exhausts its panel
-    budget, :class:`RateConvergenceError` names the lowest such level.
+    tolerance, panel budget and compensated sum.  A level's tolerance is
+    ``rel_tol`` times its value, but never below ``_LEVEL_ABS_FLOOR *
+    rel_tol`` times the a-priori scale of the sum (the boosted free width
+    over the prefactor).  The reduction is the compensated sum in
+    ascending ``n``.  When a level exhausts its panel budget,
+    :class:`RateConvergenceError` names the lowest such level.
     A closed channel (no open level) has width and ratio zero.
     """
     omega = state.energy(channel.m_parent)
@@ -102,17 +113,21 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     boosted = free_rate_boosted(channel, lorentz_gamma)
 
     cuts = kz_cutoffs(channel, state)
+    prefactor = channel.coupling**2 / (16.0 * math.pi * omega) * 2.0
+    # the boosted free width over the prefactor is the a-priori scale of
+    # the sum of the level integrals
+    abs_tol = _LEVEL_ABS_FLOOR * rel_tol * boosted / prefactor
     try:
         values, errors = quadrature.integrate(
             lambda k_z, n: _integrand_arrays(channel, state, n, k_z),
             np.zeros(cuts.size),
             cuts,
             rel_tol,
+            abs_tol,
         )
     except quadrature.QuadraturePanelError as exc:
         raise RateConvergenceError(exc.interval, exc) from exc
 
-    prefactor = channel.coupling**2 / (16.0 * math.pi * omega) * 2.0
     contributions = tuple(
         LevelRate(n, prefactor * v, prefactor * e) for n, (v, e) in enumerate(zip(values, errors))
     )

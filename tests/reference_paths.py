@@ -1,9 +1,10 @@
 """Reference evaluations that only the tests use.
 
 Raw recurrences for the Hermite and associated Laguerre polynomials, the
-log factorial ratio of the closed-form weight, a one-panel Gauss-Kronrod
-evaluation, the field-scaled transverse wavefunction and the classical
-centripetal acceleration.  Tests cross-check the production paths in
+log factorial ratio of the closed-form weight, the overlap weight by the
+normalized one-point recurrence, a one-panel Gauss-Kronrod evaluation, the
+field-scaled transverse wavefunction and the classical centripetal
+acceleration.  Tests cross-check the production paths in
 ``magdecay`` against them; the package never calls them.
 """
 
@@ -68,6 +69,34 @@ def log_factorial_ratio(n: int, m: int) -> float:
         return 0.0
     lo, hi = min(n, m), max(n, m)
     return math.lgamma(lo + 1) - math.lgamma(hi + 1)
+
+
+def scalar_overlap(n: int, m: int, x: float) -> float:
+    """w(n, m, x) by the normalized recurrence, one point at a time.
+
+    Propagates phi_k^d = sqrt(k!/(k+d)!) x^(d/2) e^(-x/2) L_k^d(x) through
+
+        phi_{j+1} = ((2j+1+d-x) phi_j - sqrt(j(j+d)) phi_{j-1})
+                    / sqrt((j+1)(j+1+d)),
+
+    dividing by the square roots at every step, where the package runs
+    the monic recurrence and renormalizes in blocks.
+    """
+    k, d = min(n, m), abs(n - m)
+    xa = np.array([x], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_phi0 = 0.5 * (d * np.log(xa) - xa) - 0.5 * math.lgamma(d + 1)
+        phi_prev = np.where(xa > 0.0, np.exp(log_phi0), 1.0 if d == 0 else 0.0)
+    if k == 0:
+        phi = phi_prev
+    else:
+        phi_cur = (d + 1.0 - xa) * phi_prev / math.sqrt(d + 1.0)
+        for j in range(1, k):
+            phi_prev, phi_cur = phi_cur, (
+                (2.0 * j + 1.0 + d - xa) * phi_cur - math.sqrt(j * (j + d)) * phi_prev
+            ) / math.sqrt((j + 1.0) * (j + 1.0 + d))
+        phi = phi_cur
+    return float(np.minimum(phi * phi, 1.0)[0])
 
 
 def gauss_kronrod_panel(f, a: float, b: float) -> tuple[float, float]:

@@ -27,20 +27,20 @@ def parse_csv(text):
 # a single output bit are checked against the bits, not only against reruns
 GOLDEN_TABLE = (
     "p_perp2_MeV2,m,ratio,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "30000,65,1.000937093644376,1.4924408868053397e-13,4.3879168510675274e+29,7.1582310319155588e-15,38711702574860848\n"
-    "10000,30,1.000201501335088,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
-    "5000,20,1.000075436352132,1.1441562168056207e-13,2.4285619936056032e+29,1.7534013489149406e-14,20614768444336468\n"
+    "30000,65,1.0009370936443764,1.4924408868053397e-13,4.3879168510675274e+29,7.1582310319155588e-15,38711702574860848\n"
+    "10000,30,1.0002015013350882,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
+    "5000,20,1.0000754363521323,1.1441562168056207e-13,2.4285619936056032e+29,1.7534013489149406e-14,20614768444336468\n"
     "1000,5,1.0000260396564731,6.8640297205414408e-14,1.075679331546185e+29,3.9207246080136348e-14,15367372840323550\n"
 )
 GOLDEN_RATE_1E4_30 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377553,1.000201501335088,6.9132228591330965e-15,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
+    "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377555,1.0002015013350882,6.9132243650207083e-15,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
 )
 GOLDEN_VERIFY_3_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,5.5937924726933754e-14,9.9999999999999995e-07\n"
+    "overlap_closed_form,true,max_rel_err,5.3331498126753905e-14,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,1.6029445475005174e-15,9.9999999999999995e-08\n"
-    "overlap_completeness,true,max_abs_dev,5.2402526762307389e-14,1e-10\n"
+    "overlap_completeness,true,max_abs_dev,5.1958437552457326e-14,1e-10\n"
 )
 
 
@@ -154,6 +154,15 @@ class TestScanM:
         _, out, _ = run(capsys, "scan-m", "--p-perp2", "3e4", "--m-min", "65", "--m-max", "65")
         row = parse_csv(out)[0]
         assert float(row["ratio"]) == pytest.approx(1.00094, rel=1e-4)
+
+    def test_tight_tolerance_passes_negligible_levels(self, capsys):
+        # level 99 at m = 72 lies ~1e-283 below the width; a per-level
+        # relative tolerance alone could never be met there
+        code, out, err = run(
+            capsys, "scan-m", "--p-perp2", "3e4", "--m-min", "0", "--m-max", "80", "--tol", "1e-13"
+        )
+        assert (code, err) == (0, "")
+        assert [int(r["m"]) for r in parse_csv(out)] == list(range(81))
 
     def test_repeated_momenta_make_two_curves(self, capsys):
         code, out, _ = run(

@@ -26,7 +26,7 @@ def magnetized(p_perp_sq, m):
 
 def integrand_at(channel, state, n, k_z):
     """The level sum's integrand w(n, m, X(k_z)) / omega_n(k_z) at one point."""
-    return float(_integrand_arrays(channel, state, np.array([n]), np.array([k_z]))[0])
+    return float(_integrand_arrays(channel, state, np.array([n]), np.array([[k_z]]))[0, 0])
 
 
 class TestFreeRates:
@@ -240,3 +240,12 @@ class TestQuadratureHonesty:
             assert shift <= level.quad_error + slack * abs(level.rate), level.n
         shift = abs(default.gamma_total - tight.gamma_total)
         assert shift <= default.quad_error + slack * default.gamma_total
+
+    @pytest.mark.parametrize("p_sq,m", [(3e4, 72), (1e4, 38), (5e4, 98)])
+    def test_tight_tolerance_meets_the_default_run(self, p_sq, m):
+        # each of these once failed at 1e-13 on a level hundreds of orders
+        # below the width, which the absolute floor now lets converge
+        state = magnetized(p_sq, m)
+        default = decay_rate(MUON, state)
+        tight = decay_rate(MUON, state, rel_tol=1e-13)
+        assert abs(tight.gamma_total - default.gamma_total) <= default.quad_error

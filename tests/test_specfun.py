@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magdecay import specfun
-from reference_paths import MAX_HERMITE_ORDER, hermite, laguerre_assoc, log_factorial_ratio
+from reference_paths import (
+    MAX_HERMITE_ORDER,
+    hermite,
+    laguerre_assoc,
+    log_factorial_ratio,
+    scalar_overlap,
+)
 
 
 def hermite_explicit(n, r):
@@ -177,3 +183,48 @@ class TestCompletenessSum:
     def test_truncation_is_past_the_peak(self):
         _, n_used = specfun.overlap_completeness_sum(5, 50.0)
         assert n_used > 55
+
+
+def mpmath_overlap(n, m, x, mpmath):
+    """w(n, m, x) from loggamma and laguerre at 40 digits."""
+    k, d = min(n, m), abs(n - m)
+    if x == 0.0:
+        return 1.0 if d == 0 else 0.0
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        log_ratio = mpmath.loggamma(k + 1) - mpmath.loggamma(k + d + 1)
+        return float(mpmath.exp(log_ratio - xm + d * mpmath.log(xm)) * mpmath.laguerre(k, d, xm) ** 2)
+
+
+class TestOverlapAccuracy:
+    """The row kernel against a 40-digit reference over the production range."""
+
+    @staticmethod
+    def sample():
+        # n, m <= 700 and x <= 1400: a third with x anywhere, a third inside
+        # the oscillation band of the pair, a third at small x and small
+        # |n - m|, where the recurrence loses the most digits
+        rng = np.random.default_rng(20261018)
+        size = 100
+        n = rng.integers(0, 701, 3 * size)
+        m = rng.integers(0, 701, 3 * size)
+        x = rng.uniform(0.0, 1400.0, 3 * size)
+        band = slice(size, 2 * size)
+        inner = (np.sqrt(n[band]) - np.sqrt(m[band])) ** 2
+        outer = np.minimum((np.sqrt(n[band]) + np.sqrt(m[band])) ** 2 + 1.0, 1400.0)
+        x[band] = inner + (outer - inner) * rng.uniform(0.0, 1.0, size)
+        m[2 * size :] = np.clip(n[2 * size :] + rng.integers(-4, 5, size), 0, 700)
+        x[2 * size :] = 10.0 ** rng.uniform(-4.0, 1.0, size)
+        return n.tolist(), m.tolist(), x.tolist()
+
+    def test_absolute_error_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        n, m, x = self.sample()
+        reference = np.array([mpmath_overlap(*args, mpmath) for args in zip(n, m, x)])
+        kernel = np.array([specfun.overlap_weight(*args) for args in zip(n, m, x)])
+        normalized = np.array([scalar_overlap(*args) for args in zip(n, m, x)])
+        kernel_err = np.abs(kernel - reference).max()
+        normalized_err = np.abs(normalized - reference).max()
+        assert kernel_err <= 1e-11
+        # no less accurate than the recurrence normalized at every step
+        assert kernel_err <= 2.0 * normalized_err
