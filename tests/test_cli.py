@@ -23,7 +23,7 @@ def parse_csv(text):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
-# stdout bytes of three commands, pinned so that refactors which must not move
+# stdout bytes of six commands, pinned so that refactors which must not move
 # a single output bit are checked against the bits, not only against reruns
 GOLDEN_TABLE = (
     "p_perp2_MeV2,m,ratio,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
@@ -42,6 +42,20 @@ GOLDEN_VERIFY_3_0 = (
     "lowest_level_equivalence,true,max_rel_err,1.6029445475005174e-15,9.9999999999999995e-08\n"
     "overlap_completeness,true,max_abs_dev,5.1958437552457326e-14,1e-10\n"
 )
+# 636 levels in one multi-interval quadrature
+GOLDEN_RATE_1E4_300 = (
+    "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
+    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016917,1.0000020629045889,6.0431971802223789e-15,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
+)
+# the lowest-level closed forms integrate a single interval
+GOLDEN_SCAN_LLL = (
+    "eB_MeV2,p_perp_MeV,ratio_exact,ratio_factored,ratio_general\n"
+    "6000,77.459666924148337,0.89815579251047484,0.080063140782067499,0.8981557925104745\n"
+    "68173.161988049949,261.09990805829472,0.15144864631340108,0.04758424676880952,0.15144864631340127\n"
+    "774596.66924148379,880.11173679339367,0.01432034516655583,0.0051929878208609821,0.014320345166555965\n"
+    "8801117.3679339439,2966.6677211871815,0.0012686347230580772,0.00046611274298952231,0.0012686347230578918\n"
+    "100000000,10000,0.00011171865912198421,4.1094406489519477e-05,0.00011171865912207956\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -50,8 +64,13 @@ GOLDEN_VERIFY_3_0 = (
         (["table"], GOLDEN_TABLE),
         (["rate", "--p-perp2", "1e4", "--m", "30"], GOLDEN_RATE_1E4_30),
         (["verify", "--trials", "3", "--seed", "0"], GOLDEN_VERIFY_3_0),
+        (["rate", "--p-perp2", "1e4", "--m", "300"], GOLDEN_RATE_1E4_300),
+        # 200 oracle intervals per window stage; the worst trial is among the
+        # first three, so the report is byte for byte that of 3 trials
+        (["verify", "--trials", "100", "--seed", "0"], GOLDEN_VERIFY_3_0),
+        (["scan-lll", "--eB-min", "6e3", "--eB-max", "1e8", "--points", "5"], GOLDEN_SCAN_LLL),
     ],
-    ids=["table", "rate-1e4-30", "verify-3-0"],
+    ids=["table", "rate-1e4-30", "verify-3-0", "rate-1e4-300", "verify-100-0", "scan-lll-5"],
 )
 def test_golden_stdout_bytes(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
