@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import MAX_OVERLAP_INDEX
+
 __all__ = [
     "DecayChannel",
     "MagnetizedState",
@@ -103,7 +105,9 @@ def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
     omega the parent energy; an empty array means no level is open.  A bound
     within 1e-9 of an integer is nudged down by 1e-12 before flooring so a
     level with exactly zero phase space is excluded deterministically (it
-    would contribute zero either way).
+    would contribute zero either way).  An n_max above the overlap index
+    cap ``MAX_OVERLAP_INDEX`` raises :class:`ValueError` before any array
+    is allocated.
     """
     omega = state.energy(channel.m_parent)
     arg = (omega * omega - state.field - channel.m_charged**2) / (2.0 * state.field)
@@ -111,7 +115,13 @@ def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
         arg -= 1e-12
     if arg < 0.0:
         return np.empty(0)
-    n = np.arange(math.floor(arg) + 1)
+    n_max = math.floor(arg)
+    if n_max > MAX_OVERLAP_INDEX:
+        raise ValueError(
+            f"{n_max + 1} daughter levels open (n_max = {n_max}), "
+            f"above the overlap index cap {MAX_OVERLAP_INDEX}"
+        )
+    n = np.arange(n_max + 1)
     cut = (omega * omega - channel.m_charged**2 - (2 * n + 1) * state.field) / (2.0 * omega)
     return np.maximum(cut, 0.0)
 

@@ -4,11 +4,10 @@ A 30-point Gauss rule embedded in a 61-point Kronrod rule (QUADPACK's
 qk61) supplies the value and the error estimate on each panel.  Panels
 whose error exceeds their width-proportional share of their interval's
 tolerance are bisected.  The panels of the intervals still open live in
-one flat table (a block of ``_BLOCK`` intervals at a time), and each
-refinement round evaluates the pending panels of all of them together, in
-vectorized integrand calls of at most ``_CHUNK`` panels (7,680 points),
-which keeps the per-point cost low for integrands built on index
-recurrences.
+one flat table, and each refinement round evaluates the pending panels of
+all of them together, in vectorized integrand calls of at most ``_CHUNK``
+panels (7,680 points), which keeps the per-point cost low for integrands
+built on index recurrences.
 
 The refinement policy is deterministic and per interval: panel order,
 splits, and the final compensated sums of an interval do not depend on
@@ -139,10 +138,10 @@ class QuadraturePanelError(RuntimeError):
 
     Carries the best available value and its error estimate so callers can
     decide whether the partial result is usable, and the index of the
-    interval that failed (0 for a single interval).
+    interval that failed.
     """
 
-    def __init__(self, message: str, value: float, error_estimate: float, interval: int = 0):
+    def __init__(self, message: str, value: float, error_estimate: float, interval: int):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
@@ -153,9 +152,8 @@ class QuadraturePanelError(RuntimeError):
 # memory of a call, and keeps the work arrays of a recurrence-based
 # integrand in cache, however many panels a round refines
 _CHUNK = 7680 // _NODES.size
-# intervals per adaptive loop: bounds the panel table and the per-round
-# lists of its sums however many intervals one call integrates
-_BLOCK = 128
+# panels an interval may hold before it is given up
+_MAX_PANELS = 2000
 _ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 # the Kronrod and Gauss weights as the columns of one matrix, and the
 # Kronrod weights alone as a one-column matrix
@@ -167,11 +165,7 @@ _LO, _HI, _VALUE, _ERROR, _MASS, _OWNER = range(6)
 
 
 def _evaluate_panels(f, panels) -> None:
-    """Fill in the rule results of every panel, ``_CHUNK`` panels per call of f.
-
-    ``f(x, panels)`` gets the rule's points, one row per panel, and the
-    panels.
-    """
+    """Fill in the rule results of every panel, ``_CHUNK`` panels per call of f."""
     for s in range(0, panels.shape[1], _CHUNK):
         _panel_rule(f, panels[:, s : s + _CHUNK])
 
@@ -181,7 +175,7 @@ def _panel_rule(f, panels) -> None:
     mid = 0.5 * (panels[_LO] + panels[_HI])
     half = 0.5 * (panels[_HI] - panels[_LO])
     points = mid[:, None] + half[:, None] * _NODES
-    values = f(points, panels)
+    values = f(points, panels[_OWNER].astype(np.int64))
     values = np.asarray(values, dtype=float).reshape(points.shape)
     if not np.isfinite(values).all():
         raise FloatingPointError("integrand returned a non-finite value")
@@ -193,44 +187,36 @@ def _panel_rule(f, panels) -> None:
     mass = np.abs(values)[:, None, :] @ _WEIGHTS_K1
     np.multiply(mass[:, 0, 0], half, out=panels[_MASS])
     # QUADPACK-style estimate: scale |K - G| by the integrand's deviation
-    # from its panel mean so smooth panels are not over-penalized
+    # from its panel mean so smooth panels are not over-penalized; a flat
+    # panel (no deviation) keeps |K - G|
     deviation = np.abs(values - 0.5 * res_k[:, None])[:, None, :] @ _WEIGHTS_K1
     res_asc = deviation[:, 0, 0] * half
     raw = np.abs(res_k - res_g) * half
-    if np.count_nonzero(res_asc) == res_asc.size:
-        # the common case: no panel is flat, nothing to mask
-        panels[_ERROR] = res_asc * np.minimum(1.0, (200.0 * raw / res_asc) ** 1.5)
-    else:
-        spread = res_asc > 0.0
-        scaled = res_asc * np.minimum(1.0, (200.0 * raw / np.where(spread, res_asc, 1.0)) ** 1.5)
-        panels[_ERROR] = np.where(spread, scaled, raw)
+    spread = res_asc > 0.0
+    scaled = res_asc * np.minimum(1.0, (200.0 * raw / np.where(spread, res_asc, 1.0)) ** 1.5)
+    panels[_ERROR] = np.where(spread, scaled, raw)
     np.multiply(res_k, half, out=panels[_VALUE])
 
 
-def integrate(
-    f,
-    a,
-    b,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 0.0,
-    max_subdivisions: int = 2000,
-):
-    """Adaptively integrate vectorized ``f`` over [a, b], or over many intervals.
+def integrate(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0):
+    """Adaptively integrate vectorized ``f`` over the intervals [a_i, b_i].
 
-    With scalar ``a`` and ``b``, ``f(x)`` is called on 1-D arrays of points
-    and (value, error_estimate) is returned.  With 1-D arrays ``a`` and
-    ``b``, interval i is [a_i, b_i]; ``f(x, i)`` receives the points as a
-    (panels, 61) array, one panel's Kronrod points per row, with the index
-    of each row's interval in ``i``, and returns values of the shape of
-    ``x``.  Two lists (values, error_estimates) are returned, and every
-    interval gets exactly the result it would get alone.
+    ``a`` and ``b`` are 1-D arrays of interval ends.  ``f(x, i)`` receives
+    the points as a (panels, 61) array, one panel's Kronrod points per row,
+    with the index of each row's interval in ``i``, and returns values of
+    the shape of ``x``.  Two lists (values, error_estimates) are returned,
+    and every interval gets exactly the result it would get alone.
 
     Each error estimate aims at rel_tol * |value| + abs_tol; an ``abs_tol``
     of zero falls back to an internal floor of 1e-18 times the running
     estimate, i.e. an essentially pure relative target.  When an interval
-    does not reach its tolerance within ``max_subdivisions`` panels, the
+    does not reach its tolerance within ``_MAX_PANELS`` (2,000) panels, the
     others still run to the end, and then :class:`QuadraturePanelError` is
     raised for the lowest such interval.
+
+    The panels of the intervals still open stay grouped by interval in
+    ascending order, left to right inside each group, so the ``i`` of one
+    call never decreases.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
@@ -238,15 +224,8 @@ def integrate(
         raise ValueError(f"abs_tol must be nonnegative and finite, got {abs_tol}")
     lo = np.asarray(a, dtype=float)
     hi = np.asarray(b, dtype=float)
-    single = lo.ndim == 0 and hi.ndim == 0
-    if single:
-        lo, hi, g = lo.reshape(1), hi.reshape(1), f
-        f = lambda x, panels: g(x.ravel())
-    elif lo.ndim != 1 or lo.shape != hi.shape:
+    if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError(f"interval ends must be 1-D of one length, got {lo.shape}, {hi.shape}")
-    else:
-        g = f
-        f = lambda x, panels: g(x, panels[_OWNER].astype(np.int64))
     if np.count_nonzero(hi < lo):
         i = np.argmax(hi < lo)
         raise ValueError(f"inverted interval [{lo[i]}, {hi[i]}]")
@@ -260,34 +239,6 @@ def integrate(
     panels[_LO], panels[_HI], panels[_OWNER] = lo, hi, np.arange(lo.size)
     if 0.0 in width:
         panels = panels.compress(hi != lo, axis=1)
-    for start in range(0, panels.shape[1], _BLOCK):
-        _integrate_block(
-            f, panels[:, start : start + _BLOCK], width,
-            rel_tol, abs_tol, max_subdivisions, values, errors, failures,
-        )
-    if failures:
-        i = min(failures)
-        total, estimate, tol = failures[i]
-        raise QuadraturePanelError(
-            f"no convergence within {max_subdivisions} panels "
-            f"(error {estimate:.3e}, tolerance {tol:.3e})",
-            total,
-            estimate,
-            i,
-        )
-    return (values[0], errors[0]) if single else (values, errors)
-
-
-def _integrate_block(
-    f, panels, width, rel_tol, abs_tol, max_subdivisions, values, errors, failures
-) -> None:
-    """Run the adaptive loop on a block of intervals, one panel each, together.
-
-    The panels are grouped by interval in ascending order, and stay so,
-    left to right inside each group.  Fills in ``values`` and ``errors`` of
-    the converged intervals and records (value, error, tolerance) in
-    ``failures`` for those that ran out of panels.
-    """
     _evaluate_panels(f, panels)
     while panels.shape[1]:
         val, err, mass, owner = panels[_VALUE:].tolist()
@@ -305,7 +256,7 @@ def _integrate_block(
             estimate = max(math.fsum(err[s:e]), roundoff)
             tol = max(rel_tol * abs(total), abs_tol, 1e-18 * abs(total), roundoff)
             count = e - s
-            is_open = estimate > tol and count < max_subdivisions
+            is_open = estimate > tol and count < _MAX_PANELS
             if is_open:
                 # always split the worst panel (the leftmost of equal worst
                 # ones), so progress is made; positions count only the
@@ -343,12 +294,12 @@ def _integrate_block(
         for count in counts:
             # a split adds a panel, so only an interval holding over half
             # its budget can overrun it
-            splits = refine[s : s + count].sum() if 2 * count > max_subdivisions else 0
-            if count + splits > max_subdivisions:
+            splits = refine[s : s + count].sum() if 2 * count > _MAX_PANELS else 0
+            if count + splits > _MAX_PANELS:
                 # over budget: split only the largest errors that still fit
                 chosen = s + np.flatnonzero(refine[s : s + count])
                 ranked = chosen[np.argsort(-panels[_ERROR, chosen], kind="stable")]
-                refine[ranked[max_subdivisions - count :]] = False
+                refine[ranked[_MAX_PANELS - count :]] = False
             s += count
 
         # replace every split panel by its two halves and evaluate them
@@ -361,3 +312,15 @@ def _integrate_block(
         copies = refine + 1
         panels = panels.repeat(copies, axis=1)
         panels[:, refine.repeat(copies)] = halves
+
+    if failures:
+        i = min(failures)
+        total, estimate, tol = failures[i]
+        raise QuadraturePanelError(
+            f"no convergence within {_MAX_PANELS} panels "
+            f"(error {estimate:.3e}, tolerance {tol:.3e})",
+            total,
+            estimate,
+            i,
+        )
+    return values, errors

@@ -191,12 +191,12 @@ def lll_ratio_exact(
     x_max = m_sq / (2.0 * math.sqrt(m_sq + field))
     prefactor = 2.0 * math.exp(-(1.0 + m_sq / (2.0 * field))) / math.sqrt(field)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
+    def integrand(x: np.ndarray, _) -> np.ndarray:
         root_b = np.sqrt(1.0 + x * x / field)
         return np.exp(root_a * root_b) / root_b
 
-    value, _ = quadrature.integrate(integrand, 0.0, x_max, rel_tol)
-    return prefactor * value
+    values, _ = quadrature.integrate(integrand, [0.0], [x_max], rel_tol)
+    return prefactor * values[0]
 
 
 def lll_ratio_factored(
@@ -219,9 +219,9 @@ def lll_ratio_factored(
         2.0 * math.exp(-(1.0 + m_sq / (2.0 * field))) * math.exp(-root_a) / math.sqrt(field)
     )
 
-    def integrand(x: np.ndarray) -> np.ndarray:
+    def integrand(x: np.ndarray, _) -> np.ndarray:
         root_b = np.sqrt(1.0 + x * x / field)
         return np.exp(root_b) / root_b
 
-    value, _ = quadrature.integrate(integrand, 0.0, x_max, rel_tol)
-    return prefactor * value
+    values, _ = quadrature.integrate(integrand, [0.0], [x_max], rel_tol)
+    return prefactor * values[0]

@@ -31,12 +31,13 @@ root of its product, which brings it back to phi.  Since every
 i(i+d) <= 1e4 * 2e4 at the index cap, |psi| stays below
 sqrt(2e8)**32 ~ 7e132 inside a block.
 
-The rows are levels n_i against one parent level m.  A 1-D ``x`` holds one
-point per row; a 2-D ``x`` holds a row of points per level (the level sum
-passes one quadrature panel's 61 points per row), so the product and the
-seed's per-level work are kept once per row.  Every point gets the bits it
-would get as a one-point row of its own.  ``overlap_weight`` is a one-row
-call and ``overlap_completeness_sum`` a one-point-per-row call.
+The rows are levels n_i against one parent level m, in ascending order of
+min(n_i, m).  A 1-D ``x`` holds one point per row; a 2-D ``x`` holds a row
+of points per level (the level sum passes one quadrature panel's 61 points
+per row), so the product and the seed's per-level work are kept once per
+row.  Every point gets the bits it would get as a one-point row of its
+own.  ``overlap_weight`` is a one-row call and ``overlap_completeness_sum``
+a one-point-per-row call.
 
 The normalized recurrence of earlier versions divided by sqrt((j+1)(j+1+d))
 at every step; the monic one rounds differently, which moved Gamma and the
@@ -96,10 +97,10 @@ def overlap_weight_rows(n, m: int, x) -> np.ndarray:
     A 1-D ``x`` holds one point per row; a 2-D ``x`` holds a row of points
     at level n_i in its row i, and the result has the shape of ``x``.
     Every point gets the bits it gets as a one-point row of its own, in any
-    batch.  The rows run through the recurrence together, ordered by
-    k = min(n_i, m) ascending (they are sorted first if they are not), so
-    the rows still stepping at step j are a shrinking suffix of the work
-    arrays and no step is spent on a finished row.
+    batch.  The rows must come in ascending order of k = min(n_i, m): they
+    run through the recurrence together, so the rows still stepping at step
+    j are a shrinking suffix of the work arrays and no step is spent on a
+    finished row.
     """
     n = np.asarray(n, dtype=np.int64)
     x = np.asarray(x, dtype=float)
@@ -122,16 +123,10 @@ def overlap_weight_rows(n, m: int, x) -> np.ndarray:
         raise ValueError(f"argument above cap {MAX_OVERLAP_ARGUMENT}")
 
     k = np.minimum(n, m)
-    d = np.abs(n - m)
-    rows = x.reshape(n.size, -1)
-    if not (k[1:] < k[:-1]).any():
-        phi = _phi_ascending(k, d, rows)
-        return np.minimum(phi * phi, 1.0).reshape(x.shape)
-    order = np.argsort(k, kind="stable")
-    phi = _phi_ascending(k[order], d[order], rows[order])
-    w = np.empty_like(phi)
-    w[order] = np.minimum(phi * phi, 1.0)
-    return w.reshape(x.shape)
+    if (k[1:] < k[:-1]).any():
+        raise ValueError(f"rows must be in ascending order of min(n, m) with m={m}")
+    phi = _phi_ascending(k, np.abs(n - m), x.reshape(n.size, -1))
+    return np.minimum(phi * phi, 1.0).reshape(x.shape)
 
 
 def _phi_ascending(k: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -107,7 +107,7 @@ def gauss_kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
     """
     panel = np.zeros((6, 1))
     panel[quadrature._LO], panel[quadrature._HI] = a, b
-    quadrature._panel_rule(lambda x, panels: f(x), panel)
+    quadrature._panel_rule(lambda x, _: f(x), panel)
     value, error, mass = panel[quadrature._VALUE : quadrature._OWNER, 0].tolist()
     return value, max(error, quadrature._ROUNDOFF * mass)
 

@@ -2,7 +2,6 @@
 level sum built on them give the bits and the work of one-at-a-time
 evaluation, whatever the batch."""
 
-import functools
 import math
 
 import numpy as np
@@ -73,6 +72,8 @@ class TestRowKernel:
         # share the batch with every other (k, d)
         n[:10] = m
         n[10:20] = 0
+        # the kernel takes its rows in ascending order of min(n, m)
+        n.sort()
         x = rng.uniform(0.0, 200.0, size=300) * rng.choice([1.0, 1e-2, 1e-5], size=300)
         x[20:40] = 0.0
         w = specfun.overlap_weight_rows(n, m, x)
@@ -87,6 +88,7 @@ class TestRowKernel:
         n = rng.integers(0, 200, size=40)
         n[:4] = m
         n[4:8] = 0
+        n.sort()
         x = rng.uniform(0.0, 300.0, size=(40, 61)) * rng.choice([1.0, 1e-3], size=(40, 1))
         x[::5, ::7] = 0.0
         w = specfun.overlap_weight_rows(n, m, x)
@@ -98,7 +100,7 @@ class TestRowKernel:
 
     def test_rows_do_not_depend_on_their_batch(self):
         rng = np.random.default_rng(11)
-        n = rng.integers(0, 60, size=200)
+        n = np.sort(rng.integers(0, 60, size=200))
         x = rng.uniform(0.0, 80.0, size=200)
         whole = specfun.overlap_weight_rows(n, 25, x)
         for size in (1, 3, 64):
@@ -125,6 +127,10 @@ class TestRowKernel:
             specfun.overlap_weight_rows([1, 2], 3, np.ones((2, 3, 4)))
         with pytest.raises(ValueError, match="nonnegative"):
             specfun.overlap_weight_rows([1, 2], 3, [[0.5, 1.0], [2.0, -1e-3]])
+        # min(n, m) falls from 2 to 1; n falling above m keeps it at m
+        with pytest.raises(ValueError, match="ascending order"):
+            specfun.overlap_weight_rows([2, 1], 3, [0.5, 0.5])
+        assert specfun.overlap_weight_rows([5, 4, 3], 3, [0.5, 0.5, 0.5]).shape == (3,)
 
     @pytest.mark.parametrize("m,x", [(10, 3.0), (40, 25.0), (120, 60.0), (0, 100.0)])
     def test_completeness_sum_matches_term_by_term(self, m, x):
@@ -190,9 +196,9 @@ class TestMultiIntervalIntegrate:
         values, errors = quadrature.integrate(_interval_integrand, self.A, self.B)
         for i, (a, b) in enumerate(zip(self.A, self.B)):
             alone = quadrature.integrate(
-                lambda x: _interval_integrand(x[None, :], np.array([i]))[0], a, b
+                lambda x, _: _interval_integrand(x, np.full(len(x), i)), [a], [b]
             )
-            assert (values[i], errors[i]) == alone
+            assert ([values[i]], [errors[i]]) == alone
         # the zero-width interval is exactly zero
         assert (values[2], errors[2]) == (0.0, 0.0)
 
@@ -211,9 +217,11 @@ class TestMultiIntervalIntegrate:
 
         quadrature.integrate(integrand, self.A, self.B)
         for x, i in seen:
-            # one row of Kronrod points per panel, one interval per row
+            # one row of Kronrod points per panel, one interval per row, the
+            # intervals in ascending order as the overlap kernel needs them
             assert x.ndim == 2 and x.shape == (i.size, 61)
             assert np.all(x >= self.A[i, None]) and np.all(x <= self.B[i, None])
+            assert np.all(np.diff(i) >= 0)
 
     def test_elementwise_integrand_keeps_its_bits(self):
         # values and errors of a 7-round integration, captured when the
@@ -236,9 +244,10 @@ class TestMultiIntervalIntegrate:
         ]
         assert (len(calls), sum(calls)) == (7, 6893)
 
-    def test_lowest_failing_interval_reported_after_the_rest_finish(self):
+    def test_lowest_failing_interval_reported_after_the_rest_finish(self, monkeypatch):
         # intervals 1 and 3 hold an integrable singularity that 20 panels
         # cannot resolve; the others need several rounds to converge
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
         singular = {1, 3}
         points = {}
 
@@ -250,16 +259,16 @@ class TestMultiIntervalIntegrate:
 
         a, b = np.zeros(5), np.ones(5)
         with pytest.raises(quadrature.QuadraturePanelError) as info:
-            quadrature.integrate(integrand, a, b, rel_tol=1e-12, max_subdivisions=20)
+            quadrature.integrate(integrand, a, b, rel_tol=1e-12)
         assert info.value.interval == 1
         assert info.value.value > 0.0 and info.value.error_estimate > 0.0
         alone = {"n": 0}
 
-        def smooth(x):
+        def smooth(x, _):
             alone["n"] += x.size
             return np.cos(20.0 * x)
 
-        quadrature.integrate(smooth, 0.0, 1.0, rel_tol=1e-12, max_subdivisions=20)
+        quadrature.integrate(smooth, [0.0], [1.0], rel_tol=1e-12)
         assert points[4] == alone["n"] > 3 * 15
 
 
@@ -272,19 +281,20 @@ class TestLevelSum:
     def test_convergence_error_carries_partial(self, monkeypatch):
         state = magnetized(3e4, 65)
         # the level sum runs with a one-panel budget for every level
-        one_panel = functools.partial(quadrature.integrate, max_subdivisions=1)
-        with monkeypatch.context() as patch, pytest.raises(RateConvergenceError) as info:
-            patch.setattr(quadrature, "integrate", one_panel)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 1)
+        with pytest.raises(RateConvergenceError) as info:
             decay_rate(MUON, state, rel_tol=1e-12)
         # the lowest level that fails on its own is the one reported
         for n in range(info.value.n + 1):
             cut = landau.kz_cutoffs(MUON, state)[n]
-            integrand = lambda k_z: rate._integrand_arrays(MUON, state, np.array([n]), k_z[None])[0]
+            integrand = lambda k_z, _: rate._integrand_arrays(
+                MUON, state, np.full(len(k_z), n), k_z
+            )
             if n < info.value.n:
-                quadrature.integrate(integrand, 0.0, cut, 1e-12, 0.0, 1)
+                quadrature.integrate(integrand, [0.0], [cut], 1e-12)
             else:
                 with pytest.raises(quadrature.QuadraturePanelError):
-                    quadrature.integrate(integrand, 0.0, cut, 1e-12, 0.0, 1)
+                    quadrature.integrate(integrand, [0.0], [cut], 1e-12)
         assert info.value.partial_value > 0.0
 
     @pytest.mark.parametrize("chunk", [1, 64])

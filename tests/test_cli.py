@@ -125,6 +125,15 @@ class TestRateCommand:
         assert code == 1
         assert "massless" in err
 
+    def test_level_count_above_the_overlap_cap_exits_1(self, capsys):
+        # 2.1e12 open levels: rejected before any per-level array exists
+        code, out, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "1000000000000")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: 2117249000001 daughter levels open (n_max = 2117249000000), "
+            "above the overlap index cap 10000\n"
+        )
+
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_bad_tolerance_exits_1(self, capsys, tol):
         code, out, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "30", "--tol", tol)

@@ -111,6 +111,33 @@ class TestDaughterCutoffs:
         channel = landau.DecayChannel(m_parent=2.0)
         state = landau.MagnetizedState(field=2.0, level=0)
         assert len(landau.kz_cutoffs(channel, state)) == 1
+        # the muon at fields M^2/(2j), where the bound M^2/(2 field) + m is
+        # the integer j + m, and up to 4 ulp either side of them: no level
+        # at or past the bound is kept, and the last one kept is open
+        channel = muon_like()
+        for j in (1, 7, 100):
+            for m in (0, 5, 300):
+                field = M_MU**2 / (2 * j)
+                fields = [field]
+                for direction in (0.0, math.inf):
+                    f = field
+                    for _ in range(4):
+                        f = math.nextafter(f, direction)
+                        fields.append(f)
+                for f in fields:
+                    cuts = landau.kz_cutoffs(channel, landau.MagnetizedState(field=f, level=m))
+                    assert len(cuts) - 1 < M_MU**2 / (2 * f) + m, (j, m, f)
+                    assert cuts[-1] > 0.0, (j, m, f)
+
+    def test_level_count_checked_against_the_overlap_cap(self):
+        # at m = 0 the bound is M^2/(2 field): n_max = 10,000 is the last
+        # count the overlap weights accept, and 10,001 is refused up front
+        channel = muon_like()
+        at_cap = landau.MagnetizedState(field=M_MU**2 / (2 * 10_000.5), level=0)
+        assert len(landau.kz_cutoffs(channel, at_cap)) == 10_001
+        past_cap = landau.MagnetizedState(field=M_MU**2 / (2 * 10_001.5), level=0)
+        with pytest.raises(ValueError, match="10002 daughter levels open .* cap 10000"):
+            landau.kz_cutoffs(channel, past_cap)
 
     def test_kz_reference_values(self):
         channel = muon_like()
@@ -199,9 +226,9 @@ class TestTransverseWavefunction:
         field = 2.7
         scale = math.sqrt(field)
         half = (8.0 + math.sqrt(2 * n + 1.0)) / scale
-        norm, _ = quadrature.integrate(
-            lambda x: transverse_wavefunction(n, field, scale * x) ** 2,
-            -half, half, rel_tol=1e-11,
+        (norm,), _ = quadrature.integrate(
+            lambda x, _: transverse_wavefunction(n, field, scale * x) ** 2,
+            [-half], [half], rel_tol=1e-11,
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
 

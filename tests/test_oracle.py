@@ -34,11 +34,11 @@ def loop_overlap_sq(params, rel_tol=1e-9):
 
     def modulus_sq(width):
         lo, hi = center - width, center + width
-        re, _ = quadrature.integrate(
-            lambda r: np.cos(q * r) * product(r), lo, hi, rel_tol, oracle._ABS_TOL
+        (re,), _ = quadrature.integrate(
+            lambda r, _: np.cos(q * r) * product(r), [lo], [hi], rel_tol, oracle._ABS_TOL
         )
-        im, _ = quadrature.integrate(
-            lambda r: -np.sin(q * r) * product(r), lo, hi, rel_tol, oracle._ABS_TOL
+        (im,), _ = quadrature.integrate(
+            lambda r, _: -np.sin(q * r) * product(r), [lo], [hi], rel_tol, oracle._ABS_TOL
         )
         return re * re + im * im
 
@@ -155,9 +155,9 @@ class TestWavefunctionNormalization:
         scale = math.sqrt(field)
         half = (8.0 + math.sqrt(2.0 * n + 1.0)) / scale + 0.2
         center = -offset / scale
-        norm, _ = quadrature.integrate(
-            lambda x: transverse_wavefunction(n, field, scale * x + offset) ** 2,
-            center - half, center + half, rel_tol=1e-11,
+        (norm,), _ = quadrature.integrate(
+            lambda x, _: transverse_wavefunction(n, field, scale * x + offset) ** 2,
+            [center - half], [center + half], rel_tol=1e-11,
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
 

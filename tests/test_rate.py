@@ -249,3 +249,29 @@ class TestQuadratureHonesty:
         default = decay_rate(MUON, state)
         tight = decay_rate(MUON, state, rel_tol=1e-13)
         assert abs(tight.gamma_total - default.gamma_total) <= default.quad_error
+
+    @pytest.mark.parametrize("p_sq,m", [(1e3, 2), (1e4, 5), (3e4, 10)])
+    def test_reported_error_bounds_the_true_error(self, p_sq, m):
+        # the level sum of the rate's own definition, every level integral
+        # by mpmath.quad at 30 digits with w from loggamma and laguerre
+        mpmath = pytest.importorskip("mpmath")
+        state = magnetized(p_sq, m)
+        result = decay_rate(MUON, state)
+        with mpmath.workdps(30):
+            field = mpmath.mpf(state.field)
+            omega = mpmath.sqrt(mpmath.mpf(M_MU) ** 2 + (2 * m + 1) * field)
+
+            def integrand(n, k_z):
+                omega_n = mpmath.sqrt((2 * n + 1) * field + k_z * k_z)
+                x = ((omega - omega_n) ** 2 - k_z * k_z) / (2 * field)
+                k, d = min(n, m), abs(n - m)
+                log_ratio = mpmath.loggamma(k + 1) - mpmath.loggamma(k + d + 1)
+                w = mpmath.exp(log_ratio - x) * x**d * mpmath.laguerre(k, d, x) ** 2
+                return w / omega_n
+
+            total = mpmath.mpf(0)
+            for n in range(result.n_max_used + 1):
+                cut = (omega**2 - (2 * n + 1) * field) / (2 * omega)
+                total += mpmath.quad(lambda k_z: integrand(n, k_z), [0, cut])
+            exact = float(2 * total / (16 * mpmath.pi * omega))
+        assert abs(result.gamma_total - exact) <= result.quad_error
