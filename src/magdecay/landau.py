@@ -101,28 +101,36 @@ def landau_energy(mass: float, level: int, field: float) -> float:
 def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
     """Largest |k_z| [MeV] open to the charged daughter in each level 0..n_max.
 
-    n_max is the floor of (omega^2 - field - m_charged^2) / (2 field) with
-    omega the parent energy; an empty array means no level is open.  A bound
-    within 1e-9 of an integer is nudged down by 1e-12 before flooring so a
-    level with exactly zero phase space is excluded deterministically (it
-    would contribute zero either way).  An n_max above the overlap index
-    cap ``MAX_OVERLAP_INDEX`` raises :class:`ValueError` before any array
-    is allocated.
+    With omega^2 = M^2 + (2m + 1) field the parent energy squared, level n
+    keeps omega^2 - m_charged^2 - (2n + 1) field = M^2 - m_charged^2 +
+    2 (m - n) field > 0, so n_max is the floor of the bound m + s,
+    s = (M^2 - m_charged^2) / (2 field), and the cutoff of level n is
+    (M^2 - m_charged^2 + 2 (m - n) field) / (2 omega).  Neither form
+    subtracts the field from omega^2, so both keep their digits at any
+    field.  When s lies within 1e-9 (relative) of an integer j >= 1, level
+    m + j has zero phase space and is dropped deterministically (it would
+    contribute zero either way); a bound below one keeps level m open
+    however small it is.  An empty array means no level is open.  An n_max
+    above the overlap index cap ``MAX_OVERLAP_INDEX`` raises
+    :class:`ValueError` before any array is allocated.
     """
     omega = state.energy(channel.m_parent)
-    arg = (omega * omega - state.field - channel.m_charged**2) / (2.0 * state.field)
-    if abs(arg - round(arg)) < 1e-9:
-        arg -= 1e-12
-    if arg < 0.0:
+    gap = channel.m_parent**2 - channel.m_charged**2
+    excess = gap / (2.0 * state.field)
+    if not excess > 0.0:
         return np.empty(0)
-    n_max = math.floor(arg)
+    steps = math.floor(excess)
+    nearest = round(excess)
+    if nearest >= 1 and abs(excess - nearest) <= 1e-9 * nearest:
+        steps = nearest - 1
+    n_max = state.level + steps
     if n_max > MAX_OVERLAP_INDEX:
         raise ValueError(
             f"{n_max + 1} daughter levels open (n_max = {n_max}), "
             f"above the overlap index cap {MAX_OVERLAP_INDEX}"
         )
     n = np.arange(n_max + 1)
-    cut = (omega * omega - channel.m_charged**2 - (2 * n + 1) * state.field) / (2.0 * omega)
+    cut = (gap + 2 * (state.level - n) * state.field) / (2.0 * omega)
     return np.maximum(cut, 0.0)
 
 

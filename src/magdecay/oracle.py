@@ -18,9 +18,13 @@ reference path, not a production path.
 :func:`verify_closed_form` draws all its trials first and integrates them
 together: each stage of the window doubling is one multi-interval
 quadrature over the real and imaginary parts of every trial still open,
-and the integrand evaluates both modes of all its points in one
-oscillator recurrence with a per-point order.  Each trial gets the bits
-that :func:`transverse_overlap_sq`, a batch of one, gives it.
+of its starting window in the first stage and of only the two strips a
+doubling adds in every later one.  The integrand evaluates both modes of
+all its distinct panels in one oscillator recurrence with a per-point
+order, once for a panel that the real and the imaginary part share.  The
+closed forms take one ``overlap_weight_rows`` call per parent level.
+Each trial gets the bits that :func:`transverse_overlap_sq` and
+:func:`closed_form_overlap_sq`, calls for that trial alone, give it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau, quadrature
-from .specfun import overlap_weight
+from .specfun import overlap_weight, overlap_weight_rows
 
 __all__ = [
     "MAX_ORACLE_INDEX",
@@ -97,6 +101,24 @@ def closed_form_overlap_sq(params: OverlapParams) -> float:
     return overlap_weight(params.n, params.m, params.displacement_sq()) / params.field
 
 
+def _closed_form_batch(trials: list[OverlapParams]) -> list[float]:
+    """:func:`closed_form_overlap_sq` of every trial, with its bits.
+
+    One ``overlap_weight_rows`` call per parent level m, its rows sorted by
+    min(n, m); every row is one point, which gets the bits of its own
+    one-point call.
+    """
+    n = np.array([p.n for p in trials])
+    m = np.array([p.m for p in trials])
+    x = np.array([p.displacement_sq() for p in trials])
+    weight = np.empty(len(trials))
+    for level in np.unique(m).tolist():
+        rows = np.flatnonzero(m == level)
+        rows = rows[np.argsort(np.minimum(n[rows], level), kind="stable")]
+        weight[rows] = overlap_weight_rows(n[rows], level, x[rows])
+    return (weight / np.array([p.field for p in trials])).tolist()
+
+
 def transverse_overlap_sq(params: OverlapParams, rel_tol: float = 1e-9) -> float:
     """|A|^2 per unit field by direct quadrature, in 1/MeV^2.
 
@@ -109,7 +131,9 @@ def transverse_overlap_sq(params: OverlapParams, rel_tol: float = 1e-9) -> float
     divided by the field.  The window starts at +-(8 + sqrt(2 max(n,m)+1))
     around the midpoint of the two envelope centers and doubles until the
     value is stable to 1e-12 of itself (capped: once the window swallows
-    both envelopes whole, further change is pure roundoff).
+    both envelopes whole, further change is pure roundoff).  A doubling
+    integrates only the two strips it adds to the window, and A_re and A_im
+    are the compensated sums of all the pieces integrated so far.
     """
     return _overlap_sq_batch([params], rel_tol)[0]
 
@@ -117,13 +141,16 @@ def transverse_overlap_sq(params: OverlapParams, rel_tol: float = 1e-9) -> float
 def _overlap_sq_batch(trials: list[OverlapParams], rel_tol: float) -> list[float]:
     """:func:`transverse_overlap_sq` of every trial, with its bits, in shared quadratures.
 
-    Each window stage is one multi-interval quadrature with two intervals
-    per trial, the real and the imaginary part of its amplitude: the first
-    two stages run every trial, each later doubling only the trials whose
-    value has not yet converged.  Since every interval of a multi-interval
-    quadrature gets exactly the result it would get alone, each trial's
-    value is the one its own window loop gives.  When a panel budget runs
-    out, :class:`quadrature.QuadraturePanelError` names the lowest failing
+    Each window stage is one multi-interval quadrature.  The first stage
+    integrates every trial's starting window [c - w, c + w]; each doubling
+    integrates, for the trials whose value has not yet converged, only the
+    strips [c - 2w, c - w] and [c + w, c + 2w] that it adds.  Every piece is
+    a pair of intervals, the real and the imaginary part of the amplitude
+    over it, and a trial's A_re and A_im are the ``math.fsum`` of its pieces
+    so far.  Since every interval of a multi-interval quadrature gets
+    exactly the result it would get alone, each trial's value is the one
+    its own window loop gives.  When a panel budget runs out,
+    :class:`quadrature.QuadraturePanelError` names the lowest failing
     interval of that stage, which need not belong to the trial that one
     trial at a time would have stopped at.
     """
@@ -134,40 +161,62 @@ def _overlap_sq_batch(trials: list[OverlapParams], rel_tol: float) -> list[float
     delta = np.array([p.delta_k_y for p in trials]) / root_field
     center = -delta / 2.0
 
-    def modulus_sq(active: np.ndarray, width: np.ndarray) -> list[float]:
-        # interval 2j is the real part of trial active[j], 2j + 1 its
-        # imaginary part; the modes of both factors share one recurrence
+    def parts(owner: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        # piece k, trial owner[k]'s window piece [lo_k, hi_k], is interval
+        # 2k for its real part and 2k + 1 for its imaginary part
         def integrand(panel_r: np.ndarray, panel_i: np.ndarray) -> np.ndarray:
-            r, i = panel_r.ravel(), panel_i.repeat(panel_r.shape[1])
-            t = active[i >> 1]
+            piece = panel_i >> 1
+            # the two intervals of a piece share their ends and so their
+            # bisections: a panel of one is a panel of the other exactly
+            # when its midpoint (the middle node) is, and the modes of such
+            # a panel are evaluated once, in one oscillator recurrence over
+            # both factors of all distinct panels
+            key = np.stack((piece, panel_r[:, panel_r.shape[1] // 2]), axis=1)
+            _, distinct, row_of = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            r = panel_r[distinct].ravel()
+            t = owner[piece[distinct]].repeat(panel_r.shape[1])
             rho = np.concatenate((r, r + delta[t]))
             modes = landau.oscillator_modes(np.concatenate((m[t], n[t])), rho)
-            product = modes[: r.size] * modes[r.size :]
-            phase = q[t] * r
-            imag = (i & 1).astype(bool)
+            # (numpy 2.0.0 returns the inverse as a column)
+            product = (modes[: r.size] * modes[r.size :]).reshape(distinct.size, -1)
+            product = product[row_of.reshape(-1)]
+            phase = q[owner[piece]][:, None] * panel_r
+            imag = (panel_i & 1).astype(bool)
             real = ~imag
-            out = np.empty_like(r)
+            out = np.empty_like(panel_r)
             out[real] = np.cos(phase[real]) * product[real]
             out[imag] = -np.sin(phase[imag]) * product[imag]
-            return out.reshape(panel_r.shape)
+            return out
 
-        lo = (center[active] - width).repeat(2)
-        hi = (center[active] + width).repeat(2)
-        parts, _ = quadrature.integrate(integrand, lo, hi, rel_tol, _ABS_TOL)
-        return [re * re + im * im for re, im in zip(parts[0::2], parts[1::2])]
+        values, _ = quadrature.integrate(integrand, lo.repeat(2), hi.repeat(2), rel_tol, _ABS_TOL)
+        return values[0::2], values[1::2]
 
     width = _WINDOW_PAD + np.sqrt(2.0 * np.maximum(n, m) + 1.0)
     active = np.arange(len(trials))
-    value = modulus_sq(active, width)
+    re, im = parts(active, center - width, center + width)
+    re_parts, im_parts = [[v] for v in re], [[v] for v in im]
+
+    def modulus_sq(t: int) -> float:
+        re, im = math.fsum(re_parts[t]), math.fsum(im_parts[t])
+        return re * re + im * im
+
+    value = [modulus_sq(t) for t in active.tolist()]
     for _ in range(_MAX_DOUBLINGS):
+        # the left and the right strip of each open trial, in this order
+        c, w = center[active], width
+        lo = np.stack((c - 2.0 * w, c + w), axis=1).ravel()
+        hi = np.stack((c - w, c + 2.0 * w), axis=1).ravel()
+        re, im = parts(active.repeat(2), lo, hi)
         width = 2.0 * width
-        wider = modulus_sq(active, width)
         still_open = []
         for j, t in enumerate(active.tolist()):
-            converged = abs(wider[j] - value[t]) <= 1e-12 * abs(wider[j]) + 1e-28
+            re_parts[t] += re[2 * j : 2 * j + 2]
+            im_parts[t] += im[2 * j : 2 * j + 2]
+            wider = modulus_sq(t)
+            converged = abs(wider - value[t]) <= 1e-12 * abs(wider) + 1e-28
             if not converged:
                 still_open.append(j)
-            value[t] = wider[j]
+            value[t] = wider
         if not still_open:
             break
         active, width = active[still_open], width[still_open]
@@ -221,8 +270,8 @@ def verify_closed_form(trials: int, seed: int = 0, rel_tol: float = 1e-9) -> Ove
     max_err = -1.0
     worst: OverlapParams | None = None
     failures: list[tuple[OverlapParams, float]] = []
-    for params, numeric in zip(draws, _overlap_sq_batch(draws, rel_tol)):
-        reference = closed_form_overlap_sq(params)
+    compared = zip(draws, _overlap_sq_batch(draws, rel_tol), _closed_form_batch(draws))
+    for params, numeric, reference in compared:
         rel_err = abs(numeric - reference) / reference
         if rel_err > max_err:
             max_err, worst = rel_err, params

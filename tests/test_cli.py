@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from magdecay import cli
+from magdecay import cli, landau, rate
 
 RATE_HEADER = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,"
@@ -28,33 +28,33 @@ def parse_csv(text):
 GOLDEN_TABLE = (
     "p_perp2_MeV2,m,ratio,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
     "30000,65,1.0009370936443764,1.4924408868053397e-13,4.3879168510675274e+29,7.1582310319155588e-15,38711702574860848\n"
-    "10000,30,1.0002015013350882,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
+    "10000,30,1.0002015013350884,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
     "5000,20,1.0000754363521323,1.1441562168056207e-13,2.4285619936056032e+29,1.7534013489149406e-14,20614768444336468\n"
     "1000,5,1.0000260396564731,6.8640297205414408e-14,1.075679331546185e+29,3.9207246080136348e-14,15367372840323550\n"
 )
 GOLDEN_RATE_1E4_30 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377555,1.0002015013350882,6.9132243650207083e-15,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
+    "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377558,1.0002015013350884,6.9132221770091825e-15,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
 )
 GOLDEN_VERIFY_3_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,5.3331498126753905e-14,9.9999999999999995e-07\n"
-    "lowest_level_equivalence,true,max_rel_err,1.6029445475005174e-15,9.9999999999999995e-08\n"
+    "overlap_closed_form,true,max_rel_err,5.8544351327113305e-14,9.9999999999999995e-07\n"
+    "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
     "overlap_completeness,true,max_abs_dev,5.1958437552457326e-14,1e-10\n"
 )
 # 636 levels in one multi-interval quadrature
 GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016917,1.0000020629045889,6.0431971802223789e-15,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
+    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016912,1.0000020629045885,6.0431999508069874e-15,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
 # the lowest-level closed forms integrate a single interval
 GOLDEN_SCAN_LLL = (
     "eB_MeV2,p_perp_MeV,ratio_exact,ratio_factored,ratio_general\n"
-    "6000,77.459666924148337,0.89815579251047484,0.080063140782067499,0.8981557925104745\n"
-    "68173.161988049949,261.09990805829472,0.15144864631340108,0.04758424676880952,0.15144864631340127\n"
-    "774596.66924148379,880.11173679339367,0.01432034516655583,0.0051929878208609821,0.014320345166555965\n"
-    "8801117.3679339439,2966.6677211871815,0.0012686347230580772,0.00046611274298952231,0.0012686347230578918\n"
-    "100000000,10000,0.00011171865912198421,4.1094406489519477e-05,0.00011171865912207956\n"
+    "6000,77.459666924148337,0.89815579251047484,0.080063140782067499,0.89815579251047539\n"
+    "68173.161988049949,261.09990805829472,0.15144864631340108,0.04758424676880952,0.15144864631340099\n"
+    "774596.66924148379,880.11173679339367,0.01432034516655583,0.0051929878208609821,0.014320345166555826\n"
+    "8801117.3679339439,2966.6677211871815,0.0012686347230580772,0.00046611274298952231,0.0012686347230580776\n"
+    "100000000,10000,0.00011171865912198421,4.1094406489519477e-05,0.0001117186591219842\n"
 )
 
 
@@ -97,6 +97,16 @@ class TestRateCommand:
         assert float(strong_row["Gamma_MeV"]) == pytest.approx(
             49.0 * float(weak_row["Gamma_MeV"]), rel=1e-12
         )
+
+    def test_strong_field_keeps_the_lowest_level_open(self, capsys):
+        # at |e|B = 1e16 MeV^2 the bound M^2/(2|e|B) is 5.6e-13: level 0 is
+        # open, and the width is the lowest-level reduction's
+        code, out, _ = run(capsys, "rate", "--p-perp2", "1e16", "--m", "0")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert row["n_max"] == "0"
+        exact = rate.lll_ratio_exact(landau.DecayChannel(m_parent=cli._DEF_M_PARENT), 1e16)
+        assert abs(float(row["ratio"]) - exact) <= 1e-9 * exact
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "rate", "--p-perp2", "1e3", "--m", "5", "--format", "json")
@@ -261,6 +271,17 @@ class TestScanLLL:
             assert abs(general - exact) / exact < 1e-7
         ratios = [float(r["ratio_exact"]) for r in rows]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+    def test_strong_fields_match_the_lowest_level_reduction(self, capsys):
+        code, out, _ = run(
+            capsys, "scan-lll", "--eB-min", "1e15", "--eB-max", "1e17", "--points", "3"
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            exact, general = float(row["ratio_exact"]), float(row["ratio_general"])
+            assert abs(general - exact) <= 1e-9 * exact
 
     def test_two_points(self, capsys):
         code, out, _ = run(capsys, "scan-lll", "--eB-min", "6e3", "--eB-max", "1e4", "--points", "2")

@@ -22,7 +22,9 @@ def loop_wavefunction(n, rho):
 
 
 def loop_overlap_sq(params, rel_tol=1e-9):
-    """The one-trial-at-a-time oracle: two quadratures per window, doubling."""
+    """The one-trial-at-a-time oracle: the starting window, then only the two
+    strips each doubling adds, the real and the imaginary part of every
+    piece one quadrature each, and the amplitude the fsum of its pieces."""
     root_field = math.sqrt(params.field)
     q = params.k_x_neutral / root_field
     delta = params.delta_k_y / root_field
@@ -32,20 +34,25 @@ def loop_overlap_sq(params, rel_tol=1e-9):
     def product(rho):
         return loop_wavefunction(params.m, rho) * loop_wavefunction(params.n, rho + delta)
 
-    def modulus_sq(width):
-        lo, hi = center - width, center + width
-        (re,), _ = quadrature.integrate(
-            lambda r, _: np.cos(q * r) * product(r), [lo], [hi], rel_tol, oracle._ABS_TOL
+    def part(f, lo, hi):
+        (value,), _ = quadrature.integrate(
+            lambda r, _: f(r) * product(r), [lo], [hi], rel_tol, oracle._ABS_TOL
         )
-        (im,), _ = quadrature.integrate(
-            lambda r, _: -np.sin(q * r) * product(r), [lo], [hi], rel_tol, oracle._ABS_TOL
-        )
+        return value
+
+    re_parts, im_parts = [], []
+
+    def add_piece(lo, hi):
+        re_parts.append(part(lambda r: np.cos(q * r), lo, hi))
+        im_parts.append(part(lambda r: -np.sin(q * r), lo, hi))
+        re, im = math.fsum(re_parts), math.fsum(im_parts)
         return re * re + im * im
 
-    value = modulus_sq(half_width)
+    value = add_piece(center - half_width, center + half_width)
     for _ in range(oracle._MAX_DOUBLINGS):
+        add_piece(center - 2.0 * half_width, center - half_width)
+        wider = add_piece(center + half_width, center + 2.0 * half_width)
         half_width *= 2.0
-        wider = modulus_sq(half_width)
         converged = abs(wider - value) <= 1e-12 * abs(wider) + 1e-28
         value = wider
         if converged:
@@ -207,13 +214,65 @@ class TestBatchedOracle:
         batched = oracle._overlap_sq_batch(drawn, 1e-9)
         monkeypatch.setattr(quadrature, "integrate", integrate)
         assert [v.hex() for v in batched] == [loop_overlap_sq(p).hex() for p in drawn]
-        assert stages[0] == stages[1] == 2 * len(drawn)
-        assert len(stages) > 3 and stages == sorted(stages, reverse=True)
-        assert stages[-1] < stages[0]
+        # the starting windows take two intervals per trial, every doubling
+        # four: the two parts of its left and of its right strip
+        assert stages[0] == 2 * len(drawn) and stages[1] == 4 * len(drawn)
+        assert len(stages) > 3 and stages[1:] == sorted(stages[1:], reverse=True)
+        assert all(size % 4 == 0 for size in stages[1:])
+        assert stages[-1] < stages[1]
 
     def test_single_trial_is_the_batch_of_one(self):
         for p in random_params(5, seed=8):
             assert oracle.transverse_overlap_sq(p).hex() == loop_overlap_sq(p).hex()
+
+    def test_batched_closed_forms_keep_the_bits_of_each_call(self):
+        drawn = random_params(200, seed=5)
+        batched = oracle._closed_form_batch(drawn)
+        assert [v.hex() for v in batched] == [
+            oracle.closed_form_overlap_sq(p).hex() for p in drawn
+        ]
+
+    @pytest.mark.parametrize("pad", [8.0, 0.5])
+    def test_strips_add_up_to_one_quadrature_of_the_final_window(self, monkeypatch, pad):
+        # with a pad of 0.5 the trials run several doublings, so their
+        # amplitudes are sums of many strips
+        monkeypatch.setattr(oracle, "_WINDOW_PAD", pad)
+        rel_tol, eps = 1e-12, float(np.finfo(float).eps)
+        # every quadrature's error is within max(rel_tol |v|, _ABS_TOL,
+        # 50 eps mass), mass = int |f|, and the |f| of each part is at most
+        # |psi_m psi_n|, whose integral over any window is at most one
+        # (Cauchy-Schwarz on unit modes); so the pieces of one part, which
+        # tile the window, err by at most rel_tol + 50 eps + pieces *
+        # _ABS_TOL together, the one fresh quadrature by rel_tol + 50 eps +
+        # _ABS_TOL, and fsum rounds once more
+        pieces = 1 + 2 * oracle._MAX_DOUBLINGS
+        part_tol = 2.0 * (rel_tol + 50.0 * eps) + (pieces + 1) * oracle._ABS_TOL + eps
+        integrate = quadrature.integrate
+        for p in random_params(40, seed=17):
+            ends = []
+
+            def recording(f, a, b, *args):
+                ends.extend(zip(a, b))
+                return integrate(f, a, b, *args)
+
+            monkeypatch.setattr(quadrature, "integrate", recording)
+            assembled = oracle.transverse_overlap_sq(p, rel_tol) * p.field
+            monkeypatch.setattr(quadrature, "integrate", integrate)
+            lo, hi = min(a for a, _ in ends), max(b for _, b in ends)
+
+            delta = p.delta_k_y / math.sqrt(p.field)
+            q = p.k_x_neutral / math.sqrt(p.field)
+
+            def product(r):
+                return loop_wavefunction(p.m, r) * loop_wavefunction(p.n, r + delta)
+
+            (re, im), _ = quadrature.integrate(
+                lambda r, i: np.where(i[:, None] == 0, np.cos(q * r), -np.sin(q * r)) * product(r),
+                [lo, lo], [hi, hi], rel_tol, oracle._ABS_TOL,
+            )
+            fresh = re * re + im * im
+            bound = 2.0 * part_tol * (abs(re) + abs(im) + part_tol) + 4.0 * eps * fresh
+            assert abs(assembled - fresh) <= bound, (p, assembled, fresh)
 
     def test_per_point_modes_match_each_order_alone(self):
         rng = np.random.default_rng(13)

@@ -241,14 +241,28 @@ class TestQuadratureHonesty:
         shift = abs(default.gamma_total - tight.gamma_total)
         assert shift <= default.quad_error + slack * default.gamma_total
 
-    @pytest.mark.parametrize("p_sq,m", [(3e4, 72), (1e4, 38), (5e4, 98)])
+    @pytest.mark.parametrize(
+        "p_sq,m",
+        [
+            # each of these once failed at 1e-13 on a level hundreds of
+            # orders below the width, which the absolute floor now lets
+            # converge
+            (3e4, 72), (1e4, 38), (5e4, 98),
+            # every point whose stdout bytes tests/test_cli.py pins: the
+            # four table rows, the two rate points, the five scan-lll
+            # fields (m = 0, so p_sq is the field) and the strong-field
+            # lowest-level point
+            (3e4, 65), (1e4, 30), (5e3, 20), (1e3, 5), (1e4, 300),
+            (6e3, 0), (68173.161988049949, 0), (774596.66924148379, 0),
+            (8801117.3679339439, 0), (1e8, 0), (1e16, 0),
+        ],
+    )
     def test_tight_tolerance_meets_the_default_run(self, p_sq, m):
-        # each of these once failed at 1e-13 on a level hundreds of orders
-        # below the width, which the absolute floor now lets converge
         state = magnetized(p_sq, m)
         default = decay_rate(MUON, state)
         tight = decay_rate(MUON, state, rel_tol=1e-13)
-        assert abs(tight.gamma_total - default.gamma_total) <= default.quad_error
+        slack = 4.0 * np.finfo(float).eps * default.gamma_total
+        assert abs(tight.gamma_total - default.gamma_total) <= default.quad_error + slack
 
     @pytest.mark.parametrize("p_sq,m", [(1e3, 2), (1e4, 5), (3e4, 10)])
     def test_reported_error_bounds_the_true_error(self, p_sq, m):
