@@ -249,9 +249,9 @@ class TestQuadratureHonesty:
             # converge
             (3e4, 72), (1e4, 38), (5e4, 98),
             # every point whose stdout bytes tests/test_cli.py pins: the
-            # four table rows, the two rate points, the five scan-lll
-            # fields (m = 0, so p_sq is the field) and the strong-field
-            # lowest-level point
+            # four table rows (one of them the pinned rate point (1e4, 30)),
+            # the rate point (1e4, 300), the five scan-lll fields (m = 0,
+            # so p_sq is the field) and the strong-field lowest-level point
             (3e4, 65), (1e4, 30), (5e3, 20), (1e3, 5), (1e4, 300),
             (6e3, 0), (68173.161988049949, 0), (774596.66924148379, 0),
             (8801117.3679339439, 0), (1e8, 0), (1e16, 0),
