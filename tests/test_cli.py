@@ -23,7 +23,7 @@ def parse_csv(text):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
-# stdout bytes of six commands, pinned so that refactors which must not move
+# stdout bytes of eight commands, pinned so that refactors which must not move
 # a single output bit are checked against the bits, not only against reruns
 GOLDEN_TABLE = (
     "p_perp2_MeV2,m,ratio,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
@@ -41,6 +41,18 @@ GOLDEN_VERIFY_3_0 = (
     "overlap_closed_form,true,max_rel_err,5.8544351327113305e-14,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
     "overlap_completeness,true,max_abs_dev,5.1958437552457326e-14,1e-10\n"
+)
+# JSON Lines keep each record's key order and print floats by repr
+GOLDEN_TABLE_JSON = (
+    '{"p_perp2_MeV2":30000.0,"m":65,"ratio":1.0009370936443764,"radius_m":1.4924408868053397e-13,"acceleration_m_s2":4.3879168510675274e+29,"lambda_dB_m":7.158231031915559e-15,"B_gauss":3.871170257486085e+16}\n'
+    '{"p_perp2_MeV2":10000.0,"m":30,"ratio":1.0002015013350884,"radius_m":1.2036945804400002e-13,"acceleration_m_s2":3.526575322654006e+29,"lambda_dB_m":1.2398419839593942e-14,"B_gauss":2.771165594156706e+16}\n'
+    '{"p_perp2_MeV2":5000.0,"m":20,"ratio":1.0000754363521323,"radius_m":1.1441562168056207e-13,"acceleration_m_s2":2.4285619936056032e+29,"lambda_dB_m":1.7534013489149406e-14,"B_gauss":2.0614768444336468e+16}\n'
+    '{"p_perp2_MeV2":1000.0,"m":5,"ratio":1.000026039656473,"radius_m":6.864029720541441e-14,"acceleration_m_s2":1.075679331546185e+29,"lambda_dB_m":3.920724608013635e-14,"B_gauss":1.536737284032355e+16}\n'
+)
+GOLDEN_VERIFY_3_0_JSON = (
+    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":5.85443513271133e-14,"threshold":1e-06}\n'
+    '{"check":"lowest_level_equivalence","passed":true,"metric":"max_rel_err","value":2.9144446318191227e-16,"threshold":1e-07}\n'
+    '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":5.1958437552457326e-14,"threshold":1e-10}\n'
 )
 # 636 levels in one multi-interval quadrature
 GOLDEN_RATE_1E4_300 = (
@@ -69,8 +81,13 @@ GOLDEN_SCAN_LLL = (
         # first three, so the report is byte for byte that of 3 trials
         (["verify", "--trials", "100", "--seed", "0"], GOLDEN_VERIFY_3_0),
         (["scan-lll", "--eB-min", "6e3", "--eB-max", "1e8", "--points", "5"], GOLDEN_SCAN_LLL),
+        (["table", "--format", "json"], GOLDEN_TABLE_JSON),
+        (["verify", "--trials", "3", "--seed", "0", "--format", "json"], GOLDEN_VERIFY_3_0_JSON),
     ],
-    ids=["table", "rate-1e4-30", "verify-3-0", "rate-1e4-300", "verify-100-0", "scan-lll-5"],
+    ids=[
+        "table", "rate-1e4-30", "verify-3-0", "rate-1e4-300", "verify-100-0", "scan-lll-5",
+        "table-json", "verify-3-0-json",
+    ],
 )
 def test_golden_stdout_bytes(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
