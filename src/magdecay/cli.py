@@ -22,9 +22,12 @@ from . import landau, oracle, rate, specfun, units
 __all__ = ["main", "build_parser"]
 
 _DEF_M_PARENT = 105.7
+# verify's two fixed grids and the thresholds their worst values must stay below
 _LLL_FIELDS_OVER_MSQ = (0.6, 1.0, 10.0, 100.0)
+_LLL_THRESHOLD = 1e-7
 _COMPLETENESS_LEVELS = (0, 5, 20, 50)
 _COMPLETENESS_ARGS = (0.1, 1.0, 10.0, 100.0)
+_COMPLETENESS_THRESHOLD = 1e-10
 
 
 class _UsageError(Exception):
@@ -281,6 +284,8 @@ def _cmd_scan_lll(args, config) -> list[dict]:
 
 
 _TABLE_POINTS = ((3.0e4, 65), (1.0e4, 30), (5.0e3, 20), (1.0e3, 5))
+# the rate-record columns the table keeps, in output order
+_TABLE_COLUMNS = ("ratio", "radius_m", "acceleration_m_s2", "lambda_dB_m", "B_gauss")
 
 
 def _cmd_table(args, config) -> list[dict]:
@@ -290,17 +295,27 @@ def _cmd_table(args, config) -> list[dict]:
     for p_perp_sq, m_level in _TABLE_POINTS:
         full = _rate_record(channel, p_perp_sq, m_level, rel_tol)
         records.append(
-            {
-                "p_perp2_MeV2": p_perp_sq,
-                "m": m_level,
-                "ratio": full["ratio"],
-                "radius_m": full["radius_m"],
-                "acceleration_m_s2": full["acceleration_m_s2"],
-                "lambda_dB_m": full["lambda_dB_m"],
-                "B_gauss": full["B_gauss"],
-            }
+            {"p_perp2_MeV2": p_perp_sq, "m": m_level, **{key: full[key] for key in _TABLE_COLUMNS}}
         )
     return records
+
+
+def _check(check: str, metric: str, value: float, threshold: float) -> dict:
+    """One verify row: the check passes when its worst value is below its threshold."""
+    return {
+        "check": check,
+        "passed": value < threshold,
+        "metric": metric,
+        "value": value,
+        "threshold": threshold,
+    }
+
+
+def _lll_rel_err(channel, field: float, rel_tol: float) -> float:
+    """Relative gap between the level-summed and the closed-form lowest-level ratio."""
+    state = landau.MagnetizedState(field=field, level=0)
+    exact = rate.lll_ratio_exact(channel, field, rel_tol)
+    return abs(rate.decay_rate(channel, state, rel_tol).ratio - exact) / exact
 
 
 def _cmd_verify(args, config) -> list[dict]:
@@ -308,52 +323,26 @@ def _cmd_verify(args, config) -> list[dict]:
     seed = _pick(args, config, "seed", int, 0)
     if trials <= 0:
         raise _UsageError(f"trials must be positive, got {trials}")
+    if seed < 0:
+        raise _UsageError(f"seed must be nonnegative, got {seed}")
     channel = _channel(args, config)
     rel_tol = _rel_tol(args, config)
 
     report = oracle.verify_closed_form(trials, seed=seed, rel_tol=rel_tol)
-    records = [
-        {
-            "check": "overlap_closed_form",
-            "passed": report.passed,
-            "metric": "max_rel_err",
-            "value": report.max_rel_err,
-            "threshold": oracle.VERIFY_TOLERANCE,
-        }
+    worst_lll = max(
+        _lll_rel_err(channel, factor * channel.m_parent**2, rel_tol)
+        for factor in _LLL_FIELDS_OVER_MSQ
+    )
+    worst_sum = max(
+        abs(specfun.overlap_completeness_sum(m, x)[0] - 1.0)
+        for m in _COMPLETENESS_LEVELS
+        for x in _COMPLETENESS_ARGS
+    )
+    return [
+        _check("overlap_closed_form", "max_rel_err", report.max_rel_err, oracle.VERIFY_TOLERANCE),
+        _check("lowest_level_equivalence", "max_rel_err", worst_lll, _LLL_THRESHOLD),
+        _check("overlap_completeness", "max_abs_dev", worst_sum, _COMPLETENESS_THRESHOLD),
     ]
-
-    worst_lll = 0.0
-    for factor in _LLL_FIELDS_OVER_MSQ:
-        field = factor * channel.m_parent**2
-        state = landau.MagnetizedState(field=field, level=0)
-        exact = rate.lll_ratio_exact(channel, field, rel_tol)
-        general = rate.decay_rate(channel, state, rel_tol).ratio
-        worst_lll = max(worst_lll, abs(general - exact) / exact)
-    records.append(
-        {
-            "check": "lowest_level_equivalence",
-            "passed": worst_lll < 1e-7,
-            "metric": "max_rel_err",
-            "value": worst_lll,
-            "threshold": 1e-7,
-        }
-    )
-
-    worst_sum = 0.0
-    for m in _COMPLETENESS_LEVELS:
-        for x in _COMPLETENESS_ARGS:
-            total, _ = specfun.overlap_completeness_sum(m, x)
-            worst_sum = max(worst_sum, abs(total - 1.0))
-    records.append(
-        {
-            "check": "overlap_completeness",
-            "passed": worst_sum < 1e-10,
-            "metric": "max_abs_dev",
-            "value": worst_sum,
-            "threshold": 1e-10,
-        }
-    )
-    return records
 
 
 _COMMANDS = {
@@ -406,6 +395,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, rate.RateConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: result overflowed the float range: {exc}", file=sys.stderr)
         return 1
     if args.command == "verify" and not all(r["passed"] for r in records):
         return 1

@@ -263,8 +263,8 @@ def verify_closed_form(trials: int, seed: int = 0, rel_tol: float = 1e-9) -> Ove
         m = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
         field = float(10.0 ** rng.uniform(-0.3, 3.3))
         scale = math.sqrt(field)
-        k_x = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
-        d_ky = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
+        k_x = float(rng.uniform(0.3, 3.0) * scale * (-1.0, 1.0)[rng.integers(0, 2)])
+        d_ky = float(rng.uniform(0.3, 3.0) * scale * (-1.0, 1.0)[rng.integers(0, 2)])
         draws.append(OverlapParams(n=n, m=m, k_x_neutral=k_x, delta_k_y=d_ky, field=field))
 
     max_err = -1.0

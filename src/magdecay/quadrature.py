@@ -207,12 +207,12 @@ def integrate(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0):
     the shape of ``x``.  Two lists (values, error_estimates) are returned,
     and every interval gets exactly the result it would get alone.
 
-    Each error estimate aims at rel_tol * |value| + abs_tol; an ``abs_tol``
-    of zero falls back to an internal floor of 1e-18 times the running
-    estimate, i.e. an essentially pure relative target.  When an interval
-    does not reach its tolerance within ``_MAX_PANELS`` (2,000) panels, the
-    others still run to the end, and then :class:`QuadraturePanelError` is
-    raised for the lowest such interval.
+    Each error estimate aims at the largest of rel_tol * |value|, abs_tol
+    and the roundoff floor of the interval's |f| mass, so an ``abs_tol`` of
+    zero gives a pure relative target.  When an interval does not reach its
+    tolerance within ``_MAX_PANELS`` (2,000) panels, the others still run
+    to the end, and then :class:`QuadraturePanelError` is raised for the
+    lowest such interval.
 
     The panels of the intervals still open stay grouped by interval in
     ascending order, left to right inside each group, so the ``i`` of one
@@ -254,7 +254,7 @@ def integrate(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0):
             # exactly zero still carries it
             roundoff = _ROUNDOFF * math.fsum(mass[s:e])
             estimate = max(math.fsum(err[s:e]), roundoff)
-            tol = max(rel_tol * abs(total), abs_tol, 1e-18 * abs(total), roundoff)
+            tol = max(rel_tol * abs(total), abs_tol, roundoff)
             count = e - s
             is_open = estimate > tol and count < _MAX_PANELS
             if is_open:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from magdecay import cli, landau, rate
+from magdecay import cli, landau, oracle, rate
 
 RATE_HEADER = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,"
@@ -166,6 +166,21 @@ class TestRateCommand:
         code, out, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "30", "--tol", tol)
         assert code == 1 and out == ""
         assert f"rel_tol must be positive and finite, got {float(tol)}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--p-perp2", "1e4", "--m", "30", "--G", "1e200"],  # G**2 in the free width
+        ["rate", "--p-perp2", "1e300", "--m", "0"],  # p_perp**3 in the acceleration
+    ],
+    ids=["coupling", "acceleration"],
+)
+def test_overflow_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: result overflowed the float range: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -350,6 +365,36 @@ class TestVerify:
     def test_zero_trials_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "--trials", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, source):
+        if source == "flag":
+            argv = ["verify", "--trials", "2", "--seed", "-1"]
+        else:
+            config = tmp_path / "verify.cfg"
+            config.write_text("trials = 2\nseed = -1\n")
+            argv = ["verify", "--config", str(config)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "usage error: seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "module,threshold,failing",
+        [
+            (oracle, "VERIFY_TOLERANCE", "overlap_closed_form"),
+            (cli, "_LLL_THRESHOLD", "lowest_level_equivalence"),
+            (cli, "_COMPLETENESS_THRESHOLD", "overlap_completeness"),
+        ],
+        ids=["closed-form", "lowest-level", "completeness"],
+    )
+    def test_failing_check_exits_1(self, capsys, monkeypatch, module, threshold, failing):
+        monkeypatch.setattr(module, threshold, 0.0)
+        code, out, _ = run(capsys, "verify", "--trials", "3", "--seed", "0")
+        assert code == 1
+        rows = {r["check"]: r for r in parse_csv(out)}
+        assert len(rows) == 3
+        assert (rows[failing]["passed"], rows[failing]["threshold"]) == ("false", "0")
+        assert all(r["passed"] == "true" for check, r in rows.items() if check != failing)
 
 
 class TestConfigFile:

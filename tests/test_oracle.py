@@ -60,10 +60,10 @@ def loop_overlap_sq(params, rel_tol=1e-9):
     return value / params.field
 
 
-def loop_verification(trials, seed):
-    """verify_closed_form with the oracle run one trial at a time."""
+def choice_draws(trials, seed):
+    """The trials verify_closed_form draws, each sign taken by rng.choice."""
     rng = np.random.default_rng(seed)
-    max_err, worst, failures = -1.0, None, []
+    draws = []
     for _ in range(trials):
         n = int(rng.integers(0, oracle.VERIFY_INDEX_MAX + 1))
         m = int(rng.integers(0, oracle.VERIFY_INDEX_MAX + 1))
@@ -71,7 +71,14 @@ def loop_verification(trials, seed):
         scale = math.sqrt(field)
         k_x = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
         d_ky = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
-        params = oracle.OverlapParams(n=n, m=m, k_x_neutral=k_x, delta_k_y=d_ky, field=field)
+        draws.append(oracle.OverlapParams(n=n, m=m, k_x_neutral=k_x, delta_k_y=d_ky, field=field))
+    return draws
+
+
+def loop_verification(trials, seed):
+    """verify_closed_form with the oracle run one trial at a time."""
+    max_err, worst, failures = -1.0, None, []
+    for params in choice_draws(trials, seed):
         reference = oracle.closed_form_overlap_sq(params)
         rel_err = abs(loop_overlap_sq(params) - reference) / reference
         if rel_err > max_err:
@@ -189,6 +196,20 @@ class TestVerifyClosedForm:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             oracle.verify_closed_form(0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sign_draws_keep_the_choice_stream(self, monkeypatch, seed):
+        # the quadrature and the closed forms are stubbed out: only the draws count
+        drawn = []
+
+        def record_draws(draws, rel_tol):
+            drawn.extend(draws)
+            return [1.0] * len(draws)
+
+        monkeypatch.setattr(oracle, "_overlap_sq_batch", record_draws)
+        monkeypatch.setattr(oracle, "_closed_form_batch", lambda draws: [1.0] * len(draws))
+        oracle.verify_closed_form(100, seed)
+        assert drawn == choice_draws(100, seed)
 
 
 class TestBatchedOracle:
