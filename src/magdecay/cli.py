@@ -328,7 +328,7 @@ def _cmd_verify(args, config) -> list[dict]:
     channel = _channel(args, config)
     rel_tol = _rel_tol(args, config)
 
-    report = oracle.verify_closed_form(trials, seed=seed, rel_tol=rel_tol)
+    report = oracle.verify_closed_form(trials, seed=seed)
     worst_lll = max(
         _lll_rel_err(channel, factor * channel.m_parent**2, rel_tol)
         for factor in _LLL_FIELDS_OVER_MSQ

@@ -13,6 +13,7 @@ formulas implemented downstream are valid only for that choice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,11 @@ class DecayChannel:
             )
         if self.m_parent <= 0.0 or self.m_charged < 0.0:
             raise ValueError("masses must be nonnegative and the parent massive")
+        if self.m_parent**2 < sys.float_info.min:
+            # the cutoffs and energies square the parent mass
+            raise ValueError(
+                f"parent mass {self.m_parent} MeV squares below the normal float range"
+            )
         if self.m_parent <= self.m_charged:
             # the neutral daughter adds nothing to the threshold
             raise ValueError(

@@ -6,35 +6,32 @@ underlying object the slow way: the transverse overlap amplitude
 
     A = int dx exp(-i k_x x) I_m(rho_parent(x)) I_n(rho_daughter(x))
 
-between two guiding-center-shifted Landau modes, by direct quadrature of
-its real and imaginary parts.  The squared modulus, expressed per unit
-field, must equal
+between two guiding-center-shifted Landau modes, by a fixed Gauss-Hermite
+rule over its real and imaginary parts.  The squared modulus, expressed
+per unit field, must equal
 
     overlap_weight(n, m, X) / field,   X = (delta_k_y^2 + k_x^2) / (2 field),
 
 for every admissible parameter set.  Indices are capped low: this is a
-reference path, not a production path.
+reference path, not a production path, and its amplitude uses neither
+the adaptive quadrature nor the overlap recurrence of production.
 
-:func:`verify_closed_form` draws all its trials first and integrates them
-together: each stage of the window doubling is one multi-interval
-quadrature over the real and imaginary parts of every trial still open,
-of its starting window in the first stage and of only the two strips a
-doubling adds in every later one.  The integrand evaluates both modes of
-all its distinct panels in one oscillator recurrence with a per-point
-order, once for a panel that the real and the imaginary part share.  The
-closed forms take one ``overlap_weight_rows`` call per parent level.
-Each trial gets the bits that :func:`transverse_overlap_sq` and
-:func:`closed_form_overlap_sq`, calls for that trial alone, give it.
+:func:`verify_closed_form` draws all its trials first and evaluates them
+together: one oscillator recurrence gives both modes of every trial at
+every node, and the closed forms take one ``overlap_weight_rows`` call per
+parent level.  Each trial gets the bits that :func:`transverse_overlap_sq`
+and :func:`closed_form_overlap_sq`, calls for that trial alone, give it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import landau, quadrature
+from . import landau
 from .specfun import overlap_weight, overlap_weight_rows
 
 __all__ = [
@@ -54,12 +51,9 @@ MAX_ORACLE_INDEX = 12
 VERIFY_INDEX_MAX = 8
 VERIFY_TOLERANCE = 1e-6
 
-# quadrature details of the reference path: window half-width in units of
-# the magnetic length, growth cap, and the absolute floor for the two real
-# quadratures (the amplitude itself is bounded by one)
-_WINDOW_PAD = 8.0
-_MAX_DOUBLINGS = 6
-_ABS_TOL = 1e-15
+# nodes of the Gauss-Hermite rule of the amplitude: it is exact through
+# degree 119, far above the degree 2 MAX_ORACLE_INDEX of the modes' product
+_NODES = 60
 
 
 @dataclass(frozen=True)
@@ -119,8 +113,8 @@ def _closed_form_batch(trials: list[OverlapParams]) -> list[float]:
     return (weight / np.array([p.field for p in trials])).tolist()
 
 
-def transverse_overlap_sq(params: OverlapParams, rel_tol: float = 1e-9) -> float:
-    """|A|^2 per unit field by direct quadrature, in 1/MeV^2.
+def transverse_overlap_sq(params: OverlapParams) -> float:
+    """|A|^2 per unit field by a fixed Gauss-Hermite rule, in 1/MeV^2.
 
     Working in the dimensionless transverse coordinate, the amplitude is
 
@@ -128,99 +122,51 @@ def transverse_overlap_sq(params: OverlapParams, rel_tol: float = 1e-9) -> float
 
     with q = k_x/sqrt(field), delta = delta_k_y/sqrt(field) and psi the
     unit-normalized oscillator modes; the result returned is A_re^2 + A_im^2
-    divided by the field.  The window starts at +-(8 + sqrt(2 max(n,m)+1))
-    around the midpoint of the two envelope centers and doubles until the
-    value is stable to 1e-12 of itself (capped: once the window swallows
-    both envelopes whole, further change is pure roundoff).  A doubling
-    integrates only the two strips it adds to the window, and A_re and A_im
-    are the compensated sums of all the pieces integrated so far.
+    divided by the field.  In u = rho + delta/2 the integrand is exp(-u^2)
+    times exp(-delta^2/4) exp(-i q rho) times a polynomial of degree at most
+    n + m, so one fixed Gauss-Hermite rule of ``_NODES`` nodes, exact
+    through degree 2 ``_NODES`` - 1, integrates it up to the tail of the
+    oscillating factor's series.
     """
-    return _overlap_sq_batch([params], rel_tol)[0]
+    return _overlap_sq_batch([params])[0]
 
 
-def _overlap_sq_batch(trials: list[OverlapParams], rel_tol: float) -> list[float]:
-    """:func:`transverse_overlap_sq` of every trial, with its bits, in shared quadratures.
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_j and weights W_j exp(u_j^2) of the ``_NODES``-point Gauss-Hermite rule.
 
-    Each window stage is one multi-interval quadrature.  The first stage
-    integrates every trial's starting window [c - w, c + w]; each doubling
-    integrates, for the trials whose value has not yet converged, only the
-    strips [c - 2w, c - w] and [c + w, c + 2w] that it adds.  Every piece is
-    a pair of intervals, the real and the imaginary part of the amplitude
-    over it, and a trial's A_re and A_im are the ``math.fsum`` of its pieces
-    so far.  Since every interval of a multi-interval quadrature gets
-    exactly the result it would get alone, each trial's value is the one
-    its own window loop gives.  When a panel budget runs out,
-    :class:`quadrature.QuadraturePanelError` names the lowest failing
-    interval of that stage, which need not belong to the trial that one
-    trial at a time would have stopped at.
+    Built on first use, not at import: importing ``numpy.polynomial`` and
+    building the rule take about 5 ms, which every command would pay.
     """
-    n = np.array([p.n for p in trials])
-    m = np.array([p.m for p in trials])
-    root_field = np.sqrt([p.field for p in trials])
+    from numpy.polynomial.hermite import hermgauss
+
+    nodes, weights = hermgauss(_NODES)
+    return nodes, weights * np.exp(nodes * nodes)
+
+
+def _overlap_sq_batch(trials: list[OverlapParams]) -> list[float]:
+    """:func:`transverse_overlap_sq` of every trial, with its bits.
+
+    The modes of all trials at all nodes come from one oscillator
+    recurrence with a per-point order, and each trial's row of terms is
+    summed alone along the nodes, so each trial gets the bits it gets alone.
+    """
+    nodes, weights = _hermite_rule()
+    n = np.array([p.n for p in trials]).repeat(_NODES)
+    m = np.array([p.m for p in trials]).repeat(_NODES)
+    field = np.array([p.field for p in trials])
+    root_field = np.sqrt(field)
     q = np.array([p.k_x_neutral for p in trials]) / root_field
     delta = np.array([p.delta_k_y for p in trials]) / root_field
-    center = -delta / 2.0
-
-    def parts(owner: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        # piece k, trial owner[k]'s window piece [lo_k, hi_k], is interval
-        # 2k for its real part and 2k + 1 for its imaginary part
-        def integrand(panel_r: np.ndarray, panel_i: np.ndarray) -> np.ndarray:
-            piece = panel_i >> 1
-            # the two intervals of a piece share their ends and so their
-            # bisections: a panel of one is a panel of the other exactly
-            # when its midpoint (the middle node) is, and the modes of such
-            # a panel are evaluated once, in one oscillator recurrence over
-            # both factors of all distinct panels
-            key = np.stack((piece, panel_r[:, panel_r.shape[1] // 2]), axis=1)
-            _, distinct, row_of = np.unique(key, axis=0, return_index=True, return_inverse=True)
-            r = panel_r[distinct].ravel()
-            t = owner[piece[distinct]].repeat(panel_r.shape[1])
-            rho = np.concatenate((r, r + delta[t]))
-            modes = landau.oscillator_modes(np.concatenate((m[t], n[t])), rho)
-            # (numpy 2.0.0 returns the inverse as a column)
-            product = (modes[: r.size] * modes[r.size :]).reshape(distinct.size, -1)
-            product = product[row_of.reshape(-1)]
-            phase = q[owner[piece]][:, None] * panel_r
-            imag = (panel_i & 1).astype(bool)
-            real = ~imag
-            out = np.empty_like(panel_r)
-            out[real] = np.cos(phase[real]) * product[real]
-            out[imag] = -np.sin(phase[imag]) * product[imag]
-            return out
-
-        values, _ = quadrature.integrate(integrand, lo.repeat(2), hi.repeat(2), rel_tol, _ABS_TOL)
-        return values[0::2], values[1::2]
-
-    width = _WINDOW_PAD + np.sqrt(2.0 * np.maximum(n, m) + 1.0)
-    active = np.arange(len(trials))
-    re, im = parts(active, center - width, center + width)
-    re_parts, im_parts = [[v] for v in re], [[v] for v in im]
-
-    def modulus_sq(t: int) -> float:
-        re, im = math.fsum(re_parts[t]), math.fsum(im_parts[t])
-        return re * re + im * im
-
-    value = [modulus_sq(t) for t in active.tolist()]
-    for _ in range(_MAX_DOUBLINGS):
-        # the left and the right strip of each open trial, in this order
-        c, w = center[active], width
-        lo = np.stack((c - 2.0 * w, c + w), axis=1).ravel()
-        hi = np.stack((c - w, c + 2.0 * w), axis=1).ravel()
-        re, im = parts(active.repeat(2), lo, hi)
-        width = 2.0 * width
-        still_open = []
-        for j, t in enumerate(active.tolist()):
-            re_parts[t] += re[2 * j : 2 * j + 2]
-            im_parts[t] += im[2 * j : 2 * j + 2]
-            wider = modulus_sq(t)
-            converged = abs(wider - value[t]) <= 1e-12 * abs(wider) + 1e-28
-            if not converged:
-                still_open.append(j)
-            value[t] = wider
-        if not still_open:
-            break
-        active, width = active[still_open], width[still_open]
-    return [v / p.field for v, p in zip(value, trials)]
+    rho = nodes - delta[:, None] / 2.0
+    modes = landau.oscillator_modes(
+        np.concatenate((m, n)), np.concatenate((rho.ravel(), (rho + delta[:, None]).ravel()))
+    )
+    product = weights * (modes[: rho.size] * modes[rho.size :]).reshape(rho.shape)
+    phase = q[:, None] * rho
+    re = (product * np.cos(phase)).sum(axis=1)
+    im = -(product * np.sin(phase)).sum(axis=1)
+    return ((re * re + im * im) / field).tolist()
 
 
 @dataclass(frozen=True)
@@ -238,20 +184,14 @@ class OverlapVerification:
         return not self.failures
 
 
-def verify_closed_form(trials: int, seed: int = 0, rel_tol: float = 1e-9) -> OverlapVerification:
-    """Compare quadrature against the closed form on seeded random draws.
+def verify_closed_form(trials: int, seed: int = 0) -> OverlapVerification:
+    """Compare the Gauss-Hermite amplitude against the closed form on seeded random draws.
 
     Momentum magnitudes are drawn from [0.3, 3] sqrt(field) with random
     signs: the upper end exercises arguments out to X = 9, while the lower
     cutoff keeps the smallest weights (high |n - m| at small X) above the
-    double-precision cancellation floor of the quadrature, where a relative
+    double-precision cancellation floor of the rule's sum, where a relative
     comparison is still meaningful.  Identical seeds give identical reports.
-
-    All trials are drawn first and integrated together (see
-    :func:`_overlap_sq_batch`), so a panel-budget failure raises
-    :class:`quadrature.QuadraturePanelError` for the lowest failing interval
-    of a window stage, which may belong to a later trial than the one a
-    trial-by-trial run would stop at.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -270,7 +210,7 @@ def verify_closed_form(trials: int, seed: int = 0, rel_tol: float = 1e-9) -> Ove
     max_err = -1.0
     worst: OverlapParams | None = None
     failures: list[tuple[OverlapParams, float]] = []
-    compared = zip(draws, _overlap_sq_batch(draws, rel_tol), _closed_form_batch(draws))
+    compared = zip(draws, _overlap_sq_batch(draws), _closed_form_batch(draws))
     for params, numeric, reference in compared:
         rel_err = abs(numeric - reference) / reference
         if rel_err > max_err:

@@ -283,11 +283,7 @@ def integrate(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0):
 
         # split every panel holding more than its width-share of its
         # interval's tolerance
-        if len(counts) == 1:
-            # one interval: its tolerance and width broadcast as they are
-            tol, span = tols[0], widths[0]
-        else:
-            tol, span = np.array([tols, widths]).repeat(counts, axis=1)
+        tol, span = np.array([tols, widths]).repeat(counts, axis=1)
         refine = panels[_ERROR] > tol * (panels[_HI] - panels[_LO]) / span
         refine.put(worst, True)
         s = 0

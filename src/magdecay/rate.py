@@ -19,6 +19,7 @@ does not affect the decay clock.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,9 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     over the prefactor).  The reduction is the compensated sum in
     ascending ``n``.  When a level exhausts its panel budget,
     :class:`RateConvergenceError` names the lowest such level.
-    A closed channel (no open level) has width and ratio zero.
+    A closed channel (no open level) has width and ratio zero; an open one
+    whose prefactor G^2/(8 pi omega) or width falls below the normal float
+    range raises :class:`ValueError`, since its digits are lost.
     """
     omega = state.energy(channel.m_parent)
     lorentz_gamma = omega / channel.m_parent
@@ -114,6 +117,11 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
 
     cuts = kz_cutoffs(channel, state)
     prefactor = channel.coupling**2 / (16.0 * math.pi * omega) * 2.0
+    if cuts.size and prefactor < sys.float_info.min:
+        raise ValueError(
+            f"width prefactor G^2/(8 pi omega) = {prefactor:.6g} MeV is below the "
+            "normal float range; the width would lose its digits"
+        )
     # the boosted free width over the prefactor is the a-priori scale of
     # the sum of the level integrals
     abs_tol = _LEVEL_ABS_FLOOR * rel_tol * boosted / prefactor
@@ -132,6 +140,11 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
         LevelRate(n, prefactor * v, prefactor * e) for n, (v, e) in enumerate(zip(values, errors))
     )
     gamma_total = math.fsum(c.rate for c in contributions)
+    if cuts.size and gamma_total < sys.float_info.min:
+        raise ValueError(
+            f"width Gamma = {gamma_total:.6g} MeV is below the normal float range; "
+            "its digits and its ratio are lost"
+        )
     quad_error = math.fsum(c.quad_error for c in contributions)
     ratio = lorentz_gamma * gamma_total / free_rest
     return RateResult(

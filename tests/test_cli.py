@@ -38,7 +38,14 @@ GOLDEN_RATE_1E4_30 = (
 )
 GOLDEN_VERIFY_3_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,5.8544351327113305e-14,9.9999999999999995e-07\n"
+    "overlap_closed_form,true,max_rel_err,6.3556710173612731e-14,9.9999999999999995e-07\n"
+    "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
+    "overlap_completeness,true,max_abs_dev,5.1958437552457326e-14,1e-10\n"
+)
+# 100 trials: the worst overlap trial is no longer among the first three
+GOLDEN_VERIFY_100_0 = (
+    "check,passed,metric,value,threshold\n"
+    "overlap_closed_form,true,max_rel_err,7.6712114879030616e-14,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
     "overlap_completeness,true,max_abs_dev,5.1958437552457326e-14,1e-10\n"
 )
@@ -50,7 +57,7 @@ GOLDEN_TABLE_JSON = (
     '{"p_perp2_MeV2":1000.0,"m":5,"ratio":1.000026039656473,"radius_m":6.864029720541441e-14,"acceleration_m_s2":1.075679331546185e+29,"lambda_dB_m":3.920724608013635e-14,"B_gauss":1.536737284032355e+16}\n'
 )
 GOLDEN_VERIFY_3_0_JSON = (
-    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":5.85443513271133e-14,"threshold":1e-06}\n'
+    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":6.355671017361273e-14,"threshold":1e-06}\n'
     '{"check":"lowest_level_equivalence","passed":true,"metric":"max_rel_err","value":2.9144446318191227e-16,"threshold":1e-07}\n'
     '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":5.1958437552457326e-14,"threshold":1e-10}\n'
 )
@@ -77,9 +84,7 @@ GOLDEN_SCAN_LLL = (
         (["rate", "--p-perp2", "1e4", "--m", "30"], GOLDEN_RATE_1E4_30),
         (["verify", "--trials", "3", "--seed", "0"], GOLDEN_VERIFY_3_0),
         (["rate", "--p-perp2", "1e4", "--m", "300"], GOLDEN_RATE_1E4_300),
-        # 200 oracle intervals per window stage; the worst trial is among the
-        # first three, so the report is byte for byte that of 3 trials
-        (["verify", "--trials", "100", "--seed", "0"], GOLDEN_VERIFY_3_0),
+        (["verify", "--trials", "100", "--seed", "0"], GOLDEN_VERIFY_100_0),
         (["scan-lll", "--eB-min", "6e3", "--eB-max", "1e8", "--points", "5"], GOLDEN_SCAN_LLL),
         (["table", "--format", "json"], GOLDEN_TABLE_JSON),
         (["verify", "--trials", "3", "--seed", "0", "--format", "json"], GOLDEN_VERIFY_3_0_JSON),
@@ -172,7 +177,9 @@ class TestRateCommand:
     "argv",
     [
         ["rate", "--p-perp2", "1e4", "--m", "30", "--G", "1e200"],  # G**2 in the free width
-        ["rate", "--p-perp2", "1e300", "--m", "0"],  # p_perp**3 in the acceleration
+        # p_perp**3 in the acceleration, at a field whose width is still a
+        # normal float (at 1e300 MeV^2 the width underflows first)
+        ["rate", "--p-perp2", "1e206", "--m", "0"],
     ],
     ids=["coupling", "acceleration"],
 )
@@ -181,6 +188,41 @@ def test_overflow_exits_1(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: result overflowed the float range: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["rate", "--p-perp2", "1e4", "--m", "30", "--G", "1e-160"],
+            "error: width prefactor G^2/(8 pi omega) = 0 MeV is below the normal float range; "
+            "the width would lose its digits\n",
+        ),
+        (
+            ["rate", "--p-perp2", "1e4", "--m", "30", "--G", "1e-155"],
+            "error: width prefactor G^2/(8 pi omega) = 2.73448e-314 MeV is below the normal "
+            "float range; the width would lose its digits\n",
+        ),
+        (
+            ["scan-lll", "--eB-min", "1e100", "--eB-max", "1e210", "--points", "2"],
+            "error: width Gamma = 2.2227e-313 MeV is below the normal float range; "
+            "its digits and its ratio are lost\n",
+        ),
+        (
+            ["scan-lll", "--eB-min", "1e100", "--eB-max", "1e300", "--points", "9"],
+            "error: width Gamma = 0 MeV is below the normal float range; "
+            "its digits and its ratio are lost\n",
+        ),
+        (
+            ["rate", "--p-perp2", "1e4", "--m", "30", "--M-mu", "1e-200"],
+            "error: parent mass 1e-200 MeV squares below the normal float range\n",
+        ),
+    ],
+    ids=["prefactor-zero", "prefactor-subnormal", "width-subnormal", "width-zero", "parent-mass"],
+)
+def test_underflow_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", message)
 
 
 @pytest.mark.parametrize(

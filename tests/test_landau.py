@@ -29,6 +29,12 @@ class TestChannelAndState:
         with pytest.raises(ValueError):
             landau.DecayChannel(m_parent=1.0, coupling=0.0)
 
+    def test_parent_mass_squaring_below_the_normal_range_rejected(self):
+        with pytest.raises(ValueError, match="squares below the normal float range"):
+            landau.DecayChannel(m_parent=1e-200)
+        # the square of 1.5e-154 is 2.25e-308, just inside the normal range
+        landau.DecayChannel(m_parent=1.5e-154)
+
     def test_state_invariants(self):
         with pytest.raises(ValueError):
             landau.MagnetizedState(field=0.0, level=0)

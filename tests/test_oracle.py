@@ -1,10 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import magdecay
 from magdecay import landau, oracle, quadrature
 from reference_paths import transverse_wavefunction
+
+EPS = float(np.finfo(float).eps)
+
+# the adaptive reference's window: its half-width in units of the magnetic
+# length, its growth cap, and the absolute floor of its two real quadratures
+# (the amplitude itself is bounded by one)
+WINDOW_PAD = 8.0
+MAX_DOUBLINGS = 6
+ABS_TOL = 1e-15
 
 
 def loop_wavefunction(n, rho):
@@ -22,34 +35,43 @@ def loop_wavefunction(n, rho):
 
 
 def loop_overlap_sq(params, rel_tol=1e-9):
-    """The one-trial-at-a-time oracle: the starting window, then only the two
-    strips each doubling adds, the real and the imaginary part of every
-    piece one quadrature each, and the amplitude the fsum of its pieces."""
+    """The adaptive reference, |A|^2 per unit field and a bound on its error.
+
+    The starting window, then only the two strips each doubling adds, the
+    real and the imaginary part of every piece one adaptive quadrature each,
+    and the amplitude the fsum of its pieces.  The bound is first order in
+    the sum of the pieces' error estimates, each part rounded once more.
+    """
     root_field = math.sqrt(params.field)
     q = params.k_x_neutral / root_field
     delta = params.delta_k_y / root_field
     center = -delta / 2.0
-    half_width = oracle._WINDOW_PAD + math.sqrt(2.0 * max(params.n, params.m) + 1.0)
+    half_width = WINDOW_PAD + math.sqrt(2.0 * max(params.n, params.m) + 1.0)
 
     def product(rho):
         return loop_wavefunction(params.m, rho) * loop_wavefunction(params.n, rho + delta)
 
     def part(f, lo, hi):
-        (value,), _ = quadrature.integrate(
-            lambda r, _: f(r) * product(r), [lo], [hi], rel_tol, oracle._ABS_TOL
+        (value,), (error,) = quadrature.integrate(
+            lambda r, _: f(r) * product(r), [lo], [hi], rel_tol, ABS_TOL
         )
-        return value
+        return value, error
 
-    re_parts, im_parts = [], []
+    re_parts, im_parts, re_errors, im_errors = [], [], [], []
 
     def add_piece(lo, hi):
-        re_parts.append(part(lambda r: np.cos(q * r), lo, hi))
-        im_parts.append(part(lambda r: -np.sin(q * r), lo, hi))
+        for parts, errors, f in (
+            (re_parts, re_errors, lambda r: np.cos(q * r)),
+            (im_parts, im_errors, lambda r: -np.sin(q * r)),
+        ):
+            value, error = part(f, lo, hi)
+            parts.append(value)
+            errors.append(error)
         re, im = math.fsum(re_parts), math.fsum(im_parts)
         return re * re + im * im
 
     value = add_piece(center - half_width, center + half_width)
-    for _ in range(oracle._MAX_DOUBLINGS):
+    for _ in range(MAX_DOUBLINGS):
         add_piece(center - 2.0 * half_width, center - half_width)
         wider = add_piece(center + half_width, center + 2.0 * half_width)
         half_width *= 2.0
@@ -57,7 +79,11 @@ def loop_overlap_sq(params, rel_tol=1e-9):
         value = wider
         if converged:
             break
-    return value / params.field
+    re, im = math.fsum(re_parts), math.fsum(im_parts)
+    d_re = math.fsum(re_errors) + EPS * abs(re)
+    d_im = math.fsum(im_errors) + EPS * abs(im)
+    error = 2.0 * (abs(re) * d_re + abs(im) * d_im) + d_re * d_re + d_im * d_im
+    return value / params.field, (error + 4.0 * EPS * value) / params.field
 
 
 def choice_draws(trials, seed):
@@ -76,11 +102,11 @@ def choice_draws(trials, seed):
 
 
 def loop_verification(trials, seed):
-    """verify_closed_form with the oracle run one trial at a time."""
+    """verify_closed_form with the oracle and the closed form called one trial at a time."""
     max_err, worst, failures = -1.0, None, []
     for params in choice_draws(trials, seed):
         reference = oracle.closed_form_overlap_sq(params)
-        rel_err = abs(loop_overlap_sq(params) - reference) / reference
+        rel_err = abs(oracle.transverse_overlap_sq(params) - reference) / reference
         if rel_err > max_err:
             max_err, worst = rel_err, params
         if rel_err >= oracle.VERIFY_TOLERANCE:
@@ -97,6 +123,60 @@ def random_params(count, seed):
         k_x, d_ky = rng.uniform(-3.0, 3.0, size=2) * math.sqrt(field)
         drawn.append(oracle.OverlapParams(n, m, float(k_x), float(d_ky), field))
     return drawn
+
+
+def sweep_params(count, seed, reach=7.0):
+    """Indices up to MAX_ORACLE_INDEX and |q|, |delta| in [0.3, reach], random signs."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(count):
+        n, m = (int(v) for v in rng.integers(0, oracle.MAX_ORACLE_INDEX + 1, size=2))
+        field = float(10.0 ** rng.uniform(-0.3, 3.3))
+        signs = rng.choice((-1.0, 1.0), size=2)
+        k_x, d_ky = rng.uniform(0.3, reach, size=2) * signs * math.sqrt(field)
+        drawn.append(oracle.OverlapParams(n, m, float(k_x), float(d_ky), field))
+    return drawn
+
+
+def rule_roundoff(params):
+    """First-order bound on the roundoff of the Gauss-Hermite amplitude's parts.
+
+    The term W_j exp(u_j^2) psi_m(a_j) psi_n(b_j) (cos, -sin)(q a_j), with
+    a_j = u_j - delta/2 and b_j = a_j + delta, carries a relative rounding
+    error of at most eps times the count of its roundings: u_j^2 + a_j^2/2 +
+    b_j^2/2 from the three exponentials' rounded arguments, |q a_j| from the
+    rounded phase, n + m from the recurrence steps, and 11 more: 3 from the
+    exponentials themselves, 2 from the tabulated weight and its product,
+    2 from the modes' normalization, 3 from the term's products and 1 from
+    the sine or cosine.  Summing the nodes' terms adds _NODES - 1 roundings
+    at most.  The bound on either part is eps times the sum over the nodes
+    of |W_j exp(u_j^2) psi_m psi_n| times that count.
+    """
+    nodes, weights = oracle._hermite_rule()
+    root_field = math.sqrt(params.field)
+    q, delta = params.k_x_neutral / root_field, params.delta_k_y / root_field
+    a = nodes - delta / 2.0
+    b = a + delta
+    size = np.abs(weights * loop_wavefunction(params.m, a) * loop_wavefunction(params.n, b))
+    roundings = (
+        nodes * nodes + (a * a + b * b) / 2.0 + np.abs(q * a) + params.n + params.m + 11.0
+        + (oracle._NODES - 1)
+    )
+    return EPS * float(np.sum(size * roundings))
+
+
+def exact_overlap_sq(params, mpmath):
+    """|A|^2 from the closed form at 40 digits, at the q and delta the rule rounds to."""
+    root_field = math.sqrt(params.field)
+    q, delta = params.k_x_neutral / root_field, params.delta_k_y / root_field
+    low, high = sorted((params.n, params.m))
+    with mpmath.workdps(40):
+        x = (mpmath.mpf(q) ** 2 + mpmath.mpf(delta) ** 2) / 2
+        weight = (
+            mpmath.factorial(low) / mpmath.factorial(high) * x ** (high - low) * mpmath.exp(-x)
+            * mpmath.laguerre(low, high - low, x) ** 2
+        )
+        return float(weight)
 
 
 class TestOverlapParams:
@@ -199,10 +279,10 @@ class TestVerifyClosedForm:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sign_draws_keep_the_choice_stream(self, monkeypatch, seed):
-        # the quadrature and the closed forms are stubbed out: only the draws count
+        # the amplitudes and the closed forms are stubbed out: only the draws count
         drawn = []
 
-        def record_draws(draws, rel_tol):
+        def record_draws(draws):
             drawn.extend(draws)
             return [1.0] * len(draws)
 
@@ -213,38 +293,18 @@ class TestVerifyClosedForm:
 
 
 class TestBatchedOracle:
-    """All trials share one quadrature per window stage, with the bits of the loop."""
+    """All trials share one evaluation of the rule, with the bits of each trial alone."""
 
     @pytest.mark.parametrize("seed", [0, 42, 20260808])
     def test_report_equals_one_trial_at_a_time(self, seed):
         assert oracle.verify_closed_form(100, seed) == loop_verification(100, seed)
 
-    def test_every_trial_bit_identical_over_several_doublings(self, monkeypatch):
-        # a narrow first window makes the trials converge after different
-        # numbers of doublings, so later stages run only some of them
-        monkeypatch.setattr(oracle, "_WINDOW_PAD", 0.5)
-        drawn = random_params(60, seed=3)
-        stages = []
-        integrate = quadrature.integrate
-
-        def counting(f, a, b, *args):
-            stages.append(len(a))
-            return integrate(f, a, b, *args)
-
-        monkeypatch.setattr(quadrature, "integrate", counting)
-        batched = oracle._overlap_sq_batch(drawn, 1e-9)
-        monkeypatch.setattr(quadrature, "integrate", integrate)
-        assert [v.hex() for v in batched] == [loop_overlap_sq(p).hex() for p in drawn]
-        # the starting windows take two intervals per trial, every doubling
-        # four: the two parts of its left and of its right strip
-        assert stages[0] == 2 * len(drawn) and stages[1] == 4 * len(drawn)
-        assert len(stages) > 3 and stages[1:] == sorted(stages[1:], reverse=True)
-        assert all(size % 4 == 0 for size in stages[1:])
-        assert stages[-1] < stages[1]
-
     def test_single_trial_is_the_batch_of_one(self):
-        for p in random_params(5, seed=8):
-            assert oracle.transverse_overlap_sq(p).hex() == loop_overlap_sq(p).hex()
+        drawn = random_params(60, seed=8)
+        batched = oracle._overlap_sq_batch(drawn)
+        assert [v.hex() for v in batched] == [
+            oracle.transverse_overlap_sq(p).hex() for p in drawn
+        ]
 
     def test_batched_closed_forms_keep_the_bits_of_each_call(self):
         drawn = random_params(200, seed=5)
@@ -252,48 +312,6 @@ class TestBatchedOracle:
         assert [v.hex() for v in batched] == [
             oracle.closed_form_overlap_sq(p).hex() for p in drawn
         ]
-
-    @pytest.mark.parametrize("pad", [8.0, 0.5])
-    def test_strips_add_up_to_one_quadrature_of_the_final_window(self, monkeypatch, pad):
-        # with a pad of 0.5 the trials run several doublings, so their
-        # amplitudes are sums of many strips
-        monkeypatch.setattr(oracle, "_WINDOW_PAD", pad)
-        rel_tol, eps = 1e-12, float(np.finfo(float).eps)
-        # every quadrature's error is within max(rel_tol |v|, _ABS_TOL,
-        # 50 eps mass), mass = int |f|, and the |f| of each part is at most
-        # |psi_m psi_n|, whose integral over any window is at most one
-        # (Cauchy-Schwarz on unit modes); so the pieces of one part, which
-        # tile the window, err by at most rel_tol + 50 eps + pieces *
-        # _ABS_TOL together, the one fresh quadrature by rel_tol + 50 eps +
-        # _ABS_TOL, and fsum rounds once more
-        pieces = 1 + 2 * oracle._MAX_DOUBLINGS
-        part_tol = 2.0 * (rel_tol + 50.0 * eps) + (pieces + 1) * oracle._ABS_TOL + eps
-        integrate = quadrature.integrate
-        for p in random_params(40, seed=17):
-            ends = []
-
-            def recording(f, a, b, *args):
-                ends.extend(zip(a, b))
-                return integrate(f, a, b, *args)
-
-            monkeypatch.setattr(quadrature, "integrate", recording)
-            assembled = oracle.transverse_overlap_sq(p, rel_tol) * p.field
-            monkeypatch.setattr(quadrature, "integrate", integrate)
-            lo, hi = min(a for a, _ in ends), max(b for _, b in ends)
-
-            delta = p.delta_k_y / math.sqrt(p.field)
-            q = p.k_x_neutral / math.sqrt(p.field)
-
-            def product(r):
-                return loop_wavefunction(p.m, r) * loop_wavefunction(p.n, r + delta)
-
-            (re, im), _ = quadrature.integrate(
-                lambda r, i: np.where(i[:, None] == 0, np.cos(q * r), -np.sin(q * r)) * product(r),
-                [lo, lo], [hi, hi], rel_tol, oracle._ABS_TOL,
-            )
-            fresh = re * re + im * im
-            bound = 2.0 * part_tol * (abs(re) + abs(im) + part_tol) + 4.0 * eps * fresh
-            assert abs(assembled - fresh) <= bound, (p, assembled, fresh)
 
     def test_per_point_modes_match_each_order_alone(self):
         rng = np.random.default_rng(13)
@@ -304,3 +322,39 @@ class TestBatchedOracle:
             alone = transverse_wavefunction(n, 1.0, rho)
             assert np.array_equal(alone, loop_wavefunction(n, rho))
             assert np.array_equal(modes[order == n], alone[order == n])
+
+
+class TestHermiteRule:
+    """The fixed rule against the exact closed form and the adaptive reference."""
+
+    DRAWS = {
+        "verify-seeds-0-7": lambda: [p for s in range(8) for p in choice_draws(100, s)],
+        "reach-7-index-12": lambda: sweep_params(400, seed=29),
+    }
+
+    @pytest.mark.parametrize("draws", list(DRAWS))
+    def test_within_its_roundoff_of_the_closed_form_and_the_adaptive_reference(self, draws):
+        mpmath = pytest.importorskip("mpmath")
+        drawn = self.DRAWS[draws]()
+        for p, value in zip(drawn, oracle._overlap_sq_batch(drawn)):
+            exact = exact_overlap_sq(p, mpmath)
+            # first order in the parts' roundoff d, whose own squares add
+            # 2 d^2; |A_re| + |A_im| <= sqrt(2) |A|; squaring, adding and
+            # dividing by the field round four times more
+            d = rule_roundoff(p)
+            bound = (2.0 * math.sqrt(2.0 * exact) * d + 2.0 * d * d + 4.0 * EPS * exact) / p.field
+            assert abs(value - exact / p.field) <= bound, (p, value, exact, bound)
+            reference, reference_error = loop_overlap_sq(p)
+            assert abs(value - reference) <= bound + reference_error, (p, value, reference)
+
+    def test_import_of_the_command_line_leaves_the_rule_unbuilt(self):
+        # numpy.polynomial and the rule are built on the oracle's first use
+        src = os.path.dirname(os.path.dirname(magdecay.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = "import sys, magdecay.cli; print('numpy.polynomial' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "False\n"

@@ -154,6 +154,27 @@ class TestDecayRate:
         with pytest.raises(ValueError, match="rel_tol"):
             decay_rate(MUON, state, rel_tol=0.0)
 
+    @pytest.mark.parametrize("coupling", [1e-160, 1e-155], ids=["zero", "subnormal"])
+    def test_underflowing_prefactor_rejected(self, coupling):
+        # G^2/(8 pi omega) is 0 at G = 1e-160 and 2.7e-314 MeV at 1e-155
+        channel = DecayChannel(m_parent=M_MU, coupling=coupling)
+        with pytest.raises(ValueError, match=r"prefactor .* below the normal float range"):
+            decay_rate(channel, magnetized(1e4, 30))
+
+    @pytest.mark.parametrize("field", [1e210, 1e220, 1e300])
+    def test_underflowing_width_rejected(self, field):
+        # the lowest-level width is 2.2e-298 MeV at 1e200 MeV^2 and falls
+        # as field^-3/2: below the normal range (subnormal, then zero)
+        # from about 5e206 MeV^2 on
+        with pytest.raises(ValueError, match=r"width Gamma = .* below the normal float range"):
+            decay_rate(MUON, MagnetizedState(field=field, level=0))
+
+    def test_width_just_above_the_normal_floor_kept(self):
+        field = 1e206
+        result = decay_rate(MUON, MagnetizedState(field=field, level=0))
+        assert 2.2250738585072014e-308 < result.gamma_total < 1e-306
+        assert abs(result.ratio - lll_ratio_exact(MUON, field)) <= 1e-9 * result.ratio
+
     def test_massive_charged_daughter(self):
         heavy_e = DecayChannel(m_parent=M_MU, m_charged=30.0)
         result = decay_rate(heavy_e, magnetized(1e4, 30))
