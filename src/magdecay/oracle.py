@@ -25,7 +25,6 @@ and :func:`closed_form_overlap_sq`, calls for that trial alone, give it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +53,76 @@ VERIFY_TOLERANCE = 1e-6
 # nodes of the Gauss-Hermite rule of the amplitude: it is exact through
 # degree 119, far above the degree 2 MAX_ORACLE_INDEX of the modes' product
 _NODES = 60
+# the positive half of the rule's nodes u_j, ascending, and the scaled
+# weights W_j exp(u_j^2) of those nodes.  Written by
+# ``scripts/gauss_hermite.py 60`` (40-digit arithmetic, nearest doubles).
+_HALF_NODES = (
+    0.14280123870343886,
+    0.42850006422062753,
+    0.7144887816725786,
+    1.000963499560718,
+    1.2881246748688937,
+    1.5761790119750203,
+    1.8653415312330317,
+    2.155837871229211,
+    2.4479069023076856,
+    2.741803748069692,
+    3.0378033382307494,
+    3.336204653547587,
+    3.6373358761707317,
+    3.9415607339261847,
+    4.249286435956007,
+    4.560973757935836,
+    4.877150077473151,
+    5.198426534576294,
+    5.525521086138684,
+    5.859290196394235,
+    6.200773557993438,
+    6.551259167062921,
+    6.912381532189319,
+    7.286276594395599,
+    7.675839937504888,
+    8.085188654249022,
+    8.52056928411763,
+    8.992398001404945,
+    9.520903677013319,
+    10.159109246180087,
+)
+_HALF_WEIGHTS = (
+    0.28561852135014937,
+    0.2858113584763172,
+    0.2861987315618609,
+    0.28678408219184687,
+    0.2875726848285672,
+    0.28857178792100996,
+    0.28979081369461823,
+    0.29124162795309677,
+    0.2929388959665151,
+    0.2949005469273087,
+    0.2971483783556906,
+    0.2997088444915156,
+    0.3026140910965243,
+    0.30590332637412804,
+    0.3096246590896687,
+    0.31383759920069243,
+    0.3186165185782841,
+    0.3240555369342378,
+    0.33027558140722346,
+    0.33743486517671123,
+    0.3457449391798057,
+    0.3554962157972064,
+    0.36710041248668246,
+    0.3811651019964105,
+    0.39863393572017014,
+    0.42107475305944797,
+    0.4513462762506833,
+    0.4954270648433433,
+    0.5689843746394151,
+    0.7372410202542967,
+)
+# the whole rule, ascending in u and symmetric about 0 by construction
+_RULE_NODES = np.concatenate((-np.array(_HALF_NODES[::-1]), _HALF_NODES))
+_RULE_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -131,19 +200,6 @@ def transverse_overlap_sq(params: OverlapParams) -> float:
     return _overlap_sq_batch([params])[0]
 
 
-@functools.cache
-def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u_j and weights W_j exp(u_j^2) of the ``_NODES``-point Gauss-Hermite rule.
-
-    Built on first use, not at import: importing ``numpy.polynomial`` and
-    building the rule take about 5 ms, which every command would pay.
-    """
-    from numpy.polynomial.hermite import hermgauss
-
-    nodes, weights = hermgauss(_NODES)
-    return nodes, weights * np.exp(nodes * nodes)
-
-
 def _overlap_sq_batch(trials: list[OverlapParams]) -> list[float]:
     """:func:`transverse_overlap_sq` of every trial, with its bits.
 
@@ -151,18 +207,17 @@ def _overlap_sq_batch(trials: list[OverlapParams]) -> list[float]:
     recurrence with a per-point order, and each trial's row of terms is
     summed alone along the nodes, so each trial gets the bits it gets alone.
     """
-    nodes, weights = _hermite_rule()
     n = np.array([p.n for p in trials]).repeat(_NODES)
     m = np.array([p.m for p in trials]).repeat(_NODES)
     field = np.array([p.field for p in trials])
     root_field = np.sqrt(field)
     q = np.array([p.k_x_neutral for p in trials]) / root_field
     delta = np.array([p.delta_k_y for p in trials]) / root_field
-    rho = nodes - delta[:, None] / 2.0
+    rho = _RULE_NODES - delta[:, None] / 2.0
     modes = landau.oscillator_modes(
         np.concatenate((m, n)), np.concatenate((rho.ravel(), (rho + delta[:, None]).ravel()))
     )
-    product = weights * (modes[: rho.size] * modes[rho.size :]).reshape(rho.shape)
+    product = _RULE_WEIGHTS * (modes[: rho.size] * modes[rho.size :]).reshape(rho.shape)
     phase = q[:, None] * rho
     re = (product * np.cos(phase)).sum(axis=1)
     im = -(product * np.sin(phase)).sum(axis=1)

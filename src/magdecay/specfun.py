@@ -36,8 +36,22 @@ min(n_i, m).  A 1-D ``x`` holds one point per row; a 2-D ``x`` holds a row
 of points per level (the level sum passes one quadrature panel's 61 points
 per row), so the product and the seed's per-level work are kept once per
 row.  Every point gets the bits it would get as a one-point row of its
-own.  ``overlap_weight`` is a one-row call and ``overlap_completeness_sum``
-a one-point-per-row call.
+own.  ``overlap_weight`` is a one-row call.
+
+:func:`overlap_completeness_sum` needs every level at one (m, x) instead,
+and takes them from a second recurrence, across levels: the amplitudes
+D_n = <n|D(sqrt x)|m>, with w = D_n^2, obey
+
+    sqrt(x(n+1)) D_{n+1} = (n - m + x) D_n - sqrt(x n) D_{n-1},
+
+so a row of N levels costs O(N) steps where the kernel above takes
+min(n, m) steps per level.  ``_overlap_row`` runs it forward to the upper
+turning point (sqrt(m) + sqrt(x))^2 and backward past it, where the
+wanted solution is the minimal one (Miller's algorithm; Gil, Segura and
+Temme, *Numerical Methods for Special Functions*, SIAM 2007, ch. 4).  Its
+iterates carry a binary exponent each, so D_0, which is below the float
+range for large m or small x (about 2^-1519 at m = 300, x = 0.1), is
+carried without underflow.
 
 The normalized recurrence of earlier versions divided by sqrt((j+1)(j+1+d))
 at every step; the monic one rounds differently, which moved Gamma and the
@@ -65,6 +79,16 @@ MAX_OVERLAP_INDEX = 10_000
 MAX_OVERLAP_ARGUMENT = 1400.0
 # the completeness sum stops after 8 consecutive weights below this
 _COMPLETENESS_TAIL = 1e-16
+# logarithms of the thresholds of _tail_levels: where the stop rule's weights
+# are surely below _COMPLETENESS_TAIL, and where Miller's backward run starts
+_LOG_TAIL = -math.log(0.5 * _COMPLETENESS_TAIL)
+_LOG_MILLER = -math.log(1e-40)
+# the values of z - 1 at which _tail_levels evaluates its bound
+_TAIL_GRID = tuple(4.0**k for k in range(-3, 12))
+# the row's iterates are rescaled by a power of two once they leave this
+# range; a step changes them by at most a factor 2**552 (at x = 5e-324)
+_SMALL = 2.0**-400
+_BIG = 2.0**400
 # steps between renormalizations of the monic recurrence: psi stays below
 # sqrt(2e8)**32 ~ 7e132 at the index cap, since |phi| <= 1 and every
 # j(j+d) <= 1e4 * 2e4
@@ -205,25 +229,125 @@ def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
 
     Unitarity of the displacement makes the full sum exactly one; the
     weights die off super-exponentially once n is past the peak near m + x,
-    so truncation is safe after a run of 8 sub-1e-16 terms beyond it.
-    The weights are evaluated a block of levels at a time, each block twice
-    as long as the one before, until that rule fires.  Returns (total, last
-    n included).
+    so truncation is safe after a run of 8 sub-1e-16 terms beyond it.  The
+    weights are one row of :func:`_overlap_row`, summed with ``math.fsum``
+    in ascending n, never rescaled by their own sum; levels above
+    ``MAX_OVERLAP_INDEX`` are left out.  Returns (total, last n included).
     """
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
-    terms: list[float] = []
-    consecutive_small = 0
-    n = 0
-    block = int(m + x) + 64
-    while n <= MAX_OVERLAP_INDEX:
-        stop = min(n + block, MAX_OVERLAP_INDEX + 1)
-        weights = overlap_weight_rows(np.arange(n, stop), m, np.full(stop - n, float(x)))
-        for w in weights.tolist():
-            terms.append(w)
-            consecutive_small = consecutive_small + 1 if w < _COMPLETENESS_TAIL else 0
-            if consecutive_small >= 8 and n > m + x:
-                return math.fsum(terms), n
-            n += 1
-        block *= 2
-    return math.fsum(terms), MAX_OVERLAP_INDEX
+    if m < 0:
+        raise ValueError(f"indices must be nonnegative, got m={m}")
+    if m > MAX_OVERLAP_INDEX:
+        raise ValueError(f"indices above cap {MAX_OVERLAP_INDEX}")
+    if x < 0.0:
+        raise ValueError("argument must be nonnegative")
+    if x > MAX_OVERLAP_ARGUMENT:
+        raise ValueError(f"argument above cap {MAX_OVERLAP_ARGUMENT}")
+    weights = _overlap_row(m, x)[: MAX_OVERLAP_INDEX + 1]
+    small = 0
+    for n, w in enumerate(weights):
+        small = small + 1 if w < _COMPLETENESS_TAIL else 0
+        if small >= 8 and n > m + x:
+            break
+    return math.fsum(weights[: n + 1]), n
+
+
+def _tail_levels(m: int, x: float) -> tuple[int, int]:
+    """Levels beyond which w(n, m, x) is below 1e-16 / 2 and below 1e-40.
+
+    For every z > 1, w(n, m, x) z^n is at most the generating function
+    z^m exp(x(z-1)) L_m(-x(z-1)^2/z), and L_m(-y) <= I_0(2 sqrt(m y)) <=
+    exp(2 sqrt(m y)), so ln w(n, m, x) <= (m - n) ln z + x(z-1) +
+    2 sqrt(m x) (z-1)/sqrt(z).  The bound falls with n; each level returned
+    is the least n at which it is below its threshold for some z on a
+    geometric grid.
+    """
+    root = 2.0 * math.sqrt(m * x)
+    below_tail = below_miller = math.inf
+    for u in _TAIL_GRID:
+        rise = (x + root / math.sqrt(1.0 + u)) * u
+        log_z = math.log1p(u)
+        below_tail = min(below_tail, (rise + _LOG_TAIL) / log_z)
+        below_miller = min(below_miller, (rise + _LOG_MILLER) / log_z)
+    return m + math.ceil(below_tail), m + math.ceil(below_miller)
+
+
+def _overlap_row(m: int, x: float) -> list[float]:
+    """w(n, m, x) for n = 0 .. N at one (m, x), N the last level the stop rule can reach.
+
+    The amplitudes D_n = <n|D(sqrt x)|m>, with w = D_n^2, obey
+
+        sqrt(x(n+1)) D_{n+1} = (n - m + x) D_n - sqrt(x n) D_{n-1},
+
+    from D_{-1} = 0 and D_0 = exp(-x/2) prod_{k<=m} sqrt(x/k).  Up to the
+    upper turning point (sqrt(m) + sqrt(x))^2 they run forward; past it the
+    wanted solution is the minimal one, so that part runs backward (Miller's
+    algorithm) from a level where w < 1e-40, which leaves an error of about
+    that size in every weight, and is scaled to meet the forward values at
+    the turning point and the level after it.  Each iterate is a mantissa
+    times 2 to an integer exponent, rescaled by exact powers of two, so a
+    weight is 0 only when it is below the float range.  Every weight from
+    the first level of :func:`_tail_levels` on is below 1e-16 / 2, so the
+    completeness stop rule fires by 7 levels later, or at the first level
+    past m + x: N is the later of the two.
+    """
+    if x == 0.0:
+        return [0.0] * m + [1.0] + [0.0] * 8
+    quiet, start = _tail_levels(m, x)
+    last = max(quiet + 7, int(m + x) + 1)
+    start = max(start, last + 1)
+    turn = int((math.sqrt(m) + math.sqrt(x)) ** 2)
+
+    # the seed as a product: its roundings are m independent ulps, where the
+    # logarithm of D_0 would carry an absolute error of about m ln(m) ulps;
+    # a tiny x is lifted by 2**128 so that x / k stays a normal float, and
+    # the exponent takes back the 2**64 of each factor
+    lift = 64 if x < _SMALL else 0
+    lifted = math.ldexp(x, 2 * lift)
+    cur, scale = math.exp(-0.5 * x), -lift * m
+    for k in range(1, m + 1):
+        cur *= math.sqrt(lifted / k)
+        if not _SMALL < cur < _BIG:
+            cur, shift = math.frexp(cur)
+            scale += shift
+
+    # forward: D_0 .. D_turn kept, and D_turn, D_turn+1 left in (prev, cur)
+    weights = []
+    prev, root = 0.0, 0.0
+    for n in range(turn + 1):
+        weights.append(math.ldexp(cur * cur, 2 * scale))
+        root_next = math.sqrt(x * (n + 1))
+        prev, cur = cur, ((n - m + x) * cur - root * prev) / root_next
+        root = root_next
+        if abs(cur) > _BIG:
+            cur, shift = math.frexp(cur)
+            prev = math.ldexp(prev, -shift)
+            scale += shift
+
+    # backward from B_start+1 = 0 and B_start = 1: B_turn+1 .. B_last kept
+    # with the exponent each had, and B_turn, B_turn+1 left in (low, high)
+    high, low, back_scale = 0.0, 1.0, 0
+    tail, tail_scale = [], []
+    root = math.sqrt(x * (start + 1))
+    for n in range(start, turn, -1):
+        if n <= last:
+            tail.append(low)
+            tail_scale.append(back_scale)
+        root_next = math.sqrt(x * n)
+        high, low = low, ((n - m + x) * low - root * high) / root_next
+        root = root_next
+        if abs(low) > _BIG:
+            low, shift = math.frexp(low)
+            high = math.ldexp(high, -shift)
+            back_scale += shift
+
+    # the least-squares factor that takes (B_turn, B_turn+1) onto
+    # (D_turn, D_turn+1); two levels, since one of them may be near a node
+    factor, shift = math.frexp((prev * low + cur * high) / (low * low + high * high))
+    shift += scale - back_scale
+    weights.extend(
+        math.ldexp((factor * b) ** 2, 2 * (s + shift))
+        for b, s in zip(reversed(tail), reversed(tail_scale))
+    )
+    return weights

@@ -5,18 +5,69 @@ log factorial ratio of the closed-form weight, the overlap weight by the
 normalized one-point recurrence, a one-panel Gauss-Kronrod evaluation, the
 field-scaled transverse wavefunction and the classical centripetal
 acceleration.  Tests cross-check the production paths in
-``magdecay`` against them; the package never calls them.
+``magdecay`` against them; the package never calls them.  The stated
+error bound of a completeness row, which the row's tests derive their
+tolerances from, lives here too.
 """
 
 import math
 
 import numpy as np
 
-from magdecay import landau, quadrature
+from magdecay import landau, quadrature, specfun
 from magdecay.specfun import MAX_OVERLAP_INDEX
 
 # the highest order hermite and transverse_wavefunction accept
 MAX_HERMITE_ORDER = 200
+
+EPS = float(np.finfo(float).eps)
+# relative error a step of specfun._overlap_row adds to a weight w = D^2,
+# in units of EPS: a forward or backward step rounds n - m + x, its product
+# with D_n, x(n+1), the square root (half an ulp, plus half the error of
+# its argument), the product with D_{n-1}, the difference and the
+# quotient, 7.5 half-ulps of D, so 7.5 EPS of w; a seed factor rounds
+# x / k, its square root and the product, 3.5 EPS of w
+ROW_STEP_ROUNDINGS = 8.0
+# Miller's algorithm started where w < 1e-40 leaves an absolute error of
+# about twice that in every weight
+ROW_MILLER_ERROR = 2e-40
+
+
+def row_steps(m: int, x: float, row) -> int:
+    """Recurrence steps behind ``specfun._overlap_row(m, x)``: m seed
+    factors, the forward run and the backward run from Miller's start."""
+    start = specfun._tail_levels(m, x)[1]
+    return m + max(start, len(row)) + 1
+
+
+def row_bounds(m: int, x: float, row) -> np.ndarray:
+    """First-order bounds on the error of each weight of ``specfun._overlap_row(m, x)``.
+
+    Every step adds at most ROW_STEP_ROUNDINGS * EPS relative error to the
+    iterates, and the S steps of the row add up, so a weight is off by at
+    most 8 S EPS of itself.  Inside the oscillation band D_n can sit near
+    a node, where the error is relative to its neighbours instead, so the
+    bound is 8 S EPS (w_{n-1} + w_n + w_{n+1}), plus Miller's error.
+    """
+    w = np.asarray(row, dtype=float)
+    around = w.copy()
+    around[1:] += w[:-1]
+    around[:-1] += w[1:]
+    return ROW_STEP_ROUNDINGS * row_steps(m, x, row) * EPS * around + ROW_MILLER_ERROR
+
+
+def past_row(f, last: int) -> float:
+    """A bound on the sum of f(n) w(n, m, x) over the levels n > last past a row.
+
+    ``specfun._tail_levels`` bounds w by C z^(-n) for some z on its grid,
+    below 1e-16 / 2 from 7 levels before the row's last one on, so
+    w(last + j) <= 1e-16 / 2 * z^-(j + 7); its grid has z >= 1 + 1/64.
+    ``f`` takes an array of levels and must be nonnegative.
+    """
+    ratio = 1.0 / (1.0 + min(specfun._TAIL_GRID))
+    j = np.arange(1, 60_001)
+    weight = 0.5 * specfun._COMPLETENESS_TAIL * ratio ** (j + 7.0)
+    return float(np.sum(f((last + j).astype(float)) * weight))
 
 
 def hermite(n: int, rho):

@@ -18,7 +18,7 @@ from magdecay import (
     rate,
     specfun,
 )
-from reference_paths import gauss_kronrod_panel
+from reference_paths import gauss_kronrod_panel, row_bounds
 
 M_MU = 105.7
 MUON = DecayChannel(m_parent=M_MU)
@@ -134,6 +134,10 @@ class TestRowKernel:
 
     @pytest.mark.parametrize("m,x", [(10, 3.0), (40, 25.0), (120, 60.0), (0, 100.0)])
     def test_completeness_sum_matches_term_by_term(self, m, x):
+        # the completeness row stops at the level where the kernel's own
+        # weights, one point per row, stop, and each of its weights is
+        # within the kernel's gated error (TestOverlapAccuracy: 1e-11 over
+        # n, m <= 700 and x <= 1400) plus the row's own bound
         terms, small, n = [], 0, 0
         while True:
             w = one_row(n, m, x)
@@ -142,7 +146,10 @@ class TestRowKernel:
             if small >= 8 and n > m + x:
                 break
             n += 1
-        assert specfun.overlap_completeness_sum(m, x) == (math.fsum(terms), n)
+        row = specfun._overlap_row(m, x)
+        assert specfun.overlap_completeness_sum(m, x) == (math.fsum(row[: n + 1]), n)
+        gap = np.abs(np.array(row[: n + 1]) - terms)
+        assert np.all(gap <= 1e-11 + row_bounds(m, x, row)[: n + 1])
 
 
 class TestPanelRule:

@@ -38,17 +38,12 @@ GOLDEN_RATE_1E4_30 = (
 )
 GOLDEN_VERIFY_3_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,6.3556710173612731e-14,9.9999999999999995e-07\n"
+    "overlap_closed_form,true,max_rel_err,2.9472670017416634e-14,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
-    "overlap_completeness,true,max_abs_dev,5.1958437552457326e-14,1e-10\n"
+    "overlap_completeness,true,max_abs_dev,2.2204460492503131e-14,1e-10\n"
 )
-# 100 trials: the worst overlap trial is no longer among the first three
-GOLDEN_VERIFY_100_0 = (
-    "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,7.6712114879030616e-14,9.9999999999999995e-07\n"
-    "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
-    "overlap_completeness,true,max_abs_dev,5.1958437552457326e-14,1e-10\n"
-)
+# 100 trials: the worst overlap trial is among the first three
+GOLDEN_VERIFY_100_0 = GOLDEN_VERIFY_3_0
 # JSON Lines keep each record's key order and print floats by repr
 GOLDEN_TABLE_JSON = (
     '{"p_perp2_MeV2":30000.0,"m":65,"ratio":1.0009370936443764,"radius_m":1.4924408868053397e-13,"acceleration_m_s2":4.3879168510675274e+29,"lambda_dB_m":7.158231031915559e-15,"B_gauss":3.871170257486085e+16}\n'
@@ -57,9 +52,9 @@ GOLDEN_TABLE_JSON = (
     '{"p_perp2_MeV2":1000.0,"m":5,"ratio":1.000026039656473,"radius_m":6.864029720541441e-14,"acceleration_m_s2":1.075679331546185e+29,"lambda_dB_m":3.920724608013635e-14,"B_gauss":1.536737284032355e+16}\n'
 )
 GOLDEN_VERIFY_3_0_JSON = (
-    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":6.355671017361273e-14,"threshold":1e-06}\n'
+    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":2.9472670017416634e-14,"threshold":1e-06}\n'
     '{"check":"lowest_level_equivalence","passed":true,"metric":"max_rel_err","value":2.9144446318191227e-16,"threshold":1e-07}\n'
-    '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":5.1958437552457326e-14,"threshold":1e-10}\n'
+    '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":2.220446049250313e-14,"threshold":1e-10}\n'
 )
 # 636 levels in one multi-interval quadrature
 GOLDEN_RATE_1E4_300 = (

@@ -152,7 +152,7 @@ def rule_roundoff(params):
     at most.  The bound on either part is eps times the sum over the nodes
     of |W_j exp(u_j^2) psi_m psi_n| times that count.
     """
-    nodes, weights = oracle._hermite_rule()
+    nodes, weights = oracle._RULE_NODES, oracle._RULE_WEIGHTS
     root_field = math.sqrt(params.field)
     q, delta = params.k_x_neutral / root_field, params.delta_k_y / root_field
     a = nodes - delta / 2.0
@@ -347,14 +347,18 @@ class TestHermiteRule:
             reference, reference_error = loop_overlap_sq(p)
             assert abs(value - reference) <= bound + reference_error, (p, value, reference)
 
-    def test_import_of_the_command_line_leaves_the_rule_unbuilt(self):
-        # numpy.polynomial and the rule are built on the oracle's first use
+    def test_verify_never_loads_numpy_polynomial(self):
+        # the rule is tabulated: a whole verify run builds it from literals
         src = os.path.dirname(os.path.dirname(magdecay.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        code = "import sys, magdecay.cli; print('numpy.polynomial' in sys.modules)"
-        out = subprocess.run(
+        code = (
+            "import sys, magdecay.cli\n"
+            "code = magdecay.cli.main(['verify', '--trials', '3'])\n"
+            "print(code, 'numpy.polynomial' in sys.modules, file=sys.stderr)\n"
+        )
+        err = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, check=True,
-        ).stdout
-        assert out == "False\n"
+        ).stderr
+        assert err == "0 False\n"

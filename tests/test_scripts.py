@@ -1,7 +1,7 @@
 """Smoke tests of the scripts under ``scripts/``: they import the package's
 public names, so trimming the package surface must not break them; and the
-generator of the quadrature constants reproduces QUADPACK's and the
-package's."""
+generators of the quadrature constants reproduce QUADPACK's and the
+package's, and the oracle's Gauss-Hermite rule."""
 
 import importlib.util
 import math
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from magdecay import quadrature
+from magdecay import oracle, quadrature
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -80,3 +80,13 @@ def test_gauss_kronrod_reproduces_qk15(monkeypatch, capsys):
 def test_gauss_kronrod_writes_the_quadrature_constants(monkeypatch, capsys):
     constants = gauss_kronrod_constants(monkeypatch, capsys, 30)
     assert constants == (quadrature._XGK, quadrature._WGK, quadrature._WG)
+
+
+def test_gauss_hermite_writes_the_oracle_rule(monkeypatch, capsys):
+    pytest.importorskip("mpmath")
+    script = load("gauss_hermite")
+    monkeypatch.setattr(sys, "argv", ["gauss_hermite.py", str(oracle._NODES)])
+    assert script.main() == 0
+    printed = {}
+    exec(capsys.readouterr().out, printed)
+    assert (printed["NODES"], printed["WEIGHTS"]) == (oracle._HALF_NODES, oracle._HALF_WEIGHTS)

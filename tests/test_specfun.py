@@ -6,10 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from magdecay import specfun
 from reference_paths import (
+    EPS,
     MAX_HERMITE_ORDER,
+    ROW_MILLER_ERROR,
+    ROW_STEP_ROUNDINGS,
     hermite,
     laguerre_assoc,
     log_factorial_ratio,
+    past_row,
+    row_bounds,
+    row_steps,
     scalar_overlap,
 )
 
@@ -174,7 +180,8 @@ class TestOverlapWeight:
 
 class TestCompletenessSum:
     @pytest.mark.parametrize("m", [0, 5, 20])
-    @pytest.mark.parametrize("x", [0.1, 10.0, 100.0])
+    # 5e-324: the seed's factors x / k would underflow without the row's lift
+    @pytest.mark.parametrize("x", [0.1, 10.0, 100.0, 5e-324])
     def test_sums_to_one(self, m, x):
         total, n_used = specfun.overlap_completeness_sum(m, x)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -183,6 +190,147 @@ class TestCompletenessSum:
     def test_truncation_is_past_the_peak(self):
         _, n_used = specfun.overlap_completeness_sum(5, 50.0)
         assert n_used > 55
+
+    @pytest.mark.parametrize("m", [0, 3, 40])
+    def test_zero_argument_is_one_level(self, m):
+        assert specfun.overlap_completeness_sum(m, 0.0) == (1.0, m + 8)
+
+    def test_never_calls_the_level_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("overlap_weight_rows called")
+
+        monkeypatch.setattr(specfun, "overlap_weight_rows", refuse)
+        for m in (0, 5, 20, 50):
+            for x in (0.1, 1.0, 10.0, 100.0):
+                assert abs(specfun.overlap_completeness_sum(m, x)[0] - 1.0) < 1e-10
+
+    def test_high_level(self):
+        # a single row of O(n_max) steps, where the level kernel would take
+        # min(n, m) steps per level, about 3e7 in all
+        total, last = specfun.overlap_completeness_sum(5000, 100.0)
+        assert abs(total - 1.0) < 1e-10
+        assert 5100 < last < specfun.MAX_OVERLAP_INDEX
+
+    def test_levels_above_the_index_cap_are_left_out(self):
+        # at (5000, 1000) the upper turning point is (sqrt(5000) +
+        # sqrt(1000))^2 ~ 10,468 levels, past the cap: the sum stops there,
+        # while the whole row still sums to one
+        row = specfun._overlap_row(5000, 1000.0)
+        assert len(row) > specfun.MAX_OVERLAP_INDEX + 1
+        assert abs(math.fsum(row) - 1.0) < 1e-10
+        cap = specfun.MAX_OVERLAP_INDEX
+        assert specfun.overlap_completeness_sum(5000, 1000.0) == (math.fsum(row[: cap + 1]), cap)
+
+    @pytest.mark.parametrize(
+        "m,x,match",
+        [
+            (-1, 1.0, "nonnegative"),
+            (specfun.MAX_OVERLAP_INDEX + 1, 1.0, "above cap"),
+            (3, -1e-3, "nonnegative"),
+            (3, specfun.MAX_OVERLAP_ARGUMENT * 1.01, "above cap"),
+        ],
+        ids=["negative-level", "level-above-cap", "negative-argument", "argument-above-cap"],
+    )
+    def test_domain_errors(self, m, x, match):
+        with pytest.raises(ValueError, match=match):
+            specfun.overlap_completeness_sum(m, x)
+
+
+# the points every row identity runs on: D_0 is below the float range at
+# (300, 0.1), (2000, 100), (2000, 1000) and (4000, 50) (about 2^-1519 at
+# (300, 0.1)), and at (10000, 1400) the row passes the index cap; the
+# drawn ones span m <= 1e4 and 1e-4 <= x <= 1400
+ROW_POINTS = [(7, 3.3), (300, 0.1), (2000, 100.0), (2000, 1000.0), (4000, 50.0), (10000, 1400.0)]
+_draw = np.random.default_rng(20261018)
+ROW_POINTS += [
+    (int(10.0 ** _draw.uniform(0.0, 4.0)), float(10.0 ** _draw.uniform(-4.0, math.log10(1400.0))))
+    for _ in range(8)
+]
+# generating-function angles theta = 2 pi k / ROW_PHASES, so that the phase
+# n theta reduces exactly to the index n k mod ROW_PHASES
+ROW_PHASES = 1024
+
+
+class TestOverlapRow:
+    """Exact identities of a whole row of weights at one (m, x).
+
+    Every tolerance is the row's first-order error bound (``row_bounds``)
+    summed against the identity's terms, plus a bound on the levels past
+    the row (``past_row``) and the roundings of the test's own sums.
+    """
+
+    @pytest.mark.parametrize("m,x", ROW_POINTS)
+    def test_generating_function(self, m, x):
+        # sum_n w e^{i n theta} = e^{i(m theta + x sin theta)} e^{-y/2} L_m(y),
+        # y = 4 x sin^2(theta/2): the generating function of w on |z| = 1
+        mpmath = pytest.importorskip("mpmath")
+        row = specfun._overlap_row(m, x)
+        with mpmath.workdps(40):
+            turn = [2 * mpmath.pi * j / ROW_PHASES for j in range(ROW_PHASES)]
+            cos = [float(mpmath.cos(t)) for t in turn]
+            sin = [float(mpmath.sin(t)) for t in turn]
+        # the phase table and each product round once, the sums and the
+        # right side once more
+        tol = math.fsum(row_bounds(m, x, row)) + past_row(np.ones_like, len(row) - 1) + 4.0 * EPS
+        for k in np.random.default_rng(m).integers(1, ROW_PHASES, size=3).tolist():
+            re = math.fsum(w * cos[n * k % ROW_PHASES] for n, w in enumerate(row))
+            im = math.fsum(w * sin[n * k % ROW_PHASES] for n, w in enumerate(row))
+            with mpmath.workdps(40):
+                theta = 2 * mpmath.pi * k / ROW_PHASES
+                xm = mpmath.mpf(x)
+                y = 4 * xm * mpmath.sin(theta / 2) ** 2
+                exact = complex(
+                    mpmath.expj(m * theta + xm * mpmath.sin(theta))
+                    * mpmath.exp(-y / 2) * mpmath.laguerre(m, 0, y)
+                )
+            assert abs(complex(re, im) - exact) <= tol, (m, x, k, abs(complex(re, im) - exact), tol)
+
+    @pytest.mark.parametrize("m,x", ROW_POINTS)
+    def test_mean_and_variance(self, m, x):
+        # the first two theta-derivatives of the generating function at 0
+        row = specfun._overlap_row(m, x)
+        n = np.arange(len(row), dtype=float)
+        bounds = row_bounds(m, x, row)
+        mean = m + x
+        for f, exact in ((lambda v: v, mean), (lambda v: (v - mean) ** 2, x * (2 * m + 1))):
+            terms = f(n) * np.array(row)
+            # one more rounding in each term, and the fsum's own
+            tol = float(np.sum(f(n) * bounds)) + past_row(f, len(row) - 1)
+            tol += EPS * float(np.sum(terms)) + EPS * exact
+            assert abs(math.fsum(terms.tolist()) - exact) <= tol, (m, x, exact)
+
+    @pytest.mark.parametrize("m,x", [(300, 0.1), (2000, 100.0), (4000, 50.0), (0, 1400.0),
+                                     (10000, 1400.0)])
+    def test_tiny_weights_against_mpmath(self, m, x):
+        # outside the oscillation band D has no node, and a weight's error
+        # is relative: 8 S EPS of itself, plus Miller's error and, for a
+        # subnormal weight, half its spacing; picked are the three least
+        # nonzero weights below the band and the first, middle and last of
+        # the tail weights above it
+        mpmath = pytest.importorskip("mpmath")
+        row = specfun._overlap_row(m, x)
+        below, above = (math.sqrt(m) - math.sqrt(x)) ** 2, (math.sqrt(m) + math.sqrt(x)) ** 2
+        low = [n for n, w in enumerate(row) if 0.0 < w < 1e-300 and n < below][:3]
+        tail = [n for n, w in enumerate(row) if 1e-35 < w < 1e-16 and n > above]
+        assert len(low) == 3 and len(tail) >= 3
+        tail = [tail[0], tail[len(tail) // 2], tail[-1]]
+        relative = ROW_STEP_ROUNDINGS * row_steps(m, x, row) * EPS
+        for n in low + tail:
+            exact = mpmath_overlap(n, m, x, mpmath)
+            tol = relative * exact + ROW_MILLER_ERROR + 2.0**-1074
+            assert abs(row[n] - exact) <= tol, (n, row[n], exact)
+
+    @pytest.mark.parametrize("m", [1000, 2000, 4000])
+    def test_small_argument_near_the_diagonal(self, m):
+        # 1e-4 <= x <= 0.1 and |n - m| <= 1, where w is near 1 and the
+        # level kernel loses up to 2.6e-10
+        mpmath = pytest.importorskip("mpmath")
+        for x in np.geomspace(1e-4, 0.1, 7).tolist():
+            row = specfun._overlap_row(m, x)
+            bounds = row_bounds(m, x, row)
+            for n in (m - 1, m, m + 1):
+                exact = mpmath_overlap(n, m, x, mpmath)
+                assert abs(row[n] - exact) <= bounds[n], (n, m, x)
 
 
 def mpmath_overlap(n, m, x, mpmath):
