@@ -207,6 +207,24 @@ class TestLowestLevelClosedForms:
         assert lll_ratio_exact(MUON, 0.6 * M_MU**2) == pytest.approx(0.85928761040045309, rel=1e-10)
         assert lll_ratio_exact(MUON, M_MU**2) == pytest.approx(0.65475775396109592, rel=1e-10)
 
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-13])
+    @pytest.mark.parametrize(
+        "factor, exact, factored",
+        [
+            (0.6, "0x1.b7f48bb10e4d9p-1", "0x1.636d8958319cdp-4"),
+            (1.0, "0x1.4f3c68882171dp-1", "0x1.ab3d1a5ea3026p-4"),
+            (10.0, "0x1.8614a3b2d2369p-4", "0x1.044ec65202ed7p-5"),
+            (100.0, "0x1.460cbb9dec276p-7", "0x1.db069c004bfd6p-9"),
+            (1e6, "0x1.0c6f713f92621p-20", "0x1.8b01c774070d9p-22"),
+        ],
+    )
+    def test_pinned_bits(self, factor, exact, factored, rel_tol):
+        # both forms at eB/M^2 from the critical region to the strong-field
+        # limit, bit for bit: any change to their shared integral shows here
+        field = factor * M_MU**2
+        assert lll_ratio_exact(MUON, field, rel_tol).hex() == exact
+        assert lll_ratio_factored(MUON, field, rel_tol).hex() == factored
+
     def test_vanishes_at_strong_field(self):
         small = lll_ratio_exact(MUON, 1e6 * M_MU**2)
         tiny = lll_ratio_exact(MUON, 1e8 * M_MU**2)
