@@ -19,7 +19,7 @@ from .rate import (
     lll_ratio_exact,
     lll_ratio_factored,
 )
-from .specfun import overlap_completeness_sum, overlap_weight
+from .specfun import overlap_completeness_sum
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,5 @@ __all__ = [
     "lll_ratio_exact",
     "lll_ratio_factored",
     "overlap_completeness_sum",
-    "overlap_weight",
     "verify_closed_form",
 ]

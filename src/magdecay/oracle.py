@@ -1,8 +1,9 @@
 """Brute-force verification of the closed-form overlap weight.
 
 The production rate engine never integrates wavefunctions; it uses the
-compact expression ``overlap_weight(n, m, X)``.  This module recomputes the
-underlying object the slow way: the transverse overlap amplitude
+compact expression w(n, m, X) of ``specfun.overlap_weight_rows``.  This
+module recomputes the underlying object the slow way: the transverse
+overlap amplitude
 
     A = int dx exp(-i k_x x) I_m(rho_parent(x)) I_n(rho_daughter(x))
 
@@ -10,17 +11,19 @@ between two guiding-center-shifted Landau modes, by a fixed Gauss-Hermite
 rule over its real and imaginary parts.  The squared modulus, expressed
 per unit field, must equal
 
-    overlap_weight(n, m, X) / field,   X = (delta_k_y^2 + k_x^2) / (2 field),
+    w(n, m, X) / field,   X = (delta_k_y^2 + k_x^2) / (2 field),
 
 for every admissible parameter set.  Indices are capped low: this is a
 reference path, not a production path, and its amplitude uses neither
 the adaptive quadrature nor the overlap recurrence of production.
 
-:func:`verify_closed_form` draws all its trials first and evaluates them
-together: one oscillator recurrence gives both modes of every trial at
-every node, and the closed forms take one ``overlap_weight_rows`` call per
-parent level.  Each trial gets the bits that :func:`transverse_overlap_sq`
-and :func:`closed_form_overlap_sq`, calls for that trial alone, give it.
+Both sides take a list of trials and evaluate them together:
+:func:`transverse_overlap_sq` runs one oscillator recurrence that gives
+both modes of every trial at every node, and
+:func:`closed_form_overlap_sq` makes one ``overlap_weight_rows`` call per
+parent level.  Each trial gets the bits it gets in a list of its own, so
+:func:`verify_closed_form` draws all its trials first and passes them in
+one list.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau
-from .specfun import overlap_weight, overlap_weight_rows
+from .specfun import overlap_weight_rows
 
 __all__ = [
     "MAX_ORACLE_INDEX",
@@ -159,17 +162,12 @@ class OverlapParams:
         return (self.delta_k_y**2 + self.k_x_neutral**2) / (2.0 * self.field)
 
 
-def closed_form_overlap_sq(params: OverlapParams) -> float:
-    """The compact prediction overlap_weight(n, m, X)/field in 1/MeV^2."""
-    return overlap_weight(params.n, params.m, params.displacement_sq()) / params.field
-
-
-def _closed_form_batch(trials: list[OverlapParams]) -> list[float]:
-    """:func:`closed_form_overlap_sq` of every trial, with its bits.
+def closed_form_overlap_sq(trials: list[OverlapParams]) -> list[float]:
+    """The compact predictions w(n, m, X)/field of the trials, in 1/MeV^2.
 
     One ``overlap_weight_rows`` call per parent level m, its rows sorted by
     min(n, m); every row is one point, which gets the bits of its own
-    one-point call.
+    one-point call, so a trial gets the bits it gets as a list of one.
     """
     n = np.array([p.n for p in trials])
     m = np.array([p.m for p in trials])
@@ -182,8 +180,8 @@ def _closed_form_batch(trials: list[OverlapParams]) -> list[float]:
     return (weight / np.array([p.field for p in trials])).tolist()
 
 
-def transverse_overlap_sq(params: OverlapParams) -> float:
-    """|A|^2 per unit field by a fixed Gauss-Hermite rule, in 1/MeV^2.
+def transverse_overlap_sq(trials: list[OverlapParams]) -> list[float]:
+    """|A|^2 per unit field of each trial by a fixed Gauss-Hermite rule, in 1/MeV^2.
 
     Working in the dimensionless transverse coordinate, the amplitude is
 
@@ -196,16 +194,11 @@ def transverse_overlap_sq(params: OverlapParams) -> float:
     n + m, so one fixed Gauss-Hermite rule of ``_NODES`` nodes, exact
     through degree 2 ``_NODES`` - 1, integrates it up to the tail of the
     oscillating factor's series.
-    """
-    return _overlap_sq_batch([params])[0]
-
-
-def _overlap_sq_batch(trials: list[OverlapParams]) -> list[float]:
-    """:func:`transverse_overlap_sq` of every trial, with its bits.
 
     The modes of all trials at all nodes come from one oscillator
     recurrence with a per-point order, and each trial's row of terms is
-    summed alone along the nodes, so each trial gets the bits it gets alone.
+    summed alone along the nodes, so a trial gets the bits it gets as a
+    list of one.
     """
     n = np.array([p.n for p in trials]).repeat(_NODES)
     m = np.array([p.m for p in trials]).repeat(_NODES)
@@ -265,7 +258,7 @@ def verify_closed_form(trials: int, seed: int = 0) -> OverlapVerification:
     max_err = -1.0
     worst: OverlapParams | None = None
     failures: list[tuple[OverlapParams, float]] = []
-    compared = zip(draws, _overlap_sq_batch(draws), _closed_form_batch(draws))
+    compared = zip(draws, transverse_overlap_sq(draws), closed_form_overlap_sq(draws))
     for params, numeric, reference in compared:
         rel_err = abs(numeric - reference) / reference
         if rel_err > max_err:

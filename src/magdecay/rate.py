@@ -198,18 +198,7 @@ def lll_ratio_exact(
 
     x_max = M^2 / (2 sqrt(M^2 + field)).
     """
-    _lll_validate(channel, field)
-    m_sq = channel.m_parent**2
-    root_a = math.sqrt(1.0 + m_sq / field)
-    x_max = m_sq / (2.0 * math.sqrt(m_sq + field))
-    prefactor = 2.0 * math.exp(-(1.0 + m_sq / (2.0 * field))) / math.sqrt(field)
-
-    def integrand(x: np.ndarray, _) -> np.ndarray:
-        root_b = np.sqrt(1.0 + x * x / field)
-        return np.exp(root_a * root_b) / root_b
-
-    values, _ = quadrature.integrate(integrand, [0.0], [x_max], rel_tol)
-    return prefactor * values[0]
+    return _lll_ratio(channel, field, rel_tol, factored=False)
 
 
 def lll_ratio_factored(
@@ -224,17 +213,26 @@ def lll_ratio_factored(
     grows, and differs more below the critical field.  Kept for comparison
     scans; not used in any derived quantity.
     """
+    return _lll_ratio(channel, field, rel_tol, factored=True)
+
+
+def _lll_ratio(channel: DecayChannel, field: float, rel_tol: float, factored: bool) -> float:
+    """Both lowest-level forms: the integral of exp(c b)/b, b = sqrt(1 + x^2/field),
+    with c = sqrt(1 + M^2/field) in the exact form and c = 1, its exp(-c)
+    moved into the prefactor, in the factored one."""
     _lll_validate(channel, field)
     m_sq = channel.m_parent**2
     root_a = math.sqrt(1.0 + m_sq / field)
     x_max = m_sq / (2.0 * math.sqrt(m_sq + field))
-    prefactor = (
-        2.0 * math.exp(-(1.0 + m_sq / (2.0 * field))) * math.exp(-root_a) / math.sqrt(field)
-    )
+    prefactor = 2.0 * math.exp(-(1.0 + m_sq / (2.0 * field)))
+    if factored:
+        prefactor *= math.exp(-root_a)
+    prefactor /= math.sqrt(field)
+    c = 1.0 if factored else root_a
 
     def integrand(x: np.ndarray, _) -> np.ndarray:
         root_b = np.sqrt(1.0 + x * x / field)
-        return np.exp(root_b) / root_b
+        return np.exp(c * root_b) / root_b
 
     values, _ = quadrature.integrate(integrand, [0.0], [x_max], rel_tol)
     return prefactor * values[0]

@@ -1,6 +1,7 @@
 """Stable special-function evaluation for Landau-level overlap weights.
 
-The central object is :func:`overlap_weight`,
+The central object is the overlap weight, which
+:func:`overlap_weight_rows` evaluates,
 
     w(n, m, x) = (min(n,m)! / max(n,m)!) * exp(-x) * x**|n-m|
                  * L_min(n,m)^{|n-m|}(x)**2,
@@ -36,7 +37,7 @@ min(n_i, m).  A 1-D ``x`` holds one point per row; a 2-D ``x`` holds a row
 of points per level (the level sum passes one quadrature panel's 61 points
 per row), so the product and the seed's per-level work are kept once per
 row.  Every point gets the bits it would get as a one-point row of its
-own.  ``overlap_weight`` is a one-row call.
+own, so a single weight is a one-row call.
 
 :func:`overlap_completeness_sum` needs every level at one (m, x) instead,
 and takes them from a second recurrence, across levels: the amplitudes
@@ -68,7 +69,6 @@ import numpy as np
 __all__ = [
     "MAX_OVERLAP_INDEX",
     "MAX_OVERLAP_ARGUMENT",
-    "overlap_weight",
     "overlap_weight_rows",
     "overlap_completeness_sum",
 ]
@@ -98,23 +98,6 @@ _RENORM_STEPS = 32
 _TINY = 5e-324
 
 
-def overlap_weight(n: int, m: int, x):
-    """Squared Landau-state overlap w(n, m, x); scalar in, scalar out.
-
-    ``x`` may be a float or an ndarray: it is one row of
-    :func:`overlap_weight_rows`, at level ``n``.  Values are clipped to the
-    exact bound w <= 1, which the recurrence can overshoot by an ulp near
-    coincidence.
-    """
-    if n < 0 or m < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, m={m}")
-    if n > MAX_OVERLAP_INDEX or m > MAX_OVERLAP_INDEX:
-        raise ValueError(f"indices (n={n}, m={m}) above cap {MAX_OVERLAP_INDEX}")
-    xa = np.asarray(x, dtype=float)
-    w = overlap_weight_rows([n], m, xa.reshape(1, -1))
-    return float(w[0, 0]) if xa.ndim == 0 else w.reshape(xa.shape)
-
-
 def overlap_weight_rows(n, m: int, x) -> np.ndarray:
     """w(n_i, m, x_i) for a 1-D array of levels ``n`` and one row of ``x`` per level.
 
@@ -124,7 +107,8 @@ def overlap_weight_rows(n, m: int, x) -> np.ndarray:
     batch.  The rows must come in ascending order of k = min(n_i, m): they
     run through the recurrence together, so the rows still stepping at step
     j are a shrinking suffix of the work arrays and no step is spent on a
-    finished row.
+    finished row.  Values are clipped to the exact bound w <= 1, which the
+    recurrence can overshoot by an ulp near coincidence.
     """
     n = np.asarray(n, dtype=np.int64)
     x = np.asarray(x, dtype=float)
@@ -166,10 +150,7 @@ def _phi_ascending(k: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:
     # x == 0 handled exactly (0**0 == 1), with its logarithm kept finite
     # (the maximum leaves every positive x as it is)
     d_lo, d_hi = int(np.minimum.reduce(d)), int(np.maximum.reduce(d))
-    if d_lo == d_hi:
-        log_norm = math.lgamma(d_lo + 1)
-    else:
-        log_norm = spread(np.array([math.lgamma(v + 1) for v in range(d_lo, d_hi + 1)])[d - d_lo])
+    log_norm = spread(np.array([math.lgamma(v + 1) for v in range(d_lo, d_hi + 1)])[d - d_lo])
     df = spread(d.astype(float))
     log_phi0 = 0.5 * (df * np.log(np.maximum(x, _TINY)) - x) - 0.5 * log_norm
     at_zero = spread(d == 0)
@@ -231,8 +212,8 @@ def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
     weights die off super-exponentially once n is past the peak near m + x,
     so truncation is safe after a run of 8 sub-1e-16 terms beyond it.  The
     weights are one row of :func:`_overlap_row`, summed with ``math.fsum``
-    in ascending n, never rescaled by their own sum; levels above
-    ``MAX_OVERLAP_INDEX`` are left out.  Returns (total, last n included).
+    in ascending n, never rescaled by their own sum.  Returns (total, last
+    n included).
     """
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
@@ -244,7 +225,7 @@ def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
         raise ValueError("argument must be nonnegative")
     if x > MAX_OVERLAP_ARGUMENT:
         raise ValueError(f"argument above cap {MAX_OVERLAP_ARGUMENT}")
-    weights = _overlap_row(m, x)[: MAX_OVERLAP_INDEX + 1]
+    weights = _overlap_row(m, x)
     small = 0
     for n, w in enumerate(weights):
         small = small + 1 if w < _COMPLETENESS_TAIL else 0

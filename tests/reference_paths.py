@@ -5,7 +5,10 @@ log factorial ratio of the closed-form weight, the overlap weight by the
 normalized one-point recurrence, a one-panel Gauss-Kronrod evaluation, the
 field-scaled transverse wavefunction and the classical centripetal
 acceleration.  Tests cross-check the production paths in
-``magdecay`` against them; the package never calls them.  The stated
+``magdecay`` against them; the package never calls them.  ``row_weight``
+is the package's own weight at one level, a one-row call of
+``specfun.overlap_weight_rows``, for the tests that take w one level at a
+time.  The stated
 error bound of a completeness row, which the row's tests derive their
 tolerances from, lives here too.
 """
@@ -70,6 +73,12 @@ def past_row(f, last: int) -> float:
     return float(np.sum(f((last + j).astype(float)) * weight))
 
 
+def row_weight(n: int, m: int, x):
+    """w(n, m, x) at one level n: a float for a scalar ``x``, else an array of its shape."""
+    w = specfun.overlap_weight_rows([n], m, np.reshape(x, (1, -1)))
+    return float(w[0, 0]) if np.ndim(x) == 0 else w.reshape(np.shape(x))
+
+
 def hermite(n: int, rho):
     """Physicists' Hermite polynomial H_n(rho) by upward recurrence.
 
@@ -93,8 +102,8 @@ def hermite(n: int, rho):
 def laguerre_assoc(k: int, d: int, x):
     """Associated Laguerre polynomial L_k^d(x) by upward recurrence in k.
 
-    See ``specfun.overlap_weight`` for the bounded evaluation the package
-    uses.
+    See ``specfun.overlap_weight_rows`` for the bounded evaluation the
+    package uses.
     """
     if k < 0 or d < 0:
         raise ValueError(f"indices must be nonnegative, got k={k}, d={d}")

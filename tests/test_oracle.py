@@ -105,8 +105,8 @@ def loop_verification(trials, seed):
     """verify_closed_form with the oracle and the closed form called one trial at a time."""
     max_err, worst, failures = -1.0, None, []
     for params in choice_draws(trials, seed):
-        reference = oracle.closed_form_overlap_sq(params)
-        rel_err = abs(oracle.transverse_overlap_sq(params) - reference) / reference
+        reference = oracle.closed_form_overlap_sq([params])[0]
+        rel_err = abs(oracle.transverse_overlap_sq([params])[0] - reference) / reference
         if rel_err > max_err:
             max_err, worst = rel_err, params
         if rel_err >= oracle.VERIFY_TOLERANCE:
@@ -204,11 +204,11 @@ class TestNumericOverlap:
     def test_coincidence_gives_inverse_field(self):
         for field in (0.8, 3.3, 250.0):
             p = oracle.OverlapParams(n=0, m=0, k_x_neutral=0.0, delta_k_y=0.0, field=field)
-            assert oracle.transverse_overlap_sq(p) == pytest.approx(1.0 / field, rel=1e-11)
+            assert oracle.transverse_overlap_sq([p])[0] == pytest.approx(1.0 / field, rel=1e-11)
 
     def test_orthogonality_of_distinct_levels(self):
         p = oracle.OverlapParams(n=0, m=1, k_x_neutral=0.0, delta_k_y=0.0, field=2.0)
-        assert abs(oracle.transverse_overlap_sq(p)) < 1e-16
+        assert abs(oracle.transverse_overlap_sq([p])[0]) < 1e-16
 
     @pytest.mark.parametrize(
         "n,m,k_x,d_ky,field",
@@ -221,22 +221,22 @@ class TestNumericOverlap:
     )
     def test_matches_closed_form(self, n, m, k_x, d_ky, field):
         p = oracle.OverlapParams(n=n, m=m, k_x_neutral=k_x, delta_k_y=d_ky, field=field)
-        numeric = oracle.transverse_overlap_sq(p)
-        reference = oracle.closed_form_overlap_sq(p)
+        numeric = oracle.transverse_overlap_sq([p])[0]
+        reference = oracle.closed_form_overlap_sq([p])[0]
         assert numeric == pytest.approx(reference, rel=1e-8)
 
     def test_invariant_under_joint_sign_flip(self):
         base = oracle.OverlapParams(n=3, m=6, k_x_neutral=1.3, delta_k_y=-0.9, field=2.1)
         flipped = oracle.OverlapParams(n=3, m=6, k_x_neutral=-1.3, delta_k_y=0.9, field=2.1)
-        assert oracle.transverse_overlap_sq(base) == pytest.approx(
-            oracle.transverse_overlap_sq(flipped), rel=1e-11
+        assert oracle.transverse_overlap_sq([base])[0] == pytest.approx(
+            oracle.transverse_overlap_sq([flipped])[0], rel=1e-11
         )
 
     def test_depends_only_on_momentum_magnitude(self):
         a = oracle.OverlapParams(n=2, m=4, k_x_neutral=1.7, delta_k_y=0.6, field=3.0)
         b = oracle.OverlapParams(n=2, m=4, k_x_neutral=0.6, delta_k_y=1.7, field=3.0)
-        assert oracle.transverse_overlap_sq(a) == pytest.approx(
-            oracle.transverse_overlap_sq(b), rel=1e-9
+        assert oracle.transverse_overlap_sq([a])[0] == pytest.approx(
+            oracle.transverse_overlap_sq([b])[0], rel=1e-9
         )
 
 
@@ -286,8 +286,8 @@ class TestVerifyClosedForm:
             drawn.extend(draws)
             return [1.0] * len(draws)
 
-        monkeypatch.setattr(oracle, "_overlap_sq_batch", record_draws)
-        monkeypatch.setattr(oracle, "_closed_form_batch", lambda draws: [1.0] * len(draws))
+        monkeypatch.setattr(oracle, "transverse_overlap_sq", record_draws)
+        monkeypatch.setattr(oracle, "closed_form_overlap_sq", lambda draws: [1.0] * len(draws))
         oracle.verify_closed_form(100, seed)
         assert drawn == choice_draws(100, seed)
 
@@ -301,16 +301,16 @@ class TestBatchedOracle:
 
     def test_single_trial_is_the_batch_of_one(self):
         drawn = random_params(60, seed=8)
-        batched = oracle._overlap_sq_batch(drawn)
+        batched = oracle.transverse_overlap_sq(drawn)
         assert [v.hex() for v in batched] == [
-            oracle.transverse_overlap_sq(p).hex() for p in drawn
+            oracle.transverse_overlap_sq([p])[0].hex() for p in drawn
         ]
 
     def test_batched_closed_forms_keep_the_bits_of_each_call(self):
         drawn = random_params(200, seed=5)
-        batched = oracle._closed_form_batch(drawn)
+        batched = oracle.closed_form_overlap_sq(drawn)
         assert [v.hex() for v in batched] == [
-            oracle.closed_form_overlap_sq(p).hex() for p in drawn
+            oracle.closed_form_overlap_sq([p])[0].hex() for p in drawn
         ]
 
     def test_per_point_modes_match_each_order_alone(self):
@@ -336,7 +336,7 @@ class TestHermiteRule:
     def test_within_its_roundoff_of_the_closed_form_and_the_adaptive_reference(self, draws):
         mpmath = pytest.importorskip("mpmath")
         drawn = self.DRAWS[draws]()
-        for p, value in zip(drawn, oracle._overlap_sq_batch(drawn)):
+        for p, value in zip(drawn, oracle.transverse_overlap_sq(drawn)):
             exact = exact_overlap_sq(p, mpmath)
             # first order in the parts' roundoff d, whose own squares add
             # 2 d^2; |A_re| + |A_im| <= sqrt(2) |A|; squaring, adding and

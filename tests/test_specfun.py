@@ -16,6 +16,7 @@ from reference_paths import (
     past_row,
     row_bounds,
     row_steps,
+    row_weight,
     scalar_overlap,
 )
 
@@ -101,17 +102,17 @@ class TestLogFactorialRatio:
 class TestOverlapWeight:
     def test_coincidence_is_exactly_one(self):
         for n in (0, 1, 7, 150):
-            assert specfun.overlap_weight(n, n, 0.0) == 1.0
+            assert row_weight(n, n, 0.0) == 1.0
 
     def test_distinct_levels_vanish_at_zero(self):
         for n, m in ((0, 1), (3, 9), (40, 41)):
-            assert specfun.overlap_weight(n, m, 0.0) == 0.0
+            assert row_weight(n, m, 0.0) == 0.0
 
     def test_ground_state_value(self):
-        assert specfun.overlap_weight(0, 0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert row_weight(0, 0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_completeness_sum_small(self):
-        total = math.fsum(specfun.overlap_weight(n, 2, 3.7) for n in range(201))
+        total = math.fsum(row_weight(n, 2, 3.7) for n in range(201))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 4, 9, 15])
@@ -122,7 +123,7 @@ class TestOverlapWeight:
         naive = math.exp(log_factorial_ratio(n, m) - x + d * math.log(x)) * (
             laguerre_assoc(k, d, x) ** 2
         )
-        assert specfun.overlap_weight(n, m, x) == pytest.approx(naive, rel=1e-10, abs=1e-300)
+        assert row_weight(n, m, x) == pytest.approx(naive, rel=1e-10, abs=1e-300)
 
     def test_agrees_with_independent_library_path(self):
         # third, fully independent evaluation route; optional dependency
@@ -137,7 +138,7 @@ class TestOverlapWeight:
                 special.gammaln(k + 1) - special.gammaln(k + d + 1) - x + d * math.log(x)
             ) * lag * lag
             if reference > 1e-280:
-                assert specfun.overlap_weight(n, m, x) == pytest.approx(reference, rel=1e-11)
+                assert row_weight(n, m, x) == pytest.approx(reference, rel=1e-11)
 
     def test_bounded_on_large_random_sweep(self):
         # 200 index pairs x 500 arguments = 1e5 samples
@@ -145,33 +146,33 @@ class TestOverlapWeight:
         for _ in range(200):
             n, m = (int(v) for v in rng.integers(0, 301, size=2))
             x = rng.uniform(0.0, 500.0, size=500)
-            w = specfun.overlap_weight(n, m, x)
+            w = row_weight(n, m, x)
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
     @given(n=st.integers(0, 300), m=st.integers(0, 300), x=st.floats(0, 500))
     @settings(max_examples=200, deadline=None)
     def test_symmetry_bit_identical(self, n, m, x):
-        assert specfun.overlap_weight(n, m, x) == specfun.overlap_weight(m, n, x)
+        assert row_weight(n, m, x) == row_weight(m, n, x)
 
     def test_scalar_and_vector_paths_agree(self):
         x = np.array([0.0, 0.3, 2.0, 11.0])
-        vec = specfun.overlap_weight(6, 2, x)
+        vec = row_weight(6, 2, x)
         assert vec.shape == x.shape
         for xi, wi in zip(x, vec):
-            assert specfun.overlap_weight(6, 2, float(xi)) == wi
+            assert row_weight(6, 2, float(xi)) == wi
 
     def test_domain_and_range_errors(self):
         with pytest.raises(ValueError):
-            specfun.overlap_weight(1, 2, -0.1)
+            row_weight(1, 2, -0.1)
         with pytest.raises(ValueError):
-            specfun.overlap_weight(specfun.MAX_OVERLAP_INDEX + 1, 0, 1.0)
+            row_weight(specfun.MAX_OVERLAP_INDEX + 1, 0, 1.0)
         with pytest.raises(ValueError):
-            specfun.overlap_weight(0, 0, specfun.MAX_OVERLAP_ARGUMENT * 1.01)
+            row_weight(0, 0, specfun.MAX_OVERLAP_ARGUMENT * 1.01)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_argument_rejected(self, value):
         with pytest.raises(ValueError, match="NaN|above cap"):
-            specfun.overlap_weight(1, 1, value)
+            row_weight(1, 1, value)
         with pytest.raises(ValueError, match="NaN"):
             specfun.overlap_weight_rows([0, 1], 1, [1.0, math.nan])
         with pytest.raises(ValueError, match="must be finite"):
@@ -211,15 +212,14 @@ class TestCompletenessSum:
         assert abs(total - 1.0) < 1e-10
         assert 5100 < last < specfun.MAX_OVERLAP_INDEX
 
-    def test_levels_above_the_index_cap_are_left_out(self):
-        # at (5000, 1000) the upper turning point is (sqrt(5000) +
-        # sqrt(1000))^2 ~ 10,468 levels, past the cap: the sum stops there,
-        # while the whole row still sums to one
-        row = specfun._overlap_row(5000, 1000.0)
-        assert len(row) > specfun.MAX_OVERLAP_INDEX + 1
-        assert abs(math.fsum(row) - 1.0) < 1e-10
-        cap = specfun.MAX_OVERLAP_INDEX
-        assert specfun.overlap_completeness_sum(5000, 1000.0) == (math.fsum(row[: cap + 1]), cap)
+    # (5000, 1000): the upper turning point (sqrt(5000) + sqrt(1000))^2 is
+    # about 10,468 levels; (10000, 1400) the largest admissible point; and
+    # (10000, 1e-4) a peak at the cap that the stop rule passes by 8 levels
+    @pytest.mark.parametrize("m,x", [(5000, 1000.0), (10000, 1400.0), (10000, 1e-4)])
+    def test_levels_past_the_index_cap_are_summed(self, m, x):
+        total, last = specfun.overlap_completeness_sum(m, x)
+        assert abs(total - 1.0) < 1e-10
+        assert last > specfun.MAX_OVERLAP_INDEX
 
     @pytest.mark.parametrize(
         "m,x,match",
@@ -369,7 +369,7 @@ class TestOverlapAccuracy:
         mpmath = pytest.importorskip("mpmath")
         n, m, x = self.sample()
         reference = np.array([mpmath_overlap(*args, mpmath) for args in zip(n, m, x)])
-        kernel = np.array([specfun.overlap_weight(*args) for args in zip(n, m, x)])
+        kernel = np.array([row_weight(*args) for args in zip(n, m, x)])
         normalized = np.array([scalar_overlap(*args) for args in zip(n, m, x)])
         kernel_err = np.abs(kernel - reference).max()
         normalized_err = np.abs(normalized - reference).max()
