@@ -5,12 +5,12 @@ log factorial ratio of the closed-form weight, the overlap weight by the
 normalized one-point recurrence, a one-panel Gauss-Kronrod evaluation, the
 field-scaled transverse wavefunction and the classical centripetal
 acceleration.  Tests cross-check the production paths in
-``magdecay`` against them; the package never calls them.  ``row_weight``
-is the package's own weight at one level, a one-row call of
-``specfun.overlap_weight_rows``, for the tests that take w one level at a
-time.  The stated
+``magdecay`` against them; the package never calls them.  The stated
 error bound of a completeness row, which the row's tests derive their
-tolerances from, lives here too.
+tolerances from, lives here too, and so does ``row_weight``, the
+package's own weight at one level as a one-row call of
+``specfun.overlap_weight_rows``, for the tests that take w one level at
+a time.
 """
 
 import math

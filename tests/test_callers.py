@@ -49,9 +49,7 @@ DEFINITIONS = list(definitions())
 )
 def test_has_a_caller(path, node):
     inside = range(node.lineno, node.end_lineno + 1)
-    callers = [
-        (where, line)
+    assert any(
+        name == node.name and not (where == path and line in inside)
         for where, line, name in REFERENCES
-        if name == node.name and not (where == path and line in inside)
-    ]
-    assert callers, f"{path.stem}.{node.name} has no caller in src/magdecay or scripts/"
+    ), f"{path.stem}.{node.name} has no caller in src/magdecay or scripts/"
