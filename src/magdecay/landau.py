@@ -1,6 +1,6 @@
 """Kinematics of charged scalars in a constant magnetic field.
 
-Landau energies, the kinematic cutoffs that make the decay sum finite, the
+Landau energies, the kinematic edges that make the decay sum finite, the
 discrete field/level/radius/energy relations, and the unit-normalized
 oscillator modes used by the brute-force overlap check.
 
@@ -25,6 +25,7 @@ __all__ = [
     "MagnetizedState",
     "landau_energy",
     "kz_cutoffs",
+    "level_edges",
     "field_for_radial_energy",
     "radial_energy_for_radius",
     "oscillator_modes",
@@ -104,27 +105,26 @@ def landau_energy(mass: float, level: int, field: float) -> float:
     return math.sqrt(mass * mass + (2 * level + 1) * field)
 
 
-def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
-    """Largest |k_z| [MeV] open to the charged daughter in each level 0..n_max.
+def _open_levels(channel: DecayChannel, state: MagnetizedState):
+    """The parent energy omega, the open daughter levels n = 0..n_max and
+    omega^2 - a_n = M^2 - m_charged^2 + 2 (m - n) field of each, with
+    a_n = m_charged^2 + (2n + 1) field.
 
-    With omega^2 = M^2 + (2m + 1) field the parent energy squared, level n
-    keeps omega^2 - m_charged^2 - (2n + 1) field = M^2 - m_charged^2 +
-    2 (m - n) field > 0, so n_max is the floor of the bound m + s,
-    s = (M^2 - m_charged^2) / (2 field), and the cutoff of level n is
-    (M^2 - m_charged^2 + 2 (m - n) field) / (2 omega).  Neither form
-    subtracts the field from omega^2, so both keep their digits at any
-    field.  When s lies within 1e-9 (relative) of an integer j >= 1, level
-    m + j has zero phase space and is dropped deterministically (it would
-    contribute zero either way); a bound below one keeps level m open
-    however small it is.  An empty array means no level is open.  An n_max
-    above the overlap index cap ``MAX_OVERLAP_INDEX`` raises
-    :class:`ValueError` before any array is allocated.
+    Level n is open while that difference is positive, so n_max is the
+    floor of the bound m + s, s = (M^2 - m_charged^2) / (2 field); the
+    difference is formed without subtracting the field from omega^2, so it
+    keeps its digits at any field.  When s lies within 1e-9 (relative) of
+    an integer j >= 1, level m + j has zero phase space and is dropped
+    deterministically (it would contribute zero either way); a bound below
+    one keeps level m open however small it is.  No open level gives empty
+    arrays.  An n_max above the overlap index cap ``MAX_OVERLAP_INDEX``
+    raises :class:`ValueError` before any array is allocated.
     """
     omega = state.energy(channel.m_parent)
     gap = channel.m_parent**2 - channel.m_charged**2
     excess = gap / (2.0 * state.field)
     if not excess > 0.0:
-        return np.empty(0)
+        return omega, np.empty(0, dtype=np.int64), np.empty(0)
     steps = math.floor(excess)
     nearest = round(excess)
     if nearest >= 1 and abs(excess - nearest) <= 1e-9 * nearest:
@@ -136,8 +136,42 @@ def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
             f"above the overlap index cap {MAX_OVERLAP_INDEX}"
         )
     n = np.arange(n_max + 1)
-    cut = (gap + 2 * (state.level - n) * state.field) / (2.0 * omega)
-    return np.maximum(cut, 0.0)
+    return omega, n, gap + 2 * (state.level - n) * state.field
+
+
+def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
+    """Largest |k_z| [MeV] open to the charged daughter in each level 0..n_max.
+
+    The cutoff of level n is (omega^2 - a_n) / (2 omega), with the open
+    levels and that difference from :func:`_open_levels`.  An empty array
+    means no level is open.
+    """
+    omega, _, head = _open_levels(channel, state)
+    return np.maximum(head / (2.0 * omega), 0.0)
+
+
+def level_edges(channel: DecayChannel, state: MagnetizedState) -> tuple[np.ndarray, np.ndarray]:
+    """The square roots of X_n and Y_n [1] of each level n = 0..n_max open to the charged daughter.
+
+    Level n's share of the width is an integral over the neutral
+    daughter's squared transverse momentum over twice the field,
+    x in [0, X_n], of w(n, m, x) / sqrt((X_n - x)(Y_n - x)), with
+
+        X_n = (omega - sqrt(a_n))^2 / (2 field),
+        Y_n = (omega + sqrt(a_n))^2 / (2 field),   a_n = m_charged^2 + (2n + 1) field.
+
+    omega - sqrt(a_n) is taken as (omega^2 - a_n) / (omega + sqrt(a_n)),
+    with the open levels and that difference from :func:`_open_levels`, so
+    that X_n keeps its digits.  The largest |k_z| of the level is
+    K_n = field sqrt(X_n Y_n) / omega (:func:`kz_cutoffs`).  The roots are
+    returned because X_n itself falls below the float range at strong
+    fields (about 1e-405 at 1e206 MeV^2), where sqrt(X_n) does not.  Empty
+    arrays mean no level is open.
+    """
+    omega, n, head = _open_levels(channel, state)
+    outer = omega + np.sqrt(channel.m_charged**2 + (2 * n + 1) * state.field)
+    root_field = math.sqrt(2.0 * state.field)
+    return np.maximum(head, 0.0) / outer / root_field, outer / root_field
 
 
 def field_for_radial_energy(p_perp_sq: float, level: int) -> float:

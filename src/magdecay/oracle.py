@@ -1,7 +1,7 @@
 """Brute-force verification of the closed-form overlap weight.
 
 The production rate engine never integrates wavefunctions; it uses the
-compact expression w(n, m, X) of ``specfun.overlap_weight_rows``.  This
+compact expression w(n, m, X) of ``specfun.overlap_rows``.  This
 module recomputes the underlying object the slow way: the transverse
 overlap amplitude
 
@@ -20,10 +20,10 @@ the adaptive quadrature nor the overlap recurrence of production.
 Both sides take a list of trials and evaluate them together:
 :func:`transverse_overlap_sq` runs one oscillator recurrence that gives
 both modes of every trial at every node, and
-:func:`closed_form_overlap_sq` makes one ``overlap_weight_rows`` call per
-parent level.  Each trial gets the bits it gets in a list of its own, so
-:func:`verify_closed_form` draws all its trials first and passes them in
-one list.
+:func:`closed_form_overlap_sq` runs one ``overlap_rows`` row across levels
+over all trials.  Each trial gets the bits it gets in a list of its own,
+so :func:`verify_closed_form` draws all its trials first and passes them
+in one list.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau
-from .specfun import overlap_weight_rows
+from .specfun import overlap_rows
 
 __all__ = [
     "MAX_ORACLE_INDEX",
@@ -165,18 +165,21 @@ class OverlapParams:
 def closed_form_overlap_sq(trials: list[OverlapParams]) -> list[float]:
     """The compact predictions w(n, m, X)/field of the trials, in 1/MeV^2.
 
-    One ``overlap_weight_rows`` call per parent level m, its rows sorted by
-    min(n, m); every row is one point, which gets the bits of its own
-    one-point call, so a trial gets the bits it gets as a list of one.
+    One ``overlap_rows`` call, every trial a node that runs up to its level
+    and keeps the weight there.  w is symmetric in (n, m), and with the
+    larger index as the parent every trial's level is at or below the row's
+    turning point, so no trial needs Miller's backward run.  A node gets the
+    bits of its own row, so a trial gets the bits it gets as a list of one.
     """
     n = np.array([p.n for p in trials])
     m = np.array([p.m for p in trials])
+    low, high = np.minimum(n, m), np.maximum(n, m)
     x = np.array([p.displacement_sq() for p in trials])
+    index = np.arange(len(trials))
     weight = np.empty(len(trials))
-    for level in np.unique(m).tolist():
-        rows = np.flatnonzero(m == level)
-        rows = rows[np.argsort(np.minimum(n[rows], level), kind="stable")]
-        weight[rows] = overlap_weight_rows(n[rows], level, x[rows])
+    for level, nodes, w in overlap_rows(high, x, low):
+        at = low[nodes] == level
+        weight[index[nodes][at]] = w[at]
     return (weight / np.array([p.field for p in trials])).tolist()
 
 

@@ -1,63 +1,48 @@
-"""Stable special-function evaluation for Landau-level overlap weights.
+"""Stable evaluation of the Landau-level overlap weights, one row across levels.
 
-The central object is the overlap weight, which
-:func:`overlap_weight_rows` evaluates,
+The overlap weight
 
     w(n, m, x) = (min(n,m)! / max(n,m)!) * exp(-x) * x**|n-m|
-                 * L_min(n,m)^{|n-m|}(x)**2,
+                 * L_min(n,m)^{|n-m|}(x)**2
 
-the squared transverse overlap between two Landau states whose guiding
+is the squared transverse overlap between two Landau states whose guiding
 centers and momenta differ by a displacement of squared magnitude ``2*x``
 times the magnetic length.  It is a probability: 0 <= w <= 1, symmetric in
 (n, m), and sums to one over either index.
 
-Forming the associated Laguerre value and the factorial ratio separately
-overflows long before the physically interesting index range is reached.
-The bounded quantity is the *normalized* function
-
-    phi_k^d(x) = sqrt(k! / (k+d)!) * x**(d/2) * exp(-x/2) * L_k^d(x),
-
-|phi| <= 1, and w = phi**2.  :func:`overlap_weight_rows` seeds phi_0^d in
-the log domain and runs the *monic* three-term recurrence
-
-    psi_{j+1} = (2j+1+d-x) psi_j - j(j+d) psi_{j-1},
-
-whose iterates are phi_j times the square root of the product of i(i+d)
-over the steps i since the last renormalization.  Its coefficients are
-exact integers, so a step needs no square root or division: per point it
-is four array operations, plus two that advance 2j+1+d and j(j+d), and per
-row one that extends that product.  Every 32 steps each row still
-stepping, and each row once it has finished, is divided by the square
-root of its product, which brings it back to phi.  Since every
-i(i+d) <= 1e4 * 2e4 at the index cap, |psi| stays below
-sqrt(2e8)**32 ~ 7e132 inside a block.
-
-The rows are levels n_i against one parent level m, in ascending order of
-min(n_i, m).  A 1-D ``x`` holds one point per row; a 2-D ``x`` holds a row
-of points per level (the level sum passes one quadrature panel's 61 points
-per row), so the product and the seed's per-level work are kept once per
-row.  Every point gets the bits it would get as a one-point row of its
-own, so a single weight is a one-row call.
-
-:func:`overlap_completeness_sum` needs every level at one (m, x) instead,
-and takes them from a second recurrence, across levels: the amplitudes
-D_n = <n|D(sqrt x)|m>, with w = D_n^2, obey
+Forming the Laguerre value and the factorial ratio separately overflows
+long before the physically interesting index range.  Every weight here
+comes instead from the amplitudes D_n = <n|D(sqrt x)|m> of the
+displacement operator, w = D_n^2, which obey one recurrence across levels,
 
     sqrt(x(n+1)) D_{n+1} = (n - m + x) D_n - sqrt(x n) D_{n-1},
 
-so a row of N levels costs O(N) steps where the kernel above takes
-min(n, m) steps per level.  ``_overlap_row`` runs it forward to the upper
-turning point (sqrt(m) + sqrt(x))^2 and backward past it, where the
-wanted solution is the minimal one (Miller's algorithm; Gil, Segura and
-Temme, *Numerical Methods for Special Functions*, SIAM 2007, ch. 4).  Its
-iterates carry a binary exponent each, so D_0, which is below the float
-range for large m or small x (about 2^-1519 at m = 300, x = 0.1), is
-carried without underflow.
+from D_{-1} = 0 and D_0 = exp(-x/2) prod_{k<=m} sqrt(x/k).  So a whole row
+of levels at one (m, x) costs O(N) steps.  Up to the upper turning point
+(sqrt(m) + sqrt(x))^2 the recurrence runs forward; past it the wanted
+solution is the minimal one, so that part runs backward (Miller's
+algorithm; Gil, Segura and Temme, *Numerical Methods for Special
+Functions*, SIAM 2007, ch. 4) from a level where w < 1e-40, found from the
+row's own decay past the turning point, and is scaled to meet the forward
+values at the turning point and the level after it.  Every iterate is a
+mantissa times 2 to an integer exponent, and the seed is a product of
+factors kept inside the float range, so a weight is 0 only when it is below
+the float range, at any argument: there is no cap on x.
 
-The normalized recurrence of earlier versions divided by sqrt((j+1)(j+1+d))
-at every step; the monic one rounds differently, which moved Gamma and the
-rate ratios in their last one or two digits (at most 8.8e-16 relative over
-the figure datasets).
+:func:`_overlap_row` runs one row in Python floats, for the completeness
+sum.  :func:`overlap_rows` runs the same recurrence over an array of nodes,
+each with its own m, turning point, Miller start and exponents, with numpy
+across the nodes and the Python loop over n; it gives the bits of
+:func:`_overlap_row` at every node, and streams the weights level by level
+so that a caller reducing them never holds a (levels x nodes) matrix.
+
+:func:`overlap_weight_rows`, the level kernel, takes w one level at a time
+instead, for the level sum's per-level quadrature in k_z, where a point
+needs only its own level: it runs the monic Laguerre recurrence in
+k = min(n, m), min(n, m) steps a point, from a seed formed in the log
+domain, which leaves the float range past x = 1400 and, at large |n - m|
+and x, underflows where the weight does not (0 at (5800, 2000, 1000),
+where w = 7.8e-4); the level sum uses it only well inside that range.
 """
 
 from __future__ import annotations
@@ -70,32 +55,116 @@ __all__ = [
     "MAX_OVERLAP_INDEX",
     "MAX_OVERLAP_ARGUMENT",
     "overlap_weight_rows",
+    "overlap_rows",
     "overlap_completeness_sum",
 ]
 
 MAX_OVERLAP_INDEX = 10_000
-# exp(-x/2) must stay inside the normal float64 range or the recurrence
-# seed loses the scale of the answer
+# the level kernel's exp(-x/2) must stay inside the normal float64 range or
+# its seed loses the scale of the answer; the row has no such cap
 MAX_OVERLAP_ARGUMENT = 1400.0
+# steps between renormalizations of the level kernel's monic recurrence:
+# psi stays below sqrt(2e8)**32 ~ 7e132 at the index cap, since |phi| <= 1
+# and every j(j+d) <= 1e4 * 2e4
+_RENORM_STEPS = 32
 # the completeness sum stops after 8 consecutive weights below this
 _COMPLETENESS_TAIL = 1e-16
-# logarithms of the thresholds of _tail_levels: where the stop rule's weights
-# are surely below _COMPLETENESS_TAIL, and where Miller's backward run starts
-_LOG_TAIL = -math.log(0.5 * _COMPLETENESS_TAIL)
-_LOG_MILLER = -math.log(1e-40)
-# the values of z - 1 at which _tail_levels evaluates its bound
-_TAIL_GRID = tuple(4.0**k for k in range(-3, 12))
+# the row's decay bound past the turning point: below _QUIET every later
+# weight is under half the completeness tail, and Miller's backward run
+# starts below _MILLER, which leaves an error of about that size in every
+# weight; the bound advances _STRIDE levels at a time
+_QUIET = 0.5 * _COMPLETENESS_TAIL
+_MILLER = 1e-40
+_STRIDE = 4
+# the absolute error of every weight of overlap_rows: Miller's, about twice
+# the weight at its start, and the weights past the start, which are 0
+ROW_ABS_ERROR = 3.0 * _MILLER
 # the row's iterates are rescaled by a power of two once they leave this
 # range; a step changes them by at most a factor 2**552 (at x = 5e-324)
 _SMALL = 2.0**-400
 _BIG = 2.0**400
-# steps between renormalizations of the monic recurrence: psi stays below
-# sqrt(2e8)**32 ~ 7e132 at the index cap, since |phi| <= 1 and every
-# j(j+d) <= 1e4 * 2e4
-_RENORM_STEPS = 32
-# the smallest subnormal: its logarithm is finite, and max(x, _TINY) == x
-# for every positive x
+# the smallest subnormal: the array row takes x = 0 as this, where w is
+# the Kronecker delta to within 1e-300
 _TINY = 5e-324
+# exp(-h) is taken whole up to this h, and past it as a power of two times
+# the exponential of the rest, so that the seed never underflows
+_EXP_WHOLE = 600.0
+# factors of the array row's seed multiplied between rescales
+_SEED_BLOCK = 8
+# weights of Miller's part handed over at once
+_TAIL_CHUNK = 2048
+_LN2 = math.log(2.0)
+
+
+def _exp_neg(h):
+    """exp(-h) as a mantissa inside the normal float range and a binary
+    exponent, for a float or an array: numpy's exponential gives one value
+    the same bits in either."""
+    shift = np.ceil(np.maximum(h - _EXP_WHOLE, 0.0) / _LN2)
+    return np.exp(shift * _LN2 - h), -shift.astype(np.int64)
+
+
+def _decay_stride(n, m, x, ops):
+    """The bound on w_{n+4} / w_n past the upper turning point: the fourth
+    power of the recurrence's minimal root r_n squared, or 1 where the roots
+    are complex (|r| <= 1 there) at the turning point itself.  The minimal
+    root shrinks with n, so the stride's first one bounds its decay.
+    ``sqrt`` and ``minimum``/``maximum`` are ``math.sqrt``, ``min`` and
+    ``max`` or their numpy forms: each rounds correctly, so a float and an
+    array node get the same bits.  Past the turning point n >= m, so
+    b = n - m + x > 0."""
+    sqrt, minimum, maximum = ops
+    b = (n - m) + x
+    disc = maximum(b * b - 4.0 * x * sqrt(n * (n + 1.0)), 0.0)
+    r = minimum(2.0 * sqrt(x * n) / (b + sqrt(disc)), 1.0)
+    q = r * r
+    q = q * q
+    return q * q
+
+
+def _row_levels(m: int, x: float) -> tuple[int, int, int]:
+    """The turning point, the last level and Miller's start of :func:`_overlap_row` at x > 0.
+
+    From w <= 1 at the level after the turning point, the row's decay bound
+    (:func:`_decay_stride`) gives the first level where every later weight
+    is below 1e-16 / 2, so that the completeness stop rule fires by 7
+    levels later, or at the first level past m + x: the last level is the
+    later of the two.  Miller's start is the first level past it where the
+    bound is below 1e-40.
+    """
+    root_sum = math.sqrt(m) + math.sqrt(x)
+    turn = int(root_sum * root_sum)
+    n, bound, quiet = turn + 1, 1.0, None
+    while bound >= _MILLER:
+        if quiet is None and bound < _QUIET:
+            quiet = n
+        bound *= _decay_stride(n, m, x, (math.sqrt, min, max))
+        n += _STRIDE
+    last = max((n if quiet is None else quiet) + 7, int(m + x) + 1)
+    return turn, last, max(n, last + 1)
+
+
+def _row_levels_array(m, x, turn):
+    """The last level and Miller's start of :func:`_row_levels` at every node."""
+    n = turn + 1
+    bound = np.ones(x.size)
+    quiet = np.full(x.size, -1, dtype=np.int64)
+    start = np.full(x.size, -1, dtype=np.int64)
+    pending = np.arange(x.size)
+    while pending.size:
+        now = n[pending]
+        fresh = (quiet[pending] < 0) & (bound[pending] < _QUIET)
+        quiet[pending[fresh]] = now[fresh]
+        bound[pending] *= _decay_stride(
+            now, m[pending], x[pending], (np.sqrt, np.minimum, np.maximum)
+        )
+        n[pending] = now + _STRIDE
+        below = bound[pending] < _MILLER
+        start[pending[below]] = n[pending[below]]
+        pending = pending[~below]
+    quiet = np.where(quiet < 0, start, quiet)
+    last = np.maximum(quiet + 7, (m + x).astype(np.int64) + 1)
+    return last, np.maximum(start, last + 1)
 
 
 def overlap_weight_rows(n, m: int, x) -> np.ndarray:
@@ -223,8 +292,6 @@ def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
         raise ValueError(f"indices above cap {MAX_OVERLAP_INDEX}")
     if x < 0.0:
         raise ValueError("argument must be nonnegative")
-    if x > MAX_OVERLAP_ARGUMENT:
-        raise ValueError(f"argument above cap {MAX_OVERLAP_ARGUMENT}")
     weights = _overlap_row(m, x)
     small = 0
     for n, w in enumerate(weights):
@@ -234,51 +301,17 @@ def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
     return math.fsum(weights[: n + 1]), n
 
 
-def _tail_levels(m: int, x: float) -> tuple[int, int]:
-    """Levels beyond which w(n, m, x) is below 1e-16 / 2 and below 1e-40.
-
-    For every z > 1, w(n, m, x) z^n is at most the generating function
-    z^m exp(x(z-1)) L_m(-x(z-1)^2/z), and L_m(-y) <= I_0(2 sqrt(m y)) <=
-    exp(2 sqrt(m y)), so ln w(n, m, x) <= (m - n) ln z + x(z-1) +
-    2 sqrt(m x) (z-1)/sqrt(z).  The bound falls with n; each level returned
-    is the least n at which it is below its threshold for some z on a
-    geometric grid.
-    """
-    root = 2.0 * math.sqrt(m * x)
-    below_tail = below_miller = math.inf
-    for u in _TAIL_GRID:
-        rise = (x + root / math.sqrt(1.0 + u)) * u
-        log_z = math.log1p(u)
-        below_tail = min(below_tail, (rise + _LOG_TAIL) / log_z)
-        below_miller = min(below_miller, (rise + _LOG_MILLER) / log_z)
-    return m + math.ceil(below_tail), m + math.ceil(below_miller)
-
-
 def _overlap_row(m: int, x: float) -> list[float]:
-    """w(n, m, x) for n = 0 .. N at one (m, x), N the last level the stop rule can reach.
+    """w(n, m, x) for n = 0 .. N at one (m, x), N the last level of :func:`_row_levels`.
 
-    The amplitudes D_n = <n|D(sqrt x)|m>, with w = D_n^2, obey
-
-        sqrt(x(n+1)) D_{n+1} = (n - m + x) D_n - sqrt(x n) D_{n-1},
-
-    from D_{-1} = 0 and D_0 = exp(-x/2) prod_{k<=m} sqrt(x/k).  Up to the
-    upper turning point (sqrt(m) + sqrt(x))^2 they run forward; past it the
-    wanted solution is the minimal one, so that part runs backward (Miller's
-    algorithm) from a level where w < 1e-40, which leaves an error of about
-    that size in every weight, and is scaled to meet the forward values at
-    the turning point and the level after it.  Each iterate is a mantissa
-    times 2 to an integer exponent, rescaled by exact powers of two, so a
-    weight is 0 only when it is below the float range.  Every weight from
-    the first level of :func:`_tail_levels` on is below 1e-16 / 2, so the
-    completeness stop rule fires by 7 levels later, or at the first level
-    past m + x: N is the later of the two.
+    The forward run keeps D_0 .. D_turn; the backward run from Miller's
+    start B_start+1 = 0, B_start = 1 keeps B_turn+1 .. B_N and is scaled
+    by the least-squares factor that takes (B_turn, B_turn+1) onto
+    (D_turn, D_turn+1), two levels since one of them may be near a node.
     """
     if x == 0.0:
         return [0.0] * m + [1.0] + [0.0] * 8
-    quiet, start = _tail_levels(m, x)
-    last = max(quiet + 7, int(m + x) + 1)
-    start = max(start, last + 1)
-    turn = int((math.sqrt(m) + math.sqrt(x)) ** 2)
+    turn, last, start = _row_levels(m, x)
 
     # the seed as a product: its roundings are m independent ulps, where the
     # logarithm of D_0 would carry an absolute error of about m ln(m) ulps;
@@ -286,19 +319,21 @@ def _overlap_row(m: int, x: float) -> list[float]:
     # the exponent takes back the 2**64 of each factor
     lift = 64 if x < _SMALL else 0
     lifted = math.ldexp(x, 2 * lift)
-    cur, scale = math.exp(-0.5 * x), -lift * m
+    cur, scale = _exp_neg(0.5 * x)
+    cur, scale = float(cur), int(scale) - lift * m
     for k in range(1, m + 1):
         cur *= math.sqrt(lifted / k)
         if not _SMALL < cur < _BIG:
             cur, shift = math.frexp(cur)
             scale += shift
 
-    # forward: D_0 .. D_turn kept, and D_turn, D_turn+1 left in (prev, cur)
+    # forward: D_0 .. D_turn kept, and D_turn, D_turn+1 left in (prev, cur);
+    # sqrt(x k) is sqrt(x) sqrt(k), one rounding of sqrt(x) shared by the row
     weights = []
-    prev, root = 0.0, 0.0
+    prev, root, root_x = 0.0, 0.0, math.sqrt(x)
     for n in range(turn + 1):
         weights.append(math.ldexp(cur * cur, 2 * scale))
-        root_next = math.sqrt(x * (n + 1))
+        root_next = root_x * math.sqrt(n + 1)
         prev, cur = cur, ((n - m + x) * cur - root * prev) / root_next
         root = root_next
         if abs(cur) > _BIG:
@@ -310,12 +345,12 @@ def _overlap_row(m: int, x: float) -> list[float]:
     # with the exponent each had, and B_turn, B_turn+1 left in (low, high)
     high, low, back_scale = 0.0, 1.0, 0
     tail, tail_scale = [], []
-    root = math.sqrt(x * (start + 1))
+    root = root_x * math.sqrt(start + 1)
     for n in range(start, turn, -1):
         if n <= last:
             tail.append(low)
             tail_scale.append(back_scale)
-        root_next = math.sqrt(x * n)
+        root_next = root_x * math.sqrt(n)
         high, low = low, ((n - m + x) * low - root * high) / root_next
         root = root_next
         if abs(low) > _BIG:
@@ -323,12 +358,247 @@ def _overlap_row(m: int, x: float) -> list[float]:
             high = math.ldexp(high, -shift)
             back_scale += shift
 
-    # the least-squares factor that takes (B_turn, B_turn+1) onto
-    # (D_turn, D_turn+1); two levels, since one of them may be near a node
     factor, shift = math.frexp((prev * low + cur * high) / (low * low + high * high))
     shift += scale - back_scale
-    weights.extend(
-        math.ldexp((factor * b) ** 2, 2 * (s + shift))
-        for b, s in zip(reversed(tail), reversed(tail_scale))
-    )
+    for b, s in zip(reversed(tail), reversed(tail_scale)):
+        b *= factor
+        weights.append(math.ldexp(b * b, 2 * (s + shift)))
     return weights
+
+
+def _rescale(cur, other, scale2) -> None:
+    """Bring the entries of ``cur`` above _BIG in magnitude back to a
+    mantissa in [0.5, 1), by exact powers of two shared with ``other``;
+    ``scale2`` holds twice the binary exponent of each entry."""
+    if cur.size and (cur.max() > _BIG or cur.min() < -_BIG):
+        big = np.abs(cur) > _BIG
+        mantissa, shift = np.frexp(cur[big])
+        cur[big] = mantissa
+        other[big] = np.ldexp(other[big], -shift)
+        scale2[big] += 2 * shift
+
+
+def overlap_rows(m, x, top):
+    """Stream w(n, m_i, x_i) for n = 0 .. top_i at every node i of the arrays.
+
+    ``m`` is one level or an array of them, ``x`` a 1-D array of arguments
+    and ``top`` the last level each node needs.  The generator yields, for
+    n ascending, ``(n, nodes, w)``: the weights at level n of the nodes
+    ``nodes``, a slice or an index array into ``x``, from the forward run.
+    When some node's top is past its turning point, the last yields carry
+    the levels past the turning points from Miller's backward run as three
+    arrays ``(levels, nodes, w)``, one entry per weight.  Every weight has
+    the bits :func:`_overlap_row` gives it, and the row goes on past the
+    last level of :func:`_overlap_row` up to Miller's start; past that
+    start, where the row's decay bound puts w below 1e-40, about Miller's
+    own error in every weight, a weight is 0 and is not yielded.  x = 0 is
+    taken as the least subnormal.
+
+    The forward run steps a window of the nodes, from the first to the last
+    whose top and turning point are both at least n.  With ``top``
+    non-increasing and the turning point non-decreasing along the nodes, as
+    the level sum orders them, the window holds exactly those nodes and a
+    yield is that slice; in another order it holds more, which step without
+    being yielded, and a yield is an index array.
+    """
+    x = np.maximum(np.asarray(x, dtype=float), _TINY)
+    top = np.asarray(top, dtype=np.int64)
+    m = np.broadcast_to(np.asarray(m, dtype=np.int64), x.shape)
+    if x.ndim != 1 or top.shape != x.shape:
+        raise ValueError(f"x and top must be 1-D of one length, got {x.shape} and {top.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("argument must be finite")
+    if x.size and (min(m.min(), top.min()) < 0 or m.max() > MAX_OVERLAP_INDEX):
+        raise ValueError(f"indices must be in [0, {MAX_OVERLAP_INDEX}]")
+    if not x.size:
+        return
+    # one parent level is a Python int, so that n - m is one exact int
+    uniform = bool((m == m[0]).all())
+    level = int(m[0]) if uniform else m
+    root_x = np.sqrt(x)
+    root_sum = np.sqrt(m) + root_x
+    turn = (root_sum * root_sum).astype(np.int64)
+    # the forward part of a node ends at its top, or at its turning point
+    # when Miller's run gives the levels past it
+    reach = np.minimum(top, turn)
+    # rising, then falling: the window holds exactly the nodes reaching n
+    rises = np.diff(reach)
+    falls = np.flatnonzero(rises < 0)
+    ordered = not falls.size or not (rises[falls[0] :] > 0).any()
+    tail = np.flatnonzero(top > turn)
+    cur, scale2 = _seed(m, x, uniform)
+    every = _rescale_interval(root_x, int(top.max()) + int(m.max()))
+    # D_turn, D_turn+1 and their doubled exponent at each tail node
+    meet = np.empty((3, tail.size))
+    meets = {}
+    if tail.size:
+        for t, at in _groups(turn[tail]):
+            meets[t] = (tail[at], at)
+
+    prev, new = np.zeros(x.size), np.empty(x.size)
+    root, root_next = np.zeros(x.size), np.empty(x.size)
+    lo, hi = 0, x.size
+    for n in range(int(reach.max()) + 1):
+        while reach[lo] < n:
+            lo += 1
+        while reach[hi - 1] < n:
+            hi -= 1
+        window = slice(lo, hi)
+        c = cur[window]
+        if ordered:
+            yield n, window, np.ldexp(c * c, scale2[window])
+        else:
+            at = np.flatnonzero(reach[window] >= n) + lo
+            yield n, at, np.ldexp(cur[at] * cur[at], scale2[at])
+        r = root_next[window]
+        np.multiply(root_x[window], math.sqrt(n + 1), out=r)
+        t = new[window]
+        np.add(n - (level if uniform else level[window]), x[window], out=t)
+        t *= c
+        t -= root[window] * prev[window]
+        t /= r
+        prev, cur, new = cur, new, prev
+        root, root_next = root_next, root
+        # the windows are views: the rescale writes through to the arrays;
+        # between checks no iterate can pass 2^500, so no square overflows
+        at = meets.get(n)
+        if n % every == 0 or at is not None:
+            _rescale(cur[window], prev[window], scale2[window])
+        if at is not None:
+            nodes, slots = at
+            meet[:, slots] = prev[nodes], cur[nodes], scale2[nodes]
+
+    if tail.size:
+        yield from _miller_tail(level, uniform, x, root_x, top, turn, tail, meet)
+
+
+def _groups(values):
+    """(value, indices) of each distinct value of an int array."""
+    order = np.argsort(values, kind="stable")
+    distinct, first = np.unique(values[order], return_index=True)
+    ends = np.append(first[1:], values.size)
+    return [(v, order[a:b]) for v, a, b in zip(distinct.tolist(), first.tolist(), ends.tolist())]
+
+
+def _miller_tail(level, uniform, x, root_x, top, turn, nodes, meet):
+    """Miller's backward run at the nodes whose top is past their turning point.
+
+    A node's run goes from its start down to its turning point, as in
+    :func:`_overlap_row`, every node at its own level: the k-th step takes
+    each node from start - k to start - k - 1.  A first pass finds the
+    factor that takes (B_turn, B_turn+1) onto (D_turn, D_turn+1) of the
+    forward run (``meet``); a second, the same steps again, scales its
+    iterates B_n for turn < n <= min(top, start - 1) as it goes, so that
+    none is held.  Yields the arrays (levels, nodes, weights) in chunks of
+    about ``_TAIL_CHUNK`` weights.
+    """
+    turn = turn[nodes]
+    m = np.broadcast_to(np.asarray(level, dtype=np.int64), x.shape)[nodes]
+    last, start = _row_levels_array(m, x[nodes], turn)
+    # the row of _overlap_row runs to `last`; past it, up to the start
+    start = np.where(top[nodes] > last, start, np.maximum(start, top[nodes] + 1))
+    last = np.minimum(top[nodes], start - 1)
+
+    # the longest runs first: the runs still going at step k are a prefix
+    steps = start - turn
+    order = np.argsort(-steps, kind="stable")
+    start, turn, last, m, steps = (a[order] for a in (start, turn, last, m, steps))
+    nodes = nodes[order]
+    xs, rs = x[nodes], root_x[nodes]
+    every = _rescale_interval(rs, int(start.max()) + int(m.max()))
+    ends = {k: a for k, a in _groups(steps - 1)}
+    back = np.empty((3, nodes.size))
+
+    def run():
+        """The backward steps; yields (k, active, B, doubled exponents)
+        before each, and leaves B_turn, B_turn+1 of each run in ``back``."""
+        low, high, spare = np.ones(nodes.size), np.zeros(nodes.size), np.empty(nodes.size)
+        root = rs * np.sqrt(start + 1.0)
+        root_next = np.empty(nodes.size)
+        scale2 = np.zeros(nodes.size, dtype=np.int32)
+        active = nodes.size
+        for k in range(int(steps[0])):
+            while steps[active - 1] <= k:
+                active -= 1
+            window = slice(0, active)
+            yield k, active, low, scale2
+            n = start[window] - k
+            r = root_next[window]
+            np.multiply(rs[window], np.sqrt(n.astype(float)), out=r)
+            b = spare[window]
+            np.add((n - (level if uniform else m[window])), xs[window], out=b)
+            b *= low[window]
+            b -= root[window] * high[window]
+            b /= r
+            high, low, spare = low, spare, high
+            root, root_next = root_next, root
+            done = ends.get(k)
+            if k % every == 0 or done is not None:
+                _rescale(low[window], high[window], scale2[window])
+            if done is not None:
+                back[:, done] = low[done], high[done], scale2[done]
+
+    for _ in run():
+        pass
+    d_turn, d_next, d_scale2 = meet[:, order]
+    b_turn, b_next, b_scale2 = back
+    factor, shift = np.frexp((d_turn * b_turn + d_next * b_next) / (b_turn * b_turn + b_next * b_next))
+    shift2 = 2 * shift + d_scale2.astype(np.int32) - b_scale2.astype(np.int32)
+    chunk, size = [], 0
+    for k, active, low, scale2 in run():
+        n = start[:active] - k
+        at = np.flatnonzero(n <= last[:active])
+        if at.size:
+            b = factor[at] * low[at]
+            chunk.append((n[at], nodes[at], np.ldexp(b * b, scale2[at] + shift2[at])))
+            size += at.size
+        if size >= _TAIL_CHUNK:
+            yield tuple(np.concatenate(parts) for parts in zip(*chunk))
+            chunk, size = [], 0
+    if chunk:
+        yield tuple(np.concatenate(parts) for parts in zip(*chunk))
+
+
+def _rescale_interval(root_x, levels: int) -> int:
+    """Steps between rescales of a row: a step multiplies the larger of the
+    last two iterates by at most (|n - m + x| + sqrt(x n)) / sqrt(x (n+1)),
+    so this many steps take one from 2^400 to at most 2^500."""
+    low, high = float(root_x.min()), float(root_x.max())
+    growth = (levels + high * high + high * math.sqrt(levels)) / low + 1.0
+    return max(1, int(100.0 / math.log2(growth)))
+
+
+def _seed(m, x, uniform):
+    """D_0 at every node as _overlap_row makes it: a mantissa and twice its
+    binary exponent (int32).
+
+    The factors sqrt(x / k) are multiplied in blocks, in the order of
+    _overlap_row, and the products rescaled after each block: a block is
+    short enough that no product leaves the float range, and rescaling by
+    exact powers of two at other steps changes no bit of the value.
+    """
+    lift = np.where(x < _SMALL, 64, 0)
+    lifted = np.ldexp(x, (2 * lift).astype(np.int32))
+    cur, scale = _exp_neg(0.5 * x)
+    scale -= lift * m
+    top = int(m.max())
+    if top:
+        # a factor is at most 2^|spread| from 1, so a block of `size`
+        # factors moves a product inside (2^-400, 2^400) by under 2^500
+        spread = max(abs(math.log2(lifted.max())), abs(math.log2(lifted.min() / top))) / 2
+        size = max(1, min(_SEED_BLOCK, int(500.0 / max(spread, 1.0))))
+        for k0 in range(1, top + 1, size):
+            k = np.arange(k0, min(k0 + size, top + 1), dtype=float)
+            factors = np.sqrt(lifted / k[:, None])
+            if not uniform:
+                factors[k[:, None] > m] = 1.0
+            factors[0] *= cur
+            cur = np.multiply.reduce(factors, axis=0)
+            out = (cur < _SMALL) | (cur > _BIG)
+            if out.any():
+                mantissa, shift = np.frexp(cur[out])
+                cur[out] = mantissa
+                scale[out] += shift
+    return cur, (2 * scale).astype(np.int32)
+
+

@@ -26,8 +26,8 @@ MAX_HERMITE_ORDER = 200
 EPS = float(np.finfo(float).eps)
 # relative error a step of specfun._overlap_row adds to a weight w = D^2,
 # in units of EPS: a forward or backward step rounds n - m + x, its product
-# with D_n, x(n+1), the square root (half an ulp, plus half the error of
-# its argument), the product with D_{n-1}, the difference and the
+# with D_n, sqrt(n + 1) and its product with sqrt(x) (whose own rounding
+# the whole row shares), the product with D_{n-1}, the difference and the
 # quotient, 7.5 half-ulps of D, so 7.5 EPS of w; a seed factor rounds
 # x / k, its square root and the product, 3.5 EPS of w
 ROW_STEP_ROUNDINGS = 8.0
@@ -39,7 +39,7 @@ ROW_MILLER_ERROR = 2e-40
 def row_steps(m: int, x: float, row) -> int:
     """Recurrence steps behind ``specfun._overlap_row(m, x)``: m seed
     factors, the forward run and the backward run from Miller's start."""
-    start = specfun._tail_levels(m, x)[1]
+    start = specfun._row_levels(m, x)[2]
     return m + max(start, len(row)) + 1
 
 
@@ -59,18 +59,23 @@ def row_bounds(m: int, x: float, row) -> np.ndarray:
     return ROW_STEP_ROUNDINGS * row_steps(m, x, row) * EPS * around + ROW_MILLER_ERROR
 
 
-def past_row(f, last: int) -> float:
+def past_row(f, m: int, x: float, last: int) -> float:
     """A bound on the sum of f(n) w(n, m, x) over the levels n > last past a row.
 
-    ``specfun._tail_levels`` bounds w by C z^(-n) for some z on its grid,
-    below 1e-16 / 2 from 7 levels before the row's last one on, so
-    w(last + j) <= 1e-16 / 2 * z^-(j + 7); its grid has z >= 1 + 1/64.
-    ``f`` takes an array of levels and must be nonnegative.
+    Past the upper turning point w falls with n, from at most 1, and each
+    stride of ``specfun._STRIDE`` levels takes it down by at least
+    ``specfun._decay_stride`` at the stride's first level: the bound of
+    ``specfun._row_levels``.  A weight is at most the bound at the start of
+    its stride.  ``f`` takes an array of levels and must be nonnegative.
     """
-    ratio = 1.0 / (1.0 + min(specfun._TAIL_GRID))
-    j = np.arange(1, 60_001)
-    weight = 0.5 * specfun._COMPLETENESS_TAIL * ratio ** (j + 7.0)
-    return float(np.sum(f((last + j).astype(float)) * weight))
+    root_sum = math.sqrt(m) + math.sqrt(x)
+    n, bound, total = int(root_sum * root_sum) + 1, 1.0, 0.0
+    while bound > 1e-300:
+        levels = np.arange(n, n + specfun._STRIDE, dtype=float)
+        total += bound * float(np.sum(f(levels[levels > last])))
+        bound *= specfun._decay_stride(n, m, x, (math.sqrt, min, max))
+        n += specfun._STRIDE
+    return total
 
 
 def row_weight(n: int, m: int, x):

@@ -58,6 +58,30 @@ def count_work(monkeypatch):
     return counted
 
 
+def count_shared_work(monkeypatch):
+    """Count the work of every later level sum on the shared mesh: rounds
+    (row passes), nodes evaluated, weights yielded (node-levels) and the
+    panels of the last mesh."""
+    counted = {"rounds": 0, "nodes": 0, "node_levels": 0, "panels": 0}
+    overlap_rows = rate.overlap_rows
+    endpoint_pieces = rate._endpoint_pieces
+
+    def counting(m, x, top):
+        counted["rounds"] += 1
+        counted["nodes"] += x.size
+        for n, nodes, w in overlap_rows(m, x, top):
+            counted["node_levels"] += w.size
+            yield n, nodes, w
+
+    def pieces(theta, rho, edges, *rest):
+        counted["panels"] = edges.size - 1
+        return endpoint_pieces(theta, rho, edges, *rest)
+
+    monkeypatch.setattr(rate, "overlap_rows", counting)
+    monkeypatch.setattr(rate, "_endpoint_pieces", pieces)
+    return counted
+
+
 def one_row(n, m, x):
     """w(n, m, x) as a one-point row of its own."""
     return float(specfun.overlap_weight_rows([n], m, [x])[0])
@@ -316,19 +340,73 @@ class TestLevelSum:
         [(1e4, 30, 65, 5_795), (1e4, 300, 636, 400_038)],
     )
     def test_pinned_work_counts(self, monkeypatch, p_perp_sq, m, levels, points):
+        # the per-level quadrature in k_z, which (1e4, 300) takes only when
+        # the shared mesh is switched off
         row_steps = {(1e4, 30): 127_185, (1e4, 300): 83_731_406}[p_perp_sq, m]
+        monkeypatch.setattr(rate, "_SHARED_MESH_WORK", math.inf)
         counted = count_work(monkeypatch)
         result = decay_rate(MUON, magnetized(p_perp_sq, m))
         assert result.n_max_used + 1 == levels
         assert counted == {"points": points, "steps": row_steps}
 
     def test_absolute_floor_moves_no_level_at_the_default_tolerance(self, monkeypatch):
-        # without the floor, level 572 (width 4.4e-323, a subnormal) takes
-        # one more split, 122 more points, and ends with the same bits; the
-        # work is then that of the per-level relative tolerance alone
+        # in k_z, without the floor, level 572 (width 4.4e-323, a subnormal)
+        # takes one more split, 122 more points, and ends with the same
+        # bits; the work is then that of the per-level relative tolerance
+        # alone
         state = magnetized(1e4, 300)
+        monkeypatch.setattr(rate, "_SHARED_MESH_WORK", math.inf)
         floored = result_bits(decay_rate(MUON, state))
         counted = count_work(monkeypatch)
         monkeypatch.setattr(rate, "_LEVEL_ABS_FLOOR", 0.0)
         assert result_bits(decay_rate(MUON, state)) == floored
         assert counted == {"points": 400_160, "steps": 83_768_006}
+
+    def test_absolute_floor_moves_the_shared_mesh_width_within_its_error(self, monkeypatch):
+        # on the shared mesh a level below the absolute floor splits panels
+        # that every level shares: without the floor the mesh grows, and
+        # the width moves by less than its own error estimate
+        state = magnetized(1e4, 300)
+        floored = decay_rate(MUON, state)
+        counted = count_shared_work(monkeypatch)
+        monkeypatch.setattr(rate, "_LEVEL_ABS_FLOOR", 0.0)
+        bare = decay_rate(MUON, state)
+        assert abs(bare.gamma_total - floored.gamma_total) <= floored.quad_error
+        assert counted["panels"] > 68
+
+    @pytest.mark.parametrize(
+        "p_perp_sq,m,work",
+        [
+            (1e4, 30, {"rounds": 1, "nodes": 915, "node_levels": 37_818, "panels": 15}),
+            (1e4, 300, {"rounds": 2, "nodes": 5_368, "node_levels": 1_392_515, "panels": 68}),
+        ],
+    )
+    def test_pinned_shared_mesh_work(self, monkeypatch, p_perp_sq, m, work):
+        # rounds are row passes over the fresh panels, nodes the nodes they
+        # evaluate, node-levels the weights the rows yield, and panels those
+        # of the last mesh; (1e4, 30) takes the shared mesh only when asked
+        monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
+        counted = count_shared_work(monkeypatch)
+        decay_rate(MUON, magnetized(p_perp_sq, m))
+        assert counted == work
+
+    def test_shared_mesh_convergence_error_names_the_lowest_failing_level(self, monkeypatch):
+        # with a budget of the first mesh's own panels, the lowest level
+        # that misses its tolerance on that mesh is reported, with its
+        # partial value
+        state = magnetized(1e4, 300)
+        failing = []
+        cuts = rate._cuts
+
+        def first_round(edges, theta, tol, missed, *rest):
+            failing.append(np.flatnonzero(missed))
+            return cuts(edges, theta, tol, missed, *rest)
+
+        monkeypatch.setattr(rate, "_cuts", first_round)
+        decay_rate(MUON, state, rel_tol=1e-9)
+        monkeypatch.setattr(rate, "_MAX_PANELS", rate._initial_panels(300, 636) + rate._FIRST_PANEL_ENDS)
+        with pytest.raises(RateConvergenceError) as info:
+            decay_rate(MUON, state, rel_tol=1e-9)
+        assert info.value.n == failing[0][0]
+        assert info.value.partial_value > 0.0
+        assert info.value.error_estimate > 1e-9 * info.value.partial_value

@@ -34,16 +34,20 @@ GOLDEN_TABLE = (
 )
 GOLDEN_RATE_1E4_30 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377558,1.0002015013350884,6.9132221770091825e-15,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
+    "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377558,1.0002015013350884,6.9132221770091833e-15,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
 )
 GOLDEN_VERIFY_3_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,2.9472670017416634e-14,9.9999999999999995e-07\n"
+    "overlap_closed_form,true,max_rel_err,1.8445480555117689e-14,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
-    "overlap_completeness,true,max_abs_dev,2.2204460492503131e-14,1e-10\n"
+    "overlap_completeness,true,max_abs_dev,6.8833827526759706e-15,1e-10\n"
 )
-# 100 trials: the worst overlap trial is among the first three
-GOLDEN_VERIFY_100_0 = GOLDEN_VERIFY_3_0
+GOLDEN_VERIFY_100_0 = (
+    "check,passed,metric,value,threshold\n"
+    "overlap_closed_form,true,max_rel_err,2.4819516640127878e-14,9.9999999999999995e-07\n"
+    "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
+    "overlap_completeness,true,max_abs_dev,6.8833827526759706e-15,1e-10\n"
+)
 # JSON Lines keep each record's key order and print floats by repr
 GOLDEN_TABLE_JSON = (
     '{"p_perp2_MeV2":30000.0,"m":65,"ratio":1.0009370936443764,"radius_m":1.4924408868053397e-13,"acceleration_m_s2":4.3879168510675274e+29,"lambda_dB_m":7.158231031915559e-15,"B_gauss":3.871170257486085e+16}\n'
@@ -52,14 +56,14 @@ GOLDEN_TABLE_JSON = (
     '{"p_perp2_MeV2":1000.0,"m":5,"ratio":1.000026039656473,"radius_m":6.864029720541441e-14,"acceleration_m_s2":1.075679331546185e+29,"lambda_dB_m":3.920724608013635e-14,"B_gauss":1.536737284032355e+16}\n'
 )
 GOLDEN_VERIFY_3_0_JSON = (
-    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":2.9472670017416634e-14,"threshold":1e-06}\n'
+    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":1.844548055511769e-14,"threshold":1e-06}\n'
     '{"check":"lowest_level_equivalence","passed":true,"metric":"max_rel_err","value":2.9144446318191227e-16,"threshold":1e-07}\n'
-    '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":2.220446049250313e-14,"threshold":1e-10}\n'
+    '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":6.8833827526759706e-15,"threshold":1e-10}\n'
 )
-# 636 levels in one multi-interval quadrature
+# 636 levels on the mesh in x that they share
 GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016912,1.0000020629045885,6.0431999508069874e-15,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
+    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016928,1.0000020629045896,1.084173139250372e-16,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
 # the lowest-level closed forms integrate a single interval
 GOLDEN_SCAN_LLL = (

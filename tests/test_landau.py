@@ -166,6 +166,44 @@ class TestDaughterCutoffs:
         assert cuts[-1] >= 0.0
 
 
+class TestLevelEdges:
+    @pytest.mark.parametrize(
+        "field,level",
+        [(3e4 / 131, 65), (1e4 / 601, 300), (100.0, 0), (M_MU**2, 0), (1e16, 0), (1e18, 3)],
+    )
+    def test_kz_cutoff_is_field_sqrt_xy_over_omega(self, field, level):
+        # K_n = field sqrt(X_n Y_n) / omega ties the x form to the k_z one,
+        # at ordinary and at strong fields
+        channel = muon_like()
+        state = landau.MagnetizedState(field=field, level=level)
+        root_x, root_y = landau.level_edges(channel, state)
+        cuts = landau.kz_cutoffs(channel, state)
+        omega = state.energy(M_MU)
+        assert root_x.size == cuts.size
+        np.testing.assert_allclose(field * root_x * root_y / omega, cuts, rtol=1e-14, atol=0.0)
+
+    def test_edges_order_and_massive_daughter(self):
+        channel = landau.DecayChannel(m_parent=M_MU, m_charged=30.0)
+        state = landau.MagnetizedState(field=1e4 / 61, level=30)
+        root_x, root_y = landau.level_edges(channel, state)
+        assert np.all(root_x[:-1] > root_x[1:]) and root_x[-1] > 0.0
+        assert np.all(root_y > root_x)
+        np.testing.assert_allclose(
+            state.field * root_x * root_y / state.energy(M_MU),
+            landau.kz_cutoffs(channel, state),
+            rtol=1e-14,
+        )
+
+    def test_same_levels_as_the_cutoffs(self):
+        # the zero-phase-space drop and the index cap are shared
+        channel = landau.DecayChannel(m_parent=2.0)
+        saturated = landau.MagnetizedState(field=2.0, level=0)
+        assert landau.level_edges(channel, saturated)[0].size == 1
+        past_cap = landau.MagnetizedState(field=M_MU**2 / (2 * 10_001.5), level=0)
+        with pytest.raises(ValueError, match="10002 daughter levels open"):
+            landau.level_edges(muon_like(), past_cap)
+
+
 class TestDiscreteRelations:
     def test_field_for_radial_energy(self):
         assert landau.field_for_radial_energy(3e4, 65) == pytest.approx(229.00763358778626, rel=1e-14)

@@ -12,6 +12,7 @@ from magdecay import (
     field_for_radial_energy,
     lll_ratio_exact,
     lll_ratio_factored,
+    rate,
 )
 from magdecay.landau import kz_cutoffs
 from magdecay.rate import _integrand_arrays, free_rate_at_rest, free_rate_boosted
@@ -146,7 +147,9 @@ class TestDecayRate:
 
     def test_closed_channel_is_zero_and_checks_tolerance(self, monkeypatch):
         # no open level: only a field far beyond the documented range gets here
-        monkeypatch.setattr("magdecay.rate.kz_cutoffs", lambda channel, state: np.empty(0))
+        monkeypatch.setattr(
+            "magdecay.rate.level_edges", lambda channel, state: (np.empty(0), np.empty(0))
+        )
         state = magnetized(1e4, 30)
         gamma = state.energy(M_MU) / M_MU
         closed = RateResult(0.0, (), 0.0, free_rate_boosted(MUON, gamma), -1, gamma, 0.0)
@@ -328,3 +331,67 @@ class TestQuadratureHonesty:
                 total += mpmath.quad(lambda k_z: integrand(n, k_z), [0, cut])
             exact = float(2 * total / (16 * mpmath.pi * omega))
         assert abs(result.gamma_total - exact) <= result.quad_error
+
+
+def forced(monkeypatch, shared, state, rel_tol):
+    """decay_rate on the shared mesh or on the per-level k_z quadrature."""
+    monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0 if shared else math.inf)
+    return decay_rate(MUON, state, rel_tol)
+
+
+class TestSharedMesh:
+    # points of the five figure datasets: level_scan_multi, level_scan_5e4,
+    # field_scan_r0p1 (R = 0.1 / MeV, p_perp = (2m + 1) / R), lowest_level_scan
+    # (m = 0, p_sq is the field) and observables_table, and the criterion 3
+    # point (1e4, 300)
+    POINTS = [
+        (1e3, 40), (5e3, 56), (1e4, 75), (3e4, 65),
+        (5e4, 100), (5e4, 40),
+        (100.0 * 21**2, 10), (100.0 * 81**2, 40),
+        (6e3, 0), (1e5, 0),
+        (1e3, 5), (5e3, 20),
+        (1e4, 300),
+    ]
+
+    @pytest.mark.parametrize("p_sq,m", POINTS)
+    def test_matches_the_per_level_sum(self, monkeypatch, p_sq, m):
+        # the two level sums at rel_tol 1e-13 agree in the width and the
+        # ratio within 1e-12
+        state = magnetized(p_sq, m)
+        mesh = forced(monkeypatch, True, state, 1e-13)
+        kz = forced(monkeypatch, False, state, 1e-13)
+        assert mesh.gamma_total == pytest.approx(kz.gamma_total, rel=1e-12, abs=0.0)
+        assert mesh.ratio == pytest.approx(kz.ratio, rel=1e-12, abs=0.0)
+        assert mesh.n_max_used == kz.n_max_used
+
+    def test_size_picks_the_scheme(self):
+        # m (levels) against the threshold, and X_0 against the level
+        # kernel's argument cap
+        def shares(p_sq, m):
+            root_x = rate.level_edges(MUON, magnetized(p_sq, m))[0]
+            return rate._shares_mesh(m, root_x)
+
+        assert not shares(1e4, 30) and not shares(3e4, 65) and not shares(1e3, 44)
+        assert shares(1e4, 300) and shares(1e3, 76)
+        # p_perp^2 = 10 at m = 1: 1,677 levels and X_0 near 1,676
+        assert shares(10.0, 1)
+
+    def test_level_count_past_the_old_argument_cap(self):
+        # m = 1000 at p_perp^2 = 1e4 once stopped at "argument above cap
+        # 1400.0"; its width at 1e-11 meets that at 1e-13
+        state = magnetized(1e4, 1000)
+        loose = decay_rate(MUON, state, rel_tol=1e-11)
+        tight = decay_rate(MUON, state, rel_tol=1e-13)
+        assert loose.n_max_used == 2117
+        assert abs(loose.gamma_total - tight.gamma_total) <= 1e-11 * tight.gamma_total
+        assert abs(loose.ratio - 1.0) < 1e-6
+
+    def test_quad_error_of_a_subnormal_width_keeps_its_digits(self):
+        # G = 1e-150 scales the width and its error by 1e-300: the level
+        # errors are summed before the prefactor scales them, so the
+        # subnormal total is one rounding of the scaled sum
+        state = magnetized(1e4, 30)
+        unit = decay_rate(MUON, state)
+        tiny = decay_rate(DecayChannel(m_parent=M_MU, coupling=1e-150), state)
+        assert tiny.quad_error < 2.2250738585072014e-308
+        assert abs(tiny.quad_error - 1e-300 * unit.quad_error) <= 2.0**-1074

@@ -227,13 +227,21 @@ class TestCompletenessSum:
             (-1, 1.0, "nonnegative"),
             (specfun.MAX_OVERLAP_INDEX + 1, 1.0, "above cap"),
             (3, -1e-3, "nonnegative"),
-            (3, specfun.MAX_OVERLAP_ARGUMENT * 1.01, "above cap"),
+            (3, math.inf, "finite"),
         ],
-        ids=["negative-level", "level-above-cap", "negative-argument", "argument-above-cap"],
+        ids=["negative-level", "level-above-cap", "negative-argument", "infinite-argument"],
     )
     def test_domain_errors(self, m, x, match):
         with pytest.raises(ValueError, match=match):
             specfun.overlap_completeness_sum(m, x)
+
+    # past 1400, where exp(-x/2) leaves the normal float range and the level
+    # kernel stops, the row's seed keeps its scale in the exponent
+    @pytest.mark.parametrize("m,x", [(3, 1414.0), (100, 5000.0), (3000, 2000.0)])
+    def test_arguments_past_the_kernel_cap_are_summed(self, m, x):
+        total, last = specfun.overlap_completeness_sum(m, x)
+        assert abs(total - 1.0) < 1e-10
+        assert last > m + x
 
 
 # the points every row identity runs on: D_0 is below the float range at
@@ -271,7 +279,7 @@ class TestOverlapRow:
             sin = [float(mpmath.sin(t)) for t in turn]
         # the phase table and each product round once, the sums and the
         # right side once more
-        tol = math.fsum(row_bounds(m, x, row)) + past_row(np.ones_like, len(row) - 1) + 4.0 * EPS
+        tol = math.fsum(row_bounds(m, x, row)) + past_row(np.ones_like, m, x, len(row) - 1) + 4.0 * EPS
         for k in np.random.default_rng(m).integers(1, ROW_PHASES, size=3).tolist():
             re = math.fsum(w * cos[n * k % ROW_PHASES] for n, w in enumerate(row))
             im = math.fsum(w * sin[n * k % ROW_PHASES] for n, w in enumerate(row))
@@ -295,7 +303,7 @@ class TestOverlapRow:
         for f, exact in ((lambda v: v, mean), (lambda v: (v - mean) ** 2, x * (2 * m + 1))):
             terms = f(n) * np.array(row)
             # one more rounding in each term, and the fsum's own
-            tol = float(np.sum(f(n) * bounds)) + past_row(f, len(row) - 1)
+            tol = float(np.sum(f(n) * bounds)) + past_row(f, m, x, len(row) - 1)
             tol += EPS * float(np.sum(terms)) + EPS * exact
             assert abs(math.fsum(terms.tolist()) - exact) <= tol, (m, x, exact)
 
@@ -376,3 +384,122 @@ class TestOverlapAccuracy:
         assert kernel_err <= 1e-11
         # no less accurate than the recurrence normalized at every step
         assert kernel_err <= 2.0 * normalized_err
+
+
+def array_rows(m, x, top):
+    """{(node, level): weight} of one overlap_rows call."""
+    index = np.arange(np.size(x))
+    out = {}
+    for n, nodes, w in specfun.overlap_rows(m, x, top):
+        levels = np.broadcast_to(n, np.shape(index[nodes]))
+        for i, level, v in zip(index[nodes].tolist(), levels.tolist(), w.tolist()):
+            assert (i, level) not in out
+            out[i, level] = v
+    return out
+
+
+# verify's completeness grid, the row identities' points, and arguments up
+# to 7000, past the level kernel's cap
+ARRAY_POINTS = [(m, x) for m in (0, 5, 20, 50) for x in (0.1, 1.0, 10.0, 100.0)]
+ARRAY_POINTS += ROW_POINTS + [(10000, 7000.0), (0, 5000.0), (3000, 2000.0), (5800, 1000.0)]
+
+
+class TestArrayRow:
+    """The row across levels over an array of nodes, each with its own m."""
+
+    def test_bits_of_the_scalar_row(self):
+        # one call over every point at once, each node running to the last
+        # level of its scalar row: every weight has the scalar row's bits
+        rows = [specfun._overlap_row(m, x) for m, x in ARRAY_POINTS]
+        m = np.array([p[0] for p in ARRAY_POINTS])
+        x = np.array([p[1] for p in ARRAY_POINTS])
+        got = array_rows(m, x, np.array([len(r) - 1 for r in rows]))
+        want = {(i, n): w for i, row in enumerate(rows) for n, w in enumerate(row)}
+        assert got == want
+
+    @pytest.mark.parametrize("m", [0, 7, 300])
+    def test_ordered_nodes_stream_slices(self, m):
+        # ascending x and non-increasing tops, as the level sum lays out its
+        # nodes: every forward yield is a slice, and each node's levels are
+        # those of its own one-node call
+        x = np.geomspace(1e-6, 800.0, 40)
+        top = np.linspace(m + 400, 0, 40).astype(int)
+        streamed = specfun.overlap_rows(m, x, top)
+        forward = [nodes for n, nodes, _ in streamed if np.ndim(n) == 0]
+        assert all(isinstance(nodes, slice) for nodes in forward)
+        got = array_rows(m, x, top)
+        for i in range(0, 40, 7):
+            alone = array_rows(m, x[i : i + 1], top[i : i + 1])
+            assert {n: w for (j, n), w in got.items() if j == i} == {n: w for (_, n), w in alone.items()}
+
+    @pytest.mark.parametrize("m,x", [(10000, 7000.0), (0, 5000.0), (3000, 2000.0)])
+    def test_mean_and_variance_past_the_kernel_cap(self, m, x):
+        # the array row has the scalar row's bits (above), so the scalar
+        # row's identities hold for it at these arguments too
+        row = specfun._overlap_row(m, x)
+        n = np.arange(len(row), dtype=float)
+        bounds = row_bounds(m, x, row)
+        mean = m + x
+        for f, exact in ((lambda v: v, mean), (lambda v: (v - mean) ** 2, x * (2 * m + 1))):
+            terms = f(n) * np.array(row)
+            tol = float(np.sum(f(n) * bounds)) + past_row(f, m, x, len(row) - 1)
+            tol += EPS * float(np.sum(terms)) + EPS * exact
+            assert abs(math.fsum(terms.tolist()) - exact) <= tol, (m, x, exact)
+
+    @pytest.mark.parametrize(
+        "n,m,x",
+        [
+            # the level kernel's seed underflows here and it returns 0
+            (5800, 2000, 1000.0),
+            (2500, 2000, 1000.0),
+            (250, 300, 0.5),
+            # exp(-x/2) past the float range: the seed splits off 2^-k
+            (1390, 0, 1390.0),
+            (1200, 0, 1390.0),
+            (700, 50, 1500.0),
+        ],
+    )
+    def test_weights_against_mpmath(self, n, m, x):
+        mpmath = pytest.importorskip("mpmath")
+        w = array_rows(np.array([m]), np.array([x]), np.array([n]))[0, n]
+        exact = mpmath_overlap(n, m, x, mpmath)
+        turn, last, start = specfun._row_levels(m, x)
+        steps = m + max(start, n) + 1
+        tol = ROW_STEP_ROUNDINGS * steps * EPS * exact + specfun.ROW_ABS_ERROR + 2.0**-1074
+        assert exact > 0.0
+        assert abs(w - exact) <= tol, (w, exact)
+
+    def test_weight_past_the_seed_underflow(self):
+        w = array_rows(np.array([2000]), np.array([1000.0]), np.array([5800]))[0, 5800]
+        assert w == pytest.approx(7.83e-4, rel=1e-3)
+        # the level kernel, kept for the per-level sum, still loses it
+        assert row_weight(5800, 2000, 1000.0) == 0.0
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="1-D"):
+            list(specfun.overlap_rows(3, np.ones((2, 2)), np.ones((2, 2), dtype=int)))
+        with pytest.raises(ValueError, match="finite"):
+            list(specfun.overlap_rows(3, np.array([math.nan]), np.array([1])))
+        with pytest.raises(ValueError, match="indices"):
+            list(specfun.overlap_rows(-1, np.array([1.0]), np.array([1])))
+        assert list(specfun.overlap_rows(3, np.empty(0), np.empty(0, dtype=int))) == []
+
+
+class TestMillerStart:
+    """Miller's backward run starts where the row's own decay bound past the
+    turning point falls below 1e-40."""
+
+    @pytest.mark.parametrize(
+        "m,x,steps,before",
+        [(50, 100.0, 475, 523), (0, 100.0, 270, 279), (300, 50.0, 1008, 1055)],
+    )
+    def test_steps(self, m, x, steps, before):
+        # before: the generating-function bound's start
+        row = specfun._overlap_row(m, x)
+        assert row_steps(m, x, row) == steps < before
+
+    @pytest.mark.parametrize("m,x", [(50, 100.0), (0, 100.0), (300, 50.0), (7, 3.3), (2000, 100.0)])
+    def test_weight_at_the_start_is_below_the_threshold(self, m, x):
+        mpmath = pytest.importorskip("mpmath")
+        start = specfun._row_levels(m, x)[2]
+        assert mpmath_overlap(start, m, x, mpmath) < 1e-40
