@@ -1,0 +1,411 @@
+"""The level sum on one mesh in x that all levels share.
+
+Level n of :func:`magdecay.rate.decay_rate` is the integral over
+[0, X_n] of w(n, m, x) / sqrt((X_n - x)(Y_n - x)).  All levels share one
+mesh of panels in t = sqrt(x / X_0), uniform to start, each with the
+61-point Kronrod and 30-point Gauss rules of :mod:`magdecay.quadrature`.
+At every node one row of the recurrence across levels
+(:func:`magdecay.specfun.overlap_rows`) gives the weights of all the
+levels whose X_n reaches the node's panel, and each level's weights are
+reduced into per-panel Kronrod and Gauss sums as the row steps, so no
+(levels x nodes) matrix is held.  Level n takes the plain rules on its
+panels below the two around sqrt(X_n); on those two its inverse square
+root is taken out by s = sqrt(X_n - x), and the rest, interpolated
+barycentrically from the two panels' nodes, is integrated by the Kronrod
+rule in s, with the Gauss rule in s on the Gauss nodes' interpolant as
+its error estimate (product integration, as in QUADPACK's QAWS).  The
+interpolation carries the weights' roundoff from where they are large to
+where they are small, so a level's error is never taken below that
+roundoff times the Lebesgue-weighted sum of its end values.  Shared
+panels are bisected wherever a level misses its tolerance.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from . import quadrature
+from .specfun import ROW_ABS_ERROR, overlap_rows
+
+
+# panels the shared mesh may hold before the level sum is given up
+_MAX_PANELS = 2000
+# edges the first mesh puts at the ends of the levels inside its first panel
+_FIRST_PANEL_ENDS = 8
+# the Kronrod nodes of a panel on [-1, 1], the Kronrod and Gauss weights
+# as the columns of one matrix, and the positions of the Gauss nodes
+_NODES = quadrature._NODES
+_WEIGHTS_KG = np.stack((quadrature._WEIGHTS_K, quadrature._WEIGHTS_G), axis=1)
+_GAUSS = np.flatnonzero(quadrature._WEIGHTS_G)
+_WEIGHTS_G30 = quadrature._WEIGHTS_G[_GAUSS]
+
+
+def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
+    """1 / prod_{l != k} (u_k - u_l), scaled to a largest magnitude of one."""
+    gaps = np.subtract.outer(nodes, nodes)
+    np.fill_diagonal(gaps, 1.0)
+    weights = 1.0 / np.prod(gaps, axis=1)
+    return weights / np.abs(weights).max()
+
+
+_BARY_K = _barycentric_weights(_NODES)
+_BARY_G = _barycentric_weights(_NODES[_GAUSS])
+# levels per batch of the endpoint interpolation, whose largest array is
+# (levels, 61, 61), and of the plain reductions, whose buffer holds the
+# weights of that many levels at every node
+_ENDPOINT_BATCH = 8
+_LEVEL_BATCH = 8
+_EPS = float(np.finfo(float).eps)
+# a floor under (theta^2 - t^2)(1 - rho^2 t^2) past a level's own panels,
+# where its weights in the buffer are zero
+_TINY_GAP = 1e-300
+
+
+def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
+    """Every level's integral and error estimate on one adaptively refined mesh.
+
+    In t = sqrt(x / X_0) level n is the integral over [0, theta_n],
+    theta_n = sqrt(X_n / X_0), of w(n, m, x) h_n(t) with
+
+        h_n(t) = 2 t rho_n / sqrt((theta_n^2 - t^2)(1 - rho_n^2 t^2)),
+
+    rho_n = sqrt(X_0 / Y_n) < 1.  After each round every panel that holds
+    more than its width-share of the tolerance of a level that misses it is
+    bisected, and so is the worst piece of each such level; the next round
+    evaluates the new panels only.  A kept panel keeps each level's sums,
+    and a level's endpoint piece is computed again only when one of its two
+    panels was split.  Returns two lists (values, error estimates), one
+    entry per level.  When a level misses its tolerance within the panel
+    budget, :class:`magdecay.quadrature.QuadraturePanelError` names the
+    lowest such level as its interval.
+    """
+    levels = root_x.size
+    theta = root_x / root_x[0]
+    rho = root_x[0] / root_y
+    scale_x = root_x[0] * root_x[0]
+    edges = np.linspace(0.0, 1.0, _initial_panels(m, levels) + 1)
+    # the levels whose integral ends inside the first panel get an edge at
+    # that end (see the refinement below)
+    edges = _distinct(np.concatenate((edges, theta[theta < edges[1]][:_FIRST_PANEL_ENDS])))
+    panels = edges.size - 1
+    upper = np.searchsorted(edges[:-1], theta, side="right") - 1
+    kronrod = np.zeros((levels, panels))
+    deviation = np.zeros((levels, panels))
+    pair_w = np.zeros((levels, 2 * _NODES.size))
+    fresh = np.arange(panels)
+    endpoint = np.zeros((3, levels))
+    pair_edges = np.full((3, levels), -1.0)
+    # a weight at level n carries the roundings of the m + n steps of its
+    # row (about one unit each; the first-order bound is eight), which floor
+    # the level's estimate as the rule's roundoff does; the end pieces
+    # count them at the Lebesgue-weighted sum of their interpolated values
+    roundoff_share = np.maximum(quadrature._ROUNDOFF, _EPS * (m + 1 + np.arange(levels)))
+    # and an absolute error of ROW_ABS_ERROR, which the integral of h_n,
+    # 2 artanh(rho_n theta_n), carries into the level
+    row_error = ROW_ABS_ERROR * 2.0 * np.arctanh(rho * theta)
+    while True:
+        _evaluate_panels(m, scale_x, theta, rho, edges, upper, fresh, kronrod, deviation, pair_w)
+        lower = np.maximum(upper - 1, 0)
+        now = np.stack((edges[lower], edges[upper], edges[upper + 1]))
+        todo = np.flatnonzero((now != pair_edges).any(axis=0))
+        endpoint[:, todo] = _endpoint_pieces(theta[todo], rho[todo], edges, upper[todo], pair_w[todo])
+        pair_edges = now
+        # the integrand is nonnegative: a sum that roundoff and interpolation
+        # error in levels far below the floor leave negative is raised to 0,
+        # which can only bring it closer
+        plain = kronrod.sum(axis=1)
+        value = np.maximum(plain + endpoint[0], 0.0)
+        error = np.abs(deviation).sum(axis=1) + endpoint[1]
+        floor = roundoff_share * np.maximum(plain + endpoint[2], 0.0) + row_error
+        estimate = np.maximum(error, floor)
+        tol = np.maximum(np.maximum(rel_tol * value, abs_tol), floor)
+        failing = estimate > tol
+        if not failing.any():
+            return value.tolist(), estimate.tolist()
+        if panels >= _MAX_PANELS:
+            n = int(np.flatnonzero(failing)[0])
+            raise quadrature.QuadraturePanelError(
+                f"no convergence within {_MAX_PANELS} panels "
+                f"(error {estimate[n]:.3e}, tolerance {tol[n]:.3e})",
+                float(value[n]),
+                float(estimate[n]),
+                n,
+            )
+        cuts = _cuts(edges, theta, tol, failing, deviation, endpoint[1], upper)[: _MAX_PANELS - panels]
+        edges, upper, fresh, kronrod, deviation, pair_w = _refine(
+            edges, np.sort(cuts), theta, rho, upper, kronrod, deviation, pair_w
+        )
+        panels = edges.size - 1
+
+
+def _cuts(edges, theta, tol, failing, deviation, endpoint_error, upper):
+    """The new edges: the midpoint of every panel that holds more than its
+    width-share of a failing level's tolerance, or is a failing level's
+    worst piece, largest share first; a failing level inside the first
+    panel gets an edge at theta_n itself, where its integral ends, so that
+    its weights, like x^|n-m| from 0, are interpolated over its own range."""
+    share = (tol / theta)[failing]
+    up = upper[failing]
+    low = np.maximum(up - 1, 0)
+    # a level with no tolerance at all (a zero value and no floor) has every
+    # piece with an error over its share
+    with np.errstate(divide="ignore", invalid="ignore"):
+        over = np.abs(deviation[failing]) / (share[:, None] * np.diff(edges))
+        end_over = endpoint_error[failing] / (share * (theta[failing] - edges[low]))
+    over[np.isnan(over)] = 0.0
+    end_over[np.isnan(end_over)] = 0.0
+    worst = over.argmax(axis=1)
+    plain_worst = over[np.arange(worst.size), worst] >= end_over
+    over[np.flatnonzero(plain_worst), worst[plain_worst]] = np.inf
+    end_over[~plain_worst] = np.inf
+    score = over.max(axis=0)
+    np.maximum.at(score, low, end_over)
+    np.maximum.at(score, up, end_over)
+    split = np.flatnonzero(score > 1.0)
+    split = split[np.argsort(-score[split], kind="stable")]
+    cuts = 0.5 * (edges[split] + edges[split + 1])
+    alone = (up == 0) & (end_over > 1.0)
+    if alone.any() and split.size and split[0] == 0:
+        ends = theta[failing][alone]
+        cuts = np.concatenate((ends[ends < 0.5 * edges[1]], cuts))
+    return cuts
+
+
+def _refine(edges, cuts, theta, rho, upper, kronrod, deviation, pair_w):
+    """The mesh with ``cuts`` added, and the sums of its kept panels.
+
+    A kept panel keeps its columns.  A level's new pair of panels around
+    theta_n holds each kept panel in the slot it had, and a kept panel that
+    was its lower pair panel and is now plain gets its plain sums from the
+    stored weights.  Returns the new edges, the new upper panels, the fresh
+    panels to evaluate and the carried sums.
+    """
+    width = _NODES.size
+    new_edges = _distinct(np.concatenate((edges, cuts)))
+    panels = new_edges.size - 1
+    # an old panel is kept when both its edges are consecutive new edges
+    start = np.searchsorted(new_edges, edges[:-1])
+    kept = new_edges[start + 1] == edges[1:]
+    old_of = np.full(panels, -1)
+    old_of[start[kept]] = np.flatnonzero(kept)
+    fresh = np.flatnonzero(old_of < 0)
+    levels = theta.size
+    new_kronrod = np.zeros((levels, panels))
+    new_deviation = np.zeros((levels, panels))
+    new_kronrod[:, start[kept]] = kronrod[:, kept]
+    new_deviation[:, start[kept]] = deviation[:, kept]
+    new_upper = np.searchsorted(new_edges[:-1], theta, side="right") - 1
+    # the old lower pair panel of a level, kept and now below its new pair
+    was_lower = np.maximum(upper - 1, 0)
+    plain = (upper >= 1) & kept[was_lower] & (start[was_lower] < new_upper - 1)
+    if plain.any():
+        n = np.flatnonzero(plain)
+        p = start[was_lower[n]]
+        half = 0.5 * (new_edges[p + 1] - new_edges[p])
+        t = 0.5 * (new_edges[p] + new_edges[p + 1])[:, None] + half[:, None] * _NODES
+        th, r = theta[n, None], rho[n, None]
+        f = pair_w[n, :width] * t / np.sqrt((th - t) * (th + t) * (1.0 - r * r * t * t))
+        sums = f @ _WEIGHTS_KG * (2.0 * r * half[:, None])
+        new_kronrod[n, p] = sums[:, 0]
+        new_deviation[n, p] = sums[:, 0] - sums[:, 1]
+    # a kept panel of a level's new pair was in its old pair, in the same
+    # slot; the other slots are filled again by the fresh panels
+    for slot in (0, 1):
+        old = old_of[np.maximum(new_upper - 1 + slot, 0)]
+        carried = (old >= 0) & (old == upper - 1 + slot) & (new_upper - 1 + slot >= 0)
+        pair_w[~carried, slot * width : (slot + 1) * width] = 0.0
+    return new_edges, new_upper, fresh, new_kronrod, new_deviation, pair_w
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending (``np.unique``, which imports numpy.ma)."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _initial_panels(m: int, levels: int) -> int:
+    """Panels of the first mesh.  The weights of the levels past m have m
+    zeros each, about 2 / sqrt(m) apart in sqrt(x), and sqrt(X_0) is about
+    sqrt(levels): about sqrt(m levels) / 2 bumps over the mesh, of which a
+    panel takes six (the fewest node-levels over the points measured)."""
+    return 4 + math.isqrt(m * levels) // 12
+
+
+def _evaluate_panels(m, scale_x, theta, rho, edges, upper, fresh, kronrod, deviation, pair_w):
+    """One pass of the row over the nodes of the panels ``fresh``.
+
+    Adds each level's Kronrod sum and Kronrod minus Gauss sum on each of
+    them that is plain for it (below the panel under its upper one) to
+    ``kronrod`` and ``deviation``, and puts its weights on those of them
+    around theta_n into ``pair_w``.  The plain reductions run
+    ``_LEVEL_BATCH`` consecutive levels at a time on a buffer of their
+    weights.
+    """
+    width = _NODES.size
+    half = 0.5 * (edges[fresh + 1] - edges[fresh])
+    t = (0.5 * (edges[fresh] + edges[fresh + 1])[:, None] + half[:, None] * _NODES).reshape(-1)
+    t_sq = t * t
+    # a panel's nodes serve the levels whose upper panel is at or past it
+    top = np.searchsorted(-upper, -fresh, side="right") - 1
+    # where each level's plain panels end among the fresh ones, and the
+    # fresh nodes of its two panels around theta_n with their place in
+    # pair_w (a lone first panel has no lower one)
+    lower_at = np.searchsorted(fresh, upper - 1)
+    plain_end = (lower_at * width).tolist()
+    has = [
+        (at < fresh.size) & (fresh[np.minimum(at, fresh.size - 1)] == upper - 1 + slot)
+        for slot, at in enumerate((lower_at, np.searchsorted(fresh, upper)))
+    ]
+    pair_from = lower_at * width
+    pair_to = (pair_from + (has[0].astype(int) + has[1]) * width).tolist()
+    pair_slot, pair_from = np.where(has[0], 0, width).tolist(), pair_from.tolist()
+    batch = np.zeros((_LEVEL_BATCH, t.size))
+    pending = []
+
+    def reduce():
+        n0, rows = pending[0], len(pending)
+        end = max(plain_end[n0 : n0 + rows])
+        if end:
+            levels = slice(n0, n0 + rows)
+            th, r = theta[levels, None], rho[levels, None]
+            ts = t[:end]
+            weights = batch[:rows, :end]
+            # in place: the gap, and f = w t / sqrt(gap) on the weights
+            gap = th - ts
+            gap *= th + ts
+            gap *= 1.0 - r * r * t_sq[:end]
+            # past a level's own plain panels its weights are zero here
+            np.sqrt(np.maximum(gap, _TINY_GAP, out=gap), out=gap)
+            f = np.multiply(weights, ts, out=weights)
+            f /= gap
+            sums = (f.reshape(-1, width) @ _WEIGHTS_KG).reshape(rows, -1, 2)
+            sums *= (2.0 * r)[:, :, None] * half[: end // width, None]
+            panels = fresh[: end // width]
+            kronrod[levels, panels] += sums[:, :, 0]
+            deviation[levels, panels] += sums[:, :, 0] - sums[:, :, 1]
+            weights.fill(0.0)
+        pending.clear()
+
+    rows = overlap_rows(m, scale_x * t_sq, top.repeat(width))
+    tail = None
+    for n, nodes, w in rows:
+        if np.ndim(n):
+            tail = (n, nodes, w)
+            break
+        first, stop = nodes.start, nodes.stop
+        end = plain_end[n]
+        if end > first:
+            batch[len(pending), first:end] = w[: end - first]
+        lo, hi = max(first, pair_from[n]), min(stop, pair_to[n])
+        if hi > lo:
+            at = pair_slot[n] - pair_from[n]
+            pair_w[n, at + lo : at + hi] = w[lo - first : hi - first]
+        pending.append(n)
+        if len(pending) == _LEVEL_BATCH:
+            reduce()
+    if pending:
+        reduce()
+    # Miller's part, past the turning points, comes last as (levels, nodes)
+    # pairs, and needs no buffer of the forward part
+    del batch
+    if tail is not None:
+        for n, nodes, w in itertools.chain((tail,), rows):
+            _reduce_tail(n, nodes, w, theta, rho, t, half, fresh, upper, kronrod, deviation, pair_w)
+
+
+def _reduce_tail(levels, nodes, w, theta, rho, t, half, fresh, upper, kronrod, deviation, pair_w):
+    """Add the weights of (level, node) pairs to the sums of ``_evaluate_panels``."""
+    width = _NODES.size
+    local = nodes // width
+    panel = fresh[local]
+    lower = upper[levels] - 1
+    on = panel < lower
+    lv, nd, pn, loc = levels[on], nodes[on], panel[on], local[on]
+    th, r, ts = theta[lv], rho[lv], t[nd]
+    f = w[on] * ts / np.sqrt((th - ts) * (th + ts) * (1.0 - r * r * ts * ts))
+    f *= 2.0 * r * half[loc]
+    pos = nd % width
+    k_sum, g_sum = f * _WEIGHTS_KG[pos, 0], f * _WEIGHTS_KG[pos, 1]
+    key = lv * kronrod.shape[1] + pn
+    np.add.at(kronrod.reshape(-1), key, k_sum)
+    np.add.at(deviation.reshape(-1), key, k_sum - g_sum)
+    pair = (panel >= lower) & (panel <= lower + 1)
+    pair_w[levels[pair], (panel[pair] - lower[pair]) * width + nodes[pair] % width] = w[pair]
+
+
+def _endpoint_pieces(theta, rho, edges, upper, pair_w):
+    """Each level's integral over its two panels around theta_n, and its error.
+
+    With s = sqrt(theta_n^2 - t^2) the piece is 2 theta_n rho_n times the
+    integral over sigma = s / theta_n in [0, sigma_a] of g_n(t) = w / sqrt(1 -
+    rho_n^2 t^2), t = theta_n sqrt(1 - sigma^2), smooth in sigma.  The
+    61-point Kronrod rule in sigma integrates the barycentric interpolant of
+    g_n from the Kronrod nodes of the panel holding t; the 30-point Gauss
+    rule in sigma on the interpolant from the panel's Gauss nodes gives the
+    other estimate, and their difference, which holds the error of the rule
+    in sigma as well as that of the interpolation, is the error.  The
+    same rule on sum_k |l_k| g_k (see :func:`_interpolate`) gives the third
+    row: the piece's roundoff is at most the weights' relative roundoff
+    times it.  Batched over ``_ENDPOINT_BATCH`` levels.
+    """
+    width = _NODES.size
+    levels = theta.size
+    result = np.empty((3, levels))
+    for s in range(0, levels, _ENDPOINT_BATCH):
+        batch = slice(s, min(s + _ENDPOINT_BATCH, levels))
+        th, r, up = theta[batch, None], rho[batch, None], upper[batch, None]
+        low = np.maximum(up - 1, 0)
+        ratio = edges[low] / th
+        sigma_a = np.sqrt((1.0 - ratio) * (1.0 + ratio))
+        sigma = 0.5 * sigma_a * (1.0 + _NODES)
+        ts = th * np.sqrt((1.0 - sigma) * (1.0 + sigma))
+        in_upper = ts >= edges[up]
+        p = np.where(in_upper, up, low)
+        local = (2.0 * ts - (edges[p] + edges[p + 1])) / (edges[p + 1] - edges[p])
+        # a lone first panel has its nodes in the upper slot, and no lower one
+        both = np.concatenate((low, up), axis=1)
+        half = 0.5 * (edges[both + 1] - edges[both])
+        nodes_t = (edges[both] + half)[:, :, None] + half[:, :, None] * _NODES
+        scaled = r[:, :, None] * nodes_t
+        g = pair_w[batch].reshape(-1, 2, width) / np.sqrt(1.0 - scaled * scaled)
+        kronrod, spread = _interpolate(local, in_upper, g, _NODES, _BARY_K, with_spread=True)
+        kronrod = kronrod @ _WEIGHTS_KG[:, 0]
+        gauss = _interpolate(
+            local[:, _GAUSS], in_upper[:, _GAUSS], g[:, :, _GAUSS], _NODES[_GAUSS], _BARY_G
+        ) @ _WEIGHTS_G30
+        factor = (th * r * sigma_a)[:, 0]
+        result[0, batch] = factor * kronrod
+        result[1, batch] = factor * np.abs(kronrod - gauss)
+        result[2, batch] = factor * (spread @ _WEIGHTS_KG[:, 0])
+    return result
+
+
+def _interpolate(local, in_upper, g, nodes, bary, with_spread=False):
+    """The barycentric interpolant at the points ``local`` (levels, points),
+    each in its own panel's coordinate, of the values ``g`` (levels, 2,
+    nodes) at ``nodes`` of the lower and the upper panel.  With
+    ``with_spread``, also the spread sum_k |l_k(u)| g_k over the Lagrange
+    basis l_k at each point: a relative error e in every g_k >= 0 moves the
+    interpolant by at most e times the spread."""
+    columns = np.ones((g.shape[0], nodes.size, 3))
+    columns[:, :, :2] = g.transpose(0, 2, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.subtract(local[..., None], nodes)
+        np.divide(bary, c, out=c)
+        sums = c @ columns
+        value = np.where(in_upper, sums[..., 1], sums[..., 0]) / sums[..., 2]
+        if with_spread:
+            sums[..., :2] = np.abs(c, out=c) @ columns[:, :, :2]
+            spread = np.where(in_upper, sums[..., 1], sums[..., 0]) / np.abs(sums[..., 2])
+    hit = ~np.isfinite(value)
+    if hit.any():
+        # a point on a node takes the node's value
+        at = np.nonzero(hit)
+        k = np.abs(local[at][:, None] - nodes).argmin(axis=1)
+        value[at] = g[at[0], in_upper[at].astype(int), k]
+        if with_spread:
+            spread[at] = value[at]
+    return (value, spread) if with_spread else value

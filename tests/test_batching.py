@@ -14,6 +14,7 @@ from magdecay import (
     decay_rate,
     field_for_radial_energy,
     landau,
+    mesh,
     quadrature,
     rate,
     specfun,
@@ -63,8 +64,8 @@ def count_shared_work(monkeypatch):
     (row passes), nodes evaluated, weights yielded (node-levels) and the
     panels of the last mesh."""
     counted = {"rounds": 0, "nodes": 0, "node_levels": 0, "panels": 0}
-    overlap_rows = rate.overlap_rows
-    endpoint_pieces = rate._endpoint_pieces
+    overlap_rows = mesh.overlap_rows
+    endpoint_pieces = mesh._endpoint_pieces
 
     def counting(m, x, top):
         counted["rounds"] += 1
@@ -77,8 +78,8 @@ def count_shared_work(monkeypatch):
         counted["panels"] = edges.size - 1
         return endpoint_pieces(theta, rho, edges, *rest)
 
-    monkeypatch.setattr(rate, "overlap_rows", counting)
-    monkeypatch.setattr(rate, "_endpoint_pieces", pieces)
+    monkeypatch.setattr(mesh, "overlap_rows", counting)
+    monkeypatch.setattr(mesh, "_endpoint_pieces", pieces)
     return counted
 
 
@@ -366,13 +367,15 @@ class TestLevelSum:
         # on the shared mesh a level below the absolute floor splits panels
         # that every level shares: without the floor the mesh grows, and
         # the width moves by less than its own error estimate
-        state = magnetized(1e4, 300)
-        floored = decay_rate(MUON, state)
+        state = magnetized(3e4, 72)
+        monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
         counted = count_shared_work(monkeypatch)
+        floored = decay_rate(MUON, state)
+        floored_panels = counted["panels"]
         monkeypatch.setattr(rate, "_LEVEL_ABS_FLOOR", 0.0)
         bare = decay_rate(MUON, state)
         assert abs(bare.gamma_total - floored.gamma_total) <= floored.quad_error
-        assert counted["panels"] > 68
+        assert counted["panels"] > floored_panels
 
     @pytest.mark.parametrize(
         "p_perp_sq,m,work",
@@ -396,15 +399,15 @@ class TestLevelSum:
         # partial value
         state = magnetized(1e4, 300)
         failing = []
-        cuts = rate._cuts
+        cuts = mesh._cuts
 
         def first_round(edges, theta, tol, missed, *rest):
             failing.append(np.flatnonzero(missed))
             return cuts(edges, theta, tol, missed, *rest)
 
-        monkeypatch.setattr(rate, "_cuts", first_round)
+        monkeypatch.setattr(mesh, "_cuts", first_round)
         decay_rate(MUON, state, rel_tol=1e-9)
-        monkeypatch.setattr(rate, "_MAX_PANELS", rate._initial_panels(300, 636) + rate._FIRST_PANEL_ENDS)
+        monkeypatch.setattr(mesh, "_MAX_PANELS", mesh._initial_panels(300, 636) + mesh._FIRST_PANEL_ENDS)
         with pytest.raises(RateConvergenceError) as info:
             decay_rate(MUON, state, rel_tol=1e-9)
         assert info.value.n == failing[0][0]

@@ -63,7 +63,7 @@ GOLDEN_VERIFY_3_0_JSON = (
 # 636 levels on the mesh in x that they share
 GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016928,1.0000020629045896,1.084173139250372e-16,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
+    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016928,1.0000020629045896,1.1260412482618169e-16,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
 # the lowest-level closed forms integrate a single interval
 GOLDEN_SCAN_LLL = (
