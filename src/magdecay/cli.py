@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--G", dest="coupling", type=_finite_float, default=None,
                        help="coupling in MeV (default 1; ratios are G-independent)")
         p.add_argument("--tol", dest="tol", type=_finite_float, default=None,
-                       help="relative quadrature tolerance (default 1e-9)")
+                       help="relative tolerance of the level sums (default 1e-9)")
         p.add_argument("--format", dest="format", choices=("csv", "json"), default=None,
                        help="output format (default csv)")
         p.add_argument("--config", dest="config", default=None,
@@ -275,8 +275,8 @@ def _cmd_scan_lll(args, config) -> list[dict]:
             {
                 "eB_MeV2": field,
                 "p_perp_MeV": math.sqrt(field),
-                "ratio_exact": rate.lll_ratio_exact(channel, field, rel_tol),
-                "ratio_factored": rate.lll_ratio_factored(channel, field, rel_tol),
+                "ratio_exact": rate.lll_ratio_exact(channel, field),
+                "ratio_factored": rate.lll_ratio_factored(channel, field),
                 "ratio_general": rate.decay_rate(channel, state, rel_tol).ratio,
             }
         )
@@ -314,7 +314,7 @@ def _check(check: str, metric: str, value: float, threshold: float) -> dict:
 def _lll_rel_err(channel, field: float, rel_tol: float) -> float:
     """Relative gap between the level-summed and the closed-form lowest-level ratio."""
     state = landau.MagnetizedState(field=field, level=0)
-    exact = rate.lll_ratio_exact(channel, field, rel_tol)
+    exact = rate.lll_ratio_exact(channel, field)
     return abs(rate.decay_rate(channel, state, rel_tol).ratio - exact) / exact
 
 

@@ -131,8 +131,9 @@ def _open_levels(channel: DecayChannel, state: MagnetizedState):
         steps = nearest - 1
     n_max = state.level + steps
     if n_max > MAX_OVERLAP_INDEX:
+        # to 15 digits: exact below 1e15, not 300 digits at the weakest fields
         raise ValueError(
-            f"{n_max + 1} daughter levels open (n_max = {n_max}), "
+            f"{n_max + 1:.15g} daughter levels open (n_max = {n_max:.15g}), "
             f"above the overlap index cap {MAX_OVERLAP_INDEX}"
         )
     n = np.arange(n_max + 1)

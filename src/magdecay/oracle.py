@@ -168,18 +168,20 @@ def closed_form_overlap_sq(trials: list[OverlapParams]) -> list[float]:
     One ``overlap_rows`` call, every trial a node that runs up to its level
     and keeps the weight there.  w is symmetric in (n, m), and with the
     larger index as the parent every trial's level is at or below the row's
-    turning point, so no trial needs Miller's backward run.  A node gets the
-    bits of its own row, so a trial gets the bits it gets as a list of one.
+    turning point, so no trial needs Miller's backward run.  The nodes go by
+    level, descending.  A node gets the bits of its own row, so a trial gets
+    the bits it gets as a list of one.
     """
     n = np.array([p.n for p in trials])
     m = np.array([p.m for p in trials])
-    low, high = np.minimum(n, m), np.maximum(n, m)
     x = np.array([p.displacement_sq() for p in trials])
-    index = np.arange(len(trials))
+    low, high = np.minimum(n, m), np.maximum(n, m)
+    order = np.argsort(-low, kind="stable")
+    low = low[order]
     weight = np.empty(len(trials))
-    for level, nodes, w in overlap_rows(high, x, low):
+    for level, nodes, w in overlap_rows(high[order], x[order], low):
         at = low[nodes] == level
-        weight[index[nodes][at]] = w[at]
+        weight[order[nodes][at]] = w[at]
     return (weight / np.array([p.field for p in trials])).tolist()
 
 

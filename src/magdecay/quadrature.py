@@ -13,6 +13,10 @@ The refinement policy is deterministic and per interval: panel order,
 splits, and the final compensated sums of an interval do not depend on
 which other intervals share its rounds or on how panels are batched into
 integrand calls, because each panel's rule sums run in a fixed order.
+
+:func:`integrate` runs the per-level k_z sum of :mod:`magdecay.rate`; the
+shared mesh (:mod:`magdecay.mesh`) and the lowest-level closed forms use
+only the rule constants.
 """
 
 from __future__ import annotations

@@ -384,7 +384,7 @@ def overlap_rows(m, x, top):
     ``m`` is one level or an array of them, ``x`` a 1-D array of arguments
     and ``top`` the last level each node needs.  The generator yields, for
     n ascending, ``(n, nodes, w)``: the weights at level n of the nodes
-    ``nodes``, a slice or an index array into ``x``, from the forward run.
+    ``nodes``, a slice of ``x``, from the forward run.
     When some node's top is past its turning point, the last yields carry
     the levels past the turning points from Miller's backward run as three
     arrays ``(levels, nodes, w)``, one entry per weight.  Every weight has
@@ -395,11 +395,11 @@ def overlap_rows(m, x, top):
     taken as the least subnormal.
 
     The forward run steps a window of the nodes, from the first to the last
-    whose top and turning point are both at least n.  With ``top``
-    non-increasing and the turning point non-decreasing along the nodes, as
-    the level sum orders them, the window holds exactly those nodes and a
-    yield is that slice; in another order it holds more, which step without
-    being yielded, and a yield is an index array.
+    whose top and turning point are both at least n.  It must hold exactly
+    those nodes, so the lesser of top and turning point must rise, then
+    fall, along the nodes, as in the level sum's layout (``top``
+    non-increasing, turning point non-decreasing) or in a descending sort by
+    it; any other layout raises :class:`ValueError`.
     """
     x = np.maximum(np.asarray(x, dtype=float), _TINY)
     top = np.asarray(top, dtype=np.int64)
@@ -424,7 +424,8 @@ def overlap_rows(m, x, top):
     # rising, then falling: the window holds exactly the nodes reaching n
     rises = np.diff(reach)
     falls = np.flatnonzero(rises < 0)
-    ordered = not falls.size or not (rises[falls[0] :] > 0).any()
+    if falls.size and (rises[falls[0] :] > 0).any():
+        raise ValueError("the nodes' last forward levels must rise, then fall, along the nodes")
     tail = np.flatnonzero(top > turn)
     cur, scale2 = _seed(m, x, uniform)
     every = _rescale_interval(root_x, int(top.max()) + int(m.max()))
@@ -445,11 +446,7 @@ def overlap_rows(m, x, top):
             hi -= 1
         window = slice(lo, hi)
         c = cur[window]
-        if ordered:
-            yield n, window, np.ldexp(c * c, scale2[window])
-        else:
-            at = np.flatnonzero(reach[window] >= n) + lo
-            yield n, at, np.ldexp(cur[at] * cur[at], scale2[at])
+        yield n, window, np.ldexp(c * c, scale2[window])
         r = root_next[window]
         np.multiply(root_x[window], math.sqrt(n + 1), out=r)
         t = new[window]

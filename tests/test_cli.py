@@ -65,14 +65,14 @@ GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
     "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016928,1.0000020629045896,1.1260412482618169e-16,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
-# the lowest-level closed forms integrate a single interval
+# the lowest-level closed forms run on one fixed Gauss rule
 GOLDEN_SCAN_LLL = (
     "eB_MeV2,p_perp_MeV,ratio_exact,ratio_factored,ratio_general\n"
-    "6000,77.459666924148337,0.89815579251047484,0.080063140782067499,0.89815579251047539\n"
-    "68173.161988049949,261.09990805829472,0.15144864631340108,0.04758424676880952,0.15144864631340099\n"
-    "774596.66924148379,880.11173679339367,0.01432034516655583,0.0051929878208609821,0.014320345166555826\n"
-    "8801117.3679339439,2966.6677211871815,0.0012686347230580772,0.00046611274298952231,0.0012686347230580776\n"
-    "100000000,10000,0.00011171865912198421,4.1094406489519477e-05,0.0001117186591219842\n"
+    "6000,77.459666924148337,0.89815579251047495,0.080063140782067485,0.89815579251047539\n"
+    "68173.161988049949,261.09990805829472,0.15144864631340105,0.047584246768809534,0.15144864631340099\n"
+    "774596.66924148379,880.11173679339367,0.014320345166555825,0.005192987820860983,0.014320345166555826\n"
+    "8801117.3679339439,2966.6677211871815,0.0012686347230580774,0.00046611274298952236,0.0012686347230580776\n"
+    "100000000,10000,0.00011171865912198424,4.1094406489519484e-05,0.0001117186591219842\n"
 )
 
 
@@ -164,6 +164,17 @@ class TestRateCommand:
             "error: 2117249000001 daughter levels open (n_max = 2117249000000), "
             "above the overlap index cap 10000\n"
         )
+
+    def test_level_count_past_the_integer_digits_is_compact(self, capsys):
+        # 5.6e303 open levels: the count and n_max print to 15 digits, not
+        # as 304-digit integers
+        code, out, err = run(capsys, "rate", "--p-perp2", "1e-300", "--m", "0")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: 5.586245e+303 daughter levels open (n_max = 5.586245e+303), "
+            "above the overlap index cap 10000\n"
+        )
+        assert len(err) < 120
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_bad_tolerance_exits_1(self, capsys, tol):
@@ -355,6 +366,20 @@ class TestScanLLL:
         for row in rows:
             exact, general = float(row["ratio_exact"]), float(row["ratio_general"])
             assert abs(general - exact) <= 1e-9 * exact
+
+    def test_tolerance_reaches_only_the_level_sum(self, capsys):
+        # the closed forms run on a fixed rule: --tol moves ratio_general alone
+        closed = ("ratio_exact", "ratio_factored")
+        scans = []
+        for tol in ("1e-9", "1e-13"):
+            code, out, _ = run(capsys, "scan-lll", "--eB-min", "6e3", "--eB-max", "1e8", "--tol", tol)
+            assert code == 0
+            scans.append([[row[c] for c in closed] for row in parse_csv(out)])
+        assert len(scans[0]) == 40
+        assert scans[0] == scans[1]
+        code, out, err = run(capsys, "scan-lll", "--tol", "0")
+        assert code == 1 and out == ""
+        assert "rel_tol must be positive and finite" in err
 
     def test_two_points(self, capsys):
         code, out, _ = run(capsys, "scan-lll", "--eB-min", "6e3", "--eB-max", "1e4", "--points", "2")

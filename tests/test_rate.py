@@ -210,23 +210,56 @@ class TestLowestLevelClosedForms:
         assert lll_ratio_exact(MUON, 0.6 * M_MU**2) == pytest.approx(0.85928761040045309, rel=1e-10)
         assert lll_ratio_exact(MUON, M_MU**2) == pytest.approx(0.65475775396109592, rel=1e-10)
 
-    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-13])
     @pytest.mark.parametrize(
         "factor, exact, factored",
         [
-            (0.6, "0x1.b7f48bb10e4d9p-1", "0x1.636d8958319cdp-4"),
-            (1.0, "0x1.4f3c68882171dp-1", "0x1.ab3d1a5ea3026p-4"),
+            (0.6, "0x1.b7f48bb10e4d8p-1", "0x1.636d8958319cap-4"),
+            (1.0, "0x1.4f3c68882171ep-1", "0x1.ab3d1a5ea3027p-4"),
             (10.0, "0x1.8614a3b2d2369p-4", "0x1.044ec65202ed7p-5"),
-            (100.0, "0x1.460cbb9dec276p-7", "0x1.db069c004bfd6p-9"),
-            (1e6, "0x1.0c6f713f92621p-20", "0x1.8b01c774070d9p-22"),
+            (100.0, "0x1.460cbb9dec276p-7", "0x1.db069c004bfd7p-9"),
+            (1e6, "0x1.0c6f713f92620p-20", "0x1.8b01c774070d9p-22"),
         ],
     )
-    def test_pinned_bits(self, factor, exact, factored, rel_tol):
+    def test_pinned_bits(self, factor, exact, factored):
         # both forms at eB/M^2 from the critical region to the strong-field
         # limit, bit for bit: any change to their shared integral shows here
         field = factor * M_MU**2
-        assert lll_ratio_exact(MUON, field, rel_tol).hex() == exact
-        assert lll_ratio_factored(MUON, field, rel_tol).hex() == factored
+        assert lll_ratio_exact(MUON, field).hex() == exact
+        assert lll_ratio_factored(MUON, field).hex() == factored
+
+    def test_fixed_rule_against_mpmath(self):
+        # both forms against 30-digit mpmath from just above the threshold
+        # M^2/2 to 1e300 MeV^2.  The rule's own error is negligible: in
+        # t = x/x_max the integrand's branch points sit at t = +-i sqrt(3) or
+        # farther, so the 30-point Gauss rule errs like 7^-60 < 1e-40.  What
+        # is left is roundoff, at most, in units of u = 2^-53:
+        #   prefactor  two exps of arguments below 2, each known to 3u
+        #              (6u + 1u each), and four roundings           18u
+        #   x_max      four roundings                                 5u
+        #   each term  b to 3u, c b to 6u, exp(c b) to 13u, then /b
+        #              and the weight; the compensated sum of the
+        #              positive terms adds one                       19u
+        #   the two final products                                    2u
+        mpmath = pytest.importorskip("mpmath")
+        tol = (18 + 5 + 19 + 2) * 2.0**-53
+        threshold = M_MU**2 / 2.0
+        fields = [threshold * (1.0 + 1e-12)] + np.geomspace(1.001 * threshold, 1e300, 40).tolist()
+        with mpmath.workdps(30):
+            m_sq = mpmath.mpf(M_MU) ** 2
+            for field in fields:
+                f = mpmath.mpf(field)
+                root_a = mpmath.sqrt(1 + m_sq / f)
+                x_max = m_sq / (2 * mpmath.sqrt(m_sq + f))
+                for closed_form, c, split in ((lll_ratio_exact, root_a, 0), (lll_ratio_factored, 1, root_a)):
+                    # over t in [0, 1]: over [0, x_max] itself, below 1e-46
+                    # wide past 1e100 MeV^2, mpmath.quad stops on its
+                    # absolute tolerance about 3.7e-14 (relative) short
+                    b = lambda t: mpmath.sqrt(1 + (x_max * t) ** 2 / f)
+                    integral = x_max * mpmath.quad(lambda t: mpmath.exp(c * b(t)) / b(t), [0, 1])
+                    want = 2 * mpmath.exp(-(1 + m_sq / (2 * f)) - split)
+                    want *= integral / mpmath.sqrt(f)
+                    got = closed_form(MUON, field)
+                    assert abs(got - want) <= tol * want, (closed_form.__name__, field)
 
     def test_vanishes_at_strong_field(self):
         small = lll_ratio_exact(MUON, 1e6 * M_MU**2)

@@ -409,13 +409,25 @@ class TestArrayRow:
 
     def test_bits_of_the_scalar_row(self):
         # one call over every point at once, each node running to the last
-        # level of its scalar row: every weight has the scalar row's bits
-        rows = [specfun._overlap_row(m, x) for m, x in ARRAY_POINTS]
-        m = np.array([p[0] for p in ARRAY_POINTS])
-        x = np.array([p[1] for p in ARRAY_POINTS])
+        # level of its scalar row, past its turning point, so the points go
+        # by turning point, descending: every weight has the scalar row's bits
+        points = sorted(ARRAY_POINTS, key=lambda p: -specfun._row_levels(*p)[0])
+        rows = [specfun._overlap_row(m, x) for m, x in points]
+        m = np.array([p[0] for p in points])
+        x = np.array([p[1] for p in points])
         got = array_rows(m, x, np.array([len(r) - 1 for r in rows]))
         want = {(i, n): w for i, row in enumerate(rows) for n, w in enumerate(row)}
         assert got == want
+
+    def test_rejects_a_layout_whose_window_would_skip_nodes(self):
+        # the last forward levels 5, 1, 5 fall, then rise: at level 3 the
+        # window from the first to the last node reaching it holds a node
+        # that does not
+        x = np.array([10.0, 10.0, 10.0])
+        with pytest.raises(ValueError, match="rise, then fall"):
+            list(specfun.overlap_rows(0, x, np.array([5, 1, 5])))
+        # rising, then falling is accepted
+        assert len(array_rows(0, x, np.array([1, 5, 1]))) == 2 + 6 + 2
 
     @pytest.mark.parametrize("m", [0, 7, 300])
     def test_ordered_nodes_stream_slices(self, m):
