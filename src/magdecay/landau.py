@@ -117,14 +117,23 @@ def _open_levels(channel: DecayChannel, state: MagnetizedState):
     an integer j >= 1, level m + j has zero phase space and is dropped
     deterministically (it would contribute zero either way); a bound below
     one keeps level m open however small it is.  No open level gives empty
-    arrays.  An n_max above the overlap index cap ``MAX_OVERLAP_INDEX``
-    raises :class:`ValueError` before any array is allocated.
+    arrays.  An n_max above the overlap index cap ``MAX_OVERLAP_INDEX``,
+    or a bound past the float range, raises :class:`ValueError` before any
+    array is allocated.
     """
     omega = state.energy(channel.m_parent)
     gap = channel.m_parent**2 - channel.m_charged**2
     excess = gap / (2.0 * state.field)
     if not excess > 0.0:
         return omega, np.empty(0, dtype=np.int64), np.empty(0)
+    if not math.isfinite(excess):
+        # the bound overflows: at a subnormal field, or just above the
+        # normal range for a heavy parent
+        weak = " is below the normal float range and" if state.field < sys.float_info.min else ""
+        raise ValueError(
+            f"field {state.field:.6g} MeV^2{weak} opens more than {sys.float_info.max:.3g} "
+            f"daughter levels, above the overlap index cap {MAX_OVERLAP_INDEX}"
+        )
     steps = math.floor(excess)
     nearest = round(excess)
     if nearest >= 1 and abs(excess - nearest) <= 1e-9 * nearest:

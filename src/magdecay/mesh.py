@@ -9,15 +9,12 @@ At every node one row of the recurrence across levels
 levels whose X_n reaches the node's panel, and each level's weights are
 reduced into per-panel Kronrod and Gauss sums as the row steps, so no
 (levels x nodes) matrix is held.  Level n takes the plain rules on its
-panels below the two around sqrt(X_n); on those two its inverse square
-root is taken out by s = sqrt(X_n - x), and the rest, interpolated
-barycentrically from the two panels' nodes, is integrated by the Kronrod
-rule in s, with the Gauss rule in s on the Gauss nodes' interpolant as
-its error estimate (product integration, as in QUADPACK's QAWS).  The
-interpolation carries the weights' roundoff from where they are large to
-where they are small, so a level's error is never taken below that
-roundoff times the Lebesgue-weighted sum of its end values.  Shared
-panels are bisected wherever a level misses its tolerance.
+panels below the two around theta_n = sqrt(X_n / X_0); on those two,
+product weights from closed-form moments integrate (theta_n - t)^(-1/2)
+exactly against the interpolant of the rest (as QUADPACK's QAWS), and its
+error is never taken below the roundoff that its weights and the product
+weights carry.  Shared panels are bisected wherever a level misses its
+tolerance.
 """
 
 from __future__ import annotations
@@ -40,25 +37,38 @@ _FIRST_PANEL_ENDS = 8
 _NODES = quadrature._NODES
 _WEIGHTS_KG = np.stack((quadrature._WEIGHTS_K, quadrature._WEIGHTS_G), axis=1)
 _GAUSS = np.flatnonzero(quadrature._WEIGHTS_G)
-_WEIGHTS_G30 = quadrature._WEIGHTS_G[_GAUSS]
 
 
-def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    """1 / prod_{l != k} (u_k - u_l), scaled to a largest magnitude of one."""
-    gaps = np.subtract.outer(nodes, nodes)
-    np.fill_diagonal(gaps, 1.0)
-    weights = 1.0 / np.prod(gaps, axis=1)
-    return weights / np.abs(weights).max()
+def _legendre_inverse(nodes: np.ndarray) -> np.ndarray:
+    """V^-1 of V_jk = P_k(u_j), k below the number of nodes: the Legendre
+    coefficients of the interpolant from its values at the nodes (by
+    Gauss-Jordan with partial pivoting: np.linalg would load LAPACK)."""
+    n = nodes.size
+    table = np.concatenate((np.ones((n, n)), np.eye(n)), axis=1)
+    table[:, 1] = nodes
+    for k in range(1, n - 1):
+        table[:, k + 1] = ((2 * k + 1) * nodes * table[:, k] - k * table[:, k - 1]) / (k + 1)
+    for k in range(n):
+        pivot = k + np.abs(table[k:, k]).argmax()
+        table[[k, pivot]] = table[[pivot, k]]
+        table[k] /= table[k, k]
+        table -= np.outer(table[:, k] - (np.arange(n) == k), table[k])
+    return table[:, n:]
 
 
-_BARY_K = _barycentric_weights(_NODES)
-_BARY_G = _barycentric_weights(_NODES[_GAUSS])
-# levels per batch of the endpoint interpolation, whose largest array is
-# (levels, 61, 61), and of the plain reductions, whose buffer holds the
-# weights of that many levels at every node
-_ENDPOINT_BATCH = 8
+# V^-1 on the Kronrod nodes, and beside it the same less that of the Gauss
+# nodes: the moments mu times them give the product weights W and W - W_G
+_PRODUCT = np.tile(_legendre_inverse(_NODES), 2)
+_PRODUCT[: _GAUSS.size, _NODES.size + _GAUSS] -= _legendre_inverse(_NODES[_GAUSS])
+# 2 sqrt(2) / (2k + 1), k = 0..60
+_MOMENT = 2.0 * math.sqrt(2.0) / (2 * np.arange(_NODES.size) + 1)
+# levels per batch of the plain reductions, whose buffer holds the weights
+# of that many levels at every node, and of the end pieces
 _LEVEL_BATCH = 8
 _EPS = float(np.finfo(float).eps)
+# the roundoff of a product weight W_j = (mu V^-1)_j is at most 61 eps
+# (|mu| |V^-1|)_j, Higham's bound on a dot product of 61 terms
+_WEIGHT_ROUNDOFF = _NODES.size * _EPS * np.abs(_PRODUCT[:, : _NODES.size])
 # a floor under (theta^2 - t^2)(1 - rho^2 t^2) past a level's own panels,
 # where its weights in the buffer are zero
 _TINY_GAP = 1e-300
@@ -96,12 +106,12 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
     deviation = np.zeros((levels, panels))
     pair_w = np.zeros((levels, 2 * _NODES.size))
     fresh = np.arange(panels)
-    endpoint = np.zeros((3, levels))
+    endpoint = np.zeros((4, levels))
     pair_edges = np.full((3, levels), -1.0)
     # a weight at level n carries the roundings of the m + n steps of its
     # row (about one unit each; the first-order bound is eight), which floor
     # the level's estimate as the rule's roundoff does; the end pieces
-    # count them at the Lebesgue-weighted sum of their interpolated values
+    # count them on sum_j |W_j| f_j over their product weights W
     roundoff_share = np.maximum(quadrature._ROUNDOFF, _EPS * (m + 1 + np.arange(levels)))
     # and an absolute error of ROW_ABS_ERROR, which the integral of h_n,
     # 2 artanh(rho_n theta_n), carries into the level
@@ -119,7 +129,7 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
         plain = kronrod.sum(axis=1)
         value = np.maximum(plain + endpoint[0], 0.0)
         error = np.abs(deviation).sum(axis=1) + endpoint[1]
-        floor = roundoff_share * np.maximum(plain + endpoint[2], 0.0) + row_error
+        floor = roundoff_share * np.maximum(plain + endpoint[2], 0.0) + endpoint[3] + row_error
         estimate = np.maximum(error, floor)
         tol = np.maximum(np.maximum(rel_tol * value, abs_tol), floor)
         failing = estimate > tol
@@ -337,75 +347,64 @@ def _reduce_tail(levels, nodes, w, theta, rho, t, half, fresh, upper, kronrod, d
 
 
 def _endpoint_pieces(theta, rho, edges, upper, pair_w):
-    """Each level's integral over its two panels around theta_n, and its error.
+    """Each level's integral over its two panels around theta_n, its error,
+    and the two roundoff scales of its floor, as four rows.
 
-    With s = sqrt(theta_n^2 - t^2) the piece is 2 theta_n rho_n times the
-    integral over sigma = s / theta_n in [0, sigma_a] of g_n(t) = w / sqrt(1 -
-    rho_n^2 t^2), t = theta_n sqrt(1 - sigma^2), smooth in sigma.  The
-    61-point Kronrod rule in sigma integrates the barycentric interpolant of
-    g_n from the Kronrod nodes of the panel holding t; the 30-point Gauss
-    rule in sigma on the interpolant from the panel's Gauss nodes gives the
-    other estimate, and their difference, which holds the error of the rule
-    in sigma as well as that of the interpolation, is the error.  The
-    same rule on sum_k |l_k| g_k (see :func:`_interpolate`) gives the third
-    row: the piece's roundoff is at most the weights' relative roundoff
-    times it.  Batched over ``_ENDPOINT_BATCH`` levels.
-    """
+    On a panel of centre c0 and half-width h, with u = (t - c0) / h and c =
+    (theta_n - c0) / h, the piece is 2 rho_n sqrt(h) times the integral up
+    to min(c, 1) of (c - u)^(-1/2) f_n(u), f_n = w t / sqrt((theta_n + t)(1
+    - rho_n^2 t^2)): sum_j W_j f_j, whose product weights W = mu V^-1
+    (:func:`_moments`) integrate the interpolant of f_n through the 61
+    Kronrod nodes exactly; the error is the two panels' |K - G|, G the same
+    on the 30 Gauss nodes.  The weights' relative roundoff times sum_j |W_j|
+    f_j bounds the piece's roundoff, and sum_j (61 eps |mu| |V^-1|)_j f_j
+    that of the float W_j, which past theta_n meet f_j far larger than the
+    piece.  Batched over ``_LEVEL_BATCH`` levels."""
     width = _NODES.size
-    levels = theta.size
-    result = np.empty((3, levels))
-    for s in range(0, levels, _ENDPOINT_BATCH):
-        batch = slice(s, min(s + _ENDPOINT_BATCH, levels))
-        th, r, up = theta[batch, None], rho[batch, None], upper[batch, None]
-        low = np.maximum(up - 1, 0)
-        ratio = edges[low] / th
-        sigma_a = np.sqrt((1.0 - ratio) * (1.0 + ratio))
-        sigma = 0.5 * sigma_a * (1.0 + _NODES)
-        ts = th * np.sqrt((1.0 - sigma) * (1.0 + sigma))
-        in_upper = ts >= edges[up]
-        p = np.where(in_upper, up, low)
-        local = (2.0 * ts - (edges[p] + edges[p + 1])) / (edges[p + 1] - edges[p])
-        # a lone first panel has its nodes in the upper slot, and no lower one
-        both = np.concatenate((low, up), axis=1)
-        half = 0.5 * (edges[both + 1] - edges[both])
-        nodes_t = (edges[both] + half)[:, :, None] + half[:, :, None] * _NODES
-        scaled = r[:, :, None] * nodes_t
-        g = pair_w[batch].reshape(-1, 2, width) / np.sqrt(1.0 - scaled * scaled)
-        kronrod, spread = _interpolate(local, in_upper, g, _NODES, _BARY_K, with_spread=True)
-        kronrod = kronrod @ _WEIGHTS_KG[:, 0]
-        gauss = _interpolate(
-            local[:, _GAUSS], in_upper[:, _GAUSS], g[:, :, _GAUSS], _NODES[_GAUSS], _BARY_G
-        ) @ _WEIGHTS_G30
-        factor = (th * r * sigma_a)[:, 0]
-        result[0, batch] = factor * kronrod
-        result[1, batch] = factor * np.abs(kronrod - gauss)
-        result[2, batch] = factor * (spread @ _WEIGHTS_KG[:, 0])
-    return result
+    # the lower and the upper panel: a lone first panel has no lower one
+    p = np.stack((np.maximum(upper - 1, 0), upper), axis=1)
+    half = 0.5 * (edges[p + 1] - edges[p])
+    centre = 0.5 * (edges[p] + edges[p + 1])
+    # c + 1 and c - 1 from the edges, never from c: the moments have a
+    # square-root branch at c = 1
+    root = _moment_root((theta[:, None] - edges[p]) / half, (theta[:, None] - edges[p + 1]) / half)
+    scale = 2.0 * rho[:, None] * np.sqrt(half)
+    scale[upper == 0, 0] = 0.0
+    sums = np.empty((theta.size, 2, 4))
+    for s in range(0, theta.size, _LEVEL_BATCH):
+        batch = slice(s, s + _LEVEL_BATCH)
+        mu = _moments(root[batch])
+        # W, W less the Gauss nodes' weights, |W| and 61 eps |mu| |V^-1|
+        rows = np.empty(mu.shape[:2] + (4, width))
+        rows[:, :, :2] = (mu @ _PRODUCT).reshape(-1, 2, 2, width)
+        np.abs(rows[:, :, 0], out=rows[:, :, 2])
+        np.matmul(np.abs(mu, out=mu), _WEIGHT_ROUNDOFF, out=rows[:, :, 3])
+        t = centre[batch, :, None] + half[batch, :, None] * _NODES
+        f = pair_w[batch].reshape(-1, 2, width) * t * scale[batch, :, None]
+        rt = rho[batch, None, None] * t
+        f /= np.sqrt((theta[batch, None, None] + t) * (1.0 - rt * rt))
+        sums[batch] = (rows @ f[..., None])[..., 0]
+    np.abs(sums[:, :, 1], out=sums[:, :, 1])
+    return sums.sum(axis=1).T
 
 
-def _interpolate(local, in_upper, g, nodes, bary, with_spread=False):
-    """The barycentric interpolant at the points ``local`` (levels, points),
-    each in its own panel's coordinate, of the values ``g`` (levels, 2,
-    nodes) at ``nodes`` of the lower and the upper panel.  With
-    ``with_spread``, also the spread sum_k |l_k(u)| g_k over the Lagrange
-    basis l_k at each point: a relative error e in every g_k >= 0 moves the
-    interpolant by at most e times the spread."""
-    columns = np.ones((g.shape[0], nodes.size, 3))
-    columns[:, :, :2] = g.transpose(0, 2, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.subtract(local[..., None], nodes)
-        np.divide(bary, c, out=c)
-        sums = c @ columns
-        value = np.where(in_upper, sums[..., 1], sums[..., 0]) / sums[..., 2]
-        if with_spread:
-            sums[..., :2] = np.abs(c, out=c) @ columns[:, :, :2]
-            spread = np.where(in_upper, sums[..., 1], sums[..., 0]) / np.abs(sums[..., 2])
-    hit = ~np.isfinite(value)
-    if hit.any():
-        # a point on a node takes the node's value
-        at = np.nonzero(hit)
-        k = np.abs(local[at][:, None] - nodes).argmin(axis=1)
-        value[at] = g[at[0], in_upper[at].astype(int), k]
-        if with_spread:
-            spread[at] = value[at]
-    return (value, spread) if with_spread else value
+def _moment_root(above, below):
+    """sqrt(z), c = (z + 1/z) / 2, from above = c + 1 and below = c - 1:
+    sqrt(2) / (sqrt(c + 1) + sqrt(c - 1)), sqrt(c - 1) = i sqrt(1 - c) for
+    c < 1; real for c >= 1, and on the unit circle for |c| <= 1."""
+    root = np.sqrt(np.abs(below))
+    return math.sqrt(2.0) / (np.sqrt(above) + np.where(below > 0.0, root, 1j * root))
+
+
+def _moments(root):
+    """The Legendre moments mu_k = int_-1^min(c,1) P_k(u) (c - u)^(-1/2) du,
+    k = 0..60, from sqrt(z) (:func:`_moment_root`): 2 sqrt(2) Re(sqrt(z)
+    z^k) / (2k + 1), by one cumulative product.  For c >= 1, z = r = 1 / (c
+    + sqrt(c^2 - 1)) and the generating function of P_k, as c - u = (1 - 2
+    u r + r^2) / (2r), gives 2 sqrt(2 r) r^k / (2k + 1); for |c| <= 1, z =
+    exp(-i phi), cos(phi) = c, it is Mehler-Dirichlet's integral."""
+    powers = np.empty(root.shape + (_MOMENT.size,), complex)
+    powers[..., 0] = root
+    powers[..., 1:] = (root * root)[..., None]
+    np.multiply.accumulate(powers, axis=-1, out=powers)
+    return _MOMENT * powers.real

@@ -381,7 +381,7 @@ class TestLevelSum:
         "p_perp_sq,m,work",
         [
             (1e4, 30, {"rounds": 1, "nodes": 915, "node_levels": 37_818, "panels": 15}),
-            (1e4, 300, {"rounds": 2, "nodes": 5_368, "node_levels": 1_392_515, "panels": 68}),
+            (1e4, 300, {"rounds": 2, "nodes": 4_880, "node_levels": 1_244_142, "panels": 64}),
         ],
     )
     def test_pinned_shared_mesh_work(self, monkeypatch, p_perp_sq, m, work):

@@ -63,7 +63,7 @@ GOLDEN_VERIFY_3_0_JSON = (
 # 636 levels on the mesh in x that they share
 GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016928,1.0000020629045896,1.1260412482618169e-16,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
+    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016931,1.0000020629045898,1.6102665447196564e-15,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
 # the lowest-level closed forms run on one fixed Gauss rule
 GOLDEN_SCAN_LLL = (
@@ -175,6 +175,23 @@ class TestRateCommand:
             "above the overlap index cap 10000\n"
         )
         assert len(err) < 120
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["--p-perp2", "1e-300", "--m", "100000000"], "5e-309"),
+            (["--p-perp2", "1e-320", "--m", "0"], "9.99989e-321"),
+        ],
+    )
+    def test_subnormal_field_exits_1(self, capsys, argv, field):
+        # M^2 / (2 field) overflows at a subnormal field: the level cap's
+        # error, not an overflow of the result
+        code, out, err = run(capsys, "rate", *argv)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: field {field} MeV^2 is below the normal float range and opens more than "
+            "1.8e+308 daughter levels, above the overlap index cap 10000\n"
+        )
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_bad_tolerance_exits_1(self, capsys, tol):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
-from magdecay import quadrature
+from magdecay import mesh, quadrature
 from reference_paths import gauss_kronrod_panel
 
 
@@ -143,3 +143,63 @@ class TestAdaptiveIntegrate:
         (loose,), (err,) = quadrature.integrate(f, [0.0], [10.0], rel_tol=1e-7)
         (tight,), _ = quadrature.integrate(f, [0.0], [10.0], rel_tol=5e-8)
         assert abs(loose - tight) <= err
+
+
+class TestProductWeights:
+    # c = (theta - c0) / h on a panel of centre c0 and half-width h: the
+    # panel's ends, just inside and outside them, inside the panel, and
+    # panels below theta
+    C = [
+        "-1", "-0.999999999999", "-0.5", "0.37", "0.999999999999",
+        "1", "1.000000000001", "1.5", "4",
+    ]
+
+    @staticmethod
+    def moments(c):
+        """mu_k, k = 0..60, from the formulas of the end pieces, with c + 1
+        and c - 1 as the mesh forms them from the edges."""
+        return mesh._moments(mesh._moment_root(np.array(float(c + 1)), np.array(float(c - 1))))
+
+    @pytest.mark.parametrize("c", C)
+    def test_moments_against_mpmath(self, c):
+        # int_-1^min(c,1) P_k(u) (c - u)^(-1/2) du = 2 int P_k(c - s^2) ds over
+        # s from sqrt(max(c - 1, 0)) to sqrt(c + 1): P_k(c - y) expanded in
+        # y = s^2 by the three-term recurrence, integrated term by term at
+        # 150 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(150):
+            c = mpmath.mpf(c)
+            low, high = mpmath.sqrt(max(c - 1, 0)), mpmath.sqrt(c + 1)
+            polys = [[mpmath.mpf(1)], [c, mpmath.mpf(-1)]]
+            for k in range(1, 60):
+                # (k + 1) P_k+1 = (2k + 1)(c - y) P_k - k P_k-1
+                times = [c * a for a in polys[k]] + [0]
+                for i, a in enumerate(polys[k]):
+                    times[i + 1] -= a
+                lower = polys[k - 1] + [0, 0]
+                polys.append([((2 * k + 1) * a - k * b) / (k + 1) for a, b in zip(times, lower)])
+            span = [(high ** (2 * i + 1) - low ** (2 * i + 1)) / (2 * i + 1) for i in range(61)]
+            reference = np.array([float(2 * mpmath.fdot(poly, span)) for poly in polys])
+            mu = self.moments(c)
+        # sqrt(z) z^k, of modulus at most one, carries about k + 2 complex
+        # roundings of at most sqrt(5) eps each, and (k + 2) / (2k + 1) <= 2:
+        # within 2 sqrt(2) 2 sqrt(5) eps = 4 sqrt(10) eps
+        eps = np.finfo(float).eps
+        assert np.abs(mu - reference).max() <= 4.0 * math.sqrt(10.0) * eps
+
+    @pytest.mark.parametrize("c", C)
+    @pytest.mark.parametrize("rule", ["kronrod", "gauss"])
+    def test_weights_give_back_the_moments(self, c, rule):
+        # W = mu V^-1 integrates every P_k the nodes interpolate, k <= 60 on
+        # the Kronrod nodes and k <= 29 on the Gauss nodes, to its moment;
+        # mu times _PRODUCT gives W and, beside it, W less the Gauss W_G
+        width = mesh._NODES.size
+        mu = self.moments(float(c))
+        both = mu @ mesh._PRODUCT
+        weights, nodes = both[:width], mesh._NODES
+        if rule == "gauss":
+            weights, nodes = (weights - both[width:])[mesh._GAUSS], nodes[mesh._GAUSS]
+        back = weights @ legendre.legvander(nodes, nodes.size - 1)
+        # a few roundings of the dot product's terms, each at most |W_j| as
+        # |P_k| <= 1 on [-1, 1]
+        assert np.abs(back - mu[: nodes.size]).max() <= 8.0 * np.finfo(float).eps * np.abs(weights).sum()

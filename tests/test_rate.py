@@ -415,6 +415,15 @@ class TestSharedMesh:
         assert mesh.ratio == pytest.approx(kz.ratio, rel=1e-12, abs=0.0)
         assert mesh.n_max_used == kz.n_max_used
 
+    def test_lowest_level_on_the_last_edge(self, monkeypatch):
+        # level 0 has theta = 1, on the mesh's last edge, where the moments
+        # of its end piece have their square-root branch: c - 1 formed from
+        # c there once left it 1.2e-8 off at this point
+        state = magnetized(3e4, 65)
+        mesh = forced(monkeypatch, True, state, 1e-13).level_contributions[0]
+        kz = forced(monkeypatch, False, state, 1e-13).level_contributions[0]
+        assert mesh.rate == pytest.approx(kz.rate, rel=1e-12, abs=0.0)
+
     def test_size_picks_the_scheme(self):
         # m (levels) against the threshold, and X_0 against the level
         # kernel's argument cap

@@ -90,3 +90,19 @@ def test_gauss_hermite_writes_the_oracle_rule(monkeypatch, capsys):
     printed = {}
     exec(capsys.readouterr().out, printed)
     assert (printed["NODES"], printed["WEIGHTS"]) == (oracle._HALF_NODES, oracle._HALF_WEIGHTS)
+
+
+def test_mesh_crossover_times_both_schemes(monkeypatch, capsys):
+    script = load("mesh_crossover")
+    monkeypatch.setattr(sys, "argv", ["mesh_crossover.py", "--points", "1e4:30", "--repeats", "1"])
+    threshold = script.rate._SHARED_MESH_WORK
+    assert script.main() == 0
+    assert script.rate._SHARED_MESH_WORK == threshold
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "| (p⊥², m) | levels | k_z sum | shared mesh | mesh / k_z | Γ agree |"
+    assert len(lines) == 3
+    cells = [cell.strip() for cell in lines[2].strip("|").split("|")]
+    assert cells[:2] == ["(1e4, 30)", "65"]
+    assert cells[2].endswith(" ms") and cells[3].endswith(" ms")
+    # both schemes meet rel_tol 1e-9, so their widths agree within it
+    assert float(cells[5]) < 1e-9
