@@ -2,12 +2,12 @@
 """Time the level sum's two schemes against each other, point by point.
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/mesh_crossover.py
-    OPENBLAS_NUM_THREADS=1 python3 scripts/mesh_crossover.py --points 1e4:30 1e3:80 --repeats 5
+    OPENBLAS_NUM_THREADS=1 python3 scripts/mesh_crossover.py --points 1e4:30 1e3:80
 
-At each (p_perp^2, m) point, one muon ``decay_rate`` call at ``--tol``
-runs with each scheme forced through ``rate._SHARED_MESH_WORK``: infinity
-for the per-level k_z sum, 0 for the shared mesh.  A column is the process
-CPU time of the fastest of ``--repeats`` calls after one warm-up call; the
+At each (p_perp^2, m) point, one muon ``decay_rate`` call at its default
+tolerance runs with each scheme forced through ``rate._SHARED_MESH_WORK``:
+infinity for the per-level k_z sum, 0 for the shared mesh.  A column is
+the process CPU time of the fastest of three calls after one warm-up; the
 last column is the relative difference of the two widths.  The default
 points are the ROADMAP's Baseline rows.  The benchmark pins BLAS to one
 thread, as the first line above does: process CPU time counts every
@@ -22,19 +22,20 @@ from magdecay import DecayChannel, MagnetizedState, decay_rate, field_for_radial
 
 POINTS = ("1e3:5", "1e4:30", "3e4:65", "5e3:40", "5e4:120", "1e3:40", "1e3:80", "1e4:300")
 MUON = DecayChannel(m_parent=105.7)
+REPEATS = 3
 
 
-def fastest(state, threshold, rel_tol, repeats):
-    """The result and the least CPU time of ``repeats`` calls, after a
+def fastest(state, threshold):
+    """The result and the least CPU time of ``REPEATS`` calls, after a
     warm-up call, with ``_SHARED_MESH_WORK`` at ``threshold``."""
     saved = rate._SHARED_MESH_WORK
     rate._SHARED_MESH_WORK = threshold
     try:
-        result = decay_rate(MUON, state, rel_tol)
+        result = decay_rate(MUON, state)
         best = math.inf
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.process_time()
-            decay_rate(MUON, state, rel_tol)
+            decay_rate(MUON, state)
             best = min(best, time.process_time() - start)
     finally:
         rate._SHARED_MESH_WORK = saved
@@ -44,8 +45,6 @@ def fastest(state, threshold, rel_tol, repeats):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", nargs="+", default=POINTS, help="p_perp^2:m pairs")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--tol", type=float, default=1e-9)
     args = parser.parse_args()
 
     print("| (p⊥², m) | levels | k_z sum | shared mesh | mesh / k_z | Γ agree |")
@@ -54,8 +53,8 @@ def main() -> int:
         p_perp_sq, m = point.split(":")
         m = int(m)
         state = MagnetizedState(field=field_for_radial_energy(float(p_perp_sq), m), level=m)
-        kz, kz_s = fastest(state, math.inf, args.tol, args.repeats)
-        shared, shared_s = fastest(state, 0, args.tol, args.repeats)
+        kz, kz_s = fastest(state, math.inf)
+        shared, shared_s = fastest(state, 0)
         agree = abs(shared.gamma_total - kz.gamma_total) / kz.gamma_total
         print(
             f"| ({p_perp_sq}, {m}) | {kz.n_max_used + 1} | {kz_s * 1e3:.1f} ms "

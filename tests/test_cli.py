@@ -177,19 +177,22 @@ class TestRateCommand:
         assert len(err) < 120
 
     @pytest.mark.parametrize(
-        "argv,field",
+        "argv,clause",
         [
-            (["--p-perp2", "1e-300", "--m", "100000000"], "5e-309"),
-            (["--p-perp2", "1e-320", "--m", "0"], "9.99989e-321"),
+            (["--p-perp2", "1e-300", "--m", "100000000"], "5e-309 MeV^2 is below the normal float range and"),
+            (["--p-perp2", "1e-320", "--m", "0"], "9.99989e-321 MeV^2 is below the normal float range and"),
+            # a normal field just above that range: no clause on the range
+            (["--p-perp2", "2.5e-308", "--m", "0"], "2.5e-308 MeV^2"),
         ],
+        ids=["subnormal-high-m", "subnormal", "normal"],
     )
-    def test_subnormal_field_exits_1(self, capsys, argv, field):
-        # M^2 / (2 field) overflows at a subnormal field: the level cap's
-        # error, not an overflow of the result
+    def test_subnormal_field_exits_1(self, capsys, argv, clause):
+        # M^2 / (2 field) overflows at a subnormal field, or at a normal one
+        # just above it: the level cap's error, not an overflow of the result
         code, out, err = run(capsys, "rate", *argv)
         assert code == 1 and out == ""
         assert err == (
-            f"error: field {field} MeV^2 is below the normal float range and opens more than "
+            f"error: field {clause} opens more than "
             "1.8e+308 daughter levels, above the overlap index cap 10000\n"
         )
 

@@ -94,7 +94,7 @@ def test_gauss_hermite_writes_the_oracle_rule(monkeypatch, capsys):
 
 def test_mesh_crossover_times_both_schemes(monkeypatch, capsys):
     script = load("mesh_crossover")
-    monkeypatch.setattr(sys, "argv", ["mesh_crossover.py", "--points", "1e4:30", "--repeats", "1"])
+    monkeypatch.setattr(sys, "argv", ["mesh_crossover.py", "--points", "1e4:30"])
     threshold = script.rate._SHARED_MESH_WORK
     assert script.main() == 0
     assert script.rate._SHARED_MESH_WORK == threshold
