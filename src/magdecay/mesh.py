@@ -5,21 +5,20 @@ Level n of :func:`magdecay.rate.decay_rate` is the integral over
 mesh of panels in t = sqrt(x / X_0), uniform to start, each with the
 61-point Kronrod and 30-point Gauss rules of :mod:`magdecay.quadrature`.
 At every node one row of the recurrence across levels
-(:func:`magdecay.specfun.overlap_rows`) gives the weights of all the
-levels whose X_n reaches the node's panel, and each level's weights are
-reduced into per-panel Kronrod and Gauss sums as the row steps, so no
-(levels x nodes) matrix is held.  Level n takes the plain rules on its
-panels below the two around theta_n = sqrt(X_n / X_0); on those two,
-product weights from closed-form moments integrate (theta_n - t)^(-1/2)
-exactly against the interpolant of the rest (as QUADPACK's QAWS), and its
-error is never taken below the roundoff that its weights and the product
-weights carry.  Shared panels are bisected wherever a level misses its
-tolerance.
+(:func:`magdecay.specfun.overlap_rows`) gives, level by level, the weights
+of all the levels whose X_n reaches the node's panel, Miller's part past
+the turning points included, and they are reduced into per-panel Kronrod
+and Gauss sums eight levels at a time as the row steps, so no (levels x
+nodes) matrix is held.  Level n takes the plain rules on its panels below
+the two around theta_n = sqrt(X_n / X_0); on those two, product weights
+from closed-form moments integrate (theta_n - t)^(-1/2) exactly against
+the interpolant of the rest (as QUADPACK's QAWS), and its error is never
+taken below the roundoff that its weights and the product weights carry.
+Shared panels are bisected wherever a level misses its tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -32,10 +31,8 @@ from .specfun import ROW_ABS_ERROR, overlap_rows
 _MAX_PANELS = 2000
 # edges the first mesh puts at the ends of the levels inside its first panel
 _FIRST_PANEL_ENDS = 8
-# the Kronrod nodes of a panel on [-1, 1], the Kronrod and Gauss weights
-# as the columns of one matrix, and the positions of the Gauss nodes
+# the Kronrod nodes of a panel on [-1, 1] and the positions of the Gauss nodes
 _NODES = quadrature._NODES
-_WEIGHTS_KG = np.stack((quadrature._WEIGHTS_K, quadrature._WEIGHTS_G), axis=1)
 _GAUSS = np.flatnonzero(quadrature._WEIGHTS_G)
 
 
@@ -218,7 +215,7 @@ def _refine(edges, cuts, theta, rho, upper, kronrod, deviation, pair_w):
         t = 0.5 * (new_edges[p] + new_edges[p + 1])[:, None] + half[:, None] * _NODES
         th, r = theta[n, None], rho[n, None]
         f = pair_w[n, :width] * t / np.sqrt((th - t) * (th + t) * (1.0 - r * r * t * t))
-        sums = f @ _WEIGHTS_KG * (2.0 * r * half[:, None])
+        sums = f @ quadrature._WEIGHTS_KG * (2.0 * r * half[:, None])
         new_kronrod[n, p] = sums[:, 0]
         new_deviation[n, p] = sums[:, 0] - sums[:, 1]
     # a kept panel of a level's new pair was in its old pair, in the same
@@ -264,86 +261,52 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper, fresh, kronrod, devia
     # fresh nodes of its two panels around theta_n with their place in
     # pair_w (a lone first panel has no lower one)
     lower_at = np.searchsorted(fresh, upper - 1)
-    plain_end = (lower_at * width).tolist()
     has = [
         (at < fresh.size) & (fresh[np.minimum(at, fresh.size - 1)] == upper - 1 + slot)
         for slot, at in enumerate((lower_at, np.searchsorted(fresh, upper)))
     ]
-    pair_from = lower_at * width
-    pair_to = (pair_from + (has[0].astype(int) + has[1]) * width).tolist()
-    pair_slot, pair_from = np.where(has[0], 0, width).tolist(), pair_from.tolist()
+    plain_end = (lower_at * width).tolist()
+    pair_end = ((lower_at + has[0].astype(int) + has[1]) * width).tolist()
+    pair_slot = np.where(has[0], 0, width).tolist()
     batch = np.zeros((_LEVEL_BATCH, t.size))
     pending = []
 
     def reduce():
         n0, rows = pending[0], len(pending)
-        end = max(plain_end[n0 : n0 + rows])
-        if end:
+        # only the panels that hold a nonzero weight of the batch add to it
+        nonzero = np.flatnonzero(batch[:rows, : max(plain_end[n0 : n0 + rows])].any(axis=0))
+        if nonzero.size:
+            lead, end = nonzero[0] // width * width, (nonzero[-1] // width + 1) * width
             levels = slice(n0, n0 + rows)
             th, r = theta[levels, None], rho[levels, None]
-            ts = t[:end]
-            weights = batch[:rows, :end]
+            ts = t[lead:end]
+            weights = batch[:rows, lead:end]
             # in place: the gap, and f = w t / sqrt(gap) on the weights
             gap = th - ts
             gap *= th + ts
-            gap *= 1.0 - r * r * t_sq[:end]
+            gap *= 1.0 - r * r * t_sq[lead:end]
             # past a level's own plain panels its weights are zero here
             np.sqrt(np.maximum(gap, _TINY_GAP, out=gap), out=gap)
             f = np.multiply(weights, ts, out=weights)
             f /= gap
-            sums = (f.reshape(-1, width) @ _WEIGHTS_KG).reshape(rows, -1, 2)
-            sums *= (2.0 * r)[:, :, None] * half[: end // width, None]
-            panels = fresh[: end // width]
+            sums = (f.reshape(-1, width) @ quadrature._WEIGHTS_KG).reshape(rows, -1, 2)
+            sums *= (2.0 * r)[:, :, None] * half[lead // width : end // width, None]
+            panels = fresh[lead // width : end // width]
             kronrod[levels, panels] += sums[:, :, 0]
             deviation[levels, panels] += sums[:, :, 0] - sums[:, :, 1]
             weights.fill(0.0)
         pending.clear()
 
-    rows = overlap_rows(m, scale_x * t_sq, top.repeat(width))
-    tail = None
-    for n, nodes, w in rows:
-        if np.ndim(n):
-            tail = (n, nodes, w)
-            break
-        first, stop = nodes.start, nodes.stop
-        end = plain_end[n]
-        if end > first:
-            batch[len(pending), first:end] = w[: end - first]
-        lo, hi = max(first, pair_from[n]), min(stop, pair_to[n])
-        if hi > lo:
-            at = pair_slot[n] - pair_from[n]
-            pair_w[n, at + lo : at + hi] = w[lo - first : hi - first]
+    for n, w in overlap_rows(m, scale_x * t_sq, top.repeat(width)):
+        end, stop = plain_end[n], pair_end[n]
+        batch[len(pending), :end] = w[:end]
+        if stop > end:
+            pair_w[n, pair_slot[n] : pair_slot[n] + stop - end] = w[end:stop]
         pending.append(n)
         if len(pending) == _LEVEL_BATCH:
             reduce()
     if pending:
         reduce()
-    # Miller's part, past the turning points, comes last as (levels, nodes)
-    # pairs, and needs no buffer of the forward part
-    del batch
-    if tail is not None:
-        for n, nodes, w in itertools.chain((tail,), rows):
-            _reduce_tail(n, nodes, w, theta, rho, t, half, fresh, upper, kronrod, deviation, pair_w)
-
-
-def _reduce_tail(levels, nodes, w, theta, rho, t, half, fresh, upper, kronrod, deviation, pair_w):
-    """Add the weights of (level, node) pairs to the sums of ``_evaluate_panels``."""
-    width = _NODES.size
-    local = nodes // width
-    panel = fresh[local]
-    lower = upper[levels] - 1
-    on = panel < lower
-    lv, nd, pn, loc = levels[on], nodes[on], panel[on], local[on]
-    th, r, ts = theta[lv], rho[lv], t[nd]
-    f = w[on] * ts / np.sqrt((th - ts) * (th + ts) * (1.0 - r * r * ts * ts))
-    f *= 2.0 * r * half[loc]
-    pos = nd % width
-    k_sum, g_sum = f * _WEIGHTS_KG[pos, 0], f * _WEIGHTS_KG[pos, 1]
-    key = lv * kronrod.shape[1] + pn
-    np.add.at(kronrod.reshape(-1), key, k_sum)
-    np.add.at(deviation.reshape(-1), key, k_sum - g_sum)
-    pair = (panel >= lower) & (panel <= lower + 1)
-    pair_w[levels[pair], (panel[pair] - lower[pair]) * width + nodes[pair] % width] = w[pair]
 
 
 def _endpoint_pieces(theta, rho, edges, upper, pair_w):

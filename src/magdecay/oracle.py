@@ -179,9 +179,9 @@ def closed_form_overlap_sq(trials: list[OverlapParams]) -> list[float]:
     order = np.argsort(-low, kind="stable")
     low = low[order]
     weight = np.empty(len(trials))
-    for level, nodes, w in overlap_rows(high[order], x[order], low):
-        at = low[nodes] == level
-        weight[order[nodes][at]] = w[at]
+    for level, w in overlap_rows(high[order], x[order], low):
+        at = low[: w.size] == level
+        weight[order[: w.size][at]] = w[at]
     return (weight / np.array([p.field for p in trials])).tolist()
 
 

@@ -33,8 +33,11 @@ the float range, at any argument: there is no cap on x.
 sum.  :func:`overlap_rows` runs the same recurrence over an array of nodes,
 each with its own m, turning point, Miller start and exponents, with numpy
 across the nodes and the Python loop over n; it gives the bits of
-:func:`_overlap_row` at every node, and streams the weights level by level
-so that a caller reducing them never holds a (levels x nodes) matrix.
+:func:`_overlap_row` at every node.  Miller's part runs first, in one
+backward pass that keeps only the iterates that become weights; the
+forward run then streams the weights level by level, each node's Miller
+part scaled in once the node passes its turning point, so that a caller
+reducing them never holds a (levels x nodes) matrix.
 
 :func:`overlap_weight_rows`, the level kernel, takes w one level at a time
 instead, for the level sum's per-level quadrature in k_z, where a point
@@ -91,8 +94,6 @@ _TINY = 5e-324
 _EXP_WHOLE = 600.0
 # factors of the array row's seed multiplied between rescales
 _SEED_BLOCK = 8
-# weights of Miller's part handed over at once
-_TAIL_CHUNK = 2048
 _LN2 = math.log(2.0)
 
 
@@ -145,7 +146,7 @@ def _row_levels(m: int, x: float) -> tuple[int, int, int]:
 
 
 def _row_levels_array(m, x, turn):
-    """The last level and Miller's start of :func:`_row_levels` at every node."""
+    """Miller's start of :func:`_row_levels` at every node."""
     n = turn + 1
     bound = np.ones(x.size)
     quiet = np.full(x.size, -1, dtype=np.int64)
@@ -163,8 +164,7 @@ def _row_levels_array(m, x, turn):
         start[pending[below]] = n[pending[below]]
         pending = pending[~below]
     quiet = np.where(quiet < 0, start, quiet)
-    last = np.maximum(quiet + 7, (m + x).astype(np.int64) + 1)
-    return last, np.maximum(start, last + 1)
+    return np.maximum(start, np.maximum(quiet + 7, (m + x).astype(np.int64) + 1) + 1)
 
 
 def overlap_weight_rows(n, m: int, x) -> np.ndarray:
@@ -382,24 +382,23 @@ def overlap_rows(m, x, top):
     """Stream w(n, m_i, x_i) for n = 0 .. top_i at every node i of the arrays.
 
     ``m`` is one level or an array of them, ``x`` a 1-D array of arguments
-    and ``top`` the last level each node needs.  The generator yields, for
-    n ascending, ``(n, nodes, w)``: the weights at level n of the nodes
-    ``nodes``, a slice of ``x``, from the forward run.
-    When some node's top is past its turning point, the last yields carry
-    the levels past the turning points from Miller's backward run as three
-    arrays ``(levels, nodes, w)``, one entry per weight.  Every weight has
-    the bits :func:`_overlap_row` gives it, and the row goes on past the
-    last level of :func:`_overlap_row` up to Miller's start; past that
-    start, where the row's decay bound puts w below 1e-40, about Miller's
-    own error in every weight, a weight is 0 and is not yielded.  x = 0 is
-    taken as the least subnormal.
+    and ``top`` the last level each node needs.  The generator yields
+    ``(n, w)`` for n = 0 .. top_0: the weights at level n of the first
+    ``w.size`` nodes, those whose top is at least n.  Every weight has the
+    bits :func:`_overlap_row` gives it, and the row goes on past the last
+    level of :func:`_overlap_row` up to Miller's start; from that start on,
+    where the row's decay bound puts w below 1e-40, about Miller's own
+    error in every weight, a weight is 0.  x = 0 is taken as the least
+    subnormal.
 
-    The forward run steps a window of the nodes, from the first to the last
-    whose top and turning point are both at least n.  It must hold exactly
-    those nodes, so the lesser of top and turning point must rise, then
-    fall, along the nodes, as in the level sum's layout (``top``
-    non-increasing, turning point non-decreasing) or in a descending sort by
-    it; any other layout raises :class:`ValueError`.
+    ``top`` must not increase along the nodes, and the nodes whose top is
+    past their turning point must come first, by turning point ascending,
+    as in the level sum's layout (one m, x ascending) or in a sort by top,
+    descending, where no top is past its turning point; any other layout
+    raises :class:`ValueError`.  Miller's part runs first
+    (:func:`_miller_tail`); the forward run then steps the nodes from the
+    first whose turning point is at least n to the last whose top is, and
+    a node's Miller part is scaled as it leaves them at its turning point.
     """
     x = np.maximum(np.asarray(x, dtype=float), _TINY)
     top = np.asarray(top, dtype=np.int64)
@@ -418,35 +417,45 @@ def overlap_rows(m, x, top):
     root_x = np.sqrt(x)
     root_sum = np.sqrt(m) + root_x
     turn = (root_sum * root_sum).astype(np.int64)
-    # the forward part of a node ends at its top, or at its turning point
-    # when Miller's run gives the levels past it
-    reach = np.minimum(top, turn)
-    # rising, then falling: the window holds exactly the nodes reaching n
-    rises = np.diff(reach)
-    falls = np.flatnonzero(rises < 0)
-    if falls.size and (rises[falls[0] :] > 0).any():
-        raise ValueError("the nodes' last forward levels must rise, then fall, along the nodes")
-    tail = np.flatnonzero(top > turn)
+    tails = int(np.count_nonzero(top > turn))
+    ordered = (np.diff(top) <= 0).all() and (np.diff(turn[:tails]) >= 0).all()
+    if not ordered or (top[tails:] > turn[tails:]).any():
+        raise ValueError(
+            "top must not increase along the nodes, and the nodes past their "
+            "turning point must come first, by turning point ascending"
+        )
+    # the forward nodes at level n are [lo, hi): lo counts the nodes whose
+    # turning point is below n, and hi those whose top is at least n
+    levels = np.arange(int(top[0]) + 2)
+    lo_at = np.searchsorted(turn[:tails], levels).tolist()
+    hi_at = np.searchsorted(-top, -levels, side="right").tolist()
+    # the seed's blocks of factors are freed before Miller's store is made
     cur, scale2 = _seed(m, x, uniform)
-    every = _rescale_interval(root_x, int(top.max()) + int(m.max()))
-    # D_turn, D_turn+1 and their doubled exponent at each tail node
-    meet = np.empty((3, tail.size))
-    meets = {}
-    if tail.size:
-        for t, at in _groups(turn[tail]):
-            meets[t] = (tail[at], at)
+    blocks = {}
+    if tails:
+        tail = slice(0, tails)
+        store, blocks, back, back_scale2 = _miller_tail(
+            level if uniform else level[tail], uniform, x[tail], root_x[tail], top[tail], turn[tail]
+        )
+        factor, shift2 = np.empty(tails), np.empty(tails, dtype=np.int32)
+    every = _rescale_interval(root_x, int(top[0]) + int(m.max()))
 
-    prev, new = np.zeros(x.size), np.empty(x.size)
-    root, root_next = np.zeros(x.size), np.empty(x.size)
-    lo, hi = 0, x.size
-    for n in range(int(reach.max()) + 1):
-        while reach[lo] < n:
-            lo += 1
-        while reach[hi - 1] < n:
-            hi -= 1
+    prev, new, root, root_next = np.zeros((4, x.size))
+    for n in range(int(top[0]) + 1):
+        lo, hi = lo_at[n], hi_at[n]
+        w = np.zeros(hi)
         window = slice(lo, hi)
         c = cur[window]
-        yield n, window, np.ldexp(c * c, scale2[window])
+        np.ldexp(np.multiply(c, c, out=w[window]), scale2[window], out=w[window])
+        if n in blocks:
+            # Miller's part at the nodes past their turning points
+            nodes, held = blocks[n]
+            b = np.multiply(factor[nodes], store[0][held], out=w[nodes])
+            b *= b
+            np.ldexp(b, store[1][held] + shift2[nodes], out=b)
+        yield n, w
+        if lo >= hi:
+            continue
         r = root_next[window]
         np.multiply(root_x[window], math.sqrt(n + 1), out=r)
         t = new[window]
@@ -458,102 +467,80 @@ def overlap_rows(m, x, top):
         root, root_next = root_next, root
         # the windows are views: the rescale writes through to the arrays;
         # between checks no iterate can pass 2^500, so no square overflows
-        at = meets.get(n)
-        if n % every == 0 or at is not None:
+        done = slice(lo, lo_at[n + 1])
+        if n % every == 0 or done.stop > lo:
             _rescale(cur[window], prev[window], scale2[window])
-        if at is not None:
-            nodes, slots = at
-            meet[:, slots] = prev[nodes], cur[nodes], scale2[nodes]
-
-    if tail.size:
-        yield from _miller_tail(level, uniform, x, root_x, top, turn, tail, meet)
-
-
-def _groups(values):
-    """(value, indices) of each distinct value of an int array."""
-    order = np.argsort(values, kind="stable")
-    distinct, first = np.unique(values[order], return_index=True)
-    ends = np.append(first[1:], values.size)
-    return [(v, order[a:b]) for v, a, b in zip(distinct.tolist(), first.tolist(), ends.tolist())]
+        if done.stop > lo:
+            # the nodes at their turning point: the factor that takes
+            # (B_turn, B_turn+1) onto (D_turn, D_turn+1)
+            b_turn, b_next = back[:, done]
+            d_turn, d_next = prev[done], cur[done]
+            factor[done], shift = np.frexp(
+                (d_turn * b_turn + d_next * b_next) / (b_turn * b_turn + b_next * b_next)
+            )
+            shift2[done] = 2 * shift + scale2[done] - back_scale2[done]
 
 
-def _miller_tail(level, uniform, x, root_x, top, turn, nodes, meet):
-    """Miller's backward run at the nodes whose top is past their turning point.
+def _miller_tail(level, uniform, x, root_x, top, turn):
+    """Miller's backward run at nodes past their turning points, which come
+    by turning point ascending.
 
-    A node's run goes from its start down to its turning point, as in
-    :func:`_overlap_row`, every node at its own level: the k-th step takes
-    each node from start - k to start - k - 1.  A first pass finds the
-    factor that takes (B_turn, B_turn+1) onto (D_turn, D_turn+1) of the
-    forward run (``meet``); a second, the same steps again, scales its
-    iterates B_n for turn < n <= min(top, start - 1) as it goes, so that
-    none is held.  Yields the arrays (levels, nodes, weights) in chunks of
-    about ``_TAIL_CHUNK`` weights.
+    Each node's run goes from its start down to its turning point, as in
+    :func:`_overlap_row`.  The nodes step level by level together, a node
+    held at 0 until the run reaches its start, so the nodes stepping at
+    level n run from the first whose start is at least n to the last whose
+    turning point is below n.  The run keeps each B_n, turn < n <= min(top,
+    start - 1), and twice its binary exponent in a level-major store: level
+    n's block runs from the first node whose start is past n to the last
+    whose turning point is below n and whose top is at least n, and holds 0
+    at a node with no weight there.  Returns the store (B, doubled
+    exponents), the blocks {n: (nodes, place in the store)}, and B_turn,
+    B_turn+1 and their doubled exponent at every node.
     """
-    turn = turn[nodes]
-    m = np.broadcast_to(np.asarray(level, dtype=np.int64), x.shape)[nodes]
-    last, start = _row_levels_array(m, x[nodes], turn)
-    # the row of _overlap_row runs to `last`; past it, up to the start
-    start = np.where(top[nodes] > last, start, np.maximum(start, top[nodes] + 1))
-    last = np.minimum(top[nodes], start - 1)
+    m = np.broadcast_to(np.asarray(level, dtype=np.int64), x.shape)
+    start = _row_levels_array(m, x, turn)
+    reach = np.maximum.accumulate(start)
+    levels = np.arange(int(turn[0]) + 1, int(np.minimum(top, start - 1).max()) + 1)
+    first = np.searchsorted(reach, levels, side="right").tolist()
+    stop = np.minimum(np.searchsorted(turn, levels), np.searchsorted(-top, -levels, side="right"))
+    blocks, size = {}, 0
+    for n, a, b in zip(levels.tolist(), first, stop.tolist()):
+        if b > a:
+            blocks[n] = slice(a, b), slice(size, size + b - a)
+            size += b - a
+    store = np.empty(size), np.empty(size, dtype=np.int32)
 
-    # the longest runs first: the runs still going at step k are a prefix
-    steps = start - turn
-    order = np.argsort(-steps, kind="stable")
-    start, turn, last, m, steps = (a[order] for a in (start, turn, last, m, steps))
-    nodes = nodes[order]
-    xs, rs = x[nodes], root_x[nodes]
-    every = _rescale_interval(rs, int(start.max()) + int(m.max()))
-    ends = {k: a for k, a in _groups(steps - 1)}
-    back = np.empty((3, nodes.size))
-
-    def run():
-        """The backward steps; yields (k, active, B, doubled exponents)
-        before each, and leaves B_turn, B_turn+1 of each run in ``back``."""
-        low, high, spare = np.ones(nodes.size), np.zeros(nodes.size), np.empty(nodes.size)
-        root = rs * np.sqrt(start + 1.0)
-        root_next = np.empty(nodes.size)
-        scale2 = np.zeros(nodes.size, dtype=np.int32)
-        active = nodes.size
-        for k in range(int(steps[0])):
-            while steps[active - 1] <= k:
-                active -= 1
-            window = slice(0, active)
-            yield k, active, low, scale2
-            n = start[window] - k
-            r = root_next[window]
-            np.multiply(rs[window], np.sqrt(n.astype(float)), out=r)
-            b = spare[window]
-            np.add((n - (level if uniform else m[window])), xs[window], out=b)
-            b *= low[window]
-            b -= root[window] * high[window]
-            b /= r
-            high, low, spare = low, spare, high
-            root, root_next = root_next, root
-            done = ends.get(k)
-            if k % every == 0 or done is not None:
-                _rescale(low[window], high[window], scale2[window])
-            if done is not None:
-                back[:, done] = low[done], high[done], scale2[done]
-
-    for _ in run():
-        pass
-    d_turn, d_next, d_scale2 = meet[:, order]
-    b_turn, b_next, b_scale2 = back
-    factor, shift = np.frexp((d_turn * b_turn + d_next * b_next) / (b_turn * b_turn + b_next * b_next))
-    shift2 = 2 * shift + d_scale2.astype(np.int32) - b_scale2.astype(np.int32)
-    chunk, size = [], 0
-    for k, active, low, scale2 in run():
-        n = start[:active] - k
-        at = np.flatnonzero(n <= last[:active])
-        if at.size:
-            b = factor[at] * low[at]
-            chunk.append((n[at], nodes[at], np.ldexp(b * b, scale2[at] + shift2[at])))
-            size += at.size
-        if size >= _TAIL_CHUNK:
-            yield tuple(np.concatenate(parts) for parts in zip(*chunk))
-            chunk, size = [], 0
-    if chunk:
-        yield tuple(np.concatenate(parts) for parts in zip(*chunk))
+    # the nodes by start, descending: those that start at each level
+    order = np.argsort(-start, kind="stable")
+    steps = np.arange(int(start[order[0]]), int(turn[0]) - 1, -1)
+    starting = [0] + np.searchsorted(-start[order], -steps, side="right").tolist()
+    begin = np.searchsorted(reach, steps).tolist()
+    end = np.searchsorted(turn, steps).tolist()
+    low, high, spare, root, root_next = np.zeros((5, x.size))
+    scale2 = np.zeros(x.size, dtype=np.int32)
+    back, back_scale2 = np.empty((2, x.size)), np.empty(x.size, dtype=np.int32)
+    every = _rescale_interval(root_x, int(steps[0]) + int(m.max()))
+    for k, n in enumerate(steps[:-1].tolist()):
+        if n in blocks:
+            nodes, held = blocks[n]
+            store[0][held], store[1][held] = low[nodes], scale2[nodes]
+        low[order[starting[k] : starting[k + 1]]] = 1.0
+        window = slice(begin[k], end[k])
+        r = root_next[window]
+        np.multiply(root_x[window], math.sqrt(n), out=r)
+        b = spare[window]
+        np.add(n - (level if uniform else level[window]), x[window], out=b)
+        b *= low[window]
+        b -= root[window] * high[window]
+        b /= r
+        high, low, spare = low, spare, high
+        root, root_next = root_next, root
+        # the nodes that reach their turning point leave the run
+        done = slice(end[k + 1], end[k])
+        if k % every == 0 or done.stop > done.start:
+            _rescale(low[window], high[window], scale2[window])
+            back[:, done], back_scale2[done] = (low[done], high[done]), scale2[done]
+    return store, blocks, back, back_scale2
 
 
 def _rescale_interval(root_x, levels: int) -> int:

@@ -3,6 +3,7 @@ level sum built on them give the bits and the work of one-at-a-time
 evaluation, whatever the batch."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ def count_shared_work(monkeypatch):
     def counting(m, x, top):
         counted["rounds"] += 1
         counted["nodes"] += x.size
-        for n, nodes, w in overlap_rows(m, x, top):
+        for n, w in overlap_rows(m, x, top):
             counted["node_levels"] += w.size
-            yield n, nodes, w
+            yield n, w
 
     def pieces(theta, rho, edges, *rest):
         counted["panels"] = edges.size - 1
@@ -380,18 +381,51 @@ class TestLevelSum:
     @pytest.mark.parametrize(
         "p_perp_sq,m,work",
         [
-            (1e4, 30, {"rounds": 1, "nodes": 915, "node_levels": 37_818, "panels": 15}),
-            (1e4, 300, {"rounds": 2, "nodes": 4_880, "node_levels": 1_244_142, "panels": 64}),
+            (1e4, 30, {"rounds": 1, "nodes": 915, "node_levels": 38_247, "panels": 15}),
+            (1e4, 300, {"rounds": 2, "nodes": 4_880, "node_levels": 1_415_993, "panels": 64}),
         ],
     )
     def test_pinned_shared_mesh_work(self, monkeypatch, p_perp_sq, m, work):
         # rounds are row passes over the fresh panels, nodes the nodes they
-        # evaluate, node-levels the weights the rows yield, and panels those
-        # of the last mesh; (1e4, 30) takes the shared mesh only when asked
+        # evaluate, node-levels the weights the rows yield, sum(top + 1)
+        # over a round's nodes, and panels those of the last mesh; (1e4, 30)
+        # takes the shared mesh only when asked
         monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
         counted = count_shared_work(monkeypatch)
         decay_rate(MUON, magnetized(p_perp_sq, m))
         assert counted == work
+
+    def test_miller_store_holds_only_the_weights(self, monkeypatch):
+        # the first round's nodes at (1e4, 1000): 8,113, of which 1,708 are
+        # past their turning points with 121,829 weights of Miller's part
+        class Captured(Exception):
+            pass
+
+        layout = []
+
+        def capture(m, x, top):
+            layout.append((m, x, top))
+            raise Captured
+
+        monkeypatch.setattr(mesh, "overlap_rows", capture)
+        with pytest.raises(Captured):
+            decay_rate(MUON, magnetized(1e4, 1000))
+        m, x, top = layout[0]
+        root_sum = math.sqrt(m) + np.sqrt(x)
+        turn = (root_sum * root_sum).astype(np.int64)
+        tail = top > turn
+        start = specfun._row_levels_array(np.full(tail.sum(), m), x[tail], turn[tail])
+        weights = int((np.minimum(top[tail], start - 1) - turn[tail]).sum())
+        store = specfun._miller_tail(m, True, x[tail], np.sqrt(x[tail]), top[tail], turn[tail])[0]
+        assert weights <= store[0].size <= 1.01 * weights
+        # a pass holds the store, 12 B a weight, and about 16 work arrays of
+        # 8 B a node, whatever the levels past the nodes' turning points
+        tracemalloc.start()
+        for _ in specfun.overlap_rows(m, x, top):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 20 * 8 * x.size + 16 * weights
 
     def test_shared_mesh_convergence_error_names_the_lowest_failing_level(self, monkeypatch):
         # with a budget of the first mesh's own panels, the lowest level

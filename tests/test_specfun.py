@@ -387,14 +387,12 @@ class TestOverlapAccuracy:
 
 
 def array_rows(m, x, top):
-    """{(node, level): weight} of one overlap_rows call."""
-    index = np.arange(np.size(x))
+    """{(node, level): weight} of one overlap_rows call, which yields level
+    n at the leading nodes whose top is at least n."""
     out = {}
-    for n, nodes, w in specfun.overlap_rows(m, x, top):
-        levels = np.broadcast_to(n, np.shape(index[nodes]))
-        for i, level, v in zip(index[nodes].tolist(), levels.tolist(), w.tolist()):
-            assert (i, level) not in out
-            out[i, level] = v
+    for n, w in specfun.overlap_rows(m, x, top):
+        assert w.size == np.count_nonzero(top >= n)
+        out.update(((i, n), v) for i, v in enumerate(w.tolist()))
     return out
 
 
@@ -408,40 +406,61 @@ class TestArrayRow:
     """The row across levels over an array of nodes, each with its own m."""
 
     def test_bits_of_the_scalar_row(self):
-        # one call over every point at once, each node running to the last
-        # level of its scalar row, past its turning point, so the points go
-        # by turning point, descending: every weight has the scalar row's bits
-        points = sorted(ARRAY_POINTS, key=lambda p: -specfun._row_levels(*p)[0])
-        rows = [specfun._overlap_row(m, x) for m, x in points]
-        m = np.array([p[0] for p in points])
-        x = np.array([p[1] for p in points])
-        got = array_rows(m, x, np.array([len(r) - 1 for r in rows]))
-        want = {(i, n): w for i, row in enumerate(rows) for n, w in enumerate(row)}
-        assert got == want
+        # every point as a node of its own that runs to the last level of
+        # its scalar row, past its turning point: every weight has the
+        # scalar row's bits
+        for m, x in ARRAY_POINTS:
+            row = specfun._overlap_row(m, x)
+            got = array_rows(m, np.array([x]), np.array([len(row) - 1]))
+            assert got == {(0, n): w for n, w in enumerate(row)}, (m, x)
 
     def test_rejects_a_layout_whose_window_would_skip_nodes(self):
-        # the last forward levels 5, 1, 5 fall, then rise: at level 3 the
-        # window from the first to the last node reaching it holds a node
-        # that does not
         x = np.array([10.0, 10.0, 10.0])
-        with pytest.raises(ValueError, match="rise, then fall"):
-            list(specfun.overlap_rows(0, x, np.array([5, 1, 5])))
-        # rising, then falling is accepted
-        assert len(array_rows(0, x, np.array([1, 5, 1]))) == 2 + 6 + 2
+        # tops that increase along the nodes
+        with pytest.raises(ValueError, match="must not increase"):
+            list(specfun.overlap_rows(0, x, np.array([1, 5, 1])))
+        # nodes past their turning points (int(x) at m = 0) out of turning
+        # point order, or after a node that is not past its own
+        for args, top in (([20.0, 10.0], [30, 30]), ([20.0, 5.0], [15, 10])):
+            with pytest.raises(ValueError, match="turning point ascending"):
+                list(specfun.overlap_rows(0, np.array(args), np.array(top)))
+        # tops descending, none past its turning point, as the oracle's
+        assert len(array_rows(0, x, np.array([5, 5, 1]))) == 6 + 6 + 2
 
     @pytest.mark.parametrize("m", [0, 7, 300])
     def test_ordered_nodes_stream_slices(self, m):
         # ascending x and non-increasing tops, as the level sum lays out its
-        # nodes: every forward yield is a slice, and each node's levels are
-        # those of its own one-node call
+        # nodes, the first ones past their turning points: each node's
+        # levels are those of its own one-node call, 0 past Miller's start
         x = np.geomspace(1e-6, 800.0, 40)
         top = np.linspace(m + 400, 0, 40).astype(int)
-        streamed = specfun.overlap_rows(m, x, top)
-        forward = [nodes for n, nodes, _ in streamed if np.ndim(n) == 0]
-        assert all(isinstance(nodes, slice) for nodes in forward)
         got = array_rows(m, x, top)
-        for i in range(0, 40, 7):
+        assert len(got) == int((top + 1).sum())
+        past = 0
+        for i in range(40):
             alone = array_rows(m, x[i : i + 1], top[i : i + 1])
+            assert {n: w for (j, n), w in got.items() if j == i} == {n: w for (_, n), w in alone.items()}
+            start = specfun._row_levels(m, float(x[i]))[2]
+            past += top[i] >= start
+            assert all(alone[0, n] == 0.0 for n in range(start, top[i] + 1))
+        # some nodes run past Miller's start, where their weights are 0
+        assert past
+
+    def test_nodes_with_their_own_parent_levels(self):
+        # a level each, the nodes past their turning points first, by
+        # turning point ascending, with tops above them all; then the rest,
+        # by top descending: each node's levels are those of its own call
+        rng = np.random.default_rng(5)
+        m = rng.integers(0, 60, size=30)
+        x = rng.uniform(0.0, 120.0, size=30)
+        turn = ((np.sqrt(m) + np.sqrt(x)) ** 2).astype(int)
+        order = np.argsort(turn)
+        tails, rest = order[:12], order[12:][np.argsort(-turn[order[12:]], kind="stable")]
+        m, x = m[np.r_[tails, rest]], x[np.r_[tails, rest]]
+        top = np.r_[turn[tails].max() + 150 - np.arange(12), turn[rest] // 2]
+        got = array_rows(m, x, top)
+        for i in range(30):
+            alone = array_rows(m[i], x[i : i + 1], top[i : i + 1])
             assert {n: w for (j, n), w in got.items() if j == i} == {n: w for (_, n), w in alone.items()}
 
     @pytest.mark.parametrize("m,x", [(10000, 7000.0), (0, 5000.0), (3000, 2000.0)])
