@@ -2,8 +2,10 @@
 
 Level n of :func:`magdecay.rate.decay_rate` is the integral over
 [0, X_n] of w(n, m, x) / sqrt((X_n - x)(Y_n - x)).  All levels share one
-mesh of panels in t = sqrt(x / X_0), uniform to start, each with the
-61-point Kronrod and 30-point Gauss rules of :mod:`magdecay.quadrature`.
+mesh of panels in t = sqrt(x / X_0), each with the 61-point Kronrod and
+30-point Gauss rules of :mod:`magdecay.quadrature`.  The first mesh is
+graded by the zeros of the levels' weights, so that each of its panels
+holds a few zeros of the densest level that reaches it.
 At every node one row of the recurrence across levels
 (:func:`magdecay.specfun.overlap_rows`) gives, level by level, the weights
 of all the levels whose X_n reaches the node's panel, Miller's part past
@@ -31,6 +33,14 @@ from .specfun import ROW_ABS_ERROR, overlap_rows
 _MAX_PANELS = 2000
 # edges the first mesh puts at the ends of the levels inside its first panel
 _FIRST_PANEL_ENDS = 8
+# zeros of the densest level that a panel of the first mesh may hold: at 4
+# the first mesh meets rel_tol 1e-9 at every figure point and every row of
+# scripts/mesh_crossover.py; at 5, 11 of those 19 points take a second
+# round, and at 3 the added nodes save none ((1e4, 1000) ran 20% slower)
+_ZEROS_PER_PANEL = 4
+# midpoints of the grid in t on which the first mesh integrates the zero
+# density and inverts its integral
+_DENSITY_GRID = 512
 # the Kronrod nodes of a panel on [-1, 1] and the positions of the Gauss nodes
 _NODES = quadrature._NODES
 _GAUSS = np.flatnonzero(quadrature._WEIGHTS_G)
@@ -60,8 +70,11 @@ _PRODUCT[: _GAUSS.size, _NODES.size + _GAUSS] -= _legendre_inverse(_NODES[_GAUSS
 # 2 sqrt(2) / (2k + 1), k = 0..60
 _MOMENT = 2.0 * math.sqrt(2.0) / (2 * np.arange(_NODES.size) + 1)
 # levels per batch of the plain reductions, whose buffer holds the weights
-# of that many levels at every node, and of the end pieces
+# of that many levels at every node
 _LEVEL_BATCH = 8
+# levels per batch of the end pieces: their largest array, batch x 2 x 4 x
+# 61 doubles, is then 125 KB
+_PIECE_BATCH = 32
 _EPS = float(np.finfo(float).eps)
 # the roundoff of a product weight W_j = (mu V^-1)_j is at most 61 eps
 # (|mu| |V^-1|)_j, Higham's bound on a dot product of 61 terms
@@ -93,7 +106,7 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
     theta = root_x / root_x[0]
     rho = root_x[0] / root_y
     scale_x = root_x[0] * root_x[0]
-    edges = np.linspace(0.0, 1.0, _initial_panels(m, levels) + 1)
+    edges = _first_edges(m, theta, scale_x)
     # the levels whose integral ends inside the first panel get an edge at
     # that end (see the refinement below)
     edges = _distinct(np.concatenate((edges, theta[theta < edges[1]][:_FIRST_PANEL_ENDS])))
@@ -233,11 +246,43 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
+def _first_edges(m: int, theta: np.ndarray, scale_x: float) -> np.ndarray:
+    """The edges of the first mesh on [0, 1] in t, before the ends of the
+    levels inside its first panel are added.
+
+    At t the densest level among those that reach it (theta_n >= t) is the
+    one nearest n = m + x, x = X_0 t^2, where the zero density per unit t,
+    2 / t times :func:`_zeros_per_log_x`, peaks at 2 sqrt(m X_0) / pi.  A
+    panel holds at most ``_ZEROS_PER_PANEL`` zeros of that level and is no
+    wider than 1 / :func:`_initial_panels`: the edges split the integral of
+    max(density / ``_ZEROS_PER_PANEL``, floor), taken on a grid of
+    ``_DENSITY_GRID`` midpoints, into equal parts of at most one.
+    """
+    floor = _initial_panels(m, theta.size)
+    t = (np.arange(_DENSITY_GRID) + 0.5) / _DENSITY_GRID
+    x = scale_x * t * t
+    n = np.minimum(m + x, np.searchsorted(-theta, -t, side="right") - 1)
+    per_panel = np.maximum(2.0 / _ZEROS_PER_PANEL * _zeros_per_log_x(n, m, x) / t, floor)
+    total = np.concatenate(([0.0], np.cumsum(per_panel))) / _DENSITY_GRID
+    panels = math.ceil(total[-1])
+    return np.interp(np.linspace(0.0, total[-1], panels + 1), total, np.linspace(0.0, 1.0, _DENSITY_GRID + 1))
+
+
+def _zeros_per_log_x(n, m: int, x):
+    """The zeros of w(n, m, x) per unit log x, by their WKB density
+    sqrt((x_+ - x)(x - x_-)) / (2 pi) between the turning points x_+- =
+    (sqrt(n) +- sqrt(m))^2 and 0 past them (Szego, Orthogonal Polynomials,
+    ch. 6); over [x_-, x_+] it integrates in log x to min(n, m)."""
+    return np.sqrt(np.maximum(x * (2.0 * (n + m) - x) - (n - m) ** 2, 0.0)) / (2.0 * math.pi)
+
+
 def _initial_panels(m: int, levels: int) -> int:
-    """Panels of the first mesh.  The weights of the levels past m have m
-    zeros each, about 2 / sqrt(m) apart in sqrt(x), and sqrt(X_0) is about
-    sqrt(levels): about sqrt(m levels) / 2 bumps over the mesh, of which a
-    panel takes six (the fewest node-levels over the points measured)."""
+    """The fewest panels of the first mesh, whose panels are no wider than
+    the inverse.  The weights of the levels past m have m zeros each, about
+    2 / sqrt(m) apart in sqrt(x), and sqrt(X_0) is about sqrt(levels):
+    about sqrt(m levels) / 2 bumps over the mesh, of which a panel takes
+    six (the fewest node-levels over the points measured on a uniform
+    mesh)."""
     return 4 + math.isqrt(m * levels) // 12
 
 
@@ -322,7 +367,7 @@ def _endpoint_pieces(theta, rho, edges, upper, pair_w):
     on the 30 Gauss nodes.  The weights' relative roundoff times sum_j |W_j|
     f_j bounds the piece's roundoff, and sum_j (61 eps |mu| |V^-1|)_j f_j
     that of the float W_j, which past theta_n meet f_j far larger than the
-    piece.  Batched over ``_LEVEL_BATCH`` levels."""
+    piece.  Batched over ``_PIECE_BATCH`` levels."""
     width = _NODES.size
     # the lower and the upper panel: a lone first panel has no lower one
     p = np.stack((np.maximum(upper - 1, 0), upper), axis=1)
@@ -334,8 +379,8 @@ def _endpoint_pieces(theta, rho, edges, upper, pair_w):
     scale = 2.0 * rho[:, None] * np.sqrt(half)
     scale[upper == 0, 0] = 0.0
     sums = np.empty((theta.size, 2, 4))
-    for s in range(0, theta.size, _LEVEL_BATCH):
-        batch = slice(s, s + _LEVEL_BATCH)
+    for s in range(0, theta.size, _PIECE_BATCH):
+        batch = slice(s, s + _PIECE_BATCH)
         mu = _moments(root[batch])
         # W, W less the Gauss nodes' weights, |W| and 61 eps |mu| |V^-1|
         rows = np.empty(mu.shape[:2] + (4, width))

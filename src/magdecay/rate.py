@@ -177,13 +177,15 @@ def _shares_mesh(m: int, root_x) -> bool:
     the shared mesh about one row step a level at each node, besides a
     fixed cost per level and round.  Timed on one core against m (levels)
     by ``scripts/mesh_crossover.py``, the shared mesh over the k_z
-    quadrature takes 1.9 (m = 40), 1.1 (50), 1.05 (57), 0.89 (63), 0.8 (70)
-    and 0.63 (80) of the time at p_perp^2 = 1e3, where m = 80 has 980
-    levels; 1.3 at (5e3, 80), 0.48 at (5e3, 140) and 0.25 at (1e4, 300).
-    The crossover at 1e3 is near m = 60 (about 740 levels); the threshold
-    sits above it, past every point of the figure datasets but the
-    criterion 3 one.  The level kernel of the k_z quadrature also refuses arguments
-    past ``MAX_OVERLAP_ARGUMENT``, which X_0 bounds.
+    quadrature takes 1.0 (m = 40), 0.85 (45), 0.8 (50), 0.72 (57), 0.6
+    (63), 0.49 (70) and 0.45 (80) of the time at p_perp^2 = 1e3, where m =
+    80 has 980 levels; 0.67 at (5e3, 80), 0.35 at (5e3, 140) and 0.15 at
+    (1e4, 300).  The crossover at 1e3 is near m = 40 (about 490 levels);
+    the threshold sits above it, past every point of the figure datasets
+    but the criterion 3 one, and a process that runs level sums on the
+    mesh holds about 4 MiB more at its peak.  The level kernel of the k_z
+    quadrature also refuses arguments past ``MAX_OVERLAP_ARGUMENT``, which
+    X_0 bounds.
     """
     return m * root_x.size >= _SHARED_MESH_WORK or root_x[0] * root_x[0] > MAX_OVERLAP_ARGUMENT
 

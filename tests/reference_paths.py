@@ -10,14 +10,15 @@ error bound of a completeness row, which the row's tests derive their
 tolerances from, lives here too, and so does ``row_weight``, the
 package's own weight at one level as a one-row call of
 ``specfun.overlap_weight_rows``, for the tests that take w one level at
-a time.
+a time, and ``count_shared_work``, which counts the work of the level sum
+on the shared mesh.
 """
 
 import math
 
 import numpy as np
 
-from magdecay import landau, quadrature, specfun
+from magdecay import landau, mesh, quadrature, specfun
 from magdecay.specfun import MAX_OVERLAP_INDEX
 
 # the highest order hermite and transverse_wavefunction accept
@@ -203,3 +204,27 @@ def classical_acceleration(p_perp: float, field: float, gamma: float, mass: floa
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     return field * p_perp / (gamma * gamma * mass * mass)
+
+
+def count_shared_work(monkeypatch):
+    """Count the work of every later level sum on the shared mesh: rounds
+    (row passes), nodes evaluated, weights yielded (node-levels) and the
+    panels of the last mesh."""
+    counted = {"rounds": 0, "nodes": 0, "node_levels": 0, "panels": 0}
+    overlap_rows = mesh.overlap_rows
+    endpoint_pieces = mesh._endpoint_pieces
+
+    def counting(m, x, top):
+        counted["rounds"] += 1
+        counted["nodes"] += x.size
+        for n, w in overlap_rows(m, x, top):
+            counted["node_levels"] += w.size
+            yield n, w
+
+    def pieces(theta, rho, edges, *rest):
+        counted["panels"] = edges.size - 1
+        return endpoint_pieces(theta, rho, edges, *rest)
+
+    monkeypatch.setattr(mesh, "overlap_rows", counting)
+    monkeypatch.setattr(mesh, "_endpoint_pieces", pieces)
+    return counted

@@ -60,10 +60,11 @@ GOLDEN_VERIFY_3_0_JSON = (
     '{"check":"lowest_level_equivalence","passed":true,"metric":"max_rel_err","value":2.9144446318191227e-16,"threshold":1e-07}\n'
     '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":6.8833827526759706e-15,"threshold":1e-10}\n'
 )
-# 636 levels on the mesh in x that they share
+# 636 levels on the mesh in x that they share; a --tol 1e-13 run gives the
+# same Gamma_MeV
 GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016931,1.0000020629045898,1.6102665568191705e-15,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
+    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016936,1.0000020629045903,8.1910091471297776e-16,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
 # the lowest-level closed forms run on one fixed Gauss rule
 GOLDEN_SCAN_LLL = (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
-from magdecay import mesh, quadrature
+from magdecay import DecayChannel, MagnetizedState, field_for_radial_energy, landau, mesh, quadrature, specfun
 from reference_paths import gauss_kronrod_panel
 
 
@@ -203,3 +203,42 @@ class TestProductWeights:
         # a few roundings of the dot product's terms, each at most |W_j| as
         # |P_k| <= 1 on [-1, 1]
         assert np.abs(back - mu[: nodes.size]).max() <= 8.0 * np.finfo(float).eps * np.abs(weights).sum()
+
+
+class TestFirstMesh:
+    @pytest.mark.parametrize("n,m", [(1, 1), (7, 300), (300, 300), (636, 300), (2000, 9), (5000, 3000)])
+    def test_zero_density_counts_the_zeros(self, n, m):
+        # the density per unit log x, integrated over [x_-, x_+] in x = x_-
+        # + (x_+ - x_-)(1 - cos phi) / 2, where it is smooth in phi
+        low, high = (math.sqrt(n) - math.sqrt(m)) ** 2, (math.sqrt(n) + math.sqrt(m)) ** 2
+        phi = (np.arange(20_000) + 0.5) * (math.pi / 20_000)
+        x = low + 0.5 * (high - low) * (1.0 - np.cos(phi))
+        dx = 0.5 * (high - low) * np.sin(phi) * (math.pi / 20_000)
+        count = (mesh._zeros_per_log_x(n, m, x) / x * dx).sum()
+        assert count == pytest.approx(min(n, m), abs=1e-6)
+
+    def test_panels_hold_few_zeros(self, monkeypatch):
+        # at (p_perp^2, m) = (1e4, 300) no panel of the first mesh holds
+        # more than five local minima of any level's weights, counted on a
+        # grid of 8,192 points in t
+        m = 300
+        state = MagnetizedState(field=field_for_radial_energy(1e4, m), level=m)
+        root_x, root_y = landau.level_edges(DecayChannel(m_parent=105.7), state)
+        first = []
+        evaluate = mesh._evaluate_panels
+
+        def capture(m, scale_x, theta, rho, edges, *rest):
+            first.append(edges)
+            return evaluate(m, scale_x, theta, rho, edges, *rest)
+
+        monkeypatch.setattr(mesh, "_evaluate_panels", capture)
+        mesh.level_integrals(m, root_x, root_y, 1e-9, 0.0)
+        theta = root_x / root_x[0]
+        t = (np.arange(8192) + 0.5) / 8192
+        top = np.searchsorted(-theta, -t, side="right") - 1
+        most = 0
+        for _, w in specfun.overlap_rows(m, root_x[0] ** 2 * t * t, top):
+            minima = np.flatnonzero((w[1:-1] < w[:-2]) & (w[1:-1] < w[2:])) + 1
+            panel = np.searchsorted(first[0], t[minima], side="right") - 1
+            most = max(most, np.bincount(panel).max(initial=0))
+        assert 4 <= most <= 5

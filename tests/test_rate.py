@@ -16,6 +16,7 @@ from magdecay import (
 )
 from magdecay.landau import kz_cutoffs
 from magdecay.rate import _integrand_arrays, free_rate_at_rest, free_rate_boosted
+from reference_paths import count_shared_work
 
 M_MU = 105.7
 MUON = DecayChannel(m_parent=M_MU)
@@ -414,6 +415,14 @@ class TestSharedMesh:
         assert mesh.gamma_total == pytest.approx(kz.gamma_total, rel=1e-12, abs=0.0)
         assert mesh.ratio == pytest.approx(kz.ratio, rel=1e-12, abs=0.0)
         assert mesh.n_max_used == kz.n_max_used
+
+    # the Baseline rows of scripts/mesh_crossover.py and the points of
+    # TestQuadratureHonesty's shared-mesh test that POINTS lacks
+    @pytest.mark.parametrize("p_sq,m", POINTS + [(1e4, 30), (5e3, 40), (5e4, 120), (1e3, 80), (1e3, 76), (5e3, 120)])
+    def test_first_mesh_converges_in_one_round(self, monkeypatch, p_sq, m):
+        counted = count_shared_work(monkeypatch)
+        forced(monkeypatch, True, magnetized(p_sq, m), 1e-9)
+        assert counted["rounds"] == 1
 
     def test_lowest_level_on_the_last_edge(self, monkeypatch):
         # level 0 has theta = 1, on the mesh's last edge, where the moments
