@@ -16,7 +16,10 @@ the two around theta_n = sqrt(X_n / X_0); on those two, product weights
 from closed-form moments integrate (theta_n - t)^(-1/2) exactly against
 the interpolant of the rest (as QUADPACK's QAWS), and its error is never
 taken below the roundoff that its weights and the product weights carry.
-Shared panels are bisected wherever a level misses its tolerance.
+Every 32 levels the pass forms their values, errors and tolerances, so no
+(levels x panels) sum is held either.  Shared panels are bisected wherever
+a level misses its tolerance, and the next round is a new pass over every
+panel: only the edges go from one round to the next.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ _MOMENT = 2.0 * math.sqrt(2.0) / (2 * np.arange(_NODES.size) + 1)
 # levels per batch of the plain reductions, whose buffer holds the weights
 # of that many levels at every node
 _LEVEL_BATCH = 8
-# levels per batch of the end pieces: their largest array, batch x 2 x 4 x
-# 61 doubles, is then 125 KB
+# levels the pass hands over at a time, whose plain sums it holds on every
+# panel and whose end pieces are formed together: their largest array,
+# batch x 2 x 4 x 61 doubles, is then 125 KB
 _PIECE_BATCH = 32
 _EPS = float(np.finfo(float).eps)
 # the roundoff of a product weight W_j = (mu V^-1)_j is at most 61 eps
@@ -92,61 +96,81 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
 
         h_n(t) = 2 t rho_n / sqrt((theta_n^2 - t^2)(1 - rho_n^2 t^2)),
 
-    rho_n = sqrt(X_0 / Y_n) < 1.  After each round every panel that holds
-    more than its width-share of the tolerance of a level that misses it is
-    bisected, and so is the worst piece of each such level; the next round
-    evaluates the new panels only.  A kept panel keeps each level's sums,
-    and a level's endpoint piece is computed again only when one of its two
-    panels was split.  Returns two lists (values, error estimates), one
-    entry per level.  When a level misses its tolerance within the panel
-    budget, :class:`magdecay.quadrature.QuadraturePanelError` names the
-    lowest such level as its interval.
+    rho_n = sqrt(X_0 / Y_n) < 1.  Each round is one pass of the row over
+    every panel of the mesh, which hands the levels over ``_PIECE_BATCH``
+    at a time: their value, estimate and tolerance are formed then, and a
+    level that misses its tolerance adds its share of it on each panel to
+    a per-panel score.  After the round every panel that holds more than
+    its width-share of the tolerance of a level that misses it is
+    bisected, and so is the worst piece of each such level; only the edges
+    go on to the next round, so a round holds the row's per-node arrays
+    and buffers of a batch of levels, never a sum per level and panel.
+    Returns two lists (values, error estimates), one entry per level.  When
+    a level misses its tolerance within the panel budget,
+    :class:`magdecay.quadrature.QuadraturePanelError` names the lowest such
+    level as its interval.
     """
-    levels = root_x.size
     theta = root_x / root_x[0]
     rho = root_x[0] / root_y
     scale_x = root_x[0] * root_x[0]
     edges = _first_edges(m, theta, scale_x)
     # the levels whose integral ends inside the first panel get an edge at
-    # that end (see the refinement below)
+    # that end (see _cuts)
     edges = _distinct(np.concatenate((edges, theta[theta < edges[1]][:_FIRST_PANEL_ENDS])))
-    panels = edges.size - 1
-    upper = np.searchsorted(edges[:-1], theta, side="right") - 1
-    kronrod = np.zeros((levels, panels))
-    deviation = np.zeros((levels, panels))
-    pair_w = np.zeros((levels, 2 * _NODES.size))
-    fresh = np.arange(panels)
-    endpoint = np.zeros((4, levels))
-    pair_edges = np.full((3, levels), -1.0)
     # a weight at level n carries the roundings of the m + n steps of its
     # row (about one unit each; the first-order bound is eight), which floor
     # the level's estimate as the rule's roundoff does; the end pieces
     # count them on sum_j |W_j| f_j over their product weights W
-    roundoff_share = np.maximum(quadrature._ROUNDOFF, _EPS * (m + 1 + np.arange(levels)))
+    roundoff_share = np.maximum(quadrature._ROUNDOFF, _EPS * (m + 1 + np.arange(theta.size)))
     # and an absolute error of ROW_ABS_ERROR, which the integral of h_n,
     # 2 artanh(rho_n theta_n), carries into the level
     row_error = ROW_ABS_ERROR * 2.0 * np.arctanh(rho * theta)
+    value, estimate, tol = np.empty((3, theta.size))
     while True:
-        _evaluate_panels(m, scale_x, theta, rho, edges, upper, fresh, kronrod, deviation, pair_w)
-        lower = np.maximum(upper - 1, 0)
-        now = np.stack((edges[lower], edges[upper], edges[upper + 1]))
-        todo = np.flatnonzero((now != pair_edges).any(axis=0))
-        endpoint[:, todo] = _endpoint_pieces(theta[todo], rho[todo], edges, upper[todo], pair_w[todo])
-        pair_edges = now
-        # the integrand is nonnegative: a sum that roundoff and interpolation
-        # error in levels far below the floor leave negative is raised to 0,
-        # which can only bring it closer
-        plain = kronrod.sum(axis=1)
-        value = np.maximum(plain + endpoint[0], 0.0)
-        error = np.abs(deviation).sum(axis=1) + endpoint[1]
-        floor = roundoff_share * np.maximum(plain + endpoint[2], 0.0) + endpoint[3] + row_error
-        estimate = np.maximum(error, floor)
-        tol = np.maximum(np.maximum(rel_tol * value, abs_tol), floor)
-        failing = estimate > tol
-        if not failing.any():
+        panels = edges.size - 1
+        upper = np.searchsorted(edges[:-1], theta, side="right") - 1
+        score = np.zeros(panels)
+        ends = []
+        for n, kronrod, deviation, pair_w in _evaluate_panels(m, scale_x, theta, rho, edges, upper):
+            th, up = theta[n], upper[n]
+            endpoint = _endpoint_pieces(th, rho[n], edges, up, pair_w)
+            # the integrand is nonnegative: a sum that roundoff and
+            # interpolation error in levels far below the floor leave
+            # negative is raised to 0, which can only bring it closer
+            plain = kronrod.sum(axis=1)
+            value[n] = np.maximum(plain + endpoint[0], 0.0)
+            error = np.abs(deviation).sum(axis=1) + endpoint[1]
+            floor = roundoff_share[n] * np.maximum(plain + endpoint[2], 0.0) + endpoint[3] + row_error[n]
+            estimate[n] = np.maximum(error, floor)
+            tol[n] = np.maximum(np.maximum(rel_tol * value[n], abs_tol), floor)
+            failing = estimate[n] > tol[n]
+            if not failing.any():
+                continue
+            # each failing level's error per unit of its tolerance's
+            # width-share on its plain panels and on its end piece; a level
+            # with no tolerance at all (a zero value and no floor) has every
+            # piece over its share
+            share = (tol[n] / th)[failing]
+            th, up = th[failing], up[failing]
+            low = np.maximum(up - 1, 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                over = np.abs(deviation[failing]) / (share[:, None] * np.diff(edges))
+                end_over = endpoint[1][failing] / (share * (th - edges[low]))
+            over[np.isnan(over)] = 0.0
+            end_over[np.isnan(end_over)] = 0.0
+            worst = over.argmax(axis=1)
+            plain_worst = over[np.arange(worst.size), worst] >= end_over
+            over[np.flatnonzero(plain_worst), worst[plain_worst]] = np.inf
+            end_over[~plain_worst] = np.inf
+            np.maximum(score, over.max(axis=0), out=score)
+            np.maximum.at(score, low, end_over)
+            np.maximum.at(score, up, end_over)
+            ends += th[(up == 0) & (end_over > 1.0)].tolist()
+        missed = np.flatnonzero(estimate > tol)
+        if not missed.size:
             return value.tolist(), estimate.tolist()
         if panels >= _MAX_PANELS:
-            n = int(np.flatnonzero(failing)[0])
+            n = int(missed[0])
             raise quadrature.QuadraturePanelError(
                 f"no convergence within {_MAX_PANELS} panels "
                 f"(error {estimate[n]:.3e}, tolerance {tol[n]:.3e})",
@@ -154,90 +178,21 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
                 float(estimate[n]),
                 n,
             )
-        cuts = _cuts(edges, theta, tol, failing, deviation, endpoint[1], upper)[: _MAX_PANELS - panels]
-        edges, upper, fresh, kronrod, deviation, pair_w = _refine(
-            edges, np.sort(cuts), theta, rho, upper, kronrod, deviation, pair_w
-        )
-        panels = edges.size - 1
+        edges = _distinct(np.concatenate((edges, _cuts(edges, score, ends)[: _MAX_PANELS - panels])))
 
 
-def _cuts(edges, theta, tol, failing, deviation, endpoint_error, upper):
-    """The new edges: the midpoint of every panel that holds more than its
-    width-share of a failing level's tolerance, or is a failing level's
-    worst piece, largest share first; a failing level inside the first
-    panel gets an edge at theta_n itself, where its integral ends, so that
-    its weights, like x^|n-m| from 0, are interpolated over its own range."""
-    share = (tol / theta)[failing]
-    up = upper[failing]
-    low = np.maximum(up - 1, 0)
-    # a level with no tolerance at all (a zero value and no floor) has every
-    # piece with an error over its share
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over = np.abs(deviation[failing]) / (share[:, None] * np.diff(edges))
-        end_over = endpoint_error[failing] / (share * (theta[failing] - edges[low]))
-    over[np.isnan(over)] = 0.0
-    end_over[np.isnan(end_over)] = 0.0
-    worst = over.argmax(axis=1)
-    plain_worst = over[np.arange(worst.size), worst] >= end_over
-    over[np.flatnonzero(plain_worst), worst[plain_worst]] = np.inf
-    end_over[~plain_worst] = np.inf
-    score = over.max(axis=0)
-    np.maximum.at(score, low, end_over)
-    np.maximum.at(score, up, end_over)
+def _cuts(edges, score, ends):
+    """The new edges: the midpoint of every panel whose score passes 1 (it
+    holds more than its width-share of a failing level's tolerance, or is
+    a failing level's worst piece), largest score first, after the ends
+    theta_n of the failing levels inside the first panel that lie in its
+    lower half, so that their weights, like x^|n-m| from 0, are
+    interpolated over their own range.  Such a level's end piece scores
+    inf, so the first panel is then the first to split."""
     split = np.flatnonzero(score > 1.0)
     split = split[np.argsort(-score[split], kind="stable")]
-    cuts = 0.5 * (edges[split] + edges[split + 1])
-    alone = (up == 0) & (end_over > 1.0)
-    if alone.any() and split.size and split[0] == 0:
-        ends = theta[failing][alone]
-        cuts = np.concatenate((ends[ends < 0.5 * edges[1]], cuts))
-    return cuts
-
-
-def _refine(edges, cuts, theta, rho, upper, kronrod, deviation, pair_w):
-    """The mesh with ``cuts`` added, and the sums of its kept panels.
-
-    A kept panel keeps its columns.  A level's new pair of panels around
-    theta_n holds each kept panel in the slot it had, and a kept panel that
-    was its lower pair panel and is now plain gets its plain sums from the
-    stored weights.  Returns the new edges, the new upper panels, the fresh
-    panels to evaluate and the carried sums.
-    """
-    width = _NODES.size
-    new_edges = _distinct(np.concatenate((edges, cuts)))
-    panels = new_edges.size - 1
-    # an old panel is kept when both its edges are consecutive new edges
-    start = np.searchsorted(new_edges, edges[:-1])
-    kept = new_edges[start + 1] == edges[1:]
-    old_of = np.full(panels, -1)
-    old_of[start[kept]] = np.flatnonzero(kept)
-    fresh = np.flatnonzero(old_of < 0)
-    levels = theta.size
-    new_kronrod = np.zeros((levels, panels))
-    new_deviation = np.zeros((levels, panels))
-    new_kronrod[:, start[kept]] = kronrod[:, kept]
-    new_deviation[:, start[kept]] = deviation[:, kept]
-    new_upper = np.searchsorted(new_edges[:-1], theta, side="right") - 1
-    # the old lower pair panel of a level, kept and now below its new pair
-    was_lower = np.maximum(upper - 1, 0)
-    plain = (upper >= 1) & kept[was_lower] & (start[was_lower] < new_upper - 1)
-    if plain.any():
-        n = np.flatnonzero(plain)
-        p = start[was_lower[n]]
-        half = 0.5 * (new_edges[p + 1] - new_edges[p])
-        t = 0.5 * (new_edges[p] + new_edges[p + 1])[:, None] + half[:, None] * _NODES
-        th, r = theta[n, None], rho[n, None]
-        f = pair_w[n, :width] * t / np.sqrt((th - t) * (th + t) * (1.0 - r * r * t * t))
-        sums = f @ quadrature._WEIGHTS_KG * (2.0 * r * half[:, None])
-        new_kronrod[n, p] = sums[:, 0]
-        new_deviation[n, p] = sums[:, 0] - sums[:, 1]
-    # a kept panel of a level's new pair was in its old pair, in the same
-    # slot; the other slots are filled again by the fresh panels
-    for slot in (0, 1):
-        old = old_of[np.maximum(new_upper - 1 + slot, 0)]
-        carried = (old >= 0) & (old == upper - 1 + slot) & (new_upper - 1 + slot >= 0)
-        pair_w[~carried, slot * width : (slot + 1) * width] = 0.0
-    return new_edges, new_upper, fresh, new_kronrod, new_deviation, pair_w
+    ends = np.array(ends)
+    return np.concatenate((ends[ends < 0.5 * edges[1]], 0.5 * (edges[split] + edges[split + 1])))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -286,40 +241,38 @@ def _initial_panels(m: int, levels: int) -> int:
     return 4 + math.isqrt(m * levels) // 12
 
 
-def _evaluate_panels(m, scale_x, theta, rho, edges, upper, fresh, kronrod, deviation, pair_w):
-    """One pass of the row over the nodes of the panels ``fresh``.
+def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
+    """One pass of the row over the nodes of every panel.
 
-    Adds each level's Kronrod sum and Kronrod minus Gauss sum on each of
-    them that is plain for it (below the panel under its upper one) to
-    ``kronrod`` and ``deviation``, and puts its weights on those of them
-    around theta_n into ``pair_w``.  The plain reductions run
-    ``_LEVEL_BATCH`` consecutive levels at a time on a buffer of their
-    weights.
+    Yields, ``_PIECE_BATCH`` consecutive levels at a time, their slice,
+    each one's Kronrod sum and Kronrod minus Gauss sum on each panel that
+    is plain for it (below the panel under its upper one; 0 on the rest),
+    and its weights on its two panels around theta_n (0 in the place of
+    the lower one of a lone first panel).  The buffers are filled again
+    for the next batch.  The plain reductions run ``_LEVEL_BATCH``
+    consecutive levels at a time on a buffer of their weights.
     """
     width = _NODES.size
-    half = 0.5 * (edges[fresh + 1] - edges[fresh])
-    t = (0.5 * (edges[fresh] + edges[fresh + 1])[:, None] + half[:, None] * _NODES).reshape(-1)
+    half = 0.5 * np.diff(edges)
+    t = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _NODES).reshape(-1)
     t_sq = t * t
     # a panel's nodes serve the levels whose upper panel is at or past it
-    top = np.searchsorted(-upper, -fresh, side="right") - 1
-    # where each level's plain panels end among the fresh ones, and the
-    # fresh nodes of its two panels around theta_n with their place in
-    # pair_w (a lone first panel has no lower one)
-    lower_at = np.searchsorted(fresh, upper - 1)
-    has = [
-        (at < fresh.size) & (fresh[np.minimum(at, fresh.size - 1)] == upper - 1 + slot)
-        for slot, at in enumerate((lower_at, np.searchsorted(fresh, upper)))
-    ]
-    plain_end = (lower_at * width).tolist()
-    pair_end = ((lower_at + has[0].astype(int) + has[1]) * width).tolist()
-    pair_slot = np.where(has[0], 0, width).tolist()
+    top = np.searchsorted(-upper, -np.arange(half.size), side="right") - 1
+    # where each level's plain panels end and its two panels around
+    # theta_n end (a lone first panel has no lower one)
+    plain_end = (np.maximum(upper - 1, 0) * width).tolist()
+    pair_end = ((upper + 1) * width).tolist()
     batch = np.zeros((_LEVEL_BATCH, t.size))
+    kronrod = np.zeros((_PIECE_BATCH, half.size))
+    deviation = np.zeros((_PIECE_BATCH, half.size))
+    pair_w = np.zeros((_PIECE_BATCH, 2 * width))
     pending = []
 
     def reduce():
         n0, rows = pending[0], len(pending)
         # only the panels that hold a nonzero weight of the batch add to it
-        nonzero = np.flatnonzero(batch[:rows, : max(plain_end[n0 : n0 + rows])].any(axis=0))
+        # (its first level's plain panels reach furthest)
+        nonzero = np.flatnonzero(batch[:rows, : plain_end[n0]].any(axis=0))
         if nonzero.size:
             lead, end = nonzero[0] // width * width, (nonzero[-1] // width + 1) * width
             levels = slice(n0, n0 + rows)
@@ -336,22 +289,26 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper, fresh, kronrod, devia
             f /= gap
             sums = (f.reshape(-1, width) @ quadrature._WEIGHTS_KG).reshape(rows, -1, 2)
             sums *= (2.0 * r)[:, :, None] * half[lead // width : end // width, None]
-            panels = fresh[lead // width : end // width]
-            kronrod[levels, panels] += sums[:, :, 0]
-            deviation[levels, panels] += sums[:, :, 0] - sums[:, :, 1]
+            at = (slice(n0 % _PIECE_BATCH, n0 % _PIECE_BATCH + rows), slice(lead // width, end // width))
+            kronrod[at] += sums[:, :, 0]
+            deviation[at] += sums[:, :, 0] - sums[:, :, 1]
             weights.fill(0.0)
         pending.clear()
 
     for n, w in overlap_rows(m, scale_x * t_sq, top.repeat(width)):
         end, stop = plain_end[n], pair_end[n]
         batch[len(pending), :end] = w[:end]
-        if stop > end:
-            pair_w[n, pair_slot[n] : pair_slot[n] + stop - end] = w[end:stop]
+        pair_w[n % _PIECE_BATCH, 2 * width - stop + end :] = w[end:stop]
         pending.append(n)
         if len(pending) == _LEVEL_BATCH:
             reduce()
-    if pending:
-        reduce()
+        rows = n % _PIECE_BATCH + 1
+        if rows == _PIECE_BATCH or n == upper.size - 1:
+            if pending:
+                reduce()
+            yield slice(n + 1 - rows, n + 1), kronrod[:rows], deviation[:rows], pair_w[:rows]
+            for buffer in (kronrod, deviation, pair_w):
+                buffer.fill(0.0)
 
 
 def _endpoint_pieces(theta, rho, edges, upper, pair_w):
@@ -367,31 +324,28 @@ def _endpoint_pieces(theta, rho, edges, upper, pair_w):
     on the 30 Gauss nodes.  The weights' relative roundoff times sum_j |W_j|
     f_j bounds the piece's roundoff, and sum_j (61 eps |mu| |V^-1|)_j f_j
     that of the float W_j, which past theta_n meet f_j far larger than the
-    piece.  Batched over ``_PIECE_BATCH`` levels."""
+    piece.  Takes at most ``_PIECE_BATCH`` levels."""
     width = _NODES.size
     # the lower and the upper panel: a lone first panel has no lower one
     p = np.stack((np.maximum(upper - 1, 0), upper), axis=1)
-    half = 0.5 * (edges[p + 1] - edges[p])
-    centre = 0.5 * (edges[p] + edges[p + 1])
+    low, high = edges[p], edges[p + 1]
+    half = 0.5 * (high - low)
+    centre = 0.5 * (low + high)
     # c + 1 and c - 1 from the edges, never from c: the moments have a
     # square-root branch at c = 1
-    root = _moment_root((theta[:, None] - edges[p]) / half, (theta[:, None] - edges[p + 1]) / half)
+    mu = _moments(_moment_root((theta[:, None] - low) / half, (theta[:, None] - high) / half))
     scale = 2.0 * rho[:, None] * np.sqrt(half)
     scale[upper == 0, 0] = 0.0
-    sums = np.empty((theta.size, 2, 4))
-    for s in range(0, theta.size, _PIECE_BATCH):
-        batch = slice(s, s + _PIECE_BATCH)
-        mu = _moments(root[batch])
-        # W, W less the Gauss nodes' weights, |W| and 61 eps |mu| |V^-1|
-        rows = np.empty(mu.shape[:2] + (4, width))
-        rows[:, :, :2] = (mu @ _PRODUCT).reshape(-1, 2, 2, width)
-        np.abs(rows[:, :, 0], out=rows[:, :, 2])
-        np.matmul(np.abs(mu, out=mu), _WEIGHT_ROUNDOFF, out=rows[:, :, 3])
-        t = centre[batch, :, None] + half[batch, :, None] * _NODES
-        f = pair_w[batch].reshape(-1, 2, width) * t * scale[batch, :, None]
-        rt = rho[batch, None, None] * t
-        f /= np.sqrt((theta[batch, None, None] + t) * (1.0 - rt * rt))
-        sums[batch] = (rows @ f[..., None])[..., 0]
+    # W, W less the Gauss nodes' weights, |W| and 61 eps |mu| |V^-1|
+    rows = np.empty(mu.shape[:2] + (4, width))
+    rows[:, :, :2] = (mu @ _PRODUCT).reshape(-1, 2, 2, width)
+    np.abs(rows[:, :, 0], out=rows[:, :, 2])
+    np.matmul(np.abs(mu, out=mu), _WEIGHT_ROUNDOFF, out=rows[:, :, 3])
+    t = centre[:, :, None] + half[:, :, None] * _NODES
+    f = pair_w.reshape(-1, 2, width) * t * scale[:, :, None]
+    rt = rho[:, None, None] * t
+    f /= np.sqrt((theta[:, None, None] + t) * (1.0 - rt * rt))
+    sums = (rows @ f[..., None])[..., 0]
     np.abs(sums[:, :, 1], out=sums[:, :, 1])
     return sums.sum(axis=1).T
 

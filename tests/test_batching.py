@@ -35,6 +35,21 @@ def result_bits(result):
     return result.gamma_total.hex(), result.ratio.hex(), result.quad_error.hex(), levels
 
 
+def turning_points(m, x):
+    """The level (sqrt(m) + sqrt(x))^2 past which the row at x is Miller's."""
+    root_sum = math.sqrt(m) + np.sqrt(x)
+    return (root_sum * root_sum).astype(np.int64)
+
+
+def miller_weights(m, x, top):
+    """The weights of Miller's part of a row pass: those of each node past
+    its turning point, below Miller's start."""
+    turn = turning_points(m, x)
+    tail = top > turn
+    start = specfun._row_levels_array(np.full(tail.sum(), m), x[tail], turn[tail])
+    return int((np.minimum(top[tail], start - 1) - turn[tail]).sum())
+
+
 def count_work(monkeypatch):
     """Count the integrand points and the overlap recurrence row-steps of
     every later level sum; a row-step is one point advanced by one step, so
@@ -355,20 +370,23 @@ class TestLevelSum:
         assert counted["panels"] > floored_panels
 
     @pytest.mark.parametrize(
-        "p_perp_sq,m,work",
+        "p_perp_sq,m,rel_tol,work",
         [
-            (1e4, 30, {"rounds": 1, "nodes": 915, "node_levels": 38_247, "panels": 15}),
-            (1e4, 300, {"rounds": 1, "nodes": 3_721, "node_levels": 1_161_013, "panels": 61}),
+            (1e4, 30, 1e-9, {"rounds": 1, "nodes": 915, "node_levels": 38_247, "panels": 15}),
+            (1e4, 300, 1e-9, {"rounds": 1, "nodes": 3_721, "node_levels": 1_161_013, "panels": 61}),
+            (1e4, 300, 1e-13, {"rounds": 2, "nodes": 9_150, "node_levels": 2_748_050, "panels": 89}),
         ],
     )
-    def test_pinned_shared_mesh_work(self, monkeypatch, p_perp_sq, m, work):
-        # rounds are row passes over the fresh panels, nodes the nodes they
-        # evaluate, node-levels the weights the rows yield, sum(top + 1)
-        # over a round's nodes, and panels those of the last mesh; (1e4, 30)
-        # takes the shared mesh only when asked
+    def test_pinned_shared_mesh_work(self, monkeypatch, p_perp_sq, m, rel_tol, work):
+        # rounds are row passes over every panel of the round's mesh, nodes
+        # the nodes they evaluate, node-levels the weights the rows yield,
+        # sum(top + 1) over a round's nodes, and panels those of the last
+        # mesh; (1e4, 30) takes the shared mesh only when asked, and at
+        # 1e-13 (1e4, 300) refines its 61 panels to 89, both passes full:
+        # 61 x (61 + 89) nodes
         monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
         counted = count_shared_work(monkeypatch)
-        decay_rate(MUON, magnetized(p_perp_sq, m))
+        decay_rate(MUON, magnetized(p_perp_sq, m), rel_tol)
         assert counted == work
 
     def test_miller_store_holds_only_the_weights(self, monkeypatch):
@@ -387,11 +405,9 @@ class TestLevelSum:
         with pytest.raises(Captured):
             decay_rate(MUON, magnetized(1e4, 1000))
         m, x, top = layout[0]
-        root_sum = math.sqrt(m) + np.sqrt(x)
-        turn = (root_sum * root_sum).astype(np.int64)
+        weights = miller_weights(m, x, top)
+        turn = turning_points(m, x)
         tail = top > turn
-        start = specfun._row_levels_array(np.full(tail.sum(), m), x[tail], turn[tail])
-        weights = int((np.minimum(top[tail], start - 1) - turn[tail]).sum())
         store = specfun._miller_tail(m, True, x[tail], np.sqrt(x[tail]), top[tail], turn[tail])[0]
         assert weights <= store[0].size <= 1.01 * weights
         # a pass holds the store, 12 B a weight, and about 16 work arrays of
@@ -406,22 +422,56 @@ class TestLevelSum:
     def test_shared_mesh_convergence_error_names_the_lowest_failing_level(self, monkeypatch):
         # with a budget of the first mesh's own panels, the lowest level
         # that misses its tolerance on that mesh is reported, with its
-        # partial value; the first mesh meets rel_tol 1e-9 here, 1e-13 not
+        # partial value; the first mesh meets rel_tol 1e-9 here, 1e-12 not.
+        # The default run keeps the first mesh, so its levels are their
+        # values and estimates there; the lowest whose estimate passes
+        # max(1e-12 value, absolute floor) is past its own floor too, so
+        # it misses (at 1e-13 the floors of levels 14 to 73 would let
+        # them pass)
         state = magnetized(1e4, 300)
-        failing = []
-        panels = []
-        cuts = mesh._cuts
-
-        def first_round(edges, theta, tol, missed, *rest):
-            failing.append(np.flatnonzero(missed))
-            panels.append(edges.size - 1)
-            return cuts(edges, theta, tol, missed, *rest)
-
-        monkeypatch.setattr(mesh, "_cuts", first_round)
-        decay_rate(MUON, state, rel_tol=1e-13)
-        monkeypatch.setattr(mesh, "_MAX_PANELS", panels[0])
+        counted = count_shared_work(monkeypatch)
+        first = decay_rate(MUON, state)
+        assert counted["rounds"] == 1
+        floor = rate._LEVEL_ABS_FLOOR * 1e-12 * first.gamma_free_boosted
+        lowest = next(c for c in first.level_contributions if c.quad_error > max(1e-12 * c.rate, floor))
+        monkeypatch.setattr(mesh, "_MAX_PANELS", counted["panels"])
         with pytest.raises(RateConvergenceError) as info:
-            decay_rate(MUON, state, rel_tol=1e-13)
-        assert info.value.n == failing[0][0]
+            decay_rate(MUON, state, rel_tol=1e-12)
+        assert info.value.n == lowest.n
         assert info.value.partial_value > 0.0
-        assert info.value.error_estimate > 1e-13 * info.value.partial_value
+        assert info.value.error_estimate > 1e-12 * info.value.partial_value
+        assert info.value.error_estimate / info.value.partial_value == pytest.approx(
+            lowest.quad_error / lowest.rate, rel=1e-14
+        )
+
+    def test_level_sum_memory_holds_no_sum_per_level_and_panel(self, monkeypatch):
+        # a default run at (1e4, 1000) is one pass over 182 panels (11,102
+        # nodes) for 2,118 levels.  Its peak is the row's (the bound of
+        # test_miller_store_holds_only_the_weights), the weights of a batch
+        # of _LEVEL_BATCH levels at every node with up to three temporaries
+        # of their size, four arrays of 8 B a node (t, t^2, x and top), the
+        # two plain sums and the two-panel weights of a batch of
+        # _PIECE_BATCH levels, and under 512 B a level for the level
+        # vectors and the result: no sum per level and panel, of which two
+        # dense arrays would take 5.9 MiB here
+        layout = []
+        overlap_rows = mesh.overlap_rows
+
+        def capture(m, x, top):
+            layout.append((m, x, top))
+            return overlap_rows(m, x, top)
+
+        monkeypatch.setattr(mesh, "overlap_rows", capture)
+        tracemalloc.start()
+        try:
+            result = decay_rate(MUON, magnetized(1e4, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, x, top = layout[0]
+        levels, panels = len(result.level_contributions), x.size // quadrature._NODES.size
+        assert len(layout) == 1 and (levels, panels) == (2118, 182)
+        row = 20 * 8 * x.size + 16 * miller_weights(m, x, top)
+        batch = 4 * mesh._LEVEL_BATCH * 8 * x.size + 4 * 8 * x.size
+        pieces = mesh._PIECE_BATCH * (2 * panels + 2 * quadrature._NODES.size) * 8
+        assert peak <= row + batch + pieces + 512 * levels
