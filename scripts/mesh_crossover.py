@@ -9,7 +9,12 @@ tolerance runs with each scheme forced through ``rate._SHARED_MESH_WORK``:
 infinity for the per-level k_z sum, 0 for the shared mesh.  A column is
 the process CPU time of the fastest of three calls after one warm-up; the
 last column is the relative difference of the two widths.  The default
-points are the ROADMAP's Baseline rows.  The benchmark pins BLAS to one
+points are the ROADMAP's Baseline rows, then points of the figure curves
+on each side of ``rate._SHARED_MESH_WORK`` (m times the levels): (1e3,
+36) and (5e3, 70) below it, near or past their curves' crossovers, (1e3,
+45) and (5e3, 80) above it, and (1e4, 60), (1e4, 80) and (5e4, 100)
+below it, on either side of the 1e4 curve's crossover and short of the
+5e4 curve's, which lies past its end.  The benchmark pins BLAS to one
 thread, as the first line above does: process CPU time counts every
 thread's.
 """
@@ -20,7 +25,10 @@ import time
 
 from magdecay import DecayChannel, MagnetizedState, decay_rate, field_for_radial_energy, rate
 
-POINTS = ("1e3:5", "1e4:30", "3e4:65", "5e3:40", "5e4:120", "1e3:40", "1e3:80", "1e4:300")
+POINTS = (
+    "1e3:5", "1e4:30", "3e4:65", "5e3:40", "5e4:120", "1e3:40", "1e3:80", "1e4:300",
+    "1e3:36", "1e3:45", "5e3:50", "5e3:70", "5e3:80", "1e4:60", "1e4:80", "5e4:100",
+)
 MUON = DecayChannel(m_parent=105.7)
 REPEATS = 3
 

@@ -105,6 +105,8 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
     bisected, and so is the worst piece of each such level; only the edges
     go on to the next round, so a round holds the row's per-node arrays
     and buffers of a batch of levels, never a sum per level and panel.
+    The row stops at the last level with a nonzero weight at any node; a
+    level past it is 0, with its floor as its estimate and tolerance.
     Returns two lists (values, error estimates), one entry per level.  When
     a level misses its tolerance within the panel budget,
     :class:`magdecay.quadrature.QuadraturePanelError` names the lowest such
@@ -127,6 +129,10 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
     row_error = ROW_ABS_ERROR * 2.0 * np.arctanh(rho * theta)
     value, estimate, tol = np.empty((3, theta.size))
     while True:
+        # the levels past the row's last nonzero weight are 0 at every node,
+        # and their floor is their estimate and tolerance
+        value.fill(0.0)
+        estimate[:] = tol[:] = row_error
         panels = edges.size - 1
         upper = np.searchsorted(edges[:-1], theta, side="right") - 1
         score = np.zeros(panels)
@@ -250,7 +256,9 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
     and its weights on its two panels around theta_n (0 in the place of
     the lower one of a lone first panel).  The buffers are filled again
     for the next batch.  The plain reductions run ``_LEVEL_BATCH``
-    consecutive levels at a time on a buffer of their weights.
+    consecutive levels at a time on a buffer of their weights.  The pass
+    ends with the row, at the last level with a nonzero weight at any
+    node: the levels past it are not yielded.
     """
     width = _NODES.size
     half = 0.5 * np.diff(edges)
@@ -295,20 +303,27 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
             weights.fill(0.0)
         pending.clear()
 
+    def hand_over(stop):
+        if pending:
+            reduce()
+        rows = (stop - 1) % _PIECE_BATCH + 1
+        return slice(stop - rows, stop), kronrod[:rows], deviation[:rows], pair_w[:rows]
+
     for n, w in overlap_rows(m, scale_x * t_sq, top.repeat(width)):
+        if n % _PIECE_BATCH == 0:
+            for buffer in (kronrod, deviation, pair_w):
+                buffer.fill(0.0)
         end, stop = plain_end[n], pair_end[n]
         batch[len(pending), :end] = w[:end]
         pair_w[n % _PIECE_BATCH, 2 * width - stop + end :] = w[end:stop]
         pending.append(n)
         if len(pending) == _LEVEL_BATCH:
             reduce()
-        rows = n % _PIECE_BATCH + 1
-        if rows == _PIECE_BATCH or n == upper.size - 1:
-            if pending:
-                reduce()
-            yield slice(n + 1 - rows, n + 1), kronrod[:rows], deviation[:rows], pair_w[:rows]
-            for buffer in (kronrod, deviation, pair_w):
-                buffer.fill(0.0)
+        if n % _PIECE_BATCH == _PIECE_BATCH - 1:
+            yield hand_over(n + 1)
+    # the row stops after its last level with a nonzero weight
+    if (n + 1) % _PIECE_BATCH:
+        yield hand_over(n + 1)
 
 
 def _endpoint_pieces(theta, rho, edges, upper, pair_w):

@@ -15,9 +15,11 @@ this is the folded integral of w / omega_n over |k_z| <= K_n.
 Two schemes evaluate the level integrals, and the size of the problem
 picks one (:func:`_shares_mesh`).
 
-* **Shared mesh in x**, for many levels at a large m: all levels share
-  one adaptively refined mesh, and one row of the recurrence across
-  levels gives every level's weight at a node (:mod:`magdecay.mesh`).
+* **Shared mesh in x**, for many levels at a large m, m (levels) from
+  20,000 (from m = 41 at p_perp^2 = 1e3, past the crossover of every
+  figure curve): all levels share one adaptively refined mesh, and one
+  row of the recurrence across levels gives every level's weight at a
+  node (:mod:`magdecay.mesh`).
 * **Per-level quadrature in k_z**, for few levels or a small m: each level
   is one interval [0, K_n] of a multi-interval adaptive quadrature, with
   the weights from the level kernel
@@ -61,7 +63,7 @@ __all__ = [
 _LEVEL_ABS_FLOOR = 1e-20
 # m times the number of levels from which the level sum runs on the shared
 # mesh (see _shares_mesh)
-_SHARED_MESH_WORK = 80_000
+_SHARED_MESH_WORK = 20_000
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,9 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     the a-priori scale of the sum (the boosted free width over the
     prefactor), nor below the roundoff of its value.  Two schemes give the
     same integrals, and the size of the problem picks one: with m (levels)
-    at least ``_SHARED_MESH_WORK``, or an X_0 past the level kernel's
-    argument cap, all levels share one mesh in x (:mod:`magdecay.mesh`);
+    at least ``_SHARED_MESH_WORK`` (20,000, where the mesh is the faster on
+    every figure curve), or an X_0 past the level kernel's argument cap,
+    all levels share one mesh in x (:mod:`magdecay.mesh`);
     below, each level is one interval [0, kz_cut(n)] of a
     single multi-interval quadrature in k_z, with its own panels.  The
     reduction is the compensated sum in ascending ``n``, and the total error
@@ -175,17 +178,21 @@ def _shares_mesh(m: int, root_x) -> bool:
 
     The per-level k_z quadrature costs about m recurrence steps a point and
     the shared mesh about one row step a level at each node, besides a
-    fixed cost per level and round.  Timed on one core against m (levels)
-    by ``scripts/mesh_crossover.py``, the shared mesh over the k_z
-    quadrature takes 1.0 (m = 40), 0.85 (45), 0.8 (50), 0.72 (57), 0.6
-    (63), 0.49 (70) and 0.45 (80) of the time at p_perp^2 = 1e3, where m =
-    80 has 980 levels; 0.67 at (5e3, 80), 0.35 at (5e3, 140) and 0.15 at
-    (1e4, 300).  The crossover at 1e3 is near m = 40 (about 490 levels);
-    the threshold sits above it, past every point of the figure datasets
-    but the criterion 3 one, and a process that runs level sums on the
-    mesh holds about 2 MiB more at its peak (32.8 against 30.8 MiB max RSS
-    over the nine points m = 40, 45, .., 80 at 1e3).  The level kernel of
-    the k_z quadrature also refuses arguments past
+    fixed cost per level and round.  Timed on one core along the figure
+    curves by ``scripts/mesh_crossover.py`` (medians of three scans), the
+    shared mesh over the k_z quadrature takes 1.08 (m = 29), 0.99 (32),
+    0.86 (36), 0.85 (41), 0.67 (49) and 0.53 (60) of the time at p_perp^2
+    = 1e3; 1.18 (50), 0.80 (70) and 0.69 (80) at 5e3; 2.0 (60), 0.99 (70)
+    and 0.88 (80) at 1e4; 1.8 at (3e4, 80); 1.87 (100) and 1.24 (120) at
+    5e4.  In m (levels) the crossover is near 13,000 at 1e3, 11,000 to
+    12,000 at 5e3 and 10,000 to 11,000 at 1e4, and past the end of the
+    3e4 and 5e4 curves (8,800 and 17,640): the product does not order it
+    across curves, so the threshold sits above every crossover, where no
+    figure point takes longer on the mesh.  It sends the points from m =
+    41 at 1e3 and from m = 79 at 5e3 to it.  A process that runs level
+    sums on the mesh holds about 2 MiB more at its peak: the mesh's
+    import, and Miller's store (about 1 MiB at (1e3, 71)).  The level
+    kernel of the k_z quadrature also refuses arguments past
     ``MAX_OVERLAP_ARGUMENT``, which X_0 bounds.
     """
     return m * root_x.size >= _SHARED_MESH_WORK or root_x[0] * root_x[0] > MAX_OVERLAP_ARGUMENT

@@ -383,13 +383,16 @@ def overlap_rows(m, x, top):
 
     ``m`` is one level or an array of them, ``x`` a 1-D array of arguments
     and ``top`` the last level each node needs.  The generator yields
-    ``(n, w)`` for n = 0 .. top_0: the weights at level n of the first
-    ``w.size`` nodes, those whose top is at least n.  Every weight has the
-    bits :func:`_overlap_row` gives it, and the row goes on past the last
-    level of :func:`_overlap_row` up to Miller's start; from that start on,
-    where the row's decay bound puts w below 1e-40, about Miller's own
-    error in every weight, a weight is 0.  x = 0 is taken as the least
-    subnormal.
+    ``(n, w)``: the weights at level n of the first ``w.size`` nodes, those
+    whose top is at least n.  Every weight has the bits
+    :func:`_overlap_row` gives it, and the row goes on past the last level
+    of :func:`_overlap_row` up to Miller's start; from that start on, where
+    the row's decay bound puts w below 1e-40, about Miller's own error in
+    every weight, a weight is 0.  The row stops after the last level with a
+    weight at any node: the largest of the tops of the nodes not past their
+    turning points and, at those past them, of min(top, start - 1).  A
+    node's weights at the levels up to its top that are not yielded are 0.
+    x = 0 is taken as the least subnormal.
 
     ``top`` must not increase along the nodes, and the nodes whose top is
     past their turning point must come first, by turning point ascending,
@@ -424,24 +427,29 @@ def overlap_rows(m, x, top):
             "top must not increase along the nodes, and the nodes past their "
             "turning point must come first, by turning point ascending"
         )
-    # the forward nodes at level n are [lo, hi): lo counts the nodes whose
-    # turning point is below n, and hi those whose top is at least n
-    levels = np.arange(int(top[0]) + 2)
-    lo_at = np.searchsorted(turn[:tails], levels).tolist()
-    hi_at = np.searchsorted(-top, -levels, side="right").tolist()
     # the seed's blocks of factors are freed before Miller's store is made
     cur, scale2 = _seed(m, x, uniform)
+    # the last level with a weight at any node: the forward nodes' tops, and
+    # at the nodes past their turning points the top or the level before
+    # Miller's start, whichever comes first
+    last = int(top[tails]) if tails < x.size else 0
     blocks = {}
     if tails:
         tail = slice(0, tails)
-        store, blocks, back, back_scale2 = _miller_tail(
+        store, blocks, back, back_scale2, tail_last = _miller_tail(
             level if uniform else level[tail], uniform, x[tail], root_x[tail], top[tail], turn[tail]
         )
+        last = max(last, tail_last)
         factor, shift2 = np.empty(tails), np.empty(tails, dtype=np.int32)
+    # the forward nodes at level n are [lo, hi): lo counts the nodes whose
+    # turning point is below n, and hi those whose top is at least n
+    levels = np.arange(last + 2)
+    lo_at = np.searchsorted(turn[:tails], levels).tolist()
+    hi_at = np.searchsorted(-top, -levels, side="right").tolist()
     every = _rescale_interval(root_x, int(top[0]) + int(m.max()))
 
     prev, new, root, root_next = np.zeros((4, x.size))
-    for n in range(int(top[0]) + 1):
+    for n in range(last + 1):
         lo, hi = lo_at[n], hi_at[n]
         w = np.zeros(hi)
         window = slice(lo, hi)
@@ -494,13 +502,15 @@ def _miller_tail(level, uniform, x, root_x, top, turn):
     n's block runs from the first node whose start is past n to the last
     whose turning point is below n and whose top is at least n, and holds 0
     at a node with no weight there.  Returns the store (B, doubled
-    exponents), the blocks {n: (nodes, place in the store)}, and B_turn,
-    B_turn+1 and their doubled exponent at every node.
+    exponents), the blocks {n: (nodes, place in the store)}, B_turn,
+    B_turn+1 and their doubled exponent at every node, and the last level
+    the store holds, the largest min(top, start - 1).
     """
     m = np.broadcast_to(np.asarray(level, dtype=np.int64), x.shape)
     start = _row_levels_array(m, x, turn)
     reach = np.maximum.accumulate(start)
-    levels = np.arange(int(turn[0]) + 1, int(np.minimum(top, start - 1).max()) + 1)
+    last = int(np.minimum(top, start - 1).max())
+    levels = np.arange(int(turn[0]) + 1, last + 1)
     first = np.searchsorted(reach, levels, side="right").tolist()
     stop = np.minimum(np.searchsorted(turn, levels), np.searchsorted(-top, -levels, side="right"))
     blocks, size = {}, 0
@@ -540,7 +550,7 @@ def _miller_tail(level, uniform, x, root_x, top, turn):
         if k % every == 0 or done.stop > done.start:
             _rescale(low[window], high[window], scale2[window])
             back[:, done], back_scale2[done] = (low[done], high[done]), scale2[done]
-    return store, blocks, back, back_scale2
+    return store, blocks, back, back_scale2, last
 
 
 def _rescale_interval(root_x, levels: int) -> int:

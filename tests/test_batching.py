@@ -373,15 +373,16 @@ class TestLevelSum:
         "p_perp_sq,m,rel_tol,work",
         [
             (1e4, 30, 1e-9, {"rounds": 1, "nodes": 915, "node_levels": 38_247, "panels": 15}),
-            (1e4, 300, 1e-9, {"rounds": 1, "nodes": 3_721, "node_levels": 1_161_013, "panels": 61}),
-            (1e4, 300, 1e-13, {"rounds": 2, "nodes": 9_150, "node_levels": 2_748_050, "panels": 89}),
+            (1e4, 300, 1e-9, {"rounds": 1, "nodes": 3_721, "node_levels": 1_063_718, "panels": 61}),
+            (1e4, 300, 1e-13, {"rounds": 2, "nodes": 9_150, "node_levels": 2_553_460, "panels": 89}),
         ],
     )
     def test_pinned_shared_mesh_work(self, monkeypatch, p_perp_sq, m, rel_tol, work):
         # rounds are row passes over every panel of the round's mesh, nodes
         # the nodes they evaluate, node-levels the weights the rows yield,
-        # sum(top + 1) over a round's nodes, and panels those of the last
-        # mesh; (1e4, 30) takes the shared mesh only when asked, and at
+        # a node's levels up to its top and the row's last nonzero level
+        # (levels 0 to 498 of 636 in the first pass at (1e4, 300)), and
+        # panels those of the last mesh; (1e4, 30) takes the shared mesh only when asked, and at
         # 1e-13 (1e4, 300) refines its 61 panels to 89, both passes full:
         # 61 x (61 + 89) nodes
         monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import magdecay
 from magdecay import cli, landau, oracle, rate
 
 RATE_HEADER = (
@@ -666,3 +670,28 @@ def test_shared_parser_keeps_no_state_between_calls(
     assert [float(r["p_perp2_MeV2"]) for r in parse_csv(shared[3][1])] == [1e3]
     assert "unrecognized arguments: --bogus 1" in shared[0][2]
     assert shared[5][1].startswith("usage: magdecay rate")
+
+
+def test_only_level_sums_past_the_threshold_import_the_mesh():
+    # verify, table and a small rate keep the k_z sum and never load the
+    # shared mesh, so their memory and start-up stay as they were; the
+    # 1e3 figure curve's m = 71 (870 levels) takes it
+    src = os.path.dirname(os.path.dirname(magdecay.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import contextlib, io, sys, magdecay.cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = magdecay.cli.main(list(argv))\n"
+        "    print(code, 'magdecay.mesh' in sys.modules, file=sys.stderr)\n"
+        "run('verify')\n"
+        "run('table')\n"
+        "run('rate', '--p-perp2', '1e4', '--m', '30')\n"
+        "run('rate', '--p-perp2', '1e3', '--m', '71')\n"
+    )
+    err = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stderr
+    assert err == "0 False\n0 False\n0 False\n0 True\n"

@@ -403,6 +403,8 @@ class TestSharedMesh:
         (6e3, 0), (1e5, 0),
         (1e3, 5), (5e3, 20),
         (1e4, 300),
+        # the heaviest figure point on the shared mesh
+        (1e3, 80),
     ]
 
     @pytest.mark.parametrize("p_sq,m", POINTS)
@@ -418,7 +420,7 @@ class TestSharedMesh:
 
     # the Baseline rows of scripts/mesh_crossover.py and the points of
     # TestQuadratureHonesty's shared-mesh test that POINTS lacks
-    @pytest.mark.parametrize("p_sq,m", POINTS + [(1e4, 30), (5e3, 40), (5e4, 120), (1e3, 80), (1e3, 76), (5e3, 120)])
+    @pytest.mark.parametrize("p_sq,m", POINTS + [(1e4, 30), (5e3, 40), (5e4, 120), (1e3, 76), (5e3, 120)])
     def test_first_mesh_converges_in_one_round(self, monkeypatch, p_sq, m):
         counted = count_shared_work(monkeypatch)
         forced(monkeypatch, True, magnetized(p_sq, m), 1e-9)
@@ -440,8 +442,14 @@ class TestSharedMesh:
             root_x = rate.level_edges(MUON, magnetized(p_sq, m))[0]
             return rate._shares_mesh(m, root_x)
 
-        assert not shares(1e4, 30) and not shares(3e4, 65) and not shares(1e3, 80)
-        assert shares(1e4, 300) and shares(1e3, 85)
+        # each side of 20,000 on two figure curves: 40 x 493 and 41 x 505
+        # levels at 1e3, 78 x 254 and 79 x 257 at 5e3
+        assert not shares(1e3, 40) and shares(1e3, 41)
+        assert not shares(5e3, 78) and shares(5e3, 79)
+        # the CLI goldens keep their schemes; the 1e4 and 5e4 curves stay
+        # on k_z to their ends
+        assert not shares(1e4, 30) and not shares(3e4, 65) and shares(1e4, 300)
+        assert not shares(1e4, 80) and not shares(5e4, 120)
         # p_perp^2 = 10 at m = 1: 1,677 levels and X_0 near 1,676
         assert shares(10.0, 1)
 

@@ -396,6 +396,12 @@ def array_rows(m, x, top):
     return out
 
 
+def node_weights(rows, i, top):
+    """{level: weight} of node i up to its top in an array_rows result, 0
+    at the levels past the call's last."""
+    return {n: rows.get((i, n), 0.0) for n in range(int(top) + 1)}
+
+
 # verify's completeness grid, the row identities' points, and arguments up
 # to 7000, past the level kernel's cap
 ARRAY_POINTS = [(m, x) for m in (0, 5, 20, 50) for x in (0.1, 1.0, 10.0, 100.0)]
@@ -435,16 +441,36 @@ class TestArrayRow:
         x = np.geomspace(1e-6, 800.0, 40)
         top = np.linspace(m + 400, 0, 40).astype(int)
         got = array_rows(m, x, top)
-        assert len(got) == int((top + 1).sum())
         past = 0
         for i in range(40):
-            alone = array_rows(m, x[i : i + 1], top[i : i + 1])
-            assert {n: w for (j, n), w in got.items() if j == i} == {n: w for (_, n), w in alone.items()}
+            alone = node_weights(array_rows(m, x[i : i + 1], top[i : i + 1]), 0, top[i])
+            assert node_weights(got, i, top[i]) == alone
             start = specfun._row_levels(m, float(x[i]))[2]
             past += top[i] >= start
-            assert all(alone[0, n] == 0.0 for n in range(start, top[i] + 1))
+            assert all(alone[n] == 0.0 for n in range(start, top[i] + 1))
         # some nodes run past Miller's start, where their weights are 0
         assert past
+
+    @pytest.mark.parametrize("m", [0, 7, 300])
+    def test_row_stops_after_its_last_nonzero_weight(self, m):
+        # the layout above: the row yields no level past the largest of the
+        # tops of the nodes not past their turning points and, at those past
+        # them, of min(top, start - 1); there some node has a nonzero
+        # weight, and each weight up to a node's last scalar level has the
+        # bits of _overlap_row
+        x = np.geomspace(1e-6, 800.0, 40)
+        top = np.linspace(m + 400, 0, 40).astype(int)
+        got = array_rows(m, x, top)
+        last = max(n for _, n in got)
+        stops = []
+        for i in range(40):
+            row = specfun._overlap_row(m, float(x[i]))
+            start = specfun._row_levels(m, float(x[i]))[2]
+            stops.append(min(int(top[i]), start - 1))
+            for n in range(min(int(top[i]), last, len(row) - 1) + 1):
+                assert got[i, n] == row[n], (i, n)
+        assert last == max(stops) < top[0]
+        assert any(w != 0.0 for (_, n), w in got.items() if n == last)
 
     def test_nodes_with_their_own_parent_levels(self):
         # a level each, the nodes past their turning points first, by
@@ -461,7 +487,7 @@ class TestArrayRow:
         got = array_rows(m, x, top)
         for i in range(30):
             alone = array_rows(m[i], x[i : i + 1], top[i : i + 1])
-            assert {n: w for (j, n), w in got.items() if j == i} == {n: w for (_, n), w in alone.items()}
+            assert node_weights(got, i, top[i]) == node_weights(alone, 0, top[i])
 
     @pytest.mark.parametrize("m,x", [(10000, 7000.0), (0, 5000.0), (3000, 2000.0)])
     def test_mean_and_variance_past_the_kernel_cap(self, m, x):
