@@ -6,9 +6,12 @@
 
 At each (p_perp^2, m) point, one muon ``decay_rate`` call at its default
 tolerance runs with each scheme forced through ``rate._SHARED_MESH_WORK``:
-infinity for the per-level k_z sum, 0 for the shared mesh.  A column is
-the process CPU time of the fastest of three calls after one warm-up; the
-last column is the relative difference of the two widths.  The default
+infinity for the per-level k_z sum, 0 for the shared mesh.  After one
+warm-up call of each, the two schemes run in five alternating pairs (k_z,
+mesh, k_z, mesh, ...), so that a drift of the host's pace hits both alike.
+The time columns are the median process CPU times of each scheme, the
+ratio column the median of the five per-pair ratios, and the last column
+the relative difference of the two widths.  The default
 points are the ROADMAP's Baseline rows, then points of the figure curves
 on each side of ``rate._SHARED_MESH_WORK`` (m times the levels): (1e3,
 36) and (5e3, 70) below it, near or past their curves' crossovers, (1e3,
@@ -21,6 +24,7 @@ thread's.
 
 import argparse
 import math
+import statistics
 import time
 
 from magdecay import DecayChannel, MagnetizedState, decay_rate, field_for_radial_energy, rate
@@ -30,24 +34,34 @@ POINTS = (
     "1e3:36", "1e3:45", "5e3:50", "5e3:70", "5e3:80", "1e4:60", "1e4:80", "5e4:100",
 )
 MUON = DecayChannel(m_parent=105.7)
-REPEATS = 3
+REPEATS = 5
 
 
-def fastest(state, threshold):
-    """The result and the least CPU time of ``REPEATS`` calls, after a
-    warm-up call, with ``_SHARED_MESH_WORK`` at ``threshold``."""
+def timed(state, threshold):
+    """The result and the CPU time of one call with ``_SHARED_MESH_WORK`` at
+    ``threshold``."""
     saved = rate._SHARED_MESH_WORK
     rate._SHARED_MESH_WORK = threshold
     try:
+        start = time.process_time()
         result = decay_rate(MUON, state)
-        best = math.inf
-        for _ in range(REPEATS):
-            start = time.process_time()
-            decay_rate(MUON, state)
-            best = min(best, time.process_time() - start)
+        return result, time.process_time() - start
     finally:
         rate._SHARED_MESH_WORK = saved
-    return result, best
+
+
+def paired(state):
+    """Both schemes' results, their median CPU times and the median of the
+    per-pair ratios mesh / k_z over ``REPEATS`` alternating pairs of calls,
+    after one warm-up pair."""
+    kz, _ = timed(state, math.inf)
+    shared, _ = timed(state, 0)
+    kz_s, shared_s = [], []
+    for _ in range(REPEATS):
+        kz_s.append(timed(state, math.inf)[1])
+        shared_s.append(timed(state, 0)[1])
+    ratio = statistics.median(s / k for s, k in zip(shared_s, kz_s))
+    return kz, shared, statistics.median(kz_s), statistics.median(shared_s), ratio
 
 
 def main() -> int:
@@ -61,12 +75,11 @@ def main() -> int:
         p_perp_sq, m = point.split(":")
         m = int(m)
         state = MagnetizedState(field=field_for_radial_energy(float(p_perp_sq), m), level=m)
-        kz, kz_s = fastest(state, math.inf)
-        shared, shared_s = fastest(state, 0)
+        kz, shared, kz_s, shared_s, ratio = paired(state)
         agree = abs(shared.gamma_total - kz.gamma_total) / kz.gamma_total
         print(
             f"| ({p_perp_sq}, {m}) | {kz.n_max_used + 1} | {kz_s * 1e3:.1f} ms "
-            f"| {shared_s * 1e3:.1f} ms | {shared_s / kz_s:.2f} | {agree:.1e} |"
+            f"| {shared_s * 1e3:.1f} ms | {ratio:.2f} | {agree:.1e} |"
         )
     return 0
 

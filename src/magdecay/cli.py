@@ -22,7 +22,9 @@ from . import landau, oracle, rate, specfun, units
 __all__ = ["main", "build_parser"]
 
 _DEF_M_PARENT = 105.7
-# verify's two fixed grids and the thresholds their worst values must stay below
+# verify's thresholds, which the worst relative error of the seeded oracle
+# draws and the worst values of its two fixed grids must stay below
+_VERIFY_TOLERANCE = 1e-6
 _LLL_FIELDS_OVER_MSQ = (0.6, 1.0, 10.0, 100.0)
 _LLL_THRESHOLD = 1e-7
 _COMPLETENESS_LEVELS = (0, 5, 20, 50)
@@ -339,7 +341,7 @@ def _cmd_verify(args, config) -> list[dict]:
         for x in _COMPLETENESS_ARGS
     )
     return [
-        _check("overlap_closed_form", "max_rel_err", report.max_rel_err, oracle.VERIFY_TOLERANCE),
+        _check("overlap_closed_form", "max_rel_err", report.max_rel_err, _VERIFY_TOLERANCE),
         _check("lowest_level_equivalence", "max_rel_err", worst_lll, _LLL_THRESHOLD),
         _check("overlap_completeness", "max_abs_dev", worst_sum, _COMPLETENESS_THRESHOLD),
     ]

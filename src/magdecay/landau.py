@@ -23,7 +23,6 @@ from .specfun import MAX_OVERLAP_INDEX
 __all__ = [
     "DecayChannel",
     "MagnetizedState",
-    "landau_energy",
     "kz_cutoffs",
     "level_edges",
     "field_for_radial_energy",
@@ -88,21 +87,13 @@ class MagnetizedState:
             raise ValueError(f"level must be nonnegative, got {self.level}")
 
     def energy(self, mass: float) -> float:
-        """Landau energy of a particle of ``mass`` in this state."""
-        return landau_energy(mass, self.level, self.field)
-
-
-def landau_energy(mass: float, level: int, field: float) -> float:
-    """sqrt(mass^2 + (2 level + 1) field), at zero longitudinal momentum."""
-    if not (math.isfinite(field) and math.isfinite(mass)):
-        raise ValueError(f"field and mass must be finite, got field={field}, mass={mass}")
-    if field <= 0.0:
-        raise ValueError(f"field must be positive, got {field}")
-    if mass < 0.0:
-        raise ValueError(f"mass must be nonnegative, got {mass}")
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    return math.sqrt(mass * mass + (2 * level + 1) * field)
+        """Landau energy sqrt(mass^2 + (2 level + 1) field) of a particle of
+        ``mass`` in this state, at zero longitudinal momentum."""
+        if not math.isfinite(mass):
+            raise ValueError(f"field and mass must be finite, got field={self.field}, mass={mass}")
+        if mass < 0.0:
+            raise ValueError(f"mass must be nonnegative, got {mass}")
+        return math.sqrt(mass * mass + (2 * self.level + 1) * self.field)
 
 
 def _open_levels(channel: DecayChannel, state: MagnetizedState):

@@ -109,8 +109,8 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
     level past it is 0, with its floor as its estimate and tolerance.
     Returns two lists (values, error estimates), one entry per level.  When
     a level misses its tolerance within the panel budget,
-    :class:`magdecay.quadrature.QuadraturePanelError` names the lowest such
-    level as its interval.
+    :class:`magdecay.quadrature.RateConvergenceError` names the lowest such
+    level.
     """
     theta = root_x / root_x[0]
     rho = root_x[0] / root_y
@@ -177,12 +177,8 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
             return value.tolist(), estimate.tolist()
         if panels >= _MAX_PANELS:
             n = int(missed[0])
-            raise quadrature.QuadraturePanelError(
-                f"no convergence within {_MAX_PANELS} panels "
-                f"(error {estimate[n]:.3e}, tolerance {tol[n]:.3e})",
-                float(value[n]),
-                float(estimate[n]),
-                n,
+            raise quadrature.RateConvergenceError(
+                n, float(value[n]), float(estimate[n]), float(tol[n]), _MAX_PANELS
             )
         edges = _distinct(np.concatenate((edges, _cuts(edges, score, ends)[: _MAX_PANELS - panels])))
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-__all__ = ["QuadraturePanelError", "integrate"]
+__all__ = ["RateConvergenceError", "integrate"]
 
 # QUADPACK's qk61 pair: the nonnegative half of the 61-point Kronrod
 # abscissae on [-1, 1], descending to the middle node 0, their Kronrod
@@ -137,19 +137,22 @@ _WEIGHTS_G = np.zeros(_NODES.size)
 _WEIGHTS_G[1::2] = np.concatenate((_WG, _WG[::-1]))
 
 
-class QuadraturePanelError(RuntimeError):
-    """Raised when the panel budget is exhausted before the tolerance is met.
+class RateConvergenceError(RuntimeError):
+    """A level integral missed its tolerance within the panel budget.
 
-    Carries the best available value and its error estimate so callers can
-    decide whether the partial result is usable, and the index of the
-    interval that failed.
+    Carries the level ``n``, its best available (unscaled) value and its
+    error estimate, so callers can decide whether the partial result is
+    usable.
     """
 
-    def __init__(self, message: str, value: float, error_estimate: float, interval: int):
-        super().__init__(message)
-        self.value = value
+    def __init__(self, n: int, partial_value: float, error_estimate: float, tol: float, budget: int):
+        super().__init__(
+            f"level {n}: no convergence within {budget} panels "
+            f"(error {error_estimate:.3e}, tolerance {tol:.3e})"
+        )
+        self.n = n
+        self.partial_value = partial_value
         self.error_estimate = error_estimate
-        self.interval = interval
 
 
 # panels per integrand call: at most 7,680 points per call bounds the
@@ -215,8 +218,8 @@ def integrate(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0):
     and the roundoff floor of the interval's |f| mass, so an ``abs_tol`` of
     zero gives a pure relative target.  When an interval does not reach its
     tolerance within ``_MAX_PANELS`` (2,000) panels, the others still run
-    to the end, and then :class:`QuadraturePanelError` is raised for the
-    lowest such interval.
+    to the end, and then :class:`RateConvergenceError` is raised for the
+    lowest such interval, its index the level.
 
     The panels of the intervals still open stay grouped by interval in
     ascending order, left to right inside each group, so the ``i`` of one
@@ -315,12 +318,5 @@ def integrate(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0):
 
     if failures:
         i = min(failures)
-        total, estimate, tol = failures[i]
-        raise QuadraturePanelError(
-            f"no convergence within {_MAX_PANELS} panels "
-            f"(error {estimate:.3e}, tolerance {tol:.3e})",
-            total,
-            estimate,
-            i,
-        )
+        raise RateConvergenceError(i, *failures[i], _MAX_PANELS)
     return values, errors

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import quadrature
 from .landau import DecayChannel, MagnetizedState, kz_cutoffs, level_edges
+from .quadrature import RateConvergenceError
 from .specfun import MAX_OVERLAP_ARGUMENT, overlap_weight_rows
 
 __all__ = [
@@ -88,16 +89,6 @@ class RateResult:
     quad_error: float = 0.0
 
 
-class RateConvergenceError(RuntimeError):
-    """The level sum failed to converge; carries the partial result."""
-
-    def __init__(self, n: int, cause: quadrature.QuadraturePanelError):
-        super().__init__(f"level {n}: {cause}")
-        self.n = n
-        self.partial_value = cause.value
-        self.error_estimate = cause.error_estimate
-
-
 def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1e-9) -> RateResult:
     """Total width of the magnetized parent and its ratio to the boosted free rate.
 
@@ -136,19 +127,16 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     # the boosted free width over the prefactor is the a-priori scale of
     # the sum of the level integrals
     abs_tol = _LEVEL_ABS_FLOOR * rel_tol * boosted / prefactor
-    try:
-        if not root_x.size:
-            values, errors = [], []
-        elif _shares_mesh(state.level, root_x):
-            # imported here, so that only the level sums that take the
-            # shared mesh compile it
-            from . import mesh
+    if not root_x.size:
+        values, errors = [], []
+    elif _shares_mesh(state.level, root_x):
+        # imported here, so that only the level sums that take the shared
+        # mesh compile it
+        from . import mesh
 
-            values, errors = mesh.level_integrals(state.level, root_x, root_y, rel_tol, abs_tol)
-        else:
-            values, errors = _kz_level_integrals(channel, state, rel_tol, abs_tol)
-    except quadrature.QuadraturePanelError as exc:
-        raise RateConvergenceError(exc.interval, exc) from exc
+        values, errors = mesh.level_integrals(state.level, root_x, root_y, rel_tol, abs_tol)
+    else:
+        values, errors = _kz_level_integrals(channel, state, rel_tol, abs_tol)
 
     contributions = tuple(
         LevelRate(n, prefactor * v, prefactor * e) for n, (v, e) in enumerate(zip(values, errors))

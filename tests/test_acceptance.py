@@ -125,7 +125,7 @@ def test_criterion_4_overlap_oracle():
     start = time.perf_counter()
     report = verify_closed_form(100, seed=20260808)
     elapsed = time.perf_counter() - start
-    passed = report.passed and elapsed < 120.0
+    passed = report.max_rel_err < 1e-6 and elapsed < 120.0
     _line(
         4,
         passed,
@@ -133,7 +133,7 @@ def test_criterion_4_overlap_oracle():
         f"(limit 1e-6), {elapsed:.1f}s",
     )
     assert elapsed < 120.0
-    assert report.passed, report.failures
+    assert report.max_rel_err < 1e-6
 
 
 def test_criterion_5_completeness():

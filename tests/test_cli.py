@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import magdecay
-from magdecay import cli, landau, oracle, rate
+from magdecay import cli, landau, quadrature, rate
 
 RATE_HEADER = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,"
@@ -199,6 +199,16 @@ class TestRateCommand:
         assert err == (
             f"error: field {clause} opens more than "
             "1.8e+308 daughter levels, above the overlap index cap 10000\n"
+        )
+
+    def test_level_sum_convergence_failure_exits_1(self, capsys, monkeypatch):
+        # with a one-panel budget level 13 is the lowest that misses its tolerance
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 1)
+        code, out, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "30")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: level 13: no convergence within 1 panels "
+            "(error 6.758e-11, tolerance 9.962e-12)\n"
         )
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
@@ -470,16 +480,16 @@ class TestVerify:
         assert err == "usage error: seed must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize(
-        "module,threshold,failing",
+        "threshold,failing",
         [
-            (oracle, "VERIFY_TOLERANCE", "overlap_closed_form"),
-            (cli, "_LLL_THRESHOLD", "lowest_level_equivalence"),
-            (cli, "_COMPLETENESS_THRESHOLD", "overlap_completeness"),
+            ("_VERIFY_TOLERANCE", "overlap_closed_form"),
+            ("_LLL_THRESHOLD", "lowest_level_equivalence"),
+            ("_COMPLETENESS_THRESHOLD", "overlap_completeness"),
         ],
         ids=["closed-form", "lowest-level", "completeness"],
     )
-    def test_failing_check_exits_1(self, capsys, monkeypatch, module, threshold, failing):
-        monkeypatch.setattr(module, threshold, 0.0)
+    def test_failing_check_exits_1(self, capsys, monkeypatch, threshold, failing):
+        monkeypatch.setattr(cli, threshold, 0.0)
         code, out, _ = run(capsys, "verify", "--trials", "3", "--seed", "0")
         assert code == 1
         rows = {r["check"]: r for r in parse_csv(out)}

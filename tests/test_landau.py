@@ -55,8 +55,8 @@ class TestChannelAndState:
         lambda v: landau.DecayChannel(m_parent=M_MU, m_charged=v),
         lambda v: landau.DecayChannel(m_parent=M_MU, coupling=v),
         lambda v: landau.MagnetizedState(field=v, level=3),
-        lambda v: landau.landau_energy(v, 1, 1.0),
-        lambda v: landau.landau_energy(M_MU, 1, v),
+        lambda v: landau.MagnetizedState(field=1.0, level=1).energy(v),
+        lambda v: landau.MagnetizedState(field=v, level=1).energy(M_MU),
         lambda v: landau.field_for_radial_energy(v, 3),
         lambda v: landau.radial_energy_for_radius(v, 2),
     ],
@@ -70,22 +70,28 @@ def test_non_finite_input_rejected(call, value):
         call(value)
 
 
+def energy(mass, level, field):
+    return landau.MagnetizedState(field=field, level=level).energy(mass)
+
+
 class TestLandauEnergy:
     def test_reference_points(self):
-        assert landau.landau_energy(M_MU, 0, 100.0) == pytest.approx(106.17198312172566, rel=1e-12)
-        assert landau.landau_energy(M_MU, 0, 100.0) == pytest.approx(106.172, rel=1e-5)
-        assert landau.landau_energy(M_MU, 65, 30000.0 / 131.0) == pytest.approx(
-            202.9100539648048, rel=1e-12
-        )
-        assert landau.landau_energy(M_MU, 65, 30000.0 / 131.0) == pytest.approx(202.91, rel=1e-5)
+        assert energy(M_MU, 0, 100.0) == pytest.approx(106.17198312172566, rel=1e-12)
+        assert energy(M_MU, 0, 100.0) == pytest.approx(106.172, rel=1e-5)
+        assert energy(M_MU, 65, 30000.0 / 131.0) == pytest.approx(202.9100539648048, rel=1e-12)
+        assert energy(M_MU, 65, 30000.0 / 131.0) == pytest.approx(202.91, rel=1e-5)
 
     def test_massless_lowest_level(self):
         for field in (0.5, 100.0, 3.3e4):
-            assert landau.landau_energy(0.0, 0, field) == pytest.approx(math.sqrt(field), rel=1e-15)
+            assert energy(0.0, 0, field) == pytest.approx(math.sqrt(field), rel=1e-15)
 
     def test_rejects_nonpositive_field(self):
         with pytest.raises(ValueError):
-            landau.landau_energy(M_MU, 0, 0.0)
+            energy(M_MU, 0, 0.0)
+
+    def test_rejects_negative_mass(self):
+        with pytest.raises(ValueError, match="mass must be nonnegative, got -1.0"):
+            energy(-1.0, 0, 1.0)
 
     @given(
         mass=st.floats(0.0, 500.0),
@@ -94,10 +100,10 @@ class TestLandauEnergy:
     )
     @settings(max_examples=150, deadline=None)
     def test_strictly_increasing_in_each_argument(self, mass, level, field):
-        base = landau.landau_energy(mass, level, field)
-        assert landau.landau_energy(mass + 1.0, level, field) > base
-        assert landau.landau_energy(mass, level + 1, field) > base
-        assert landau.landau_energy(mass, level, field * 1.5) > base
+        base = energy(mass, level, field)
+        assert energy(mass + 1.0, level, field) > base
+        assert energy(mass, level + 1, field) > base
+        assert energy(mass, level, field * 1.5) > base
 
 
 class TestDaughterCutoffs:
@@ -248,7 +254,7 @@ class TestDiscreteRelations:
         p = landau.radial_energy_for_radius(radius, n)
         field = landau.field_for_radial_energy(p * p, n)
         classical = math.sqrt(mass**2 + (field * radius) ** 2)
-        assert classical == pytest.approx(landau.landau_energy(mass, n, field), rel=1e-12)
+        assert classical == pytest.approx(energy(mass, n, field), rel=1e-12)
 
 
 class TestTransverseWavefunction:
