@@ -7,11 +7,11 @@ mesh of panels in t = sqrt(x / X_0), each with the 61-point Kronrod and
 graded by the zeros of the levels' weights, so that each of its panels
 holds a few zeros of the densest level that reaches it.
 At every node one row of the recurrence across levels
-(:func:`magdecay.specfun.overlap_rows`) gives, level by level, the weights
-of all the levels whose X_n reaches the node's panel, Miller's part past
-the turning points included, and they are reduced into per-panel Kronrod
-and Gauss sums eight levels at a time as the row steps, so no (levels x
-nodes) matrix is held.  Level n takes the plain rules on its panels below
+(:func:`magdecay.specfun.overlap_rows`) gives the weights of all the
+levels whose X_n reaches the node's panel, Miller's part past the turning
+points included, in slabs of eight levels that are reduced in place into
+per-panel Kronrod and Gauss sums as the row steps, so no (levels x nodes)
+matrix is held.  Level n takes the plain rules on its panels below
 the two around theta_n = sqrt(X_n / X_0); on those two, product weights
 from closed-form moments integrate (theta_n - t)^(-1/2) exactly against
 the interpolant of the rest (as QUADPACK's QAWS), and its error is never
@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .specfun import ROW_ABS_ERROR, overlap_rows
+from .specfun import _LEVEL_BATCH, ROW_ABS_ERROR, overlap_rows
 
 
 # panels the shared mesh may hold before the level sum is given up
@@ -72,12 +72,9 @@ _PRODUCT = np.tile(_legendre_inverse(_NODES), 2)
 _PRODUCT[: _GAUSS.size, _NODES.size + _GAUSS] -= _legendre_inverse(_NODES[_GAUSS])
 # 2 sqrt(2) / (2k + 1), k = 0..60
 _MOMENT = 2.0 * math.sqrt(2.0) / (2 * np.arange(_NODES.size) + 1)
-# levels per batch of the plain reductions, whose buffer holds the weights
-# of that many levels at every node
-_LEVEL_BATCH = 8
-# levels the pass hands over at a time, whose plain sums it holds on every
-# panel and whose end pieces are formed together: their largest array,
-# batch x 2 x 4 x 61 doubles, is then 125 KB
+# levels the pass hands over at a time, four of the row's slabs, whose
+# plain sums it holds on every panel and whose end pieces are formed
+# together: their largest array, batch x 2 x 4 x 61 doubles, is then 125 KB
 _PIECE_BATCH = 32
 _EPS = float(np.finfo(float).eps)
 # the roundoff of a product weight W_j = (mu V^-1)_j is at most 61 eps
@@ -249,12 +246,16 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
     Yields, ``_PIECE_BATCH`` consecutive levels at a time, their slice,
     each one's Kronrod sum and Kronrod minus Gauss sum on each panel that
     is plain for it (below the panel under its upper one; 0 on the rest),
-    and its weights on its two panels around theta_n (0 in the place of
-    the lower one of a lone first panel).  The buffers are filled again
-    for the next batch.  The plain reductions run ``_LEVEL_BATCH``
-    consecutive levels at a time on a buffer of their weights.  The pass
-    ends with the row, at the last level with a nonzero weight at any
-    node: the levels past it are not yielded.
+    and its weights on its two panels around theta_n (in the place of the
+    lower one of a lone first panel, the first node's, which
+    :func:`_endpoint_pieces` scales by 0).  The buffers are filled again
+    for the next batch.  The row hands over ``_LEVEL_BATCH`` levels at a
+    time in its slab, which is the buffer of their plain reductions: the
+    pass takes out each level's two-panel weights, zeroes a level's
+    weights past its plain panels, and reduces the slab in place over the
+    panels that hold a nonzero weight of it.  The pass ends with the row,
+    at the last level with a nonzero weight at any node: the levels past
+    it are not yielded.
     """
     width = _NODES.size
     half = 0.5 * np.diff(edges)
@@ -264,25 +265,43 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
     top = np.searchsorted(-upper, -np.arange(half.size), side="right") - 1
     # where each level's plain panels end and its two panels around
     # theta_n end (a lone first panel has no lower one)
-    plain_end = (np.maximum(upper - 1, 0) * width).tolist()
-    pair_end = ((upper + 1) * width).tolist()
-    batch = np.zeros((_LEVEL_BATCH, t.size))
+    plain_stop = (np.maximum(upper - 1, 0) * width).tolist()
+    pair_end = (upper + 1) * width
+    # a level's two panels end at its pair end, and row k of the slab
+    # starts k rows of nodes in; a lone first panel's lower one takes the
+    # first node's weights
+    pair = np.arange(-2 * width, 0)
+    row_start = np.arange(_LEVEL_BATCH)[:, None] * t.size
     kronrod = np.zeros((_PIECE_BATCH, half.size))
     deviation = np.zeros((_PIECE_BATCH, half.size))
     pair_w = np.zeros((_PIECE_BATCH, 2 * width))
-    pending = []
 
-    def reduce():
-        n0, rows = pending[0], len(pending)
-        # only the panels that hold a nonzero weight of the batch add to it
-        # (its first level's plain panels reach furthest)
-        nonzero = np.flatnonzero(batch[:rows, : plain_end[n0]].any(axis=0))
+    for n0, slab, first in overlap_rows(m, scale_x * t_sq, top.repeat(width)):
+        rows = slab.shape[0]
+        levels = slice(n0, n0 + rows)
+        at = slice(n0 % _PIECE_BATCH, n0 % _PIECE_BATCH + rows)
+        if at.start == 0:
+            kronrod.fill(0.0)
+            deviation.fill(0.0)
+        places = np.maximum(pair_end[levels, None] + pair, 0)
+        places += row_start[:rows]
+        np.take(slab, places, out=pair_w[at])
+        # the slab's first level has the most plain panels, and the nodes
+        # before `first` have no weight at any of its levels; past a level's
+        # plain panels its weights do not add to them
+        lead, end = first // width * width, plain_stop[n0]
+        for k, plain in enumerate(plain_stop[n0 + 1 : n0 + rows], start=1):
+            slab[k, plain:end] = 0.0
+        # only the panels that hold a nonzero weight of the slab add to it:
+        # weights that underflow leave zeros at both ends of the nodes that
+        # step forward, where the row does not know them (the weights are
+        # never negative, so their largest is 0 only where all are)
+        nonzero = np.flatnonzero(slab[:, lead:end].max(axis=0, initial=0.0))
         if nonzero.size:
-            lead, end = nonzero[0] // width * width, (nonzero[-1] // width + 1) * width
-            levels = slice(n0, n0 + rows)
+            lead, end = lead + nonzero[0] // width * width, lead + (nonzero[-1] // width + 1) * width
             th, r = theta[levels, None], rho[levels, None]
             ts = t[lead:end]
-            weights = batch[:rows, lead:end]
+            weights = slab[:, lead:end]
             # in place: the gap, and f = w t / sqrt(gap) on the weights
             gap = th - ts
             gap *= th + ts
@@ -293,33 +312,16 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
             f /= gap
             sums = (f.reshape(-1, width) @ quadrature._WEIGHTS_KG).reshape(rows, -1, 2)
             sums *= (2.0 * r)[:, :, None] * half[lead // width : end // width, None]
-            at = (slice(n0 % _PIECE_BATCH, n0 % _PIECE_BATCH + rows), slice(lead // width, end // width))
-            kronrod[at] += sums[:, :, 0]
-            deviation[at] += sums[:, :, 0] - sums[:, :, 1]
-            weights.fill(0.0)
-        pending.clear()
-
-    def hand_over(stop):
-        if pending:
-            reduce()
-        rows = (stop - 1) % _PIECE_BATCH + 1
-        return slice(stop - rows, stop), kronrod[:rows], deviation[:rows], pair_w[:rows]
-
-    for n, w in overlap_rows(m, scale_x * t_sq, top.repeat(width)):
-        if n % _PIECE_BATCH == 0:
-            for buffer in (kronrod, deviation, pair_w):
-                buffer.fill(0.0)
-        end, stop = plain_end[n], pair_end[n]
-        batch[len(pending), :end] = w[:end]
-        pair_w[n % _PIECE_BATCH, 2 * width - stop + end :] = w[end:stop]
-        pending.append(n)
-        if len(pending) == _LEVEL_BATCH:
-            reduce()
-        if n % _PIECE_BATCH == _PIECE_BATCH - 1:
-            yield hand_over(n + 1)
+            panels = slice(lead // width, end // width)
+            kronrod[at, panels] += sums[:, :, 0]
+            deviation[at, panels] += sums[:, :, 0] - sums[:, :, 1]
+        stop = n0 + rows
+        if stop % _PIECE_BATCH == 0:
+            yield slice(stop - _PIECE_BATCH, stop), kronrod, deviation, pair_w
     # the row stops after its last level with a nonzero weight
-    if (n + 1) % _PIECE_BATCH:
-        yield hand_over(n + 1)
+    rows = stop % _PIECE_BATCH
+    if rows:
+        yield slice(stop - rows, stop), kronrod[:rows], deviation[:rows], pair_w[:rows]
 
 
 def _endpoint_pieces(theta, rho, edges, upper, pair_w):

@@ -23,8 +23,9 @@ together: :func:`transverse_overlap_sq` runs one oscillator recurrence
 that gives both modes of every trial at every node, and
 :func:`closed_form_overlap_sq` runs one ``overlap_rows`` row across levels
 over all trials.  Each trial gets the bits it gets in an array of its
-own, so :func:`verify_closed_form` draws all its trials first and hands
-them over at once.
+own, so :func:`verify_closed_form` draws its trials in blocks of
+``_TRIAL_BLOCK``, in one seeded stream, and hands each block over at
+once: its memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ __all__ = ["VERIFY_INDEX_MAX", "OverlapVerification", "verify_closed_form"]
 
 # the randomized comparison draws both indices from [0, VERIFY_INDEX_MAX]
 VERIFY_INDEX_MAX = 8
+# trials drawn and compared at a time: a trial's nodes and modes take about
+# 7 KB, so a block holds about 7 MB whatever the number of trials
+_TRIAL_BLOCK = 1000
 
 # nodes of the Gauss-Hermite rule of the amplitude: it is exact through
 # degree 119, far above the degree n + m of the modes' product at any
@@ -132,9 +136,10 @@ def closed_form_overlap_sq(n: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.nd
     order = np.argsort(-low, kind="stable")
     low = low[order]
     weight = np.empty(low.size)
-    for level, w in overlap_rows(high[order], x[order], low):
-        at = low[: w.size] == level
-        weight[order[: w.size][at]] = w[at]
+    for n0, slab, _ in overlap_rows(high[order], x[order], low):
+        # the trials whose level is one of the slab's: a run of them
+        begin, end = np.searchsorted(-low, (-n0 - slab.shape[0], -n0), side="right").tolist()
+        weight[order[begin:end]] = slab[low[begin:end] - n0, np.arange(begin, end)]
     return weight
 
 
@@ -181,25 +186,30 @@ def verify_closed_form(trials: int, seed: int = 0) -> OverlapVerification:
     cutoff keeps the smallest weights (high |n - m| at small X) above the
     double-precision cancellation floor of the rule's sum, where a relative
     comparison is still meaningful.  Both sides are compared per unit
-    field, as |A|^2 / field is the amplitude's squared modulus in x.
-    Identical seeds give identical reports.
+    field, as |A|^2 / field is the amplitude's squared modulus in x.  The
+    trials are drawn and compared ``_TRIAL_BLOCK`` at a time, and the
+    report keeps the largest error of the blocks.  Identical seeds give
+    identical reports.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
 
     rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(trials):
-        n = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
-        m = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
-        field = float(10.0 ** rng.uniform(-0.3, 3.3))
-        scale = math.sqrt(field)
-        k_x = float(rng.uniform(0.3, 3.0) * scale * (-1.0, 1.0)[rng.integers(0, 2)])
-        d_ky = float(rng.uniform(0.3, 3.0) * scale * (-1.0, 1.0)[rng.integers(0, 2)])
-        draws.append((n, m, k_x, d_ky, field))
+    worst = []
+    for block in range(0, trials, _TRIAL_BLOCK):
+        draws = []
+        for _ in range(min(_TRIAL_BLOCK, trials - block)):
+            n = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
+            m = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
+            field = float(10.0 ** rng.uniform(-0.3, 3.3))
+            scale = math.sqrt(field)
+            k_x = float(rng.uniform(0.3, 3.0) * scale * (-1.0, 1.0)[rng.integers(0, 2)])
+            d_ky = float(rng.uniform(0.3, 3.0) * scale * (-1.0, 1.0)[rng.integers(0, 2)])
+            draws.append((n, m, k_x, d_ky, field))
 
-    n, m, k_x, d_ky, field = (np.array(column) for column in zip(*draws))
-    root_field = np.sqrt(field)
-    numeric = transverse_overlap_sq(n, m, k_x / root_field, d_ky / root_field) / field
-    reference = closed_form_overlap_sq(n, m, (d_ky**2 + k_x**2) / (2.0 * field)) / field
-    return OverlapVerification(trials, seed, float(np.max(np.abs(numeric - reference) / reference)))
+        n, m, k_x, d_ky, field = (np.array(column) for column in zip(*draws))
+        root_field = np.sqrt(field)
+        numeric = transverse_overlap_sq(n, m, k_x / root_field, d_ky / root_field) / field
+        reference = closed_form_overlap_sq(n, m, (d_ky**2 + k_x**2) / (2.0 * field)) / field
+        worst.append(np.max(np.abs(numeric - reference) / reference))
+    return OverlapVerification(trials, seed, float(np.max(worst)))

@@ -168,16 +168,18 @@ def _shares_mesh(m: int, root_x) -> bool:
     the shared mesh about one row step a level at each node, besides a
     fixed cost per level and round.  Timed on one core along the figure
     curves by ``scripts/mesh_crossover.py`` (medians of three scans), the
-    shared mesh over the k_z quadrature takes 1.08 (m = 29), 0.99 (32),
-    0.86 (36), 0.85 (41), 0.67 (49) and 0.53 (60) of the time at p_perp^2
-    = 1e3; 1.18 (50), 0.80 (70) and 0.69 (80) at 5e3; 2.0 (60), 0.99 (70)
-    and 0.88 (80) at 1e4; 1.8 at (3e4, 80); 1.87 (100) and 1.24 (120) at
-    5e4.  In m (levels) the crossover is near 13,000 at 1e3, 11,000 to
-    12,000 at 5e3 and 10,000 to 11,000 at 1e4, and past the end of the
-    3e4 and 5e4 curves (8,800 and 17,640): the product does not order it
-    across curves, so the threshold sits above every crossover, where no
-    figure point takes longer on the mesh.  It sends the points from m =
-    41 at 1e3 and from m = 79 at 5e3 to it.  A process that runs level
+    shared mesh over the k_z quadrature takes 1.19 (m = 24), 0.94 (29),
+    0.86 (32), 0.79 (36), 0.73 (41), 0.55 (49) and 0.44 (60) of the time
+    at p_perp^2 = 1e3; 1.05 (50), 0.85 (60), 0.71 (70) and 0.61 (80) at
+    5e3; 2.4 (60), 2.1 (66), 0.92 (70) and 0.81 (80) at 1e4, where the
+    mesh takes a second round up to m = 66; 1.65 at (3e4, 80); 1.89 (100)
+    and 1.15 (120) at 5e4.  In m (levels) the crossover lies between 7,200
+    and 10,400 at 1e3, between 8,200 and 11,800 at 5e3 and near 10,000 at
+    1e4, and past the end of the 3e4 and 5e4 curves (8,800 and 17,640):
+    the product does not order it across curves, so the threshold sits
+    above every crossover, where no figure point takes longer on the
+    mesh.  It sends the points from m = 41 at 1e3 and from m = 79 at 5e3
+    to it.  A process that runs level
     sums on the mesh holds about 2 MiB more at its peak: the mesh's
     import, and Miller's store (about 1 MiB at (1e3, 71)).  The level
     kernel of the k_z quadrature also refuses arguments past

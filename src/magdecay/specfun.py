@@ -33,11 +33,16 @@ the float range, at any argument: there is no cap on x.
 sum.  :func:`overlap_rows` runs the same recurrence over an array of nodes,
 each with its own m, turning point, Miller start and exponents, with numpy
 across the nodes and the Python loop over n; it gives the bits of
-:func:`_overlap_row` at every node.  Miller's part runs first, in one
-backward pass that keeps only the iterates that become weights; the
-forward run then streams the weights level by level, each node's Miller
-part scaled in once the node passes its turning point, so that a caller
-reducing them never holds a (levels x nodes) matrix.
+:func:`_overlap_row` at every node.  Miller's part runs first, each node
+stepped down from its own start, and keeps only the iterates that become
+weights, node by node.  The forward run then hands the weights over in
+slabs of eight levels at every node, one buffer that the caller reduces
+in place, so that it never holds a (levels x nodes) matrix.  Per level
+the Python loop only steps the forward nodes and writes their weights
+into the slab, eight numpy calls whatever the number of nodes.  Once a
+slab, the nodes that passed their turning points in it have their Miller
+parts scaled into weights, and the slab takes the Miller weights of its
+levels.
 
 :func:`overlap_weight_rows`, the level kernel, takes w one level at a time
 instead, for the level sum's per-level quadrature in k_z, where a point
@@ -94,6 +99,9 @@ _TINY = 5e-324
 _EXP_WHOLE = 600.0
 # factors of the array row's seed multiplied between rescales
 _SEED_BLOCK = 8
+# levels of a slab of overlap_rows, which writes their weights at every node
+# into one buffer and hands it over once they are all stepped
+_LEVEL_BATCH = 8
 _LN2 = math.log(2.0)
 
 
@@ -379,29 +387,39 @@ def _rescale(cur, other, scale2) -> None:
 
 
 def overlap_rows(m, x, top):
-    """Stream w(n, m_i, x_i) for n = 0 .. top_i at every node i of the arrays.
+    """Stream w(n, m_i, x_i) for n = 0 .. top_i at every node i, a slab of levels at a time.
 
     ``m`` is one level or an array of them, ``x`` a 1-D array of arguments
     and ``top`` the last level each node needs.  The generator yields
-    ``(n, w)``: the weights at level n of the first ``w.size`` nodes, those
-    whose top is at least n.  Every weight has the bits
-    :func:`_overlap_row` gives it, and the row goes on past the last level
-    of :func:`_overlap_row` up to Miller's start; from that start on, where
-    the row's decay bound puts w below 1e-40, about Miller's own error in
-    every weight, a weight is 0.  The row stops after the last level with a
-    weight at any node: the largest of the tops of the nodes not past their
-    turning points and, at those past them, of min(top, start - 1).  A
-    node's weights at the levels up to its top that are not yielded are 0.
-    x = 0 is taken as the least subnormal.
+    ``(n0, slab, first)``: row k of ``slab``, a ``(rows, nodes)`` array of
+    at most ``_LEVEL_BATCH`` rows, holds the weights of level n0 + k at the
+    nodes whose top is at least n0 + k, a leading run of them (its entries
+    at the other nodes are left as they are), and the nodes before
+    ``first`` have weight 0 at every level of the slab.  The slab is one
+    buffer that the next slab fills again: a caller may change it in place
+    as long as the entries before ``first``, which the row does not write
+    again, stay 0.  Every weight has the bits :func:`_overlap_row` gives
+    it, and the row goes on past the last level of :func:`_overlap_row` up
+    to Miller's start; from that start on, where the row's decay bound puts
+    w below 1e-40, about Miller's own error in every weight, a weight is 0.
+    The row stops after the last level with a weight at any node: the
+    largest of the tops of the nodes not past their turning points and, at
+    those past them, of min(top, start - 1).  A node's weights at the
+    levels up to its top that are not yielded are 0.  x = 0 is taken as
+    the least subnormal.
 
     ``top`` must not increase along the nodes, and the nodes whose top is
     past their turning point must come first, by turning point ascending,
     as in the level sum's layout (one m, x ascending) or in a sort by top,
     descending, where no top is past its turning point; any other layout
     raises :class:`ValueError`.  Miller's part runs first
-    (:func:`_miller_tail`); the forward run then steps the nodes from the
-    first whose turning point is at least n to the last whose top is, and
-    a node's Miller part is scaled as it leaves them at its turning point.
+    (:func:`_miller_tail`).  The loop over levels then only steps the
+    forward nodes, from the first whose turning point is at least n to the
+    last whose top is, and writes their weights into the slab, eight numpy
+    calls a level.  Once a slab, the nodes that passed their turning points
+    in it have their Miller parts scaled into weights in the store, by the
+    factor that takes (B_turn, B_turn+1) onto (D_turn, D_turn+1), and the
+    slab takes the Miller weights of its levels from the store.
     """
     x = np.maximum(np.asarray(x, dtype=float), _TINY)
     top = np.asarray(top, dtype=np.int64)
@@ -427,66 +445,93 @@ def overlap_rows(m, x, top):
             "top must not increase along the nodes, and the nodes past their "
             "turning point must come first, by turning point ascending"
         )
-    # the seed's blocks of factors are freed before Miller's store is made
-    cur, scale2 = _seed(m, x, uniform)
+    # D_n of the forward nodes is row n % 3 of ring: a node past its turning
+    # point is not stepped again, so D_turn and D_turn+1 stay there.  The
+    # seed's blocks of factors are freed before Miller's store is made
+    ring = np.zeros((3, x.size))
+    ring[0], scale2 = _seed(m, x, uniform)
     # the last level with a weight at any node: the forward nodes' tops, and
     # at the nodes past their turning points the top or the level before
     # Miller's start, whichever comes first
     last = int(top[tails]) if tails < x.size else 0
-    blocks = {}
     if tails:
         tail = slice(0, tails)
-        store, blocks, back, back_scale2, tail_last = _miller_tail(
+        (store, store_scale2), begin, kept, back, back_scale2, reach = _miller_tail(
             level if uniform else level[tail], uniform, x[tail], root_x[tail], top[tail], turn[tail]
         )
-        last = max(last, tail_last)
-        factor, shift2 = np.empty(tails), np.empty(tails, dtype=np.int32)
+        last = max(last, int(kept.max()))
+        # node i's B_n is store[slot[i] + n]
+        above = turn[tail] + 1
+        slot = begin[:-1] - above
     # the forward nodes at level n are [lo, hi): lo counts the nodes whose
     # turning point is below n, and hi those whose top is at least n
     levels = np.arange(last + 2)
     lo_at = np.searchsorted(turn[:tails], levels).tolist()
     hi_at = np.searchsorted(-top, -levels, side="right").tolist()
+    if tails:
+        # Miller's nodes at level n are [live, end): the nodes before the
+        # first whose start is past n have weight 0, and from end on they
+        # are forward or past their tops
+        live_at = np.searchsorted(reach, levels, side="right").tolist()
+        end_at = np.minimum(lo_at, hi_at).tolist()
     every = _rescale_interval(root_x, int(top[0]) + int(m.max()))
 
-    prev, new, root, root_next = np.zeros((4, x.size))
-    for n in range(last + 1):
-        lo, hi = lo_at[n], hi_at[n]
-        w = np.zeros(hi)
-        window = slice(lo, hi)
-        c = cur[window]
-        np.ldexp(np.multiply(c, c, out=w[window]), scale2[window], out=w[window])
-        if n in blocks:
-            # Miller's part at the nodes past their turning points
-            nodes, held = blocks[n]
-            b = np.multiply(factor[nodes], store[0][held], out=w[nodes])
-            b *= b
-            np.ldexp(b, store[1][held] + shift2[nodes], out=b)
-        yield n, w
-        if lo >= hi:
-            continue
-        r = root_next[window]
-        np.multiply(root_x[window], math.sqrt(n + 1), out=r)
-        t = new[window]
-        np.add(n - (level if uniform else level[window]), x[window], out=t)
-        t *= c
-        t -= root[window] * prev[window]
-        t /= r
-        prev, cur, new = cur, new, prev
-        root, root_next = root_next, root
-        # the windows are views: the rescale writes through to the arrays;
-        # between checks no iterate can pass 2^500, so no square overflows
-        done = slice(lo, lo_at[n + 1])
-        if n % every == 0 or done.stop > lo:
-            _rescale(cur[window], prev[window], scale2[window])
-        if done.stop > lo:
-            # the nodes at their turning point: the factor that takes
-            # (B_turn, B_turn+1) onto (D_turn, D_turn+1)
-            b_turn, b_next = back[:, done]
-            d_turn, d_next = prev[done], cur[done]
-            factor[done], shift = np.frexp(
-                (d_turn * b_turn + d_next * b_next) / (b_turn * b_turn + b_next * b_next)
-            )
-            shift2[done] = 2 * shift + scale2[done] - back_scale2[done]
+    slab = np.zeros((_LEVEL_BATCH, x.size))
+    # the rows of both as views, made once
+    iterates, weights = list(ring), list(slab)
+    root, root_next = np.zeros((2, x.size))
+    first = 0
+    for n0 in range(0, last + 1, _LEVEL_BATCH):
+        rows = min(_LEVEL_BATCH, last + 1 - n0)
+        for n in range(n0, n0 + rows):
+            lo, hi = lo_at[n], hi_at[n]
+            if lo >= hi:
+                continue
+            c, prev, new = iterates[n % 3][lo:hi], iterates[(n - 1) % 3][lo:hi], iterates[(n + 1) % 3][lo:hi]
+            w, exponent = weights[n - n0][lo:hi], scale2[lo:hi]
+            np.ldexp(np.multiply(c, c, out=w), exponent, out=w)
+            r = root_next[lo:hi]
+            np.multiply(root_x[lo:hi], math.sqrt(n + 1), out=r)
+            np.add(n - (level if uniform else level[lo:hi]), x[lo:hi], out=new)
+            new *= c
+            prev *= root[lo:hi]
+            new -= prev
+            new /= r
+            root, root_next = root_next, root
+            # between checks no iterate can pass 2^500, so no square
+            # overflows; the rescale writes through the views
+            if n % every == 0:
+                _rescale(new, c, exponent)
+        if tails:
+            # the nodes that reached their turning point in the slab: their
+            # Miller parts, one run of the store, become weights
+            done = slice(lo_at[n0], lo_at[n0 + rows])
+            if done.stop > done.start:
+                nodes = np.arange(done.start, done.stop)
+                d_turn, d_next = ring[turn[done] % 3, nodes], ring[above[done] % 3, nodes]
+                b_turn, b_next = back[:, done]
+                factor, shift = np.frexp(
+                    (d_turn * b_turn + d_next * b_next) / (b_turn * b_turn + b_next * b_next)
+                )
+                held = slice(begin[done.start], begin[done.stop])
+                count = kept[done] - turn[done]
+                b = store[held]
+                b *= factor.repeat(count)
+                b *= b
+                shift = 2 * shift + scale2[done] - back_scale2[done]
+                np.ldexp(b, store_scale2[held] + shift.repeat(count), out=b)
+            # Miller's part at the slab's levels
+            live = live_at[n0]
+            slab[:, first:live] = 0.0
+            first = live
+            end = max(end_at[n0 : n0 + rows])
+            if end > live:
+                block = slice(live, end)
+                at = levels[n0 : n0 + rows, None]
+                w = store[np.clip(at, above[block], kept[block]) + slot[block]]
+                w[at > kept[block]] = 0.0
+                np.copyto(slab[:rows, block], w, where=at > turn[block])
+        yield n0, slab[:rows], first
 
 
 def _miller_tail(level, uniform, x, root_x, top, turn):
@@ -494,63 +539,76 @@ def _miller_tail(level, uniform, x, root_x, top, turn):
     by turning point ascending.
 
     Each node's run goes from its start down to its turning point, as in
-    :func:`_overlap_row`.  The nodes step level by level together, a node
-    held at 0 until the run reaches its start, so the nodes stepping at
-    level n run from the first whose start is at least n to the last whose
-    turning point is below n.  The run keeps each B_n, turn < n <= min(top,
-    start - 1), and twice its binary exponent in a level-major store: level
-    n's block runs from the first node whose start is past n to the last
-    whose turning point is below n and whose top is at least n, and holds 0
-    at a node with no weight there.  Returns the store (B, doubled
-    exponents), the blocks {n: (nodes, place in the store)}, B_turn,
-    B_turn+1 and their doubled exponent at every node, and the last level
-    the store holds, the largest min(top, start - 1).
+    :func:`_overlap_row`: at step k a node is at level start - k.  The
+    nodes step in the order of the length start - turn of their runs,
+    longest first, so the nodes still running at step k are a leading run
+    of that order, and the loop takes as many steps as the longest run, not
+    the span of the levels of all runs.  The run keeps each B_n, turn < n
+    <= min(top, start - 1), and twice its binary exponent in a node-major
+    store, 12 B a weight: node i's run of it begins at ``begin[i]`` and
+    holds its kept levels ascending, and :func:`overlap_rows` scales it
+    into the node's weights in place once the node passes its turning
+    point.  Before the last level it keeps, a node's step writes its B into
+    the place of that level, which it writes again later.  Returns the
+    store (B, doubled exponents), ``begin`` (with the store's size last),
+    the last level each node keeps, min(top, start - 1), B_turn, B_turn+1
+    and their doubled exponent at every node, and the running maximum of
+    the nodes' starts.
     """
     m = np.broadcast_to(np.asarray(level, dtype=np.int64), x.shape)
     start = _row_levels_array(m, x, turn)
-    reach = np.maximum.accumulate(start)
-    last = int(np.minimum(top, start - 1).max())
-    levels = np.arange(int(turn[0]) + 1, last + 1)
-    first = np.searchsorted(reach, levels, side="right").tolist()
-    stop = np.minimum(np.searchsorted(turn, levels), np.searchsorted(-top, -levels, side="right"))
-    blocks, size = {}, 0
-    for n, a, b in zip(levels.tolist(), first, stop.tolist()):
-        if b > a:
-            blocks[n] = slice(a, b), slice(size, size + b - a)
-            size += b - a
-    store = np.empty(size), np.empty(size, dtype=np.int32)
+    kept = np.minimum(top, start - 1)
+    begin = np.concatenate(([0], np.cumsum(kept - turn)))
+    store = np.empty(int(begin[-1])), np.empty(int(begin[-1]), dtype=np.int32)
 
-    # the nodes by start, descending: those that start at each level
-    order = np.argsort(-start, kind="stable")
-    steps = np.arange(int(start[order[0]]), int(turn[0]) - 1, -1)
-    starting = [0] + np.searchsorted(-start[order], -steps, side="right").tolist()
-    begin = np.searchsorted(reach, steps).tolist()
-    end = np.searchsorted(turn, steps).tolist()
-    low, high, spare, root, root_next = np.zeros((5, x.size))
-    scale2 = np.zeros(x.size, dtype=np.int32)
-    back, back_scale2 = np.empty((2, x.size)), np.empty(x.size, dtype=np.int32)
-    every = _rescale_interval(root_x, int(steps[0]) + int(m.max()))
-    for k, n in enumerate(steps[:-1].tolist()):
-        if n in blocks:
-            nodes, held = blocks[n]
-            store[0][held], store[1][held] = low[nodes], scale2[nodes]
-        low[order[starting[k] : starting[k + 1]]] = 1.0
-        window = slice(begin[k], end[k])
-        r = root_next[window]
-        np.multiply(root_x[window], math.sqrt(n), out=r)
-        b = spare[window]
-        np.add(n - (level if uniform else level[window]), x[window], out=b)
-        b *= low[window]
-        b -= root[window] * high[window]
-        b /= r
-        high, low, spare = low, spare, high
+    # the nodes by the length of their runs, descending: the first
+    # running[k] of them still run at step k
+    length = start - turn
+    order = np.argsort(-length, kind="stable")
+    steps = int(length[order[0]])
+    running = np.searchsorted(-length[order], -np.arange(steps)).tolist()
+    # each node's level as a float, exact, and the place of its B there
+    # less the step, which is at most that of its last kept level
+    n = start[order].astype(float)
+    parent = level if uniform else m[order].astype(float)
+    place = (begin[:-1] - turn - 1)[order]
+    place, last_place = place + start[order], place + kept[order]
+    held = np.empty(order.size, dtype=np.int64)
+    x, root_x = x[order], root_x[order]
+    # B of a node at step k is row k % 3 of ring, from B_start = 1 and
+    # B_start+1 = 0; a node that no longer runs keeps its last two there
+    ring = np.zeros((3, order.size))
+    ring[0] = 1.0
+    rows = list(ring)
+    scale2 = np.zeros(order.size, dtype=np.int32)
+    root, root_next = np.zeros((2, order.size))
+    every = _rescale_interval(root_x, int(start.max()) + int(m.max()))
+    for k in range(steps):
+        run = running[k]
+        low, high, new = rows[k % 3][:run], rows[(k - 1) % 3][:run], rows[(k + 1) % 3][:run]
+        at = np.minimum(np.subtract(place[:run], k, out=held[:run]), last_place[:run], out=held[:run])
+        store[0][at], store[1][at] = low, scale2[:run]
+        r = root_next[:run]
+        np.multiply(root_x[:run], np.sqrt(n[:run], out=r), out=r)
+        np.subtract(n[:run], parent if uniform else parent[:run], out=new)
+        new += x[:run]
+        new *= low
+        high *= root[:run]
+        new -= high
+        new /= r
         root, root_next = root_next, root
-        # the nodes that reach their turning point leave the run
-        done = slice(end[k + 1], end[k])
-        if k % every == 0 or done.stop > done.start:
-            _rescale(low[window], high[window], scale2[window])
-            back[:, done], back_scale2[done] = (low[done], high[done]), scale2[done]
-    return store, blocks, back, back_scale2, last
+        n[:run] -= 1.0
+        if k % every == 0:
+            _rescale(new, low, scale2[:run])
+
+    # a node's last step leaves B_turn in row length % 3 and B_turn+1 in the
+    # row before it
+    nodes = np.arange(order.size)
+    back, back_scale2 = np.empty((2, order.size)), np.empty(order.size, dtype=np.int32)
+    back[0, order] = ring[length[order] % 3, nodes]
+    back[1, order] = ring[(length[order] - 1) % 3, nodes]
+    back_scale2[order] = scale2
+    return store, begin, kept, back, back_scale2, np.maximum.accumulate(start)
 
 
 def _rescale_interval(root_x, levels: int) -> int:
@@ -581,15 +639,18 @@ def _seed(m, x, uniform):
         # factors moves a product inside (2^-400, 2^400) by under 2^500
         spread = max(abs(math.log2(lifted.max())), abs(math.log2(lifted.min() / top))) / 2
         size = max(1, min(_SEED_BLOCK, int(500.0 / max(spread, 1.0))))
+        factors = np.empty((size, x.size))
         for k0 in range(1, top + 1, size):
             k = np.arange(k0, min(k0 + size, top + 1), dtype=float)
-            factors = np.sqrt(lifted / k[:, None])
+            block = factors[: k.size]
+            np.sqrt(np.divide(lifted, k[:, None], out=block), out=block)
             if not uniform:
-                factors[k[:, None] > m] = 1.0
-            factors[0] *= cur
-            cur = np.multiply.reduce(factors, axis=0)
-            out = (cur < _SMALL) | (cur > _BIG)
-            if out.any():
+                block[k[:, None] > m] = 1.0
+            block[0] *= cur
+            np.multiply.reduce(block, axis=0, out=cur)
+            # the products are positive
+            if cur.min() < _SMALL or cur.max() > _BIG:
+                out = (cur < _SMALL) | (cur > _BIG)
                 mantissa, shift = np.frexp(cur[out])
                 cur[out] = mantissa
                 scale[out] += shift

@@ -217,9 +217,12 @@ def count_shared_work(monkeypatch):
         counted["rounds"] += 1
         counted["nodes"] += x.size
         counted["panels"] = x.size // quadrature._NODES.size
-        for n, w in overlap_rows(m, x, top):
-            counted["node_levels"] += w.size
-            yield n, w
+        for n0, slab, first in overlap_rows(m, x, top):
+            # row k of the slab holds level n0 + k at the nodes whose top is
+            # at least that level
+            levels = np.arange(n0, n0 + slab.shape[0])
+            counted["node_levels"] += int(np.searchsorted(-top, -levels, side="right").sum())
+            yield n0, slab, first
 
     monkeypatch.setattr(mesh, "overlap_rows", counting)
     return counted

@@ -411,8 +411,9 @@ class TestLevelSum:
         tail = top > turn
         store = specfun._miller_tail(m, True, x[tail], np.sqrt(x[tail]), top[tail], turn[tail])[0]
         assert weights <= store[0].size <= 1.01 * weights
-        # a pass holds the store, 12 B a weight, and about 16 work arrays of
-        # 8 B a node, whatever the levels past the nodes' turning points
+        # a pass holds the store, 12 B a weight, and about 18 work arrays of
+        # 8 B a node, eight of them the slab of levels it hands over,
+        # whatever the levels past the nodes' turning points
         tracemalloc.start()
         for _ in specfun.overlap_rows(m, x, top):
             pass
@@ -448,10 +449,10 @@ class TestLevelSum:
     def test_level_sum_memory_holds_no_sum_per_level_and_panel(self, monkeypatch):
         # a default run at (1e4, 1000) is one pass over 182 panels (11,102
         # nodes) for 2,118 levels.  Its peak is the row's (the bound of
-        # test_miller_store_holds_only_the_weights), the weights of a batch
-        # of _LEVEL_BATCH levels at every node with up to three temporaries
-        # of their size, four arrays of 8 B a node (t, t^2, x and top), the
-        # two plain sums and the two-panel weights of a batch of
+        # test_miller_store_holds_only_the_weights, which holds the row's
+        # slab of _LEVEL_BATCH levels at every node), up to four
+        # temporaries of the slab's size, four arrays of 8 B a node (t,
+        # t^2, x and top), the two plain sums and the two-panel weights of a batch of
         # _PIECE_BATCH levels, and under 512 B a level for the level
         # vectors and the result: no sum per level and panel, of which two
         # dense arrays would take 5.9 MiB here

@@ -27,7 +27,7 @@ def parse_csv(text):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
-# stdout bytes of eight commands, pinned so that refactors which must not move
+# stdout bytes of nine commands, pinned so that refactors which must not move
 # a single output bit are checked against the bits, not only against reruns
 GOLDEN_TABLE = (
     "p_perp2_MeV2,m,ratio,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
@@ -70,6 +70,12 @@ GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
     "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016936,1.0000020629045903,8.1910091471297776e-16,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
+# 870 levels on the shared mesh, not a whole number of the row's slabs of
+# eight levels, with a Miller band of 441 levels
+GOLDEN_RATE_1E3_71 = (
+    "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
+    "6.9930069930069934,110.32900797161189,1.0437938313302921,869,0.00018031858815112454,1.0000001539666059,8.1813164770331997e-16,8.9232386367038735e-13,8.2744563965091183e+27,3.9207246080136348e-14,1182105603101811.5\n"
+)
 # the lowest-level closed forms run on one fixed Gauss rule
 GOLDEN_SCAN_LLL = (
     "eB_MeV2,p_perp_MeV,ratio_exact,ratio_factored,ratio_general\n"
@@ -92,10 +98,11 @@ GOLDEN_SCAN_LLL = (
         (["scan-lll", "--eB-min", "6e3", "--eB-max", "1e8", "--points", "5"], GOLDEN_SCAN_LLL),
         (["table", "--format", "json"], GOLDEN_TABLE_JSON),
         (["verify", "--trials", "3", "--seed", "0", "--format", "json"], GOLDEN_VERIFY_3_0_JSON),
+        (["rate", "--p-perp2", "1e3", "--m", "71"], GOLDEN_RATE_1E3_71),
     ],
     ids=[
         "table", "rate-1e4-30", "verify-3-0", "rate-1e4-300", "verify-100-0", "scan-lll-5",
-        "table-json", "verify-3-0-json",
+        "table-json", "verify-3-0-json", "rate-1e3-71",
     ],
 )
 def test_golden_stdout_bytes(capsys, argv, expected):

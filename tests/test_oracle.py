@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,27 @@ class TestVerifyClosedForm:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             oracle.verify_closed_form(0)
+
+    def test_memory_does_not_grow_with_the_trials(self):
+        # the trials are drawn and compared in blocks of a thousand, so five
+        # blocks peak where one does (all at once, the nodes and modes took
+        # about 7 KB a trial); the first run allocates what a process keeps
+        oracle.verify_closed_form(1000, seed=1)
+        peaks = {}
+        for trials in (1000, 5000):
+            tracemalloc.start()
+            try:
+                oracle.verify_closed_form(trials, seed=1)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[5000] <= 1.01 * peaks[1000]
+
+    def test_blocks_keep_the_worst_error_of_all_trials(self):
+        # the same draws in the same order, and every trial's bits do not
+        # depend on its block: the report of 5,000 trials, taken before
+        # the trials were split into blocks
+        assert oracle.verify_closed_form(5000, seed=1).max_rel_err.hex() == "0x1.2afec67acc85fp-38"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sign_draws_keep_the_choice_stream(self, monkeypatch, seed):

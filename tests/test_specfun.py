@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magdecay import specfun
+from magdecay import oracle, specfun
 from reference_paths import (
     EPS,
     MAX_HERMITE_ORDER,
@@ -387,13 +387,22 @@ class TestOverlapAccuracy:
 
 
 def array_rows(m, x, top):
-    """{(node, level): weight} of one overlap_rows call, which yields level
-    n at the leading nodes whose top is at least n."""
+    """{(node, level): weight} of one overlap_rows call, whose slabs hold
+    level n at the leading nodes whose top is at least n, with a weight of
+    0 at every node before the slab's first."""
     out = {}
-    for n, w in specfun.overlap_rows(m, x, top):
-        assert w.size == np.count_nonzero(top >= n)
-        out.update(((i, n), v) for i, v in enumerate(w.tolist()))
+    x, top = np.asarray(x), np.asarray(top)
+    for n0, slab, first in specfun.overlap_rows(m, x, top):
+        assert n0 % specfun._LEVEL_BATCH == 0 and 0 < slab.shape[0] <= specfun._LEVEL_BATCH
+        assert slab.shape[1] == x.size and not slab[:, :first].any()
+        for n, w in enumerate(slab.tolist(), start=n0):
+            out.update(((i, n), v) for i, v in enumerate(w[: np.count_nonzero(top >= n)]))
     return out
+
+
+def slab_sizes(m, x, top):
+    """The first level and the number of levels of each slab of one call."""
+    return [(n0, slab.shape[0]) for n0, slab, _ in specfun.overlap_rows(m, np.asarray(x), np.asarray(top))]
 
 
 def node_weights(rows, i, top):
@@ -419,6 +428,90 @@ class TestArrayRow:
             row = specfun._overlap_row(m, x)
             got = array_rows(m, np.array([x]), np.array([len(row) - 1]))
             assert got == {(0, n): w for n, w in enumerate(row)}, (m, x)
+
+    @pytest.mark.parametrize("top", [0, 6, 7, 8, 14, 15])
+    def test_level_counts_at_slab_edges(self, top):
+        # 1, 7, 8, 9, 15 and 16 levels of a node that never passes its
+        # turning point (58 at (20, 10)): whole slabs of eight, then the rest
+        levels = top + 1
+        assert slab_sizes(20, [10.0], [top]) == [(n0, min(8, levels - n0)) for n0 in range(0, levels, 8)]
+        row = specfun._overlap_row(20, 10.0)
+        assert array_rows(20, np.array([10.0]), np.array([top])) == {(0, n): row[n] for n in range(levels)}
+
+    @pytest.mark.parametrize("top", [24, 30, 31])
+    def test_miller_level_counts_at_slab_edges(self, top):
+        # 25, 31 and 32 levels of a node past its turning point, 16, and
+        # short of Miller's start, 101: every weight is the scalar row's
+        row = specfun._overlap_row(0, 16.5)
+        assert specfun._row_levels(0, 16.5)[::2] == (16, 101)
+        assert array_rows(0, np.array([16.5]), np.array([top])) == {(0, n): row[n] for n in range(top + 1)}
+        assert sum(rows for _, rows in slab_sizes(0, [16.5], [top])) == top + 1
+
+    def test_turning_points_on_the_first_and_last_level_of_a_slab(self):
+        # at m = 0 the turning point is int(x): 16 is the first level of the
+        # third slab and 23 its last, so one node's Miller part is scaled in
+        # from the slab's second level and the other's from the next slab;
+        # alone, each runs to the end of its scalar row, and together up to
+        # a top they share
+        args = [16.5, 23.5]
+        assert [specfun._row_levels(0, x)[0] for x in args] == [16, 23]
+        for x in args:
+            row = specfun._overlap_row(0, x)
+            assert array_rows(0, np.array([x]), np.array([len(row) - 1])) == dict(
+                ((0, n), w) for n, w in enumerate(row)
+            )
+        got = array_rows(0, np.array(args), np.array([70, 70]))
+        for i, x in enumerate(args):
+            row = specfun._overlap_row(0, x)
+            assert node_weights(got, i, 70) == {n: row[n] for n in range(71)}
+
+    def test_miller_start_before_and_past_the_top(self):
+        # the first node runs past its Miller start, 101, where its weights
+        # are 0; the second stops at 40, short of its start, 120; each has
+        # the weights of its own call, and the scalar row's up to its last
+        # level (76 and 91)
+        x, top = np.array([16.5, 23.5]), np.array([110, 40])
+        starts = [specfun._row_levels(0, v)[2] for v in x]
+        assert starts == [101, 120]
+        got = array_rows(0, x, top)
+        for i in range(2):
+            alone = node_weights(array_rows(0, x[i : i + 1], top[i : i + 1]), 0, top[i])
+            assert node_weights(got, i, top[i]) == alone
+            row = specfun._overlap_row(0, float(x[i]))
+            assert all(alone[n] == row[n] for n in range(min(top[i], len(row) - 1) + 1))
+            assert all(alone[n] == 0.0 for n in range(starts[i], top[i] + 1))
+        assert max(n for _, n in got) == 100
+
+    def test_zero_argument_node_among_others(self):
+        # x = 0 is the least subnormal: w is the Kronecker delta at n = m to
+        # within the roundings of the m-factor seed, and the node past its
+        # turning point (m) keeps its own bits beside the others, one past
+        # its turning point (15) and one short of it (29)
+        alone = node_weights(array_rows(5, np.array([0.0]), np.array([40])), 0, 40)
+        assert abs(alone[5] - 1.0) <= 8 * 6 * EPS
+        assert all(w < 1e-300 for n, w in alone.items() if n != 5)
+        x, top = np.array([0.0, 3.0, 10.0]), np.array([40, 30, 20])
+        got = array_rows(5, x, top)
+        for i in range(3):
+            one = node_weights(array_rows(5, x[i : i + 1], top[i : i + 1]), 0, top[i])
+            assert node_weights(got, i, top[i]) == one
+        assert node_weights(got, 0, 40) == alone
+
+    def test_the_oracle_layout(self):
+        # a parent level each and the tops by level, descending, none past
+        # its turning point, over several slabs: every weight at a node's
+        # top is the scalar row's there, and the oracle's closed form reads
+        # it from the slab
+        rng = np.random.default_rng(27)
+        n, m = rng.integers(0, 41, size=60), rng.integers(0, 41, size=60)
+        x = rng.uniform(0.0, 50.0, size=60)
+        low, high = np.minimum(n, m), np.maximum(n, m)
+        order = np.argsort(-low, kind="stable")
+        got = array_rows(high[order], x[order], low[order])
+        assert len(slab_sizes(high[order], x[order], low[order])) == int(low.max()) // 8 + 1
+        expected = [specfun._overlap_row(int(high[i]), float(x[i]))[low[i]] for i in range(60)]
+        assert [got[j, int(low[i])] for j, i in enumerate(order)] == [expected[i] for i in order]
+        assert oracle.closed_form_overlap_sq(n, m, x).tolist() == expected
 
     def test_rejects_a_layout_whose_window_would_skip_nodes(self):
         x = np.array([10.0, 10.0, 10.0])
