@@ -14,10 +14,12 @@ per-panel Kronrod and Gauss sums as the row steps, so no (levels x nodes)
 matrix is held.  Level n takes the plain rules on its panels below
 the two around theta_n = sqrt(X_n / X_0); on those two, product weights
 from closed-form moments integrate (theta_n - t)^(-1/2) exactly against
-the interpolant of the rest (as QUADPACK's QAWS), and its error is never
-taken below the roundoff that its weights and the product weights carry.
-Every 32 levels the pass forms their values, errors and tolerances, so no
-(levels x panels) sum is held either.  Shared panels are bisected wherever
+the interpolant of the rest (as QUADPACK's QAWS).  Their error is read
+from how the interpolant's top Legendre coefficients fall (as Gonnet's
+CQUAD), so it is that of the 61-node rule whose value is kept, and it is
+never taken below the roundoff that the weights and the product weights
+carry.  Every 32 levels the pass forms their values, errors and
+tolerances, so no (levels x panels) sum is held either.  Shared panels are bisected wherever
 a level misses its tolerance, and the next round is a new pass over every
 panel: only the edges go from one round to the next.
 """
@@ -36,17 +38,20 @@ from .specfun import _LEVEL_BATCH, ROW_ABS_ERROR, overlap_rows
 _MAX_PANELS = 2000
 # edges the first mesh puts at the ends of the levels inside its first panel
 _FIRST_PANEL_ENDS = 8
-# zeros of the densest level that a panel of the first mesh may hold: at 4
-# the first mesh meets rel_tol 1e-9 at every figure point and every row of
-# scripts/mesh_crossover.py; at 5, 11 of those 19 points take a second
-# round, and at 3 the added nodes save none ((1e4, 1000) ran 20% slower)
-_ZEROS_PER_PANEL = 4
+# zeros of the densest level that a panel of the first mesh may hold: at 6
+# the first mesh meets rel_tol 1e-9 at all 445 points of the level_scan
+# figure curves (mesh forced), and every tolerance down to 1e-14 at each
+# row of scripts/mesh_crossover.py; at 7, (1e3, 56) takes a second round,
+# and from 8 on the panel floor (_initial_panels) sets the whole first
+# mesh at every point measured.  From 4 to 6, (1e4, 300) went from 61 to
+# 50 panels and (1e4, 3000) from 528 to 410, with one pass in 0.88 and
+# 0.71 of the time (in-process medians, one BLAS thread)
+_ZEROS_PER_PANEL = 6
 # midpoints of the grid in t on which the first mesh integrates the zero
 # density and inverts its integral
 _DENSITY_GRID = 512
-# the Kronrod nodes of a panel on [-1, 1] and the positions of the Gauss nodes
+# the Kronrod nodes of a panel on [-1, 1]
 _NODES = quadrature._NODES
-_GAUSS = np.flatnonzero(quadrature._WEIGHTS_G)
 
 
 def _legendre_inverse(nodes: np.ndarray) -> np.ndarray:
@@ -66,20 +71,28 @@ def _legendre_inverse(nodes: np.ndarray) -> np.ndarray:
     return table[:, n:]
 
 
-# V^-1 on the Kronrod nodes, and beside it the same less that of the Gauss
-# nodes: the moments mu times them give the product weights W and W - W_G
-_PRODUCT = np.tile(_legendre_inverse(_NODES), 2)
-_PRODUCT[: _GAUSS.size, _NODES.size + _GAUSS] -= _legendre_inverse(_NODES[_GAUSS])
+# V^-1 on the Kronrod nodes: the moments mu times it give the product
+# weights W, and its rows give the interpolant's Legendre coefficients
+_PRODUCT = _legendre_inverse(_NODES)
+# the end pieces read their error from the top eight coefficients, a_53 to
+# a_60, as two blocks of four; the ninth row, the mean of |V^-1| over the
+# top block, times the values' relative roundoff bounds that of a
+# coefficient there
+_TAIL = 4
+_TAIL_ROWS = np.vstack((_PRODUCT[-2 * _TAIL :], np.abs(_PRODUCT[-_TAIL:]).mean(axis=0)))
+# coefficients that fall by less than this every four take the panel for
+# one that does not resolve the end piece
+_DECAY = 0.5
 # 2 sqrt(2) / (2k + 1), k = 0..60
 _MOMENT = 2.0 * math.sqrt(2.0) / (2 * np.arange(_NODES.size) + 1)
 # levels the pass hands over at a time, four of the row's slabs, whose
 # plain sums it holds on every panel and whose end pieces are formed
-# together: their largest array, batch x 2 x 4 x 61 doubles, is then 125 KB
+# together: their largest array, batch x 2 x 3 x 61 doubles, is then 94 KB
 _PIECE_BATCH = 32
 _EPS = float(np.finfo(float).eps)
 # the roundoff of a product weight W_j = (mu V^-1)_j is at most 61 eps
 # (|mu| |V^-1|)_j, Higham's bound on a dot product of 61 terms
-_WEIGHT_ROUNDOFF = _NODES.size * _EPS * np.abs(_PRODUCT[:, : _NODES.size])
+_WEIGHT_ROUNDOFF = _NODES.size * _EPS * np.abs(_PRODUCT)
 # a floor under (theta^2 - t^2)(1 - rho^2 t^2) past a level's own panels,
 # where its weights in the buffer are zero
 _TINY_GAP = 1e-300
@@ -136,7 +149,7 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
         ends = []
         for n, kronrod, deviation, pair_w in _evaluate_panels(m, scale_x, theta, rho, edges, upper):
             th, up = theta[n], upper[n]
-            endpoint = _endpoint_pieces(th, rho[n], edges, up, pair_w)
+            endpoint = _endpoint_pieces(th, rho[n], edges, up, pair_w, roundoff_share[n])
             # the integrand is nonnegative: a sum that roundoff and
             # interpolation error in levels far below the floor leave
             # negative is raised to 0, which can only bring it closer
@@ -324,7 +337,7 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
         yield slice(stop - rows, stop), kronrod[:rows], deviation[:rows], pair_w[:rows]
 
 
-def _endpoint_pieces(theta, rho, edges, upper, pair_w):
+def _endpoint_pieces(theta, rho, edges, upper, pair_w, roundoff):
     """Each level's integral over its two panels around theta_n, its error,
     and the two roundoff scales of its floor, as four rows.
 
@@ -333,11 +346,24 @@ def _endpoint_pieces(theta, rho, edges, upper, pair_w):
     to min(c, 1) of (c - u)^(-1/2) f_n(u), f_n = w t / sqrt((theta_n + t)(1
     - rho_n^2 t^2)): sum_j W_j f_j, whose product weights W = mu V^-1
     (:func:`_moments`) integrate the interpolant of f_n through the 61
-    Kronrod nodes exactly; the error is the two panels' |K - G|, G the same
-    on the 30 Gauss nodes.  The weights' relative roundoff times sum_j |W_j|
+    Kronrod nodes exactly.  The weights' relative roundoff times sum_j |W_j|
     f_j bounds the piece's roundoff, and sum_j (61 eps |mu| |V^-1|)_j f_j
     that of the float W_j, which past theta_n meet f_j far larger than the
-    piece.  Takes at most ``_PIECE_BATCH`` levels."""
+    piece.
+
+    The error of a panel is read from the interpolant's Legendre
+    coefficients a = V^-1 f (Gonnet, ACM TOMS 37(3), 2010), of which it
+    forms the top eight.  With A and B the largest |a_k| over k = 53..56
+    and 57..60, the coefficients past a_60 are taken to fall on as from A
+    to B, by r = B / A every four, and the error is 2 mu_0 B r / (1 - r):
+    mu_0, the integral of (c - u)^(-1/2), times twice the sum of that
+    tail.  Coefficients that fall by less than ``_DECAY`` do not resolve
+    f_n, and the error is then 4 mu_0 (A + B), at least mu_0 times the sum
+    of the eight.  A B within ``roundoff`` (a level's relative roundoff of
+    f_j) times the mean over the top four k of sum_j |V^-1_kj| f_j is the
+    coefficients' roundoff plateau: the interpolant has resolved f_n to
+    its roundoff, which the floors count, and the error is 0.  Takes at
+    most ``_PIECE_BATCH`` levels."""
     width = _NODES.size
     # the lower and the upper panel: a lone first panel has no lower one
     p = np.stack((np.maximum(upper - 1, 0), upper), axis=1)
@@ -349,18 +375,28 @@ def _endpoint_pieces(theta, rho, edges, upper, pair_w):
     mu = _moments(_moment_root((theta[:, None] - low) / half, (theta[:, None] - high) / half))
     scale = 2.0 * rho[:, None] * np.sqrt(half)
     scale[upper == 0, 0] = 0.0
-    # W, W less the Gauss nodes' weights, |W| and 61 eps |mu| |V^-1|
-    rows = np.empty(mu.shape[:2] + (4, width))
-    rows[:, :, :2] = (mu @ _PRODUCT).reshape(-1, 2, 2, width)
-    np.abs(rows[:, :, 0], out=rows[:, :, 2])
-    np.matmul(np.abs(mu, out=mu), _WEIGHT_ROUNDOFF, out=rows[:, :, 3])
+    # W, |W| and 61 eps |mu| |V^-1|, each product for the whole batch at once
+    rows = np.empty(mu.shape[:2] + (3, width))
+    flat = mu.reshape(-1, width)
+    rows[:, :, 0] = (flat @ _PRODUCT).reshape(mu.shape)
+    np.abs(rows[:, :, 0], out=rows[:, :, 1])
+    rows[:, :, 2] = (np.abs(flat) @ _WEIGHT_ROUNDOFF).reshape(mu.shape)
     t = centre[:, :, None] + half[:, :, None] * _NODES
     f = pair_w.reshape(-1, 2, width) * t * scale[:, :, None]
     rt = rho[:, None, None] * t
     f /= np.sqrt((theta[:, None, None] + t) * (1.0 - rt * rt))
-    sums = (rows @ f[..., None])[..., 0]
-    np.abs(sums[:, :, 1], out=sums[:, :, 1])
-    return sums.sum(axis=1).T
+    pieces = np.empty((4, theta.size))
+    pieces[[0, 2, 3]] = (rows @ f[..., None]).sum(axis=1)[..., 0].T
+    # the top coefficients as two blocks, and their roundoff scale
+    top = f.reshape(-1, width) @ _TAIL_ROWS.T
+    head, tail = np.abs(top[:, :-1]).reshape(-1, 2, _TAIL).max(axis=2).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fall = tail / head
+        # a head of 0 under a nonzero tail does not decay either
+        error = np.where(fall < _DECAY, 2.0 * tail * fall / (1.0 - fall), 4.0 * (head + tail))
+    error[tail <= roundoff.repeat(2) * top[:, -1]] = 0.0
+    pieces[1] = (error * flat[:, 0]).reshape(-1, 2).sum(axis=1)
+    return pieces
 
 
 def _moment_root(above, below):

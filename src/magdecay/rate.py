@@ -168,22 +168,21 @@ def _shares_mesh(m: int, root_x) -> bool:
     the shared mesh about one row step a level at each node, besides a
     fixed cost per level and round.  Timed on one core along the figure
     curves by ``scripts/mesh_crossover.py`` (medians of three scans), the
-    shared mesh over the k_z quadrature takes 1.19 (m = 24), 0.94 (29),
-    0.86 (32), 0.79 (36), 0.73 (41), 0.55 (49) and 0.44 (60) of the time
-    at p_perp^2 = 1e3; 1.05 (50), 0.85 (60), 0.71 (70) and 0.61 (80) at
-    5e3; 2.4 (60), 2.1 (66), 0.92 (70) and 0.81 (80) at 1e4, where the
-    mesh takes a second round up to m = 66; 1.65 at (3e4, 80); 1.89 (100)
-    and 1.15 (120) at 5e4.  In m (levels) the crossover lies between 7,200
-    and 10,400 at 1e3, between 8,200 and 11,800 at 5e3 and near 10,000 at
-    1e4, and past the end of the 3e4 and 5e4 curves (8,800 and 17,640):
-    the product does not order it across curves, so the threshold sits
-    above every crossover, where no figure point takes longer on the
-    mesh.  It sends the points from m = 41 at 1e3 and from m = 79 at 5e3
-    to it.  A process that runs level
-    sums on the mesh holds about 2 MiB more at its peak: the mesh's
-    import, and Miller's store (about 1 MiB at (1e3, 71)).  The level
-    kernel of the k_z quadrature also refuses arguments past
-    ``MAX_OVERLAP_ARGUMENT``, which X_0 bounds.
+    shared mesh over the k_z quadrature takes 1.24 (m = 24), 1.01 (29),
+    0.88 (32), 0.84 (36), 0.66 (41), 0.50 (49) and 0.42 (60) of the time
+    at p_perp^2 = 1e3; 1.07 (50), 0.79 (60), 0.72 (70) and 0.61 (80) at
+    5e3; 1.25 (60), 1.02 (66), 0.93 (70) and 0.86 (80) at 1e4, where the
+    mesh converges in one round at every point; 1.73 at (3e4, 80); 1.93
+    (100) and 1.13 (120) at 5e4.  In m (levels) the crossover lies near
+    10,400 at 1e3, between 8,200 and 11,800 at 5e3 and between 9,300 and
+    10,400 at 1e4, and past the end of the 3e4 and 5e4 curves (8,800 and
+    17,640): the product does not order it across curves, so the
+    threshold sits above every crossover, where no figure point takes
+    longer on the mesh.  It sends the points from m = 41 at 1e3 and from
+    m = 79 at 5e3 to it.  A process that runs level sums on the mesh holds
+    about 2 MiB more at its peak: the mesh's import, and Miller's store
+    (about 1 MiB at (1e3, 71)).  The level kernel of the k_z quadrature
+    also refuses arguments past ``MAX_OVERLAP_ARGUMENT``, which X_0 bounds.
     """
     return m * root_x.size >= _SHARED_MESH_WORK or root_x[0] * root_x[0] > MAX_OVERLAP_ARGUMENT
 

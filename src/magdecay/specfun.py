@@ -398,15 +398,18 @@ def overlap_rows(m, x, top):
     ``first`` have weight 0 at every level of the slab.  The slab is one
     buffer that the next slab fills again: a caller may change it in place
     as long as the entries before ``first``, which the row does not write
-    again, stay 0.  Every weight has the bits :func:`_overlap_row` gives
-    it, and the row goes on past the last level of :func:`_overlap_row` up
-    to Miller's start; from that start on, where the row's decay bound puts
-    w below 1e-40, about Miller's own error in every weight, a weight is 0.
-    The row stops after the last level with a weight at any node: the
-    largest of the tops of the nodes not past their turning points and, at
-    those past them, of min(top, start - 1).  A node's weights at the
-    levels up to its top that are not yielded are 0.  x = 0 is taken as
-    the least subnormal.
+    again, stay 0.  Every weight at x > 0 has the bits :func:`_overlap_row`
+    gives it, and the row goes on past the last level of
+    :func:`_overlap_row` up to Miller's start; from that start on, where
+    the row's decay bound puts w below 1e-40, about Miller's own error in
+    every weight, a weight is 0.  The row stops after the last level with a
+    weight at any node: the largest of the tops of the nodes not past their
+    turning points and, at those past them, of min(top, start - 1).  A
+    node's weights at the levels up to its top that are not yielded are 0.
+    x = 0 is taken as the least subnormal, so its weights are not
+    :func:`_overlap_row`'s exact 1 at n = m and 0 elsewhere: w(5, 5, 0) is
+    0.9999999999999996 and w(4, 5, 0) 2.5e-323.  No caller passes x = 0
+    (the mesh's nodes are inside their panels).
 
     ``top`` must not increase along the nodes, and the nodes whose top is
     past their turning point must come first, by turning point ascending,

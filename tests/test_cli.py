@@ -68,13 +68,13 @@ GOLDEN_VERIFY_3_0_JSON = (
 # same Gamma_MeV
 GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016936,1.0000020629045903,8.1910091471297776e-16,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
+    "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016925,1.0000020629045894,1.7341670002158635e-17,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
 # 870 levels on the shared mesh, not a whole number of the row's slabs of
 # eight levels, with a Miller band of 441 levels
 GOLDEN_RATE_1E3_71 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
-    "6.9930069930069934,110.32900797161189,1.0437938313302921,869,0.00018031858815112454,1.0000001539666059,8.1813164770331997e-16,8.9232386367038735e-13,8.2744563965091183e+27,3.9207246080136348e-14,1182105603101811.5\n"
+    "6.9930069930069934,110.32900797161189,1.0437938313302921,869,0.00018031858815112451,1.0000001539666059,1.4311597602626986e-17,8.9232386367038735e-13,8.2744563965091183e+27,3.9207246080136348e-14,1182105603101811.5\n"
 )
 # the lowest-level closed forms run on one fixed Gauss rule
 GOLDEN_SCAN_LLL = (

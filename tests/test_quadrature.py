@@ -191,18 +191,59 @@ class TestProductWeights:
     @pytest.mark.parametrize("rule", ["kronrod", "gauss"])
     def test_weights_give_back_the_moments(self, c, rule):
         # W = mu V^-1 integrates every P_k the nodes interpolate, k <= 60 on
-        # the Kronrod nodes and k <= 29 on the Gauss nodes, to its moment;
-        # mu times _PRODUCT gives W and, beside it, W less the Gauss W_G
-        width = mesh._NODES.size
+        # the Kronrod nodes (mu times _PRODUCT) and k <= 29 on the Gauss
+        # nodes among them, whose V^-1 the same inversion gives
         mu = self.moments(float(c))
-        both = mu @ mesh._PRODUCT
-        weights, nodes = both[:width], mesh._NODES
+        weights, nodes = mu @ mesh._PRODUCT, mesh._NODES
         if rule == "gauss":
-            weights, nodes = (weights - both[width:])[mesh._GAUSS], nodes[mesh._GAUSS]
+            nodes = nodes[np.flatnonzero(quadrature._WEIGHTS_G)]
+            weights = mu[: nodes.size] @ mesh._legendre_inverse(nodes)
         back = weights @ legendre.legvander(nodes, nodes.size - 1)
         # a few roundings of the dot product's terms, each at most |W_j| as
         # |P_k| <= 1 on [-1, 1]
         assert np.abs(back - mu[: nodes.size]).max() <= 8.0 * np.finfo(float).eps * np.abs(weights).sum()
+
+
+    @pytest.mark.parametrize("branch", ["plateau", "decays", "flat"])
+    def test_end_piece_error_bounds_the_rule_error(self, branch):
+        # one level's two panels, [0, 0.5] below theta and [0.5, 1] around
+        # it (c = 0.37), with its weights chosen so that the rest f of the
+        # integrand is the same g(u) on both: a polynomial, whose
+        # coefficients end on their roundoff plateau; a pole 0.02 past the
+        # panel, where they fall by 0.45 every four; or 80 radians across
+        # the panel, where they do not fall.  The exact piece is the sum of
+        # 2 int g(c - s^2) ds over s from sqrt(max(c - 1, 0)) to sqrt(c + 1)
+        # on each panel, by mpmath at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        g = {
+            "plateau": lambda u: 1 + u - 3 * u**4 + u**9,
+            "decays": lambda u: 1 / (mpmath.mpf("1.02") - u),
+            "flat": lambda u: 2 + mpmath.cos(80 * u),
+        }[branch]
+        edges, upper, rho = np.array([0.0, 0.5, 1.0]), np.array([1]), np.array([0.5])
+        theta = np.array([0.75 + 0.37 * 0.25])
+        weights, exact = [], 0.0
+        with mpmath.workdps(30):
+            for low, high in zip(edges[:-1], edges[1:]):
+                half, centre = 0.5 * (high - low), 0.5 * (low + high)
+                t = centre + half * mesh._NODES
+                root = np.sqrt((theta[0] + t) * (1.0 - (rho[0] * t) ** 2))
+                rest = np.array([float(g(mpmath.mpf(float(u)))) for u in mesh._NODES])
+                weights.append(rest * root / (t * 2.0 * rho[0] * math.sqrt(half)))
+                c = mpmath.mpf(float(theta[0] - centre)) / mpmath.mpf(float(half))
+                ends = [mpmath.sqrt(max(c - 1, 0)), mpmath.sqrt(c + 1)]
+                exact += float(mpmath.quad(lambda s: 2 * g(c - s * s), ends))
+        roundoff = quadrature._ROUNDOFF
+        piece, error, absolute, product = mesh._endpoint_pieces(
+            theta, rho, edges, upper, np.concatenate(weights)[None, :], np.array([roundoff])
+        )[:, 0]
+        floor = roundoff * absolute + product
+        assert abs(piece - exact) <= max(error, floor)
+        if branch == "plateau":
+            assert error == 0.0
+        else:
+            # the error counts, and it is no roundoff
+            assert error > 1e3 * floor
 
 
 class TestFirstMesh:
@@ -219,8 +260,8 @@ class TestFirstMesh:
 
     def test_panels_hold_few_zeros(self, monkeypatch):
         # at (p_perp^2, m) = (1e4, 300) no panel of the first mesh holds
-        # more than five local minima of any level's weights, counted on a
-        # grid of 8,192 points in t
+        # more than seven local minima of any level's weights, counted on a
+        # grid of 8,192 points in t, and the densest holds six
         m = 300
         state = MagnetizedState(field=field_for_radial_energy(1e4, m), level=m)
         root_x, root_y = landau.level_edges(DecayChannel(m_parent=105.7), state)
@@ -243,4 +284,4 @@ class TestFirstMesh:
                 minima = np.flatnonzero((w[1:-1] < w[:-2]) & (w[1:-1] < w[2:])) + 1
                 panel = np.searchsorted(first[0], t[minima], side="right") - 1
                 most = max(most, np.bincount(panel).max(initial=0))
-        assert 4 <= most <= 5
+        assert 6 <= most <= 7

@@ -328,12 +328,26 @@ class TestQuadratureHonesty:
             # end pieces' interpolation carries
             (1e4, 300), (1e3, 76), (5e3, 120),
             (1e3, 5), (1e4, 30), (3e4, 65), (6e3, 0),
+            # on a first mesh of six zeros a panel, the end pieces' |K - G|
+            # fell short of far-tail levels' distance (1e-21 to 1e-29 of the
+            # width) to a rel_tol 1e-13 run on four, by up to 7.5e6 times at
+            # (1e3, 45) and 1.3e4 at (5e3, 80)
+            (1e3, 45), (5e3, 80), (1e4, 140), (1e4, 1000),
         ],
     )
     def test_shared_mesh_error_bounds_a_tight_run(self, monkeypatch, p_sq, m):
         # every point on the shared mesh, whatever its size
         monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
         assert_bounds_a_tight_run(magnetized(p_sq, m))
+
+    @pytest.mark.parametrize("p_sq,m", [(1e3, 80), (5e3, 80), (1e4, 300), (1e4, 1000)])
+    def test_shared_mesh_error_is_tight(self, p_sq, m):
+        # the shared-mesh points of the ROADMAP's Baseline: the end pieces'
+        # error from the decay of their Legendre coefficients leaves the
+        # width's estimate at its levels' roundoff, 6.4e-14 to 3.5e-13 of
+        # the width, where |K - G| put it at 3.6e-12 to 9.3e-12
+        result = decay_rate(MUON, magnetized(p_sq, m))
+        assert result.quad_error < 5e-13 * result.gamma_total
 
     @pytest.mark.parametrize(
         "p_sq,m",

@@ -429,6 +429,16 @@ class TestArrayRow:
             got = array_rows(m, np.array([x]), np.array([len(row) - 1]))
             assert got == {(0, n): w for n, w in enumerate(row)}, (m, x)
 
+    def test_zero_argument_is_the_least_subnormal(self):
+        # the one exception to the scalar row's bits: at x = 0 the scalar
+        # row is exactly 1 at n = m and 0 elsewhere, and the array row
+        # takes x as 5e-324
+        assert specfun._overlap_row(5, 0.0)[:8] == [0.0] * 5 + [1.0, 0.0, 0.0]
+        got = array_rows(5, np.array([0.0]), np.array([7]))
+        assert got[0, 5] == 0.9999999999999996
+        assert got[0, 4] == 2.5e-323 and got[0, 6] == 3e-323
+        assert got == array_rows(5, np.array([5e-324]), np.array([7]))
+
     @pytest.mark.parametrize("top", [0, 6, 7, 8, 14, 15])
     def test_level_counts_at_slab_edges(self, top):
         # 1, 7, 8, 9, 15 and 16 levels of a node that never passes its
