@@ -355,15 +355,16 @@ def _endpoint_pieces(theta, rho, edges, upper, pair_w, roundoff):
     coefficients a = V^-1 f (Gonnet, ACM TOMS 37(3), 2010), of which it
     forms the top eight.  With A and B the largest |a_k| over k = 53..56
     and 57..60, the coefficients past a_60 are taken to fall on as from A
-    to B, by r = B / A every four, and the error is 2 mu_0 B r / (1 - r):
-    mu_0, the integral of (c - u)^(-1/2), times twice the sum of that
-    tail.  Coefficients that fall by less than ``_DECAY`` do not resolve
-    f_n, and the error is then 4 mu_0 (A + B), at least mu_0 times the sum
-    of the eight.  A B within ``roundoff`` (a level's relative roundoff of
-    f_j) times the mean over the top four k of sum_j |V^-1_kj| f_j is the
-    coefficients' roundoff plateau: the interpolant has resolved f_n to
-    its roundoff, which the floors count, and the error is 0.  Takes at
-    most ``_PIECE_BATCH`` levels."""
+    to B, by r = B / A every four: the j-th block of four past a_60 is four
+    coefficients of B r^j, and the tail sums to 4 B r / (1 - r).  The error
+    is mu_0, the integral of (c - u)^(-1/2), times twice that sum, 8 mu_0 B
+    r / (1 - r).  Coefficients that fall by less than ``_DECAY`` do not
+    resolve f_n, and the error is then 4 mu_0 (A + B), at least mu_0 times
+    the sum of the eight.  A B within ``roundoff`` (a level's relative
+    roundoff of f_j) times the mean over the top four k of sum_j |V^-1_kj|
+    f_j is the coefficients' roundoff plateau: the interpolant has
+    resolved f_n to its roundoff, which the floors count, and the error is
+    0.  Takes at most ``_PIECE_BATCH`` levels."""
     width = _NODES.size
     # the lower and the upper panel: a lone first panel has no lower one
     p = np.stack((np.maximum(upper - 1, 0), upper), axis=1)
@@ -393,7 +394,7 @@ def _endpoint_pieces(theta, rho, edges, upper, pair_w, roundoff):
     with np.errstate(divide="ignore", invalid="ignore"):
         fall = tail / head
         # a head of 0 under a nonzero tail does not decay either
-        error = np.where(fall < _DECAY, 2.0 * tail * fall / (1.0 - fall), 4.0 * (head + tail))
+        error = np.where(fall < _DECAY, 2.0 * _TAIL * tail * fall / (1.0 - fall), _TAIL * (head + tail))
     error[tail <= roundoff.repeat(2) * top[:, -1]] = 0.0
     pieces[1] = (error * flat[:, 0]).reshape(-1, 2).sum(axis=1)
     return pieces

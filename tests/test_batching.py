@@ -356,12 +356,17 @@ class TestLevelSum:
         assert counted == {"points": 400_160, "steps": 83_768_006}
 
     def test_absolute_floor_moves_the_shared_mesh_width_within_its_error(self, monkeypatch):
-        # on the shared mesh a level below the absolute floor would split
-        # panels that every level shares; with the end pieces' error from
-        # the decay of their Legendre coefficients, the first mesh meets
-        # these levels' tolerances without the floor too, so the mesh and
-        # the width keep their bits
-        state = magnetized(3e4, 72)
+        # on the shared mesh a level below the absolute floor splits panels
+        # that every level shares: without the floor the mesh grows, and
+        # the width moves by less than its own error estimate.  The
+        # production first mesh meets these levels' tolerances without the
+        # floor too, so the test coarsens it: at 24 zeros a panel and a
+        # tenth of the panel floor the far-tail levels take the mesh from
+        # 24 panels to 34 without the floor
+        state = magnetized(1e4, 140)
+        initial = mesh._initial_panels
+        monkeypatch.setattr(mesh, "_ZEROS_PER_PANEL", 24)
+        monkeypatch.setattr(mesh, "_initial_panels", lambda m, levels: initial(m, levels) // 10)
         monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
         counted = count_shared_work(monkeypatch)
         floored = decay_rate(MUON, state)
@@ -369,8 +374,7 @@ class TestLevelSum:
         monkeypatch.setattr(rate, "_LEVEL_ABS_FLOOR", 0.0)
         bare = decay_rate(MUON, state)
         assert abs(bare.gamma_total - floored.gamma_total) <= floored.quad_error
-        assert counted["panels"] == floored_panels
-        assert result_bits(bare) == result_bits(floored)
+        assert counted["panels"] > floored_panels
 
     @pytest.mark.parametrize(
         "p_perp_sq,m,rel_tol,work",
@@ -429,8 +433,8 @@ class TestLevelSum:
         # that misses its tolerance on that mesh is reported, with its
         # partial value.  The production first mesh meets every tolerance
         # here, down to its levels' roundoff, so the test coarsens it: 12
-        # zeros a panel and half the panel floor meet rel_tol 1e-7 there,
-        # and 1e-9 not.  The 1e-7 run keeps the first mesh, so its levels
+        # zeros a panel and half the panel floor meet rel_tol 1e-6 there,
+        # and 1e-9 not.  The 1e-6 run keeps the first mesh, so its levels
         # are their values and estimates there; the lowest whose estimate
         # passes max(1e-9 value, absolute floor) is past its own floor too,
         # so it misses
@@ -439,7 +443,7 @@ class TestLevelSum:
         monkeypatch.setattr(mesh, "_ZEROS_PER_PANEL", 12)
         monkeypatch.setattr(mesh, "_initial_panels", lambda m, levels: initial(m, levels) // 2)
         counted = count_shared_work(monkeypatch)
-        first = decay_rate(MUON, state, rel_tol=1e-7)
+        first = decay_rate(MUON, state, rel_tol=1e-6)
         assert counted["rounds"] == 1
         floor = rate._LEVEL_ABS_FLOOR * 1e-9 * first.gamma_free_boosted
         lowest = next(c for c in first.level_contributions if c.quad_error > max(1e-9 * c.rate, floor))

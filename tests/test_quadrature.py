@@ -204,20 +204,22 @@ class TestProductWeights:
         assert np.abs(back - mu[: nodes.size]).max() <= 8.0 * np.finfo(float).eps * np.abs(weights).sum()
 
 
-    @pytest.mark.parametrize("branch", ["plateau", "decays", "flat"])
+    @pytest.mark.parametrize("branch", ["plateau", "decays", "slow", "flat"])
     def test_end_piece_error_bounds_the_rule_error(self, branch):
         # one level's two panels, [0, 0.5] below theta and [0.5, 1] around
         # it (c = 0.37), with its weights chosen so that the rest f of the
         # integrand is the same g(u) on both: a polynomial, whose
         # coefficients end on their roundoff plateau; a pole 0.02 past the
-        # panel, where they fall by 0.45 every four; or 80 radians across
-        # the panel, where they do not fall.  The exact piece is the sum of
-        # 2 int g(c - s^2) ds over s from sqrt(max(c - 1, 0)) to sqrt(c + 1)
-        # on each panel, by mpmath at 30 digits
+        # panel, where their largest falls by 0.47 every four; one 0.0175
+        # past it, where it falls by 0.49, just under _DECAY; or 80 radians
+        # across the panel, where they do not fall.  The exact piece is the
+        # sum of 2 int g(c - s^2) ds over s from sqrt(max(c - 1, 0)) to
+        # sqrt(c + 1) on each panel, by mpmath at 30 digits
         mpmath = pytest.importorskip("mpmath")
         g = {
             "plateau": lambda u: 1 + u - 3 * u**4 + u**9,
             "decays": lambda u: 1 / (mpmath.mpf("1.02") - u),
+            "slow": lambda u: 1 / (mpmath.mpf("1.0175") - u),
             "flat": lambda u: 2 + mpmath.cos(80 * u),
         }[branch]
         edges, upper, rho = np.array([0.0, 0.5, 1.0]), np.array([1]), np.array([0.5])
