@@ -34,8 +34,9 @@ from . import quadrature
 from .specfun import _LEVEL_BATCH, ROW_ABS_ERROR, overlap_rows
 
 
-# panels the shared mesh may hold before the level sum is given up
-_MAX_PANELS = 2000
+# panels the shared mesh may hold before the level sum is given up: the one
+# budget of both level-sum schemes
+_MAX_PANELS = quadrature._MAX_PANELS
 # edges the first mesh puts at the ends of the levels inside its first panel
 _FIRST_PANEL_ENDS = 8
 # zeros of the densest level that a panel of the first mesh may hold: at 6

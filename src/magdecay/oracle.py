@@ -1,8 +1,7 @@
 """Brute-force verification of the closed-form overlap weight.
 
 The production rate engine never integrates wavefunctions; it uses the
-compact expression w(n, m, X) of ``specfun.overlap_rows``.  This
-module recomputes the underlying object the slow way: the transverse
+compact expression w(n, m, X) of ``specfun``.  This module recomputes the underlying object the slow way: the transverse
 overlap amplitude
 
     A = int drho exp(-i q rho) psi_m(rho) psi_n(rho + delta)
@@ -16,13 +15,15 @@ modulus must equal
 
 for every parameter set.  This is a reference path, not a production
 path: the amplitude uses neither the adaptive quadrature nor the overlap
-recurrence of production.
+recurrence of production.  The closed form is production's own level
+kernel, ``specfun.overlap_weight_rows``, which takes every level sum
+below the shared mesh's threshold.
 
 Both sides take arrays, one entry per trial, and evaluate all trials
 together: :func:`transverse_overlap_sq` runs one oscillator recurrence
 that gives both modes of every trial at every node, and
-:func:`closed_form_overlap_sq` runs one ``overlap_rows`` row across levels
-over all trials.  Each trial gets the bits it gets in an array of its
+:func:`closed_form_overlap_sq` runs one kernel call, a row for each trial
+at its own (n, m).  Each trial gets the bits it gets in an array of its
 own, so :func:`verify_closed_form` draws its trials in blocks of
 ``_TRIAL_BLOCK``, in one seeded stream, and hands each block over at
 once: its memory does not grow with the number of trials.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landau
-from .specfun import overlap_rows
+from .specfun import overlap_weight_rows
 
 __all__ = ["VERIFY_INDEX_MAX", "OverlapVerification", "verify_closed_form"]
 
@@ -125,21 +126,15 @@ _RULE_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 def closed_form_overlap_sq(n: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The compact predictions w(n_i, m_i, x_i) of the trials.
 
-    One ``overlap_rows`` call, every trial a node that runs up to its level
-    and keeps the weight there.  w is symmetric in (n, m), and with the
-    larger index as the parent every trial's level is at or below the row's
-    turning point, so no trial needs Miller's backward run.  The nodes go by
-    level, descending.  A node gets the bits of its own row, so a trial gets
-    the bits it gets as an array of one.
+    One call of the level kernel, every trial a row at its own (n, m), the
+    rows in the kernel's order, min(n, m) ascending.  A row gets the bits
+    it gets alone, so a trial gets the bits it gets as an array of one.
+    The kernel caps x at ``specfun.MAX_OVERLAP_ARGUMENT``, far above the
+    arguments that :func:`verify_closed_form` draws.
     """
-    low, high = np.minimum(n, m), np.maximum(n, m)
-    order = np.argsort(-low, kind="stable")
-    low = low[order]
-    weight = np.empty(low.size)
-    for n0, slab, _ in overlap_rows(high[order], x[order], low):
-        # the trials whose level is one of the slab's: a run of them
-        begin, end = np.searchsorted(-low, (-n0 - slab.shape[0], -n0), side="right").tolist()
-        weight[order[begin:end]] = slab[low[begin:end] - n0, np.arange(begin, end)]
+    order = np.argsort(np.minimum(n, m), kind="stable")
+    weight = np.empty(order.size)
+    weight[order] = overlap_weight_rows(n[order], m[order], x[order])
     return weight
 
 

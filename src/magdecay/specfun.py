@@ -30,9 +30,9 @@ factors kept inside the float range, so a weight is 0 only when it is below
 the float range, at any argument: there is no cap on x.
 
 :func:`_overlap_row` runs one row in Python floats, for the completeness
-sum.  :func:`overlap_rows` runs the same recurrence over an array of nodes,
-each with its own m, turning point, Miller start and exponents, with numpy
-across the nodes and the Python loop over n; it gives the bits of
+sum.  :func:`overlap_rows` runs the same recurrence at one m over an array
+of nodes, each with its own turning point, Miller start and exponents, with
+numpy across the nodes and the Python loop over n; it gives the bits of
 :func:`_overlap_row` at every node.  Miller's part runs first, each node
 stepped down from its own start, and keeps only the iterates that become
 weights, node by node.  The forward run then hands the weights over in
@@ -45,8 +45,9 @@ parts scaled into weights, and the slab takes the Miller weights of its
 levels.
 
 :func:`overlap_weight_rows`, the level kernel, takes w one level at a time
-instead, for the level sum's per-level quadrature in k_z, where a point
-needs only its own level: it runs the monic Laguerre recurrence in
+instead, each row at its own (n, m), for the level sum's per-level
+quadrature in k_z, where a point needs only its own level, and for the
+oracle's closed form: it runs the monic Laguerre recurrence in
 k = min(n, m), min(n, m) steps a point, from a seed formed in the log
 domain, which leaves the float range past x = 1400 and, at large |n - m|
 and x, underflows where the weight does not (0 at (5800, 2000, 1000),
@@ -56,6 +57,7 @@ where w = 7.8e-4); the level sum uses it only well inside that range.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -153,8 +155,8 @@ def _row_levels(m: int, x: float) -> tuple[int, int, int]:
     return turn, last, max(n, last + 1)
 
 
-def _row_levels_array(m, x, turn):
-    """Miller's start of :func:`_row_levels` at every node."""
+def _row_levels_array(m: int, x, turn):
+    """Miller's start of :func:`_row_levels` at every node of one m."""
     n = turn + 1
     bound = np.ones(x.size)
     quiet = np.full(x.size, -1, dtype=np.int64)
@@ -165,7 +167,7 @@ def _row_levels_array(m, x, turn):
         fresh = (quiet[pending] < 0) & (bound[pending] < _QUIET)
         quiet[pending[fresh]] = now[fresh]
         bound[pending] *= _decay_stride(
-            now, m[pending], x[pending], (np.sqrt, np.minimum, np.maximum)
+            now, m, x[pending], (np.sqrt, np.minimum, np.maximum)
         )
         n[pending] = now + _STRIDE
         below = bound[pending] < _MILLER
@@ -175,29 +177,36 @@ def _row_levels_array(m, x, turn):
     return np.maximum(start, np.maximum(quiet + 7, (m + x).astype(np.int64) + 1) + 1)
 
 
-def overlap_weight_rows(n, m: int, x) -> np.ndarray:
-    """w(n_i, m, x_i) for a 1-D array of levels ``n`` and one row of ``x`` per level.
+def overlap_weight_rows(n, m, x) -> np.ndarray:
+    """w(n_i, m_i, x_i) for a 1-D array of levels ``n`` and one row of ``x`` per level.
 
+    ``m`` is one parent level for every row or a 1-D array of one per row.
     A 1-D ``x`` holds one point per row; a 2-D ``x`` holds a row of points
     at level n_i in its row i, and the result has the shape of ``x``.
     Every point gets the bits it gets as a one-point row of its own, in any
-    batch.  The rows must come in ascending order of k = min(n_i, m): they
-    run through the recurrence together, so the rows still stepping at step
-    j are a shrinking suffix of the work arrays and no step is spent on a
-    finished row.  Values are clipped to the exact bound w <= 1, which the
-    recurrence can overshoot by an ulp near coincidence.
+    batch.  The rows must come in ascending order of k = min(n_i, m_i):
+    they run through the recurrence together, so the rows still stepping
+    at step j are a shrinking suffix of the work arrays and no step is
+    spent on a finished row.  Values are clipped to the exact bound
+    w <= 1, which the recurrence can overshoot by an ulp near coincidence.
     """
     n = np.asarray(n, dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64)
     x = np.asarray(x, dtype=float)
-    if n.ndim != 1 or x.ndim not in (1, 2) or x.shape[0] != n.size:
+    if n.ndim != 1 or m.shape not in ((), n.shape) or x.ndim not in (1, 2) or x.shape[0] != n.size:
         raise ValueError(
-            f"n must be 1-D and x 1-D or 2-D with one row per level, got {n.shape} and {x.shape}"
+            "n must be 1-D, m one level or one per level, and x 1-D or 2-D with one row "
+            f"per level, got {n.shape}, {m.shape} and {x.shape}"
         )
     if not x.size:
         return np.zeros(x.shape)
-    if m < 0 or np.minimum.reduce(n) < 0:
-        raise ValueError(f"indices must be nonnegative, got m={m}")
-    if m > MAX_OVERLAP_INDEX or np.maximum.reduce(n) > MAX_OVERLAP_INDEX:
+    # k + d is max(n, m), and k ascending starts at the least index of all
+    k, d = np.minimum(n, m), np.abs(n - m)
+    if (k[1:] < k[:-1]).any():
+        raise ValueError("rows must be in ascending order of min(n, m)")
+    if k[0] < 0:
+        raise ValueError("indices must be nonnegative")
+    if np.maximum.reduce(k + d) > MAX_OVERLAP_INDEX:
         raise ValueError(f"indices above cap {MAX_OVERLAP_INDEX}")
     lowest = np.minimum.reduce(x, axis=None)
     if math.isnan(lowest):
@@ -207,10 +216,7 @@ def overlap_weight_rows(n, m: int, x) -> np.ndarray:
     if np.fmax.reduce(x, axis=None) > MAX_OVERLAP_ARGUMENT:
         raise ValueError(f"argument above cap {MAX_OVERLAP_ARGUMENT}")
 
-    k = np.minimum(n, m)
-    if (k[1:] < k[:-1]).any():
-        raise ValueError(f"rows must be in ascending order of min(n, m) with m={m}")
-    phi = _phi_ascending(k, np.abs(n - m), x.reshape(n.size, -1))
+    phi = _phi_ascending(k, d, x.reshape(n.size, -1))
     return np.minimum(phi * phi, 1.0).reshape(x.shape)
 
 
@@ -386,11 +392,11 @@ def _rescale(cur, other, scale2) -> None:
         scale2[big] += 2 * shift
 
 
-def overlap_rows(m, x, top):
-    """Stream w(n, m_i, x_i) for n = 0 .. top_i at every node i, a slab of levels at a time.
+def overlap_rows(m: int, x, top):
+    """Stream w(n, m, x_i) for n = 0 .. top_i at every node i, a slab of levels at a time.
 
-    ``m`` is one level or an array of them, ``x`` a 1-D array of arguments
-    and ``top`` the last level each node needs.  The generator yields
+    ``m`` is the one parent level of all nodes, ``x`` a 1-D array of
+    arguments and ``top`` the last level each node needs.  The generator yields
     ``(n0, slab, first)``: row k of ``slab``, a ``(rows, nodes)`` array of
     at most ``_LEVEL_BATCH`` rows, holds the weights of level n0 + k at the
     nodes whose top is at least n0 + k, a leading run of them (its entries
@@ -412,9 +418,9 @@ def overlap_rows(m, x, top):
     (the mesh's nodes are inside their panels).
 
     ``top`` must not increase along the nodes, and the nodes whose top is
-    past their turning point must come first, by turning point ascending,
-    as in the level sum's layout (one m, x ascending) or in a sort by top,
-    descending, where no top is past its turning point; any other layout
+    past their turning point must come first, by turning point ascending:
+    at one m the turning point grows with x, so the level sum's layout, x
+    ascending and tops not increasing, meets the rule; any other layout
     raises :class:`ValueError`.  Miller's part runs first
     (:func:`_miller_tail`).  The loop over levels then only steps the
     forward nodes, from the first whose turning point is at least n to the
@@ -424,22 +430,20 @@ def overlap_rows(m, x, top):
     factor that takes (B_turn, B_turn+1) onto (D_turn, D_turn+1), and the
     slab takes the Miller weights of its levels from the store.
     """
+    # a Python int, so that n - m is one exact int
+    m = operator.index(m)
     x = np.maximum(np.asarray(x, dtype=float), _TINY)
     top = np.asarray(top, dtype=np.int64)
-    m = np.broadcast_to(np.asarray(m, dtype=np.int64), x.shape)
     if x.ndim != 1 or top.shape != x.shape:
         raise ValueError(f"x and top must be 1-D of one length, got {x.shape} and {top.shape}")
     if not np.isfinite(x).all():
         raise ValueError("argument must be finite")
-    if x.size and (min(m.min(), top.min()) < 0 or m.max() > MAX_OVERLAP_INDEX):
+    if not 0 <= m <= MAX_OVERLAP_INDEX or (x.size and top.min() < 0):
         raise ValueError(f"indices must be in [0, {MAX_OVERLAP_INDEX}]")
     if not x.size:
         return
-    # one parent level is a Python int, so that n - m is one exact int
-    uniform = bool((m == m[0]).all())
-    level = int(m[0]) if uniform else m
     root_x = np.sqrt(x)
-    root_sum = np.sqrt(m) + root_x
+    root_sum = math.sqrt(m) + root_x
     turn = (root_sum * root_sum).astype(np.int64)
     tails = int(np.count_nonzero(top > turn))
     ordered = (np.diff(top) <= 0).all() and (np.diff(turn[:tails]) >= 0).all()
@@ -452,7 +456,7 @@ def overlap_rows(m, x, top):
     # point is not stepped again, so D_turn and D_turn+1 stay there.  The
     # seed's blocks of factors are freed before Miller's store is made
     ring = np.zeros((3, x.size))
-    ring[0], scale2 = _seed(m, x, uniform)
+    ring[0], scale2 = _seed(m, x)
     # the last level with a weight at any node: the forward nodes' tops, and
     # at the nodes past their turning points the top or the level before
     # Miller's start, whichever comes first
@@ -460,7 +464,7 @@ def overlap_rows(m, x, top):
     if tails:
         tail = slice(0, tails)
         (store, store_scale2), begin, kept, back, back_scale2, reach = _miller_tail(
-            level if uniform else level[tail], uniform, x[tail], root_x[tail], top[tail], turn[tail]
+            m, x[tail], root_x[tail], top[tail], turn[tail]
         )
         last = max(last, int(kept.max()))
         # node i's B_n is store[slot[i] + n]
@@ -477,7 +481,7 @@ def overlap_rows(m, x, top):
         # are forward or past their tops
         live_at = np.searchsorted(reach, levels, side="right").tolist()
         end_at = np.minimum(lo_at, hi_at).tolist()
-    every = _rescale_interval(root_x, int(top[0]) + int(m.max()))
+    every = _rescale_interval(root_x, int(top[0]) + m)
 
     slab = np.zeros((_LEVEL_BATCH, x.size))
     # the rows of both as views, made once
@@ -495,7 +499,7 @@ def overlap_rows(m, x, top):
             np.ldexp(np.multiply(c, c, out=w), exponent, out=w)
             r = root_next[lo:hi]
             np.multiply(root_x[lo:hi], math.sqrt(n + 1), out=r)
-            np.add(n - (level if uniform else level[lo:hi]), x[lo:hi], out=new)
+            np.add(n - m, x[lo:hi], out=new)
             new *= c
             prev *= root[lo:hi]
             new -= prev
@@ -537,9 +541,9 @@ def overlap_rows(m, x, top):
         yield n0, slab[:rows], first
 
 
-def _miller_tail(level, uniform, x, root_x, top, turn):
-    """Miller's backward run at nodes past their turning points, which come
-    by turning point ascending.
+def _miller_tail(m: int, x, root_x, top, turn):
+    """Miller's backward run at nodes of one m past their turning points,
+    which come by turning point ascending.
 
     Each node's run goes from its start down to its turning point, as in
     :func:`_overlap_row`: at step k a node is at level start - k.  The
@@ -558,7 +562,6 @@ def _miller_tail(level, uniform, x, root_x, top, turn):
     and their doubled exponent at every node, and the running maximum of
     the nodes' starts.
     """
-    m = np.broadcast_to(np.asarray(level, dtype=np.int64), x.shape)
     start = _row_levels_array(m, x, turn)
     kept = np.minimum(top, start - 1)
     begin = np.concatenate(([0], np.cumsum(kept - turn)))
@@ -573,7 +576,6 @@ def _miller_tail(level, uniform, x, root_x, top, turn):
     # each node's level as a float, exact, and the place of its B there
     # less the step, which is at most that of its last kept level
     n = start[order].astype(float)
-    parent = level if uniform else m[order].astype(float)
     place = (begin[:-1] - turn - 1)[order]
     place, last_place = place + start[order], place + kept[order]
     held = np.empty(order.size, dtype=np.int64)
@@ -585,7 +587,7 @@ def _miller_tail(level, uniform, x, root_x, top, turn):
     rows = list(ring)
     scale2 = np.zeros(order.size, dtype=np.int32)
     root, root_next = np.zeros((2, order.size))
-    every = _rescale_interval(root_x, int(start.max()) + int(m.max()))
+    every = _rescale_interval(root_x, int(start.max()) + m)
     for k in range(steps):
         run = running[k]
         low, high, new = rows[k % 3][:run], rows[(k - 1) % 3][:run], rows[(k + 1) % 3][:run]
@@ -593,7 +595,7 @@ def _miller_tail(level, uniform, x, root_x, top, turn):
         store[0][at], store[1][at] = low, scale2[:run]
         r = root_next[:run]
         np.multiply(root_x[:run], np.sqrt(n[:run], out=r), out=r)
-        np.subtract(n[:run], parent if uniform else parent[:run], out=new)
+        np.subtract(n[:run], m, out=new)
         new += x[:run]
         new *= low
         high *= root[:run]
@@ -623,9 +625,9 @@ def _rescale_interval(root_x, levels: int) -> int:
     return max(1, int(100.0 / math.log2(growth)))
 
 
-def _seed(m, x, uniform):
-    """D_0 at every node as _overlap_row makes it: a mantissa and twice its
-    binary exponent (int32).
+def _seed(m: int, x):
+    """D_0 at every node of one m as _overlap_row makes it: a mantissa and
+    twice its binary exponent (int32).
 
     The factors sqrt(x / k) are multiplied in blocks, in the order of
     _overlap_row, and the products rescaled after each block: a block is
@@ -636,19 +638,16 @@ def _seed(m, x, uniform):
     lifted = np.ldexp(x, (2 * lift).astype(np.int32))
     cur, scale = _exp_neg(0.5 * x)
     scale -= lift * m
-    top = int(m.max())
-    if top:
+    if m:
         # a factor is at most 2^|spread| from 1, so a block of `size`
         # factors moves a product inside (2^-400, 2^400) by under 2^500
-        spread = max(abs(math.log2(lifted.max())), abs(math.log2(lifted.min() / top))) / 2
+        spread = max(abs(math.log2(lifted.max())), abs(math.log2(lifted.min() / m))) / 2
         size = max(1, min(_SEED_BLOCK, int(500.0 / max(spread, 1.0))))
         factors = np.empty((size, x.size))
-        for k0 in range(1, top + 1, size):
-            k = np.arange(k0, min(k0 + size, top + 1), dtype=float)
+        for k0 in range(1, m + 1, size):
+            k = np.arange(k0, min(k0 + size, m + 1), dtype=float)
             block = factors[: k.size]
             np.sqrt(np.divide(lifted, k[:, None], out=block), out=block)
-            if not uniform:
-                block[k[:, None] > m] = 1.0
             block[0] *= cur
             np.multiply.reduce(block, axis=0, out=cur)
             # the products are positive

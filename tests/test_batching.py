@@ -46,7 +46,7 @@ def miller_weights(m, x, top):
     its turning point, below Miller's start."""
     turn = turning_points(m, x)
     tail = top > turn
-    start = specfun._row_levels_array(np.full(tail.sum(), m), x[tail], turn[tail])
+    start = specfun._row_levels_array(m, x[tail], turn[tail])
     return int((np.minimum(top[tail], start - 1) - turn[tail]).sum())
 
 
@@ -127,6 +127,25 @@ class TestRowKernel:
             ]
             assert np.array_equal(np.concatenate(parts), whole)
 
+    def test_each_row_at_its_own_parent_level(self):
+        # a parent level per row, as the oracle's closed form hands over its
+        # trials, with coincident rows, lowest levels and x = 0 among them:
+        # each row, of 61 points or of one, has the bits of its own call
+        rng = np.random.default_rng(29)
+        n, m = rng.integers(0, 150, size=(2, 60))
+        n[:5] = m[:5]
+        m[5:10] = 0
+        order = np.argsort(np.minimum(n, m), kind="stable")
+        n, m = n[order], m[order]
+        x = rng.uniform(0.0, 300.0, size=(60, 61)) * rng.choice([1.0, 1e-3], size=(60, 1))
+        x[::5, ::7] = 0.0
+        w = specfun.overlap_weight_rows(n, m, x)
+        for i in range(60):
+            alone = specfun.overlap_weight_rows(n[i : i + 1], int(m[i]), x[i : i + 1])
+            assert np.array_equal(w[i], alone[0]), (n[i], m[i])
+        flat = specfun.overlap_weight_rows(n, m, x[:, 3])
+        assert flat.tolist() == [one_row(*point) for point in zip(n.tolist(), m.tolist(), x[:, 3].tolist())]
+
     def test_empty_batch(self):
         assert specfun.overlap_weight_rows([], 3, []).shape == (0,)
         assert specfun.overlap_weight_rows([], 3, np.zeros((0, 61))).shape == (0, 61)
@@ -148,6 +167,17 @@ class TestRowKernel:
         with pytest.raises(ValueError, match="ascending order"):
             specfun.overlap_weight_rows([2, 1], 3, [0.5, 0.5])
         assert specfun.overlap_weight_rows([5, 4, 3], 3, [0.5, 0.5, 0.5]).shape == (3,)
+        # a parent level per row: one for each, nonnegative, and min(n, m)
+        # ascending along them
+        with pytest.raises(ValueError, match="one per level"):
+            specfun.overlap_weight_rows([1, 2], [3, 4, 5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="nonnegative"):
+            specfun.overlap_weight_rows([1, 2], [-1, 3], [0.5, 0.5])
+        with pytest.raises(ValueError, match="above cap"):
+            specfun.overlap_weight_rows([1, 2], [3, specfun.MAX_OVERLAP_INDEX + 1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="ascending order"):
+            specfun.overlap_weight_rows([5, 5], [4, 2], [0.5, 0.5])
+        assert specfun.overlap_weight_rows([5, 5], [2, 4], [0.5, 0.5]).shape == (2,)
 
     @pytest.mark.parametrize("m,x", [(10, 3.0), (40, 25.0), (120, 60.0), (0, 100.0)])
     def test_completeness_sum_matches_term_by_term(self, m, x):
@@ -416,7 +446,7 @@ class TestLevelSum:
         weights = miller_weights(m, x, top)
         turn = turning_points(m, x)
         tail = top > turn
-        store = specfun._miller_tail(m, True, x[tail], np.sqrt(x[tail]), top[tail], turn[tail])[0]
+        store = specfun._miller_tail(m, x[tail], np.sqrt(x[tail]), top[tail], turn[tail])[0]
         assert weights <= store[0].size <= 1.01 * weights
         # a pass holds the store, 12 B a weight, and about 18 work arrays of
         # 8 B a node, eight of them the slab of levels it hands over,

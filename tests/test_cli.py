@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import magdecay
-from magdecay import cli, landau, quadrature, rate
+from magdecay import cli, landau, quadrature, rate, specfun
 
 RATE_HEADER = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,"
@@ -42,13 +42,13 @@ GOLDEN_RATE_1E4_30 = (
 )
 GOLDEN_VERIFY_3_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,1.8445480555117689e-14,9.9999999999999995e-07\n"
+    "overlap_closed_form,true,max_rel_err,2.9472670017416634e-14,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
     "overlap_completeness,true,max_abs_dev,6.8833827526759706e-15,1e-10\n"
 )
 GOLDEN_VERIFY_100_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,2.4819516640127878e-14,9.9999999999999995e-07\n"
+    "overlap_closed_form,true,max_rel_err,2.9472670017416634e-14,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
     "overlap_completeness,true,max_abs_dev,6.8833827526759706e-15,1e-10\n"
 )
@@ -60,7 +60,7 @@ GOLDEN_TABLE_JSON = (
     '{"p_perp2_MeV2":1000.0,"m":5,"ratio":1.000026039656473,"radius_m":6.864029720541441e-14,"acceleration_m_s2":1.075679331546185e+29,"lambda_dB_m":3.920724608013635e-14,"B_gauss":1.536737284032355e+16}\n'
 )
 GOLDEN_VERIFY_3_0_JSON = (
-    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":1.844548055511769e-14,"threshold":1e-06}\n'
+    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":2.9472670017416634e-14,"threshold":1e-06}\n'
     '{"check":"lowest_level_equivalence","passed":true,"metric":"max_rel_err","value":2.9144446318191227e-16,"threshold":1e-07}\n'
     '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":6.8833827526759706e-15,"threshold":1e-10}\n'
 )
@@ -464,6 +464,20 @@ class TestVerify:
             "overlap_closed_form", "lowest_level_equivalence", "overlap_completeness",
         ]
         assert all(r["passed"] == "true" for r in rows)
+
+    def test_closed_form_steps_the_level_kernel(self, capsys, monkeypatch):
+        # the closed form runs on the level kernel that the level sum runs,
+        # past its seed: the largest k = min(n, m) its recurrence gets
+        highest = []
+        phi_ascending = specfun._phi_ascending
+
+        def record(k, d, x):
+            highest.append(int(k.max()))
+            return phi_ascending(k, d, x)
+
+        monkeypatch.setattr(specfun, "_phi_ascending", record)
+        code, _, _ = run(capsys, "verify", "--trials", "10", "--seed", "11")
+        assert code == 0 and max(highest) >= 1
 
     def test_report_bytes_reproducible(self, capsys):
         _, first, _ = run(capsys, "verify", "--trials", "8", "--seed", "5")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magdecay import oracle, specfun
+from magdecay import specfun
 from reference_paths import (
     EPS,
     MAX_HERMITE_ORDER,
@@ -418,7 +418,7 @@ ARRAY_POINTS += ROW_POINTS + [(10000, 7000.0), (0, 5000.0), (3000, 2000.0), (580
 
 
 class TestArrayRow:
-    """The row across levels over an array of nodes, each with its own m."""
+    """The row across levels at one m over an array of nodes."""
 
     def test_bits_of_the_scalar_row(self):
         # every point as a node of its own that runs to the last level of
@@ -507,22 +507,6 @@ class TestArrayRow:
             assert node_weights(got, i, top[i]) == one
         assert node_weights(got, 0, 40) == alone
 
-    def test_the_oracle_layout(self):
-        # a parent level each and the tops by level, descending, none past
-        # its turning point, over several slabs: every weight at a node's
-        # top is the scalar row's there, and the oracle's closed form reads
-        # it from the slab
-        rng = np.random.default_rng(27)
-        n, m = rng.integers(0, 41, size=60), rng.integers(0, 41, size=60)
-        x = rng.uniform(0.0, 50.0, size=60)
-        low, high = np.minimum(n, m), np.maximum(n, m)
-        order = np.argsort(-low, kind="stable")
-        got = array_rows(high[order], x[order], low[order])
-        assert len(slab_sizes(high[order], x[order], low[order])) == int(low.max()) // 8 + 1
-        expected = [specfun._overlap_row(int(high[i]), float(x[i]))[low[i]] for i in range(60)]
-        assert [got[j, int(low[i])] for j, i in enumerate(order)] == [expected[i] for i in order]
-        assert oracle.closed_form_overlap_sq(n, m, x).tolist() == expected
-
     def test_rejects_a_layout_whose_window_would_skip_nodes(self):
         x = np.array([10.0, 10.0, 10.0])
         # tops that increase along the nodes
@@ -533,7 +517,7 @@ class TestArrayRow:
         for args, top in (([20.0, 10.0], [30, 30]), ([20.0, 5.0], [15, 10])):
             with pytest.raises(ValueError, match="turning point ascending"):
                 list(specfun.overlap_rows(0, np.array(args), np.array(top)))
-        # tops descending, none past its turning point, as the oracle's
+        # tops descending, none past its turning point
         assert len(array_rows(0, x, np.array([5, 5, 1]))) == 6 + 6 + 2
 
     @pytest.mark.parametrize("m", [0, 7, 300])
@@ -575,23 +559,6 @@ class TestArrayRow:
         assert last == max(stops) < top[0]
         assert any(w != 0.0 for (_, n), w in got.items() if n == last)
 
-    def test_nodes_with_their_own_parent_levels(self):
-        # a level each, the nodes past their turning points first, by
-        # turning point ascending, with tops above them all; then the rest,
-        # by top descending: each node's levels are those of its own call
-        rng = np.random.default_rng(5)
-        m = rng.integers(0, 60, size=30)
-        x = rng.uniform(0.0, 120.0, size=30)
-        turn = ((np.sqrt(m) + np.sqrt(x)) ** 2).astype(int)
-        order = np.argsort(turn)
-        tails, rest = order[:12], order[12:][np.argsort(-turn[order[12:]], kind="stable")]
-        m, x = m[np.r_[tails, rest]], x[np.r_[tails, rest]]
-        top = np.r_[turn[tails].max() + 150 - np.arange(12), turn[rest] // 2]
-        got = array_rows(m, x, top)
-        for i in range(30):
-            alone = array_rows(m[i], x[i : i + 1], top[i : i + 1])
-            assert node_weights(got, i, top[i]) == node_weights(alone, 0, top[i])
-
     @pytest.mark.parametrize("m,x", [(10000, 7000.0), (0, 5000.0), (3000, 2000.0)])
     def test_mean_and_variance_past_the_kernel_cap(self, m, x):
         # the array row has the scalar row's bits (above), so the scalar
@@ -621,7 +588,7 @@ class TestArrayRow:
     )
     def test_weights_against_mpmath(self, n, m, x):
         mpmath = pytest.importorskip("mpmath")
-        w = array_rows(np.array([m]), np.array([x]), np.array([n]))[0, n]
+        w = array_rows(m, np.array([x]), np.array([n]))[0, n]
         exact = mpmath_overlap(n, m, x, mpmath)
         turn, last, start = specfun._row_levels(m, x)
         steps = m + max(start, n) + 1
@@ -630,7 +597,7 @@ class TestArrayRow:
         assert abs(w - exact) <= tol, (w, exact)
 
     def test_weight_past_the_seed_underflow(self):
-        w = array_rows(np.array([2000]), np.array([1000.0]), np.array([5800]))[0, 5800]
+        w = array_rows(2000, np.array([1000.0]), np.array([5800]))[0, 5800]
         assert w == pytest.approx(7.83e-4, rel=1e-3)
         # the level kernel, kept for the per-level sum, still loses it
         assert row_weight(5800, 2000, 1000.0) == 0.0
@@ -642,6 +609,9 @@ class TestArrayRow:
             list(specfun.overlap_rows(3, np.array([math.nan]), np.array([1])))
         with pytest.raises(ValueError, match="indices"):
             list(specfun.overlap_rows(-1, np.array([1.0]), np.array([1])))
+        # one parent level for all nodes, an integer
+        with pytest.raises(TypeError):
+            list(specfun.overlap_rows(np.array([3, 4]), np.ones(2), np.ones(2, dtype=int)))
         assert list(specfun.overlap_rows(3, np.empty(0), np.empty(0, dtype=int))) == []
 
 
