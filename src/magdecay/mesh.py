@@ -250,7 +250,11 @@ def _initial_panels(m: int, levels: int) -> int:
     2 / sqrt(m) apart in sqrt(x), and sqrt(X_0) is about sqrt(levels):
     about sqrt(m levels) / 2 bumps over the mesh, of which a panel takes
     six (the fewest node-levels over the points measured on a uniform
-    mesh)."""
+    mesh).  A floor scaled by 0.3 takes 22-25% of the panels away at
+    (1e4, 300), (1e3, 71), (5e3, 80) and (1e4, 1000), each still one
+    round, but not the time: a pass costs about the same whatever its
+    panels, and in alternated pairs (12 a point, twice) the median moved
+    by -7% to +2%, faster in 5-11 of 12 pairs."""
     return 4 + math.isqrt(m * levels) // 12
 
 

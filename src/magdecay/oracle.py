@@ -24,14 +24,15 @@ together: :func:`transverse_overlap_sq` runs one oscillator recurrence
 that gives both modes of every trial at every node, and
 :func:`closed_form_overlap_sq` runs one kernel call, a row for each trial
 at its own (n, m).  Each trial gets the bits it gets in an array of its
-own, so :func:`verify_closed_form` draws its trials in blocks of
-``_TRIAL_BLOCK``, in one seeded stream, and hands each block over at
-once: its memory does not grow with the number of trials.
+own, so :func:`verify_closed_form` takes its trials in blocks of
+``_TRIAL_BLOCK`` and hands each block over at once: its memory does not
+grow with the number of trials.  A block is drawn in one call of the
+seeded generator, a row of seven uniforms a trial, read from one stream
+in order, so the report does not depend on the block size.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,11 @@ def verify_closed_form(trials: int, seed: int = 0) -> OverlapVerification:
     comparison is still meaningful.  Both sides are compared per unit
     field, as |A|^2 / field is the amplitude's squared modulus in x.  The
     trials are drawn and compared ``_TRIAL_BLOCK`` at a time, and the
-    report keeps the largest error of the blocks.  Identical seeds give
-    identical reports.
+    report keeps the largest error of the blocks.  A trial's row of seven
+    uniforms u gives n = floor(9 u_0), m = floor(9 u_1), the field
+    10^(-0.3 + 3.6 u_2), |k_x| = (0.3 + 2.7 u_3) sqrt(field) and
+    |delta_k_y| likewise from u_5, each momentum negative where its u_4 or
+    u_6 is below 1/2.  Identical seeds give identical reports.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -192,18 +196,15 @@ def verify_closed_form(trials: int, seed: int = 0) -> OverlapVerification:
     rng = np.random.default_rng(seed)
     worst = []
     for block in range(0, trials, _TRIAL_BLOCK):
-        draws = []
-        for _ in range(min(_TRIAL_BLOCK, trials - block)):
-            n = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
-            m = int(rng.integers(0, VERIFY_INDEX_MAX + 1))
-            field = float(10.0 ** rng.uniform(-0.3, 3.3))
-            scale = math.sqrt(field)
-            k_x = float(rng.uniform(0.3, 3.0) * scale * (-1.0, 1.0)[rng.integers(0, 2)])
-            d_ky = float(rng.uniform(0.3, 3.0) * scale * (-1.0, 1.0)[rng.integers(0, 2)])
-            draws.append((n, m, k_x, d_ky, field))
-
-        n, m, k_x, d_ky, field = (np.array(column) for column in zip(*draws))
+        # a row of seven uniforms a trial, read from the stream in order, so
+        # a trial's draws do not depend on the block that holds it
+        u = rng.random((min(_TRIAL_BLOCK, trials - block), 7))
+        n, m = (u[:, :2] * (VERIFY_INDEX_MAX + 1)).astype(np.int64).T
+        field = 10.0 ** (-0.3 + 3.6 * u[:, 2])
         root_field = np.sqrt(field)
+        # |k_x| and |delta_k_y| from columns 3 and 5, their signs from 4 and 6
+        sign = np.where(u[:, 4::2] < 0.5, -1.0, 1.0)
+        k_x, d_ky = ((0.3 + 2.7 * u[:, 3::2]) * root_field[:, None] * sign).T
         numeric = transverse_overlap_sq(n, m, k_x / root_field, d_ky / root_field) / field
         reference = closed_form_overlap_sq(n, m, (d_ky**2 + k_x**2) / (2.0 * field)) / field
         worst.append(np.max(np.abs(numeric - reference) / reference))

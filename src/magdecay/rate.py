@@ -179,7 +179,13 @@ def _shares_mesh(m: int, root_x) -> bool:
     17,640): the product does not order it across curves, so the
     threshold sits above every crossover, where no figure point takes
     longer on the mesh.  It sends the points from m = 41 at 1e3 and from
-    m = 79 at 5e3 to it.  A process that runs level sums on the mesh holds
+    m = 79 at 5e3 to it.  A lower threshold does not pay on the seed-7
+    sample of the figure points that the benchmark's ``figures`` workload
+    runs: with whole passes alternated in one process (one BLAS thread,
+    CPU time at the benchmark's reference pace, three processes of 12
+    rounds), 10,000 took 1.6-3.8% longer in the median than 20,000 and
+    was faster in 2-5 of 12 rounds, and 8,000 took 5.1-8.8% longer and
+    was faster in 0-3.  A process that runs level sums on the mesh holds
     about 2 MiB more at its peak: the mesh's import, and Miller's store
     (about 1 MiB at (1e3, 71)).  The level kernel of the k_z quadrature
     also refuses arguments past ``MAX_OVERLAP_ARGUMENT``, which X_0 bounds.

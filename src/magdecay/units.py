@@ -47,7 +47,9 @@ def radius_si(p_perp: float, m_level: int) -> float:
 def acceleration_si(p_perp: float, m_level: int, omega: float) -> float:
     """Centripetal acceleration p_perp^3 / ((2m+1) omega^2) in m/s^2.
 
-    ``omega`` is the total energy of the orbiting particle in MeV.
+    ``omega`` is the total energy of the orbiting particle in MeV.  Where
+    p_perp^3 overflows (p_perp^2 above about 3e205 MeV^2) while the
+    acceleration does not, it is formed as p_perp (p_perp / omega)^2 / (2m+1).
     """
     if not math.isfinite(p_perp):
         raise ValueError(f"p_perp must be finite, got {p_perp}")
@@ -59,7 +61,10 @@ def acceleration_si(p_perp: float, m_level: int, omega: float) -> float:
         raise ValueError(f"omega must be finite, got {omega}")
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    a_natural = p_perp**3 / ((2 * m_level + 1) * omega * omega)
+    try:
+        a_natural = p_perp**3 / ((2 * m_level + 1) * omega * omega)
+    except OverflowError:
+        a_natural = p_perp * (p_perp / omega) ** 2 / (2 * m_level + 1)
     return a_natural * C_M_PER_S / HBAR_MEV_S
 
 

@@ -86,20 +86,40 @@ def loop_overlap_sq(n, m, q, delta, rel_tol=1e-9):
     return value, error + 4.0 * EPS * value
 
 
-def choice_draws(trials, seed):
-    """The trials verify_closed_form draws, each sign taken by rng.choice,
-    as arrays (n, m, k_x, delta_k_y, field)."""
+def verify_draws(trials, seed):
+    """The trials verify_closed_form draws, as arrays (n, m, k_x, delta_k_y, field).
+
+    Each trial is the next row of seven uniforms u of the seeded stream, drawn
+    here one row at a time: n = floor(9 u_0), m = floor(9 u_1), field =
+    10^(-0.3 + 3.6 u_2), |k_x| = (0.3 + 2.7 u_3) sqrt(field) with a minus
+    sign where u_4 < 1/2, and delta_k_y likewise from u_5 and u_6.
+    """
     rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(trials):
-        n = int(rng.integers(0, oracle.VERIFY_INDEX_MAX + 1))
-        m = int(rng.integers(0, oracle.VERIFY_INDEX_MAX + 1))
-        field = float(10.0 ** rng.uniform(-0.3, 3.3))
-        scale = math.sqrt(field)
-        k_x = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
-        d_ky = float(rng.uniform(0.3, 3.0) * scale * rng.choice((-1.0, 1.0)))
-        draws.append((n, m, k_x, d_ky, field))
-    return tuple(np.array(column) for column in zip(*draws))
+    u = np.array([rng.random(7) for _ in range(trials)])
+    n, m = np.floor(u[:, :2] * (oracle.VERIFY_INDEX_MAX + 1)).astype(np.int64).T
+    field = 10.0 ** (-0.3 + 3.6 * u[:, 2])
+    scale = np.sqrt(field)
+    k_x = (0.3 + 2.7 * u[:, 3]) * scale * np.where(u[:, 4] < 0.5, -1.0, 1.0)
+    d_ky = (0.3 + 2.7 * u[:, 5]) * scale * np.where(u[:, 6] < 0.5, -1.0, 1.0)
+    return n, m, k_x, d_ky, field
+
+
+def stub_oracle(monkeypatch):
+    """Stub out the rule and the closed form of verify_closed_form, so only its
+    draws count: each side returns ones, and appends the arguments of each of
+    its calls to its list in the dict returned."""
+    handed = {"rule": [], "closed form": []}
+
+    def recorder(name):
+        def record(*args):
+            handed[name].append(args)
+            return np.ones(len(args[0]))
+
+        return record
+
+    monkeypatch.setattr(oracle, "transverse_overlap_sq", recorder("rule"))
+    monkeypatch.setattr(oracle, "closed_form_overlap_sq", recorder("closed form"))
+    return handed
 
 
 def scaled(k_x, d_ky, field):
@@ -110,7 +130,7 @@ def scaled(k_x, d_ky, field):
 
 def loop_verification(trials, seed):
     """verify_closed_form with the oracle and the closed form called one trial at a time."""
-    n, m, k_x, d_ky, field = choice_draws(trials, seed)
+    n, m, k_x, d_ky, field = verify_draws(trials, seed)
     q, delta, x = scaled(k_x, d_ky, field)
     errors = []
     for i in range(trials):
@@ -123,7 +143,7 @@ def loop_verification(trials, seed):
 
 def verify_rule_args(seeds):
     """(n, m, q, delta) of the rule over verify's draws at each seed, 100 trials a seed."""
-    drawn = [choice_draws(100, seed) for seed in seeds]
+    drawn = [verify_draws(100, seed) for seed in seeds]
     n, m, k_x, d_ky, field = (np.concatenate(column) for column in zip(*drawn))
     q, delta, _ = scaled(k_x, d_ky, field)
     return n, m, q, delta
@@ -274,24 +294,77 @@ class TestVerifyClosedForm:
         # the same draws in the same order, and every trial's bits do not
         # depend on its block: the report of 5,000 trials, as one block of
         # them all gives it
-        assert oracle.verify_closed_form(5000, seed=1).max_rel_err.hex() == "0x1.0456d9c00d1d3p-37"
+        assert oracle.verify_closed_form(5000, seed=1).max_rel_err.hex() == "0x1.4b883550a44e6p-36"
+
+    @pytest.mark.parametrize("block", [7, 5000])
+    def test_report_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        expected = oracle.verify_closed_form(5000, seed=1)
+        monkeypatch.setattr(oracle, "_TRIAL_BLOCK", block)
+        assert oracle.verify_closed_form(5000, seed=1) == expected
+
+    def test_generator_calls_per_block_do_not_grow_with_the_trials(self, monkeypatch):
+        stub_oracle(monkeypatch)
+        calls = []
+        make_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            rng = make_rng(seed)
+
+            class Counting:
+                def __getattr__(self, name):
+                    calls.append(name)
+                    return getattr(rng, name)
+
+            return Counting()
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        counts = {}
+        for trials in (100, 5000):
+            calls.clear()
+            oracle.verify_closed_form(trials, seed=3)
+            counts[trials] = len(calls)
+        # one block of 100 trials, five of 1,000
+        assert counts == {100: 1, 5000: 5}
+
+    def test_draws_stay_in_their_ranges(self, monkeypatch):
+        handed = stub_oracle(monkeypatch)
+        oracle.verify_closed_form(5000, seed=5)
+        n, m, q, delta = (np.concatenate(column) for column in zip(*handed["rule"]))
+        assert set(n.tolist()) == set(m.tolist()) == set(range(oracle.VERIFY_INDEX_MAX + 1))
+        # |q| is (0.3 + 2.7 u) sqrt(field) / sqrt(field), rounded twice
+        for momentum in (q, delta):
+            magnitude = np.abs(momentum)
+            assert np.all((magnitude >= 0.3 * (1.0 - 2.0 * EPS)) & (magnitude <= 3.0 * (1.0 + 2.0 * EPS)))
+            assert np.any(momentum < 0.0) and np.any(momentum > 0.0)
+        # the oracle divides the field out of both sides; its draws are the definition's
+        field = verify_draws(5000, seed=5)[4]
+        assert np.all((field >= 10.0**-0.3 * (1.0 - 2.0 * EPS)) & (field <= 10.0**3.3 * (1.0 + 2.0 * EPS)))
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0 - EPS / 2.0])
+    def test_draws_at_the_ends_of_the_unit_interval(self, monkeypatch, edge):
+        # the least and the greatest double in [0, 1) map onto the ends of the ranges
+        handed = stub_oracle(monkeypatch)
+
+        class Edge:
+            def random(self, shape):
+                return np.full(shape, edge)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Edge())
+        oracle.verify_closed_form(3, seed=0)
+        (n, m, q, delta), = handed["rule"]
+        index, magnitude, sign = (0, 0.3, -1.0) if edge == 0.0 else (oracle.VERIFY_INDEX_MAX, 3.0, 1.0)
+        assert n.tolist() == m.tolist() == [index] * 3
+        assert np.allclose(q, sign * magnitude, rtol=2.0 * EPS, atol=0.0)
+        assert np.allclose(delta, sign * magnitude, rtol=2.0 * EPS, atol=0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sign_draws_keep_the_choice_stream(self, monkeypatch, seed):
-        # the amplitudes and the closed forms are stubbed out: only the draws count
-        handed = {}
-
-        def recorder(name):
-            def record(*args):
-                handed[name] = args
-                return np.ones(len(args[0]))
-
-            return record
-
-        monkeypatch.setattr(oracle, "transverse_overlap_sq", recorder("rule"))
-        monkeypatch.setattr(oracle, "closed_form_overlap_sq", recorder("closed form"))
+        # the amplitudes and the closed forms are stubbed out: only the draws
+        # count, and 100 trials are one call of each side
+        calls = stub_oracle(monkeypatch)
         assert oracle.verify_closed_form(100, seed).max_rel_err == 0.0
-        n, m, k_x, d_ky, field = choice_draws(100, seed)
+        handed = {name: args for name, (args,) in calls.items()}
+        n, m, k_x, d_ky, field = verify_draws(100, seed)
         q, delta, x = scaled(k_x, d_ky, field)
         expected = {"rule": (n, m, q, delta), "closed form": (n, m, x)}
         assert handed.keys() == expected.keys()
@@ -370,16 +443,32 @@ class TestHermiteRule:
 
     def test_verify_never_loads_numpy_polynomial(self):
         # the rule is tabulated: a whole verify run builds it from literals
-        src = os.path.dirname(os.path.dirname(magdecay.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         code = (
             "import sys, magdecay.cli\n"
             "code = magdecay.cli.main(['verify', '--trials', '3'])\n"
             "print(code, 'numpy.polynomial' in sys.modules, file=sys.stderr)\n"
         )
-        err = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, check=True,
-        ).stderr
-        assert err == "0 False\n"
+        assert run_python(code) == "0 False\n"
+
+    def test_only_verify_loads_numpy_random(self):
+        # the draws import the generator on first use, so the CLI's import
+        # and parser, which every command pays for, leave it unloaded
+        code = (
+            "import sys, magdecay.cli\n"
+            "magdecay.cli.build_parser()\n"
+            "loaded = 'numpy.random' in sys.modules\n"
+            "code = magdecay.cli.main(['verify', '--trials', '3'])\n"
+            "print(loaded, code, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+        )
+        assert run_python(code) == "False 0 True\n"
+
+
+def run_python(code):
+    """The stderr of ``code`` run in a fresh interpreter that imports this checkout's magdecay."""
+    src = os.path.dirname(os.path.dirname(magdecay.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stderr

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +73,17 @@ class TestAcceleration:
         classical = classical_acceleration(p_perp, field, omega / mass, mass)
         si = units.acceleration_si(p_perp, m, omega)
         assert si == pytest.approx(classical * units.C_M_PER_S / units.HBAR_MEV_S, rel=1e-12)
+
+    @pytest.mark.parametrize("p_perp", [1e102, 5.6e102, 5.7e102, 1e103, 1e150])
+    def test_finite_on_both_sides_of_the_cube_overflow(self, p_perp):
+        # p_perp^3 leaves the float range between 5.6e102 and 5.7e102 MeV;
+        # below, the acceleration keeps the bits of the cube's formula
+        m, omega = 3, math.hypot(M_MU, p_perp)
+        exact = Fraction(p_perp) ** 3 / ((2 * m + 1) * Fraction(omega) ** 2)
+        value = units.acceleration_si(p_perp, m, omega)
+        assert value == pytest.approx(float(exact * Fraction(units.C_M_PER_S) / Fraction(units.HBAR_MEV_S)), rel=1e-15)
+        if p_perp < sys.float_info.max ** (1.0 / 3.0):
+            assert value == p_perp**3 / ((2 * m + 1) * omega * omega) * units.C_M_PER_S / units.HBAR_MEV_S
 
 
 class TestDeBroglie:
