@@ -11,7 +11,10 @@ warm-up call of each, the two schemes run in five alternating pairs (k_z,
 mesh, k_z, mesh, ...), so that a drift of the host's pace hits both alike.
 The time columns are the median process CPU times of each scheme, the
 ratio column the median of the five per-pair ratios, and the last column
-the relative difference of the two widths.  The default
+the relative difference of the two widths.  Where X_0 passes the level
+kernel's argument cap, ``rate._shares_mesh`` sends the point to the mesh
+whatever the threshold: only the mesh is timed there, and the k_z cells
+read n/a.  The default
 points are the ROADMAP's Baseline rows, then points of the figure curves
 on each side of ``rate._SHARED_MESH_WORK`` (m times the levels): (1e3,
 36) and (5e3, 70) below it, near or past their curves' crossovers, (1e3,
@@ -23,11 +26,13 @@ thread's.
 """
 
 import argparse
+import contextlib
 import math
 import statistics
 import time
 
 from magdecay import DecayChannel, MagnetizedState, decay_rate, field_for_radial_energy, rate
+from magdecay.landau import level_edges
 
 POINTS = (
     "1e3:5", "1e4:30", "3e4:65", "5e3:40", "5e4:120", "1e3:40", "1e3:80", "1e4:300",
@@ -37,29 +42,42 @@ MUON = DecayChannel(m_parent=105.7)
 REPEATS = 5
 
 
-def timed(state, threshold):
-    """The result and the CPU time of one call with ``_SHARED_MESH_WORK`` at
-    ``threshold``."""
+@contextlib.contextmanager
+def shared_mesh_work(threshold):
+    """``rate._SHARED_MESH_WORK`` at ``threshold`` inside the block."""
     saved = rate._SHARED_MESH_WORK
     rate._SHARED_MESH_WORK = threshold
     try:
+        yield
+    finally:
+        rate._SHARED_MESH_WORK = saved
+
+
+def timed(state, threshold):
+    """The result and the CPU time of one call with ``_SHARED_MESH_WORK`` at
+    ``threshold``."""
+    with shared_mesh_work(threshold):
         start = time.process_time()
         result = decay_rate(MUON, state)
         return result, time.process_time() - start
-    finally:
-        rate._SHARED_MESH_WORK = saved
 
 
 def paired(state):
     """Both schemes' results, their median CPU times and the median of the
     per-pair ratios mesh / k_z over ``REPEATS`` alternating pairs of calls,
-    after one warm-up pair."""
-    kz, _ = timed(state, math.inf)
+    after one warm-up pair.  Where the k_z sum cannot take the point, the
+    mesh runs alone, and the k_z result, time and ratio are None."""
+    with shared_mesh_work(math.inf):
+        kz_runs = not rate._shares_mesh(state.level, level_edges(MUON, state)[0])
+    kz = timed(state, math.inf)[0] if kz_runs else None
     shared, _ = timed(state, 0)
     kz_s, shared_s = [], []
     for _ in range(REPEATS):
-        kz_s.append(timed(state, math.inf)[1])
+        if kz_runs:
+            kz_s.append(timed(state, math.inf)[1])
         shared_s.append(timed(state, 0)[1])
+    if not kz_runs:
+        return None, shared, None, statistics.median(shared_s), None
     ratio = statistics.median(s / k for s, k in zip(shared_s, kz_s))
     return kz, shared, statistics.median(kz_s), statistics.median(shared_s), ratio
 
@@ -76,10 +94,14 @@ def main() -> int:
         m = int(m)
         state = MagnetizedState(field=field_for_radial_energy(float(p_perp_sq), m), level=m)
         kz, shared, kz_s, shared_s, ratio = paired(state)
-        agree = abs(shared.gamma_total - kz.gamma_total) / kz.gamma_total
+        if kz is None:
+            kz_cell, ratio_cell, agree_cell = "n/a", "n/a", "n/a"
+        else:
+            agree = abs(shared.gamma_total - kz.gamma_total) / kz.gamma_total
+            kz_cell, ratio_cell, agree_cell = f"{kz_s * 1e3:.1f} ms", f"{ratio:.2f}", f"{agree:.1e}"
         print(
-            f"| ({p_perp_sq}, {m}) | {kz.n_max_used + 1} | {kz_s * 1e3:.1f} ms "
-            f"| {shared_s * 1e3:.1f} ms | {ratio:.2f} | {agree:.1e} |"
+            f"| ({p_perp_sq}, {m}) | {shared.n_max_used + 1} | {kz_cell} "
+            f"| {shared_s * 1e3:.1f} ms | {ratio_cell} | {agree_cell} |"
         )
     return 0
 

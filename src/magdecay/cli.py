@@ -401,6 +401,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: result overflowed the float range: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     if args.command == "verify" and not all(r["passed"] for r in records):
         return 1
     return 0

@@ -21,10 +21,10 @@ below the shared mesh's threshold.
 
 Both sides take arrays, one entry per trial, and evaluate all trials
 together: :func:`transverse_overlap_sq` runs one oscillator recurrence
-that gives both modes of every trial at every node, and
-:func:`closed_form_overlap_sq` runs one kernel call, a row for each trial
-at its own (n, m).  Each trial gets the bits it gets in an array of its
-own, so :func:`verify_closed_form` takes its trials in blocks of
+that gives both modes of every trial at every node, and the closed form
+is one call of the kernel, a row for each trial at its own (n, m), in the
+order drawn.  Each trial gets the bits it gets in an array of its own,
+so :func:`verify_closed_form` takes its trials in blocks of
 ``_TRIAL_BLOCK`` and hands each block over at once: its memory does not
 grow with the number of trials.  A block is drawn in one call of the
 seeded generator, a row of seven uniforms a trial, read from one stream
@@ -124,21 +124,6 @@ _RULE_NODES = np.concatenate((-np.array(_HALF_NODES[::-1]), _HALF_NODES))
 _RULE_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 
 
-def closed_form_overlap_sq(n: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The compact predictions w(n_i, m_i, x_i) of the trials.
-
-    One call of the level kernel, every trial a row at its own (n, m), the
-    rows in the kernel's order, min(n, m) ascending.  A row gets the bits
-    it gets alone, so a trial gets the bits it gets as an array of one.
-    The kernel caps x at ``specfun.MAX_OVERLAP_ARGUMENT``, far above the
-    arguments that :func:`verify_closed_form` draws.
-    """
-    order = np.argsort(np.minimum(n, m), kind="stable")
-    weight = np.empty(order.size)
-    weight[order] = overlap_weight_rows(n[order], m[order], x[order])
-    return weight
-
-
 def transverse_overlap_sq(n: np.ndarray, m: np.ndarray, q: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """|A|^2 of each trial by a fixed Gauss-Hermite rule.
 
@@ -170,7 +155,6 @@ class OverlapVerification:
     """Outcome of a seeded randomized closed-form comparison."""
 
     trials: int
-    seed: int
     max_rel_err: float
 
 
@@ -206,6 +190,6 @@ def verify_closed_form(trials: int, seed: int = 0) -> OverlapVerification:
         sign = np.where(u[:, 4::2] < 0.5, -1.0, 1.0)
         k_x, d_ky = ((0.3 + 2.7 * u[:, 3::2]) * root_field[:, None] * sign).T
         numeric = transverse_overlap_sq(n, m, k_x / root_field, d_ky / root_field) / field
-        reference = closed_form_overlap_sq(n, m, (d_ky**2 + k_x**2) / (2.0 * field)) / field
+        reference = overlap_weight_rows(n, m, (d_ky**2 + k_x**2) / (2.0 * field)) / field
         worst.append(np.max(np.abs(numeric - reference) / reference))
-    return OverlapVerification(trials, seed, float(np.max(worst)))
+    return OverlapVerification(trials, float(np.max(worst)))

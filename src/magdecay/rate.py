@@ -51,7 +51,6 @@ __all__ = [
     "RateConvergenceError",
     "decay_rate",
     "free_rate_at_rest",
-    "free_rate_boosted",
     "lll_ratio_exact",
     "lll_ratio_factored",
 ]
@@ -83,10 +82,9 @@ class RateResult:
     gamma_total: float
     level_contributions: tuple[LevelRate, ...]
     ratio: float
-    gamma_free_boosted: float
     n_max_used: int
     lorentz_gamma: float
-    quad_error: float = 0.0
+    quad_error: float
 
 
 def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1e-9) -> RateResult:
@@ -115,7 +113,6 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     omega = state.energy(channel.m_parent)
     lorentz_gamma = omega / channel.m_parent
     free_rest = free_rate_at_rest(channel)
-    boosted = free_rate_boosted(channel, lorentz_gamma)
 
     root_x, root_y = level_edges(channel, state)
     prefactor = channel.coupling**2 / (16.0 * math.pi * omega) * 2.0
@@ -124,9 +121,9 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
             f"width prefactor G^2/(8 pi omega) = {prefactor:.6g} MeV is below the "
             "normal float range; the width would lose its digits"
         )
-    # the boosted free width over the prefactor is the a-priori scale of
-    # the sum of the level integrals
-    abs_tol = _LEVEL_ABS_FLOOR * rel_tol * boosted / prefactor
+    # the boosted free width, the rest width over gamma, over the prefactor
+    # is the a-priori scale of the sum of the level integrals
+    abs_tol = _LEVEL_ABS_FLOOR * rel_tol * (free_rest / lorentz_gamma) / prefactor
     if not root_x.size:
         values, errors = [], []
     elif _shares_mesh(state.level, root_x):
@@ -154,7 +151,6 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
         gamma_total=gamma_total,
         level_contributions=contributions,
         ratio=ratio,
-        gamma_free_boosted=boosted,
         n_max_used=root_x.size - 1,
         lorentz_gamma=lorentz_gamma,
         quad_error=quad_error,
@@ -167,28 +163,29 @@ def _shares_mesh(m: int, root_x) -> bool:
     The per-level k_z quadrature costs about m recurrence steps a point and
     the shared mesh about one row step a level at each node, besides a
     fixed cost per level and round.  Timed on one core along the figure
-    curves by ``scripts/mesh_crossover.py`` (medians of three scans), the
-    shared mesh over the k_z quadrature takes 1.24 (m = 24), 1.01 (29),
-    0.88 (32), 0.84 (36), 0.66 (41), 0.50 (49) and 0.42 (60) of the time
-    at p_perp^2 = 1e3; 1.07 (50), 0.79 (60), 0.72 (70) and 0.61 (80) at
-    5e3; 1.25 (60), 1.02 (66), 0.93 (70) and 0.86 (80) at 1e4, where the
-    mesh converges in one round at every point; 1.73 at (3e4, 80); 1.93
-    (100) and 1.13 (120) at 5e4.  In m (levels) the crossover lies near
-    10,400 at 1e3, between 8,200 and 11,800 at 5e3 and between 9,300 and
-    10,400 at 1e4, and past the end of the 3e4 and 5e4 curves (8,800 and
-    17,640): the product does not order it across curves, so the
-    threshold sits above every crossover, where no figure point takes
-    longer on the mesh.  It sends the points from m = 41 at 1e3 and from
-    m = 79 at 5e3 to it.  A lower threshold does not pay on the seed-7
-    sample of the figure points that the benchmark's ``figures`` workload
-    runs: with whole passes alternated in one process (one BLAS thread,
-    CPU time at the benchmark's reference pace, three processes of 12
-    rounds), 10,000 took 1.6-3.8% longer in the median than 20,000 and
-    was faster in 2-5 of 12 rounds, and 8,000 took 5.1-8.8% longer and
-    was faster in 0-3.  A process that runs level sums on the mesh holds
-    about 2 MiB more at its peak: the mesh's import, and Miller's store
-    (about 1 MiB at (1e3, 71)).  The level kernel of the k_z quadrature
-    also refuses arguments past ``MAX_OVERLAP_ARGUMENT``, which X_0 bounds.
+    curves by ``scripts/mesh_crossover.py`` (one run at fc91170 on a
+    2-core Intel Xeon host), the shared mesh over the k_z quadrature takes
+    1.16 (m = 24), 1.01 (29), 0.90 (32), 0.79 (36), 0.71 (41), 0.56 (49)
+    and 0.41 (60) of the time at p_perp^2 = 1e3; 0.98 (50), 0.82 (60),
+    0.67 (70) and 0.56 (80) at 5e3; 1.09 (60), 0.98 (66), 0.90 (70) and
+    0.75 (80) at 1e4, where the mesh converges in one round at every
+    point; 1.62 at (3e4, 80); 1.69 (100) and 1.01 (120) at 5e4.  In m
+    (levels) the crossover lies near 10,400 at 1e3, between 5,200 and
+    8,200 at 5e3 and between 7,700 and 9,300 at 1e4, and past the end of
+    the 3e4 and 5e4 curves (8,800 and 17,640): the product does not order
+    it across curves, so the threshold sits above every crossover, where
+    no figure point takes longer on the mesh.  It sends the points from
+    m = 41 at 1e3 and from m = 79 at 5e3 to it.  A lower threshold does
+    not pay on the seed-7 sample of the figure points that the benchmark's
+    ``figures`` workload runs: with whole passes alternated in one process
+    (one BLAS thread, CPU time at the benchmark's reference pace, three
+    processes of 12 rounds), 10,000 took 1.6-3.8% longer in the median
+    than 20,000 and was faster in 2-5 of 12 rounds, and 8,000 took
+    5.1-8.8% longer and was faster in 0-3.  A process that runs level sums
+    on the mesh holds about 2 MiB more at its peak: the mesh's import, and
+    Miller's store (about 1 MiB at (1e3, 71)).  The level kernel of the
+    k_z quadrature also refuses arguments past ``MAX_OVERLAP_ARGUMENT``,
+    which X_0 bounds.
     """
     return m * root_x.size >= _SHARED_MESH_WORK or root_x[0] * root_x[0] > MAX_OVERLAP_ARGUMENT
 
@@ -227,15 +224,6 @@ def free_rate_at_rest(channel: DecayChannel) -> float:
     """Field-free width in the parent rest frame [MeV]."""
     ratio_sq = (channel.m_charged / channel.m_parent) ** 2
     return channel.coupling**2 / (16.0 * math.pi * channel.m_parent) * (1.0 - ratio_sq)
-
-
-def free_rate_boosted(channel: DecayChannel, lorentz_gamma: float) -> float:
-    """Field-free width seen in the lab, i.e. the rest width over gamma."""
-    if not math.isfinite(lorentz_gamma):
-        raise ValueError(f"lorentz_gamma must be finite, got {lorentz_gamma}")
-    if lorentz_gamma < 1.0:
-        raise ValueError(f"lorentz_gamma must be >= 1, got {lorentz_gamma}")
-    return free_rate_at_rest(channel) / lorentz_gamma
 
 
 def lll_ratio_exact(channel: DecayChannel, field: float) -> float:

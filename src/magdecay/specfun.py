@@ -45,13 +45,14 @@ parts scaled into weights, and the slab takes the Miller weights of its
 levels.
 
 :func:`overlap_weight_rows`, the level kernel, takes w one level at a time
-instead, each row at its own (n, m), for the level sum's per-level
-quadrature in k_z, where a point needs only its own level, and for the
-oracle's closed form: it runs the monic Laguerre recurrence in
-k = min(n, m), min(n, m) steps a point, from a seed formed in the log
-domain, which leaves the float range past x = 1400 and, at large |n - m|
-and x, underflows where the weight does not (0 at (5800, 2000, 1000),
-where w = 7.8e-4); the level sum uses it only well inside that range.
+instead, each row at its own (n, m) and the rows in any order, for the
+level sum's per-level quadrature in k_z, where a point needs only its own
+level, and for the oracle's closed form: it runs the monic Laguerre
+recurrence in k = min(n, m), the rows sorted by k, min(n, m) steps a
+point, from a seed formed in the log domain, which leaves the float range
+past x = 1400 and, at large |n - m| and x, underflows where the weight
+does not (0 at (5800, 2000, 1000), where w = 7.8e-4); the level sum uses
+it only well inside that range.
 """
 
 from __future__ import annotations
@@ -184,11 +185,13 @@ def overlap_weight_rows(n, m, x) -> np.ndarray:
     A 1-D ``x`` holds one point per row; a 2-D ``x`` holds a row of points
     at level n_i in its row i, and the result has the shape of ``x``.
     Every point gets the bits it gets as a one-point row of its own, in any
-    batch.  The rows must come in ascending order of k = min(n_i, m_i):
-    they run through the recurrence together, so the rows still stepping
-    at step j are a shrinking suffix of the work arrays and no step is
-    spent on a finished row.  Values are clipped to the exact bound
-    w <= 1, which the recurrence can overshoot by an ulp near coincidence.
+    batch and in any order of the rows.  The rows run through the
+    recurrence together in ascending order of k = min(n_i, m_i), so the
+    rows still stepping at step j are a shrinking suffix of the work arrays
+    and no step is spent on a finished row; rows in another order are
+    sorted by k (stably) and their weights put back in place.  Values are
+    clipped to the exact bound w <= 1, which the recurrence can overshoot
+    by an ulp near coincidence.
     """
     n = np.asarray(n, dtype=np.int64)
     m = np.asarray(m, dtype=np.int64)
@@ -200,10 +203,13 @@ def overlap_weight_rows(n, m, x) -> np.ndarray:
         )
     if not x.size:
         return np.zeros(x.shape)
-    # k + d is max(n, m), and k ascending starts at the least index of all
+    # k + d is max(n, m), and k, ascending once sorted, starts at the least
+    # index of all
     k, d = np.minimum(n, m), np.abs(n - m)
+    order = None
     if (k[1:] < k[:-1]).any():
-        raise ValueError("rows must be in ascending order of min(n, m)")
+        order = np.argsort(k, kind="stable")
+        k, d, x = k[order], d[order], x[order]
     if k[0] < 0:
         raise ValueError("indices must be nonnegative")
     if np.maximum.reduce(k + d) > MAX_OVERLAP_INDEX:
@@ -217,7 +223,12 @@ def overlap_weight_rows(n, m, x) -> np.ndarray:
         raise ValueError(f"argument above cap {MAX_OVERLAP_ARGUMENT}")
 
     phi = _phi_ascending(k, d, x.reshape(n.size, -1))
-    return np.minimum(phi * phi, 1.0).reshape(x.shape)
+    weight = np.minimum(phi * phi, 1.0).reshape(x.shape)
+    if order is None:
+        return weight
+    unsorted = np.empty_like(weight)
+    unsorted[order] = weight
+    return unsorted
 
 
 def _phi_ascending(k: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -89,7 +89,8 @@ class TestRowKernel:
         # share the batch with every other (k, d)
         n[:10] = m
         n[10:20] = 0
-        # the kernel takes its rows in ascending order of min(n, m)
+        # the rows in ascending order of min(n, m), the order the kernel
+        # steps them in
         n.sort()
         x = rng.uniform(0.0, 200.0, size=300) * rng.choice([1.0, 1e-2, 1e-5], size=300)
         x[20:40] = 0.0
@@ -129,8 +130,9 @@ class TestRowKernel:
 
     def test_each_row_at_its_own_parent_level(self):
         # a parent level per row, as the oracle's closed form hands over its
-        # trials, with coincident rows, lowest levels and x = 0 among them:
-        # each row, of 61 points or of one, has the bits of its own call
+        # trials, here by min(n, m) ascending, with coincident rows, lowest
+        # levels and x = 0 among them: each row, of 61 points or of one, has
+        # the bits of its own call
         rng = np.random.default_rng(29)
         n, m = rng.integers(0, 150, size=(2, 60))
         n[:5] = m[:5]
@@ -163,21 +165,43 @@ class TestRowKernel:
             specfun.overlap_weight_rows([1, 2], 3, np.ones((2, 3, 4)))
         with pytest.raises(ValueError, match="nonnegative"):
             specfun.overlap_weight_rows([1, 2], 3, [[0.5, 1.0], [2.0, -1e-3]])
-        # min(n, m) falls from 2 to 1; n falling above m keeps it at m
-        with pytest.raises(ValueError, match="ascending order"):
-            specfun.overlap_weight_rows([2, 1], 3, [0.5, 0.5])
-        assert specfun.overlap_weight_rows([5, 4, 3], 3, [0.5, 0.5, 0.5]).shape == (3,)
-        # a parent level per row: one for each, nonnegative, and min(n, m)
-        # ascending along them
+        # a parent level per row: one for each, and nonnegative
         with pytest.raises(ValueError, match="one per level"):
             specfun.overlap_weight_rows([1, 2], [3, 4, 5], [0.5, 0.5])
         with pytest.raises(ValueError, match="nonnegative"):
             specfun.overlap_weight_rows([1, 2], [-1, 3], [0.5, 0.5])
         with pytest.raises(ValueError, match="above cap"):
             specfun.overlap_weight_rows([1, 2], [3, specfun.MAX_OVERLAP_INDEX + 1], [0.5, 0.5])
-        with pytest.raises(ValueError, match="ascending order"):
-            specfun.overlap_weight_rows([5, 5], [4, 2], [0.5, 0.5])
-        assert specfun.overlap_weight_rows([5, 5], [2, 4], [0.5, 0.5]).shape == (2,)
+        # the checks see every row, wherever the sort by min(n, m) puts it
+        with pytest.raises(ValueError, match="nonnegative"):
+            specfun.overlap_weight_rows([5, 1], [4, -1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="above cap"):
+            specfun.overlap_weight_rows([5, specfun.MAX_OVERLAP_INDEX + 1], [4, 2], [0.5, 0.5])
+
+    @pytest.mark.parametrize("per_row_m", [False, True], ids=["one-m", "m-per-row"])
+    @pytest.mark.parametrize("width", [None, 61], ids=["1-D", "2-D"])
+    def test_rows_in_any_order_keep_their_own_bits(self, per_row_m, width):
+        # rows in shuffled order, ties in min(n, m) among them, x = 0 and
+        # coincident rows included: each row gets the bits of its own
+        # one-row call, and the sorted batch the same bits row for row
+        rng = np.random.default_rng(41)
+        n = rng.integers(0, 120, size=50)
+        m = rng.integers(0, 120, size=50) if per_row_m else np.int64(37)
+        n[:5] = m[:5] if per_row_m else m
+        shape = (50,) if width is None else (50, width)
+        x = rng.uniform(0.0, 250.0, size=shape) * rng.choice([1.0, 1e-3], size=shape)
+        x[::7] = 0.0
+        k = np.minimum(n, m)
+        assert (k[1:] < k[:-1]).any()
+        w = specfun.overlap_weight_rows(n, m, x)
+        assert w.shape == x.shape
+        for i in range(50):
+            mi = m[i] if per_row_m else m
+            alone = specfun.overlap_weight_rows(n[i : i + 1], mi, x[i : i + 1])
+            assert np.array_equal(w[i], alone[0]), (n[i], mi)
+        order = np.argsort(k, kind="stable")
+        ordered = specfun.overlap_weight_rows(n[order], m[order] if per_row_m else m, x[order])
+        assert np.array_equal(ordered, w[order])
 
     @pytest.mark.parametrize("m,x", [(10, 3.0), (40, 25.0), (120, 60.0), (0, 100.0)])
     def test_completeness_sum_matches_term_by_term(self, m, x):
@@ -409,9 +433,16 @@ class TestLevelSum:
     @pytest.mark.parametrize(
         "p_perp_sq,m,rel_tol,work",
         [
-            (1e4, 30, 1e-9, {"rounds": 1, "nodes": 915, "node_levels": 38_247, "panels": 15}),
-            (1e4, 300, 1e-9, {"rounds": 1, "nodes": 3_050, "node_levels": 823_439, "panels": 50}),
-            (1e4, 300, 1e-13, {"rounds": 1, "nodes": 3_050, "node_levels": 823_439, "panels": 50}),
+            (1e4, 30, 1e-9, {"rounds": 1, "nodes": 915, "node_levels": 38_247, "panels": 15,
+                             "gamma": "0x1.1ec9d4dc982fdp-13", "quad_error": "0x1.61a0b7923046fp-57"}),
+            (1e4, 300, 1e-9, {"rounds": 1, "nodes": 3_050, "node_levels": 823_439, "panels": 50,
+                              "gamma": "0x1.1ebb312db691dp-13", "quad_error": "0x1.3fe5b89eefc46p-56"}),
+            (1e4, 300, 1e-13, {"rounds": 1, "nodes": 3_050, "node_levels": 823_439, "panels": 50,
+                               "gamma": "0x1.1ebb312db691dp-13", "quad_error": "0x1.3fe5b89eefc46p-56"}),
+            (63, 53, 1e-9, {"rounds": 4, "nodes": 19_764, "node_levels": 42_122_940, "panels": 84,
+                            "gamma": "0x1.899bad844ff1dp-13", "quad_error": "0x1.77ea8d48aded1p-54"}),
+            (10, 5, 1e-9, {"rounds": 5, "nodes": 9_455, "node_levels": 14_012_371, "panels": 35,
+                           "gamma": "0x1.8a8a2edb9f5d7p-13", "quad_error": "0x1.d79d585d5a4cdp-51"}),
         ],
     )
     def test_pinned_shared_mesh_work(self, monkeypatch, p_perp_sq, m, rel_tol, work):
@@ -421,11 +452,15 @@ class TestLevelSum:
         # (levels 0 to 502 of 636 in the first pass at (1e4, 300)), and
         # panels those of the last mesh; (1e4, 30) takes the shared mesh
         # only when asked, and at 1e-13 (1e4, 300) keeps its first mesh of
-        # 50 panels, whose every level meets that tolerance too
+        # 50 panels, whose every level meets that tolerance too.  At weak
+        # p_perp^2 the mesh refines: (63, 53) takes 4 passes, from 78 panels
+        # to 84, and (10, 5) takes 5, from 27 to 35.  The width and its
+        # error are pinned to the bit
         monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
         counted = count_shared_work(monkeypatch)
-        decay_rate(MUON, magnetized(p_perp_sq, m), rel_tol)
-        assert counted == work
+        result = decay_rate(MUON, magnetized(p_perp_sq, m), rel_tol)
+        bits = {"gamma": result.gamma_total.hex(), "quad_error": result.quad_error.hex()}
+        assert {**counted, **bits} == work
 
     def test_miller_store_holds_only_the_weights(self, monkeypatch):
         # the first round's nodes at (1e4, 1000): 8,784, of which 1,988 are
@@ -475,7 +510,7 @@ class TestLevelSum:
         counted = count_shared_work(monkeypatch)
         first = decay_rate(MUON, state, rel_tol=1e-6)
         assert counted["rounds"] == 1
-        floor = rate._LEVEL_ABS_FLOOR * 1e-9 * first.gamma_free_boosted
+        floor = rate._LEVEL_ABS_FLOOR * 1e-9 * rate.free_rate_at_rest(MUON) / first.lorentz_gamma
         lowest = next(c for c in first.level_contributions if c.quad_error > max(1e-9 * c.rate, floor))
         monkeypatch.setattr(mesh, "_MAX_PANELS", counted["panels"])
         with pytest.raises(RateConvergenceError) as info:

@@ -220,6 +220,18 @@ class TestRateCommand:
             "(error 6.758e-11, tolerance 9.962e-12)\n"
         )
 
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        # a grid too large to allocate (scan-lll --points 1e11 asks numpy for
+        # 745 GiB) exits 1 with a message, not a traceback; the command is
+        # stubbed to raise, so the test allocates nothing
+        def exhausted(args, config):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setitem(cli._COMMANDS, "scan-lll", exhausted)
+        code, out, err = run(capsys, "scan-lll", "--points", "100000000000")
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_bad_tolerance_exits_1(self, capsys, tol):
         code, out, err = run(capsys, "rate", "--p-perp2", "1e4", "--m", "30", "--tol", tol)

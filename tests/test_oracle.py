@@ -118,7 +118,7 @@ def stub_oracle(monkeypatch):
         return record
 
     monkeypatch.setattr(oracle, "transverse_overlap_sq", recorder("rule"))
-    monkeypatch.setattr(oracle, "closed_form_overlap_sq", recorder("closed form"))
+    monkeypatch.setattr(oracle, "overlap_weight_rows", recorder("closed form"))
     return handed
 
 
@@ -136,9 +136,9 @@ def loop_verification(trials, seed):
     for i in range(trials):
         one = slice(i, i + 1)
         numeric = oracle.transverse_overlap_sq(n[one], m[one], q[one], delta[one]) / field[one]
-        reference = oracle.closed_form_overlap_sq(n[one], m[one], x[one]) / field[one]
+        reference = specfun.overlap_weight_rows(n[one], m[one], x[one]) / field[one]
         errors.append(float(abs(numeric[0] - reference[0]) / reference[0]))
-    return oracle.OverlapVerification(trials, seed, max(errors))
+    return oracle.OverlapVerification(trials, max(errors))
 
 
 def verify_rule_args(seeds):
@@ -227,7 +227,7 @@ class TestNumericOverlap:
     )
     def test_matches_closed_form(self, n, m, k_x, d_ky, field):
         q, delta, x = scaled(k_x, d_ky, field)
-        reference = float(oracle.closed_form_overlap_sq(np.array([n]), np.array([m]), np.array([x]))[0])
+        reference = float(specfun.overlap_weight_rows(np.array([n]), np.array([m]), np.array([x]))[0])
         assert rule(n, m, q, delta) == pytest.approx(reference, rel=1e-8)
 
     def test_invariant_under_joint_sign_flip(self):
@@ -389,8 +389,8 @@ class TestBatchedOracle:
     def test_batched_closed_forms_keep_the_bits_of_each_call(self):
         n, m, q, delta = random_params(200, seed=5)
         x = (q * q + delta * delta) / 2.0
-        batched = oracle.closed_form_overlap_sq(n, m, x)
-        alone = [oracle.closed_form_overlap_sq(n[i : i + 1], m[i : i + 1], x[i : i + 1]) for i in range(200)]
+        batched = specfun.overlap_weight_rows(n, m, x)
+        alone = [specfun.overlap_weight_rows(n[i : i + 1], m[i : i + 1], x[i : i + 1]) for i in range(200)]
         assert [v.hex() for v in batched.tolist()] == [float(v[0]).hex() for v in alone]
 
     def test_closed_form_within_the_row_bounds(self):
@@ -400,7 +400,7 @@ class TestBatchedOracle:
         rng = np.random.default_rng(27)
         n, m = rng.integers(0, 41, size=60), rng.integers(0, 41, size=60)
         x = rng.uniform(0.0, 50.0, size=60)
-        got = oracle.closed_form_overlap_sq(n, m, x)
+        got = specfun.overlap_weight_rows(n, m, x)
         lows, highs = np.minimum(n, m).tolist(), np.maximum(n, m).tolist()
         for w, low, high, xi in zip(got.tolist(), lows, highs, x.tolist()):
             row = specfun._overlap_row(high, xi)

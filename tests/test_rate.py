@@ -15,7 +15,7 @@ from magdecay import (
     rate,
 )
 from magdecay.landau import kz_cutoffs
-from magdecay.rate import _integrand_arrays, free_rate_at_rest, free_rate_boosted
+from magdecay.rate import _integrand_arrays, free_rate_at_rest
 from reference_paths import count_shared_work
 
 M_MU = 105.7
@@ -45,25 +45,11 @@ class TestFreeRates:
         strong = DecayChannel(m_parent=M_MU, coupling=7.0)
         assert free_rate_at_rest(strong) == pytest.approx(49.0 * free_rate_at_rest(MUON), rel=1e-14)
 
-    def test_boosted(self):
-        assert free_rate_boosted(MUON, 1.0) == free_rate_at_rest(MUON)
-        assert free_rate_boosted(MUON, 2.0) == pytest.approx(9.4108e-5, rel=1e-5)
-        with pytest.raises(ValueError):
-            free_rate_boosted(MUON, 0.5)
-
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_inputs_rejected(self, value):
-        with pytest.raises(ValueError, match="must be finite"):
-            free_rate_boosted(MUON, value)
         for closed_form in (lll_ratio_exact, lll_ratio_factored):
             with pytest.raises(ValueError, match="must be finite"):
                 closed_form(MUON, value)
-
-    def test_lifetime_dilation(self):
-        gamma = 3.7
-        assert 1.0 / free_rate_boosted(MUON, gamma) == pytest.approx(
-            gamma / free_rate_at_rest(MUON), rel=1e-14
-        )
 
 
 class TestLevelIntegrand:
@@ -120,9 +106,6 @@ class TestDecayRate:
         assert result.ratio == pytest.approx(
             result.lorentz_gamma * result.gamma_total / free_rate_at_rest(MUON), rel=1e-14
         )
-        assert result.gamma_free_boosted == pytest.approx(
-            free_rate_at_rest(MUON) / result.lorentz_gamma, rel=1e-14
-        )
         assert result.quad_error < 1e-8 * result.gamma_total
 
     def test_ratio_independent_of_coupling(self):
@@ -153,7 +136,7 @@ class TestDecayRate:
         )
         state = magnetized(1e4, 30)
         gamma = state.energy(M_MU) / M_MU
-        closed = RateResult(0.0, (), 0.0, free_rate_boosted(MUON, gamma), -1, gamma, 0.0)
+        closed = RateResult(0.0, (), 0.0, -1, gamma, 0.0)
         assert decay_rate(MUON, state) == closed
         with pytest.raises(ValueError, match="rel_tol"):
             decay_rate(MUON, state, rel_tol=0.0)

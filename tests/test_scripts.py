@@ -93,13 +93,21 @@ def test_gauss_hermite_writes_the_oracle_rule(monkeypatch, capsys):
 
 
 def test_mesh_crossover_times_both_schemes(monkeypatch, capsys):
-    # one point, one timed pair after the warm-up: the script that places
+    # two points, one timed pair after the warm-up: the script that places
     # rate._SHARED_MESH_WORK runs, restores the threshold and prints its
-    # header and one row
+    # header and a row a point
     script = load("mesh_crossover")
-    monkeypatch.setattr(sys, "argv", ["mesh_crossover.py", "--points", "1e4:30"])
+    monkeypatch.setattr(sys, "argv", ["mesh_crossover.py", "--points", "1e4:30", "5:1"])
     monkeypatch.setattr(script, "REPEATS", 1)
     threshold = script.rate._SHARED_MESH_WORK
+    calls = []
+    timed = script.timed
+
+    def recording(state, work):
+        calls.append(work)
+        return timed(state, work)
+
+    monkeypatch.setattr(script, "timed", recording)
     assert script.main() == 0
     assert script.rate._SHARED_MESH_WORK == threshold
     lines = capsys.readouterr().out.strip().split("\n")
@@ -107,10 +115,16 @@ def test_mesh_crossover_times_both_schemes(monkeypatch, capsys):
         "| (p⊥², m) | levels | k_z sum | shared mesh | mesh / k_z | Γ agree |",
         "|---|---|---|---|---|---|",
     ]
-    assert len(lines) == 3
+    assert len(lines) == 4
     cells = [cell.strip() for cell in lines[2].strip("|").split("|")]
     assert cells[:2] == ["(1e4, 30)", "65"]
     assert cells[2].endswith(" ms") and cells[3].endswith(" ms") and float(cells[4]) > 0.0
     # the two schemes' widths, each within rel_tol 1e-9 of the true one,
     # agree far closer (5.2e-15 or better on every Baseline row)
     assert float(cells[5]) < 1e-12
+    # at (5, 1) X_0 passes the level kernel's argument cap, so the k_z sum
+    # cannot run: only the mesh is timed, and the k_z cells read n/a
+    cells = [cell.strip() for cell in lines[3].strip("|").split("|")]
+    assert cells[:3] == ["(5, 1)", "3353", "n/a"] and cells[3].endswith(" ms")
+    assert cells[4:] == ["n/a", "n/a"]
+    assert calls == [math.inf, 0, math.inf, 0, 0, 0]
