@@ -82,17 +82,37 @@ def paired(state):
     return kz, shared, statistics.median(kz_s), statistics.median(shared_s), ratio
 
 
+def point(text: str) -> tuple[str, float, int]:
+    """One ``p_perp^2:m`` pair as (p_perp^2 as written, p_perp^2, m): a finite
+    positive p_perp^2 and a nonnegative integer m."""
+    label, colon, level = text.partition(":")
+    if not colon:
+        raise argparse.ArgumentTypeError(f"expected p_perp^2:m, got {text!r}")
+    try:
+        p_perp_sq = float(label)
+    except ValueError:
+        p_perp_sq = math.nan
+    if not (math.isfinite(p_perp_sq) and p_perp_sq > 0.0):
+        raise argparse.ArgumentTypeError(f"p_perp^2 must be finite and positive, got {label!r}")
+    try:
+        m = int(level)
+    except ValueError:
+        m = -1
+    if m < 0:
+        raise argparse.ArgumentTypeError(f"m must be a nonnegative integer, got {level!r}")
+    return label, p_perp_sq, m
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--points", nargs="+", default=POINTS, help="p_perp^2:m pairs")
+    parser.add_argument("--points", nargs="+", type=point, default=[point(text) for text in POINTS],
+                        help="p_perp^2:m pairs")
     args = parser.parse_args()
 
     print("| (p⊥², m) | levels | k_z sum | shared mesh | mesh / k_z | Γ agree |")
     print("|---|---|---|---|---|---|")
-    for point in args.points:
-        p_perp_sq, m = point.split(":")
-        m = int(m)
-        state = MagnetizedState(field=field_for_radial_energy(float(p_perp_sq), m), level=m)
+    for label, p_perp_sq, m in args.points:
+        state = MagnetizedState(field=field_for_radial_energy(p_perp_sq, m), level=m)
         kz, shared, kz_s, shared_s, ratio = paired(state)
         if kz is None:
             kz_cell, ratio_cell, agree_cell = "n/a", "n/a", "n/a"
@@ -100,7 +120,7 @@ def main() -> int:
             agree = abs(shared.gamma_total - kz.gamma_total) / kz.gamma_total
             kz_cell, ratio_cell, agree_cell = f"{kz_s * 1e3:.1f} ms", f"{ratio:.2f}", f"{agree:.1e}"
         print(
-            f"| ({p_perp_sq}, {m}) | {shared.n_max_used + 1} | {kz_cell} "
+            f"| ({label}, {m}) | {shared.n_max_used + 1} | {kz_cell} "
             f"| {shared_s * 1e3:.1f} ms | {ratio_cell} | {agree_cell} |"
         )
     return 0

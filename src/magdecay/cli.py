@@ -247,7 +247,12 @@ def _cmd_scan_field(args, config) -> list[dict]:
     records = []
     for m in levels:
         p_perp = landau.radial_energy_for_radius(radius, m)
-        records.append({"m": m, **_rate_record(channel, p_perp * p_perp, m, rel_tol)})
+        p_perp_sq = p_perp * p_perp
+        if not math.isfinite(p_perp_sq):
+            raise ValueError(
+                f"at radius {radius:g} and level {m}, p_perp^2 = ((2m+1)/R)^2 passes the float range"
+            )
+        records.append({"m": m, **_rate_record(channel, p_perp_sq, m, rel_tol)})
     return records
 
 

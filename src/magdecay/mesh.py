@@ -5,7 +5,8 @@ Level n of :func:`magdecay.rate.decay_rate` is the integral over
 mesh of panels in t = sqrt(x / X_0), each with the 61-point Kronrod and
 30-point Gauss rules of :mod:`magdecay.quadrature`.  The first mesh is
 graded by the zeros of the levels' weights, so that each of its panels
-holds a few zeros of the densest level that reaches it.
+holds a few zeros of the densest level that reaches it, and no panel is
+wider than a floor set by m and the number of levels.
 At every node one row of the recurrence across levels
 (:func:`magdecay.specfun.overlap_rows`) gives the weights of all the
 levels whose X_n reaches the node's panel, Miller's part past the turning
@@ -19,9 +20,10 @@ from how the interpolant's top Legendre coefficients fall (as Gonnet's
 CQUAD), so it is that of the 61-node rule whose value is kept, and it is
 never taken below the roundoff that the weights and the product weights
 carry.  Every 32 levels the pass forms their values, errors and
-tolerances, so no (levels x panels) sum is held either.  Shared panels are bisected wherever
-a level misses its tolerance, and the next round is a new pass over every
-panel: only the edges go from one round to the next.
+tolerances, so no (levels x panels) sum is held either.  Shared panels
+are bisected wherever a level misses its tolerance, and the next round is
+a new pass over every panel: only the edges go from one round to the
+next.
 """
 
 from __future__ import annotations
@@ -37,16 +39,15 @@ from .specfun import _LEVEL_BATCH, ROW_ABS_ERROR, overlap_rows
 # panels the shared mesh may hold before the level sum is given up: the one
 # budget of both level-sum schemes
 _MAX_PANELS = quadrature._MAX_PANELS
-# edges the first mesh puts at the ends of the levels inside its first panel
-_FIRST_PANEL_ENDS = 8
 # zeros of the densest level that a panel of the first mesh may hold: at 6
-# the first mesh meets rel_tol 1e-9 at all 445 points of the level_scan
-# figure curves (mesh forced), and every tolerance down to 1e-14 at each
-# row of scripts/mesh_crossover.py; at 7, (1e3, 56) takes a second round,
-# and from 8 on the panel floor (_initial_panels) sets the whole first
-# mesh at every point measured.  From 4 to 6, (1e4, 300) went from 61 to
-# 50 panels and (1e4, 3000) from 528 to 410, with one pass in 0.88 and
-# 0.71 of the time (in-process medians, one BLAS thread)
+# the first mesh meets rel_tol 1e-9 at 444 of the 445 points of the
+# level_scan figure curves (mesh forced), all but (5e4, 4), which takes 5
+# rounds from 4 panels to 8 (the k_z sum takes it in production), and
+# every tolerance down to 1e-14 at each row of scripts/mesh_crossover.py;
+# at 7, (1e3, 56) takes a second round too, and from 8 on the panel floor
+# (_initial_panels) sets the whole first mesh at every point measured.
+# From 4 to 6, (1e4, 300) goes from 53 to 42 panels and (1e4, 3000) from
+# 520 to 402
 _ZEROS_PER_PANEL = 6
 # midpoints of the grid in t on which the first mesh integrates the zero
 # density and inverts its integral
@@ -107,15 +108,17 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
 
         h_n(t) = 2 t rho_n / sqrt((theta_n^2 - t^2)(1 - rho_n^2 t^2)),
 
-    rho_n = sqrt(X_0 / Y_n) < 1.  Each round is one pass of the row over
-    every panel of the mesh, which hands the levels over ``_PIECE_BATCH``
-    at a time: their value, estimate and tolerance are formed then, and a
-    level that misses its tolerance adds its share of it on each panel to
-    a per-panel score.  After the round every panel that holds more than
-    its width-share of the tolerance of a level that misses it is
-    bisected, and so is the worst piece of each such level; only the edges
-    go on to the next round, so a round holds the row's per-node arrays
-    and buffers of a batch of levels, never a sum per level and panel.
+    rho_n = sqrt(X_0 / Y_n) < 1.  The first round takes the mesh of
+    :func:`_first_edges`.  Each round is one pass of the row over every
+    panel of the mesh, which hands the levels over ``_PIECE_BATCH`` at a
+    time: their value, estimate and tolerance are formed then, and a level
+    that misses its tolerance adds its share of it on each panel to a
+    per-panel score.  After the round every panel that holds more than its
+    width-share of the tolerance of a level that misses it is bisected
+    (:func:`_cuts`), and so is the worst piece of each such level; only
+    the edges go on to the next round, so a round holds the row's per-node
+    arrays and buffers of a batch of levels, never a sum per level and
+    panel.
     The row stops at the last level with a nonzero weight at any node; a
     level past it is 0, with its floor as its estimate and tolerance.
     Returns two lists (values, error estimates), one entry per level.  When
@@ -127,9 +130,6 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
     rho = root_x[0] / root_y
     scale_x = root_x[0] * root_x[0]
     edges = _first_edges(m, theta, scale_x)
-    # the levels whose integral ends inside the first panel get an edge at
-    # that end (see _cuts)
-    edges = _distinct(np.concatenate((edges, theta[theta < edges[1]][:_FIRST_PANEL_ENDS])))
     # a weight at level n carries the roundings of the m + n steps of its
     # row (about one unit each; the first-order bound is eight), which floor
     # the level's estimate as the rule's roundoff does; the end pieces
@@ -147,7 +147,6 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
         panels = edges.size - 1
         upper = np.searchsorted(edges[:-1], theta, side="right") - 1
         score = np.zeros(panels)
-        ends = []
         for n, kronrod, deviation, pair_w in _evaluate_panels(m, scale_x, theta, rho, edges, upper):
             th, up = theta[n], upper[n]
             endpoint = _endpoint_pieces(th, rho[n], edges, up, pair_w, roundoff_share[n])
@@ -182,7 +181,6 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
             np.maximum(score, over.max(axis=0), out=score)
             np.maximum.at(score, low, end_over)
             np.maximum.at(score, up, end_over)
-            ends += th[(up == 0) & (end_over > 1.0)].tolist()
         missed = np.flatnonzero(estimate > tol)
         if not missed.size:
             return value.tolist(), estimate.tolist()
@@ -191,32 +189,22 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
             raise quadrature.RateConvergenceError(
                 n, float(value[n]), float(estimate[n]), float(tol[n]), _MAX_PANELS
             )
-        edges = _distinct(np.concatenate((edges, _cuts(edges, score, ends)[: _MAX_PANELS - panels])))
+        # each cut is the midpoint of a panel, strictly inside it while the
+        # panel is wider than two ulps, so the sorted edges stay increasing
+        edges = np.sort(np.concatenate((edges, _cuts(edges, score)[: _MAX_PANELS - panels])))
 
 
-def _cuts(edges, score, ends):
+def _cuts(edges, score):
     """The new edges: the midpoint of every panel whose score passes 1 (it
     holds more than its width-share of a failing level's tolerance, or is
-    a failing level's worst piece), largest score first, after the ends
-    theta_n of the failing levels inside the first panel that lie in its
-    lower half, so that their weights, like x^|n-m| from 0, are
-    interpolated over their own range.  Such a level's end piece scores
-    inf, so the first panel is then the first to split."""
+    a failing level's worst piece), largest score first."""
     split = np.flatnonzero(score > 1.0)
     split = split[np.argsort(-score[split], kind="stable")]
-    ends = np.array(ends)
-    return np.concatenate((ends[ends < 0.5 * edges[1]], 0.5 * (edges[split] + edges[split + 1])))
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending (``np.unique``, which imports numpy.ma)."""
-    values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return 0.5 * (edges[split] + edges[split + 1])
 
 
 def _first_edges(m: int, theta: np.ndarray, scale_x: float) -> np.ndarray:
-    """The edges of the first mesh on [0, 1] in t, before the ends of the
-    levels inside its first panel are added.
+    """The edges of the first mesh on [0, 1] in t.
 
     At t the densest level among those that reach it (theta_n >= t) is the
     one nearest n = m + x, x = X_0 t^2, where the zero density per unit t,

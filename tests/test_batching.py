@@ -75,6 +75,26 @@ def count_work(monkeypatch):
     return counted
 
 
+def mesh_passes(monkeypatch):
+    """The edges of every later shared-mesh pass, one array a pass."""
+    passes = []
+    evaluate = mesh._evaluate_panels
+
+    def capture(m, scale_x, theta, rho, edges, upper):
+        passes.append(edges.copy())
+        return evaluate(m, scale_x, theta, rho, edges, upper)
+
+    monkeypatch.setattr(mesh, "_evaluate_panels", capture)
+    return passes
+
+
+def coarsen_first_mesh(monkeypatch, zeros, divisor):
+    """A first mesh of ``zeros`` zeros a panel and the panel floor over ``divisor``."""
+    initial = mesh._initial_panels
+    monkeypatch.setattr(mesh, "_ZEROS_PER_PANEL", zeros)
+    monkeypatch.setattr(mesh, "_initial_panels", lambda m, levels: initial(m, levels) // divisor)
+
+
 def one_row(n, m, x):
     """w(n, m, x) as a one-point row of its own."""
     return float(specfun.overlap_weight_rows([n], m, [x])[0])
@@ -410,38 +430,64 @@ class TestLevelSum:
         assert counted == {"points": 400_160, "steps": 83_768_006}
 
     def test_absolute_floor_moves_the_shared_mesh_width_within_its_error(self, monkeypatch):
-        # on the shared mesh a level below the absolute floor splits panels
-        # that every level shares: without the floor the mesh grows, and
-        # the width moves by less than its own error estimate.  The
-        # production first mesh meets these levels' tolerances without the
-        # floor too, so the test coarsens it: at 24 zeros a panel and a
-        # tenth of the panel floor the far-tail levels take the mesh from
-        # 24 panels to 34 without the floor
+        # on the shared mesh a level below the absolute floor splits no
+        # panel that the relative tolerances leave: with and without the
+        # floor every pass has the same panels, and the width moves by less
+        # than its own error estimate.  The production first mesh meets
+        # these levels' tolerances in one pass, so the test coarsens it: at
+        # 24 zeros a panel and a tenth of the panel floor the mesh takes 3
+        # passes, from 4 panels to 14, either way
         state = magnetized(1e4, 140)
-        initial = mesh._initial_panels
-        monkeypatch.setattr(mesh, "_ZEROS_PER_PANEL", 24)
-        monkeypatch.setattr(mesh, "_initial_panels", lambda m, levels: initial(m, levels) // 10)
+        coarsen_first_mesh(monkeypatch, 24, 10)
         monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
-        counted = count_shared_work(monkeypatch)
+        passes = mesh_passes(monkeypatch)
         floored = decay_rate(MUON, state)
-        floored_panels = counted["panels"]
+        floored_panels = [edges.size - 1 for edges in passes]
+        passes.clear()
         monkeypatch.setattr(rate, "_LEVEL_ABS_FLOOR", 0.0)
         bare = decay_rate(MUON, state)
+        assert len(floored_panels) > 1
+        assert [edges.size - 1 for edges in passes] == floored_panels
         assert abs(bare.gamma_total - floored.gamma_total) <= floored.quad_error
-        assert counted["panels"] > floored_panels
+
+    @pytest.mark.parametrize("setup", ["weak-field", "coarse-floor-free"])
+    def test_each_pass_bisects_panels_of_the_last(self, monkeypatch, setup):
+        # the edges of every pass are strictly increasing, and each later
+        # pass keeps the last one's edges and adds midpoints of its panels,
+        # at most one a panel: (63, 53) refines in 4 passes at the default
+        # tolerance, and so does the floor-free run on the coarsened first
+        # mesh of the floor test above
+        monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
+        if setup == "weak-field":
+            state = magnetized(63, 53)
+        else:
+            state = magnetized(1e4, 140)
+            coarsen_first_mesh(monkeypatch, 24, 10)
+            monkeypatch.setattr(rate, "_LEVEL_ABS_FLOOR", 0.0)
+        passes = mesh_passes(monkeypatch)
+        decay_rate(MUON, state, 1e-9)
+        assert len(passes) > 1
+        for edges in passes:
+            assert edges[0] == 0.0 and edges[-1] == 1.0
+            assert (np.diff(edges) > 0.0).all()
+        for last, edges in zip(passes, passes[1:]):
+            kept = np.isin(edges, last)
+            assert kept.sum() == last.size
+            panel = np.searchsorted(last, edges[~kept]) - 1
+            assert (edges[~kept] == 0.5 * (last[panel] + last[panel + 1])).all()
 
     @pytest.mark.parametrize(
         "p_perp_sq,m,rel_tol,work",
         [
-            (1e4, 30, 1e-9, {"rounds": 1, "nodes": 915, "node_levels": 38_247, "panels": 15,
-                             "gamma": "0x1.1ec9d4dc982fdp-13", "quad_error": "0x1.61a0b7923046fp-57"}),
-            (1e4, 300, 1e-9, {"rounds": 1, "nodes": 3_050, "node_levels": 823_439, "panels": 50,
+            (1e4, 30, 1e-9, {"rounds": 1, "nodes": 427, "node_levels": 12_139, "panels": 7,
+                             "gamma": "0x1.1ec9d4dc982fdp-13", "quad_error": "0x1.633deb4484330p-57"}),
+            (1e4, 300, 1e-9, {"rounds": 1, "nodes": 2_562, "node_levels": 577_975, "panels": 42,
                               "gamma": "0x1.1ebb312db691dp-13", "quad_error": "0x1.3fe5b89eefc46p-56"}),
-            (1e4, 300, 1e-13, {"rounds": 1, "nodes": 3_050, "node_levels": 823_439, "panels": 50,
+            (1e4, 300, 1e-13, {"rounds": 1, "nodes": 2_562, "node_levels": 577_975, "panels": 42,
                                "gamma": "0x1.1ebb312db691dp-13", "quad_error": "0x1.3fe5b89eefc46p-56"}),
-            (63, 53, 1e-9, {"rounds": 4, "nodes": 19_764, "node_levels": 42_122_940, "panels": 84,
+            (63, 53, 1e-9, {"rounds": 4, "nodes": 17_812, "node_levels": 36_284_508, "panels": 76,
                             "gamma": "0x1.899bad844ff1dp-13", "quad_error": "0x1.77ea8d48aded1p-54"}),
-            (10, 5, 1e-9, {"rounds": 5, "nodes": 9_455, "node_levels": 14_012_371, "panels": 35,
+            (10, 5, 1e-9, {"rounds": 5, "nodes": 7_015, "node_levels": 9_417_363, "panels": 27,
                            "gamma": "0x1.8a8a2edb9f5d7p-13", "quad_error": "0x1.d79d585d5a4cdp-51"}),
         ],
     )
@@ -452,9 +498,9 @@ class TestLevelSum:
         # (levels 0 to 502 of 636 in the first pass at (1e4, 300)), and
         # panels those of the last mesh; (1e4, 30) takes the shared mesh
         # only when asked, and at 1e-13 (1e4, 300) keeps its first mesh of
-        # 50 panels, whose every level meets that tolerance too.  At weak
-        # p_perp^2 the mesh refines: (63, 53) takes 4 passes, from 78 panels
-        # to 84, and (10, 5) takes 5, from 27 to 35.  The width and its
+        # 42 panels, whose every level meets that tolerance too.  At weak
+        # p_perp^2 the mesh refines: (63, 53) takes 4 passes, from 70 panels
+        # to 76, and (10, 5) takes 5, from 19 to 27.  The width and its
         # error are pinned to the bit
         monkeypatch.setattr(rate, "_SHARED_MESH_WORK", 0)
         counted = count_shared_work(monkeypatch)
@@ -463,8 +509,8 @@ class TestLevelSum:
         assert {**counted, **bits} == work
 
     def test_miller_store_holds_only_the_weights(self, monkeypatch):
-        # the first round's nodes at (1e4, 1000): 8,784, of which 1,988 are
-        # past their turning points with 142,954 weights of Miller's part
+        # the first round's nodes at (1e4, 1000): 8,296, of which 1,500 are
+        # past their turning points with 123,686 weights of Miller's part
         class Captured(Exception):
             pass
 
@@ -504,9 +550,7 @@ class TestLevelSum:
         # passes max(1e-9 value, absolute floor) is past its own floor too,
         # so it misses
         state = magnetized(1e4, 300)
-        initial = mesh._initial_panels
-        monkeypatch.setattr(mesh, "_ZEROS_PER_PANEL", 12)
-        monkeypatch.setattr(mesh, "_initial_panels", lambda m, levels: initial(m, levels) // 2)
+        coarsen_first_mesh(monkeypatch, 12, 2)
         counted = count_shared_work(monkeypatch)
         first = decay_rate(MUON, state, rel_tol=1e-6)
         assert counted["rounds"] == 1
@@ -523,7 +567,7 @@ class TestLevelSum:
         )
 
     def test_level_sum_memory_holds_no_sum_per_level_and_panel(self, monkeypatch):
-        # a default run at (1e4, 1000) is one pass over 144 panels (8,784
+        # a default run at (1e4, 1000) is one pass over 136 panels (8,296
         # nodes) for 2,118 levels.  Its peak is the row's (the bound of
         # test_miller_store_holds_only_the_weights, which holds the row's
         # slab of _LEVEL_BATCH levels at every node), up to four
@@ -531,7 +575,7 @@ class TestLevelSum:
         # t^2, x and top), the two plain sums and the two-panel weights of a batch of
         # _PIECE_BATCH levels, and under 512 B a level for the level
         # vectors and the result: no sum per level and panel, of which two
-        # dense arrays would take 5.9 MiB here
+        # dense arrays would take 4.4 MiB here
         layout = []
         overlap_rows = mesh.overlap_rows
 
@@ -548,7 +592,7 @@ class TestLevelSum:
             tracemalloc.stop()
         m, x, top = layout[0]
         levels, panels = len(result.level_contributions), x.size // quadrature._NODES.size
-        assert len(layout) == 1 and (levels, panels) == (2118, 144)
+        assert len(layout) == 1 and (levels, panels) == (2118, 136)
         row = 20 * 8 * x.size + 16 * miller_weights(m, x, top)
         batch = 4 * mesh._LEVEL_BATCH * 8 * x.size + 4 * 8 * x.size
         pieces = mesh._PIECE_BATCH * (2 * panels + 2 * quadrature._NODES.size) * 8

@@ -253,6 +253,19 @@ def test_overflow_exits_1(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("radius,m_max,level", [("1e-300", "0", 0), ("5e-324", "0", 0), ("1e-154", "3", 1)])
+def test_tiny_radius_names_the_radius_and_level(capsys, radius, m_max, level):
+    # p_perp = (2m + 1) / R, so p_perp^2 passes the float range once R is
+    # below about 1e-154 (2m + 1); no row is printed, not even the levels
+    # before the first that overflows
+    code, out, err = run(capsys, "scan-field", "--radius", radius, "--m-min", "0", "--m-max", m_max)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: at radius {float(radius):g} and level {level}, "
+        "p_perp^2 = ((2m+1)/R)^2 passes the float range\n"
+    )
+
+
 def test_acceleration_is_finite_where_p_perp_cubed_overflows(capsys):
     # p_perp^3 is past the float range from p_perp^2 of about 3e205 MeV^2,
     # while the acceleration p_perp (p_perp / omega)^2 / (2m+1) is not; the

@@ -128,3 +128,28 @@ def test_mesh_crossover_times_both_schemes(monkeypatch, capsys):
     assert cells[:3] == ["(5, 1)", "3353", "n/a"] and cells[3].endswith(" ms")
     assert cells[4:] == ["n/a", "n/a"]
     assert calls == [math.inf, 0, math.inf, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "pair,message",
+    [
+        ("1e4", "expected p_perp^2:m, got '1e4'"),
+        ("1e4:3.5", "m must be a nonnegative integer, got '3.5'"),
+        ("1e4:x", "m must be a nonnegative integer, got 'x'"),
+        ("1e4:-3", "m must be a nonnegative integer, got '-3'"),
+        ("inf:30", "p_perp^2 must be finite and positive, got 'inf'"),
+        ("nan:30", "p_perp^2 must be finite and positive, got 'nan'"),
+        ("0:30", "p_perp^2 must be finite and positive, got '0'"),
+        ("1e400:30", "p_perp^2 must be finite and positive, got '1e400'"),
+    ],
+)
+def test_mesh_crossover_rejects_a_bad_point(monkeypatch, capsys, pair, message):
+    # a malformed pair is a usage error before any point is timed
+    script = load("mesh_crossover")
+    monkeypatch.setattr(sys, "argv", ["mesh_crossover.py", "--points", "1e4:30", pair])
+    with pytest.raises(SystemExit) as info:
+        script.main()
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert err.startswith("usage: mesh_crossover.py")
+    assert err.endswith(f"error: argument --points: {message}\n")
