@@ -163,21 +163,22 @@ def _shares_mesh(m: int, root_x) -> bool:
     The per-level k_z quadrature costs about m recurrence steps a point and
     the shared mesh about one row step a level at each node, besides a
     fixed cost per level and round.  Timed on one core along the figure
-    curves by ``scripts/mesh_crossover.py`` (one run at fc91170 on a
+    curves by ``scripts/mesh_crossover.py`` (one run at a5f1eb0 on a
     2-core Intel Xeon host), the shared mesh over the k_z quadrature takes
-    1.16 (m = 24), 1.01 (29), 0.90 (32), 0.79 (36), 0.71 (41), 0.56 (49)
-    and 0.41 (60) of the time at p_perp^2 = 1e3; 0.98 (50), 0.82 (60),
-    0.67 (70) and 0.56 (80) at 5e3; 1.09 (60), 0.98 (66), 0.90 (70) and
-    0.75 (80) at 1e4, where the mesh converges in one round at every
-    point; 1.62 at (3e4, 80); 1.69 (100) and 1.01 (120) at 5e4.  In m
-    (levels) the crossover lies near 10,400 at 1e3, between 5,200 and
-    8,200 at 5e3 and between 7,700 and 9,300 at 1e4, and past the end of
-    the 3e4 and 5e4 curves (8,800 and 17,640): the product does not order
-    it across curves, so the threshold sits above every crossover, where
-    no figure point takes longer on the mesh.  It sends the points from
-    m = 41 at 1e3 and from m = 79 at 5e3 to it.  A lower threshold does
-    not pay on the seed-7 sample of the figure points that the benchmark's
-    ``figures`` workload runs: with whole passes alternated in one process
+    0.98 (m = 24), 0.85 (29), 0.78 (32), 0.65 (36), 0.63 (41), 0.48 (49)
+    and 0.36 (60) of the time at p_perp^2 = 1e3; 1.05 (40), 0.84 (50),
+    0.66 (60), 0.56 (70) and 0.50 (80) at 5e3; 2.47 (30), 0.92 (60), 0.81
+    (66), 0.70 (70) and 0.62 (80) at 1e4, where the mesh converges in one
+    round at every point; 1.89 (65) and 1.32 (80) at 3e4; 1.56 (100) and
+    0.92 (120) at 5e4.  In m (levels) the crossover lies near 7,200 at
+    1e3, between 5,200 and 8,200 at 5e3, between 2,000 and 7,700 at 1e4
+    and between 12,300 and 17,640 at 5e4, and past the end of the 3e4
+    curve (8,800): the product does not order it across curves, so the
+    threshold sits above every crossover, where no figure point takes
+    longer on the mesh.  It sends the points from m = 41 at 1e3 and from
+    m = 79 at 5e3 to it.  At dcf9b43 a lower threshold did not pay on the
+    seed-7 sample of the figure points that the benchmark's ``figures``
+    workload runs: with whole passes alternated in one process
     (one BLAS thread, CPU time at the benchmark's reference pace, three
     processes of 12 rounds), 10,000 took 1.6-3.8% longer in the median
     than 20,000 and was faster in 2-5 of 12 rounds, and 8,000 took
