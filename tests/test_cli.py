@@ -256,7 +256,7 @@ def test_overflow_exits_1(capsys, argv):
 @pytest.mark.parametrize("radius,m_max,level", [("1e-300", "0", 0), ("5e-324", "0", 0), ("1e-154", "3", 1)])
 def test_tiny_radius_names_the_radius_and_level(capsys, radius, m_max, level):
     # p_perp = (2m + 1) / R, so p_perp^2 passes the float range once R is
-    # below about 1e-154 (2m + 1); no row is printed, not even the levels
+    # below about 7.5e-155 (2m + 1); no row is printed, not even the levels
     # before the first that overflows
     code, out, err = run(capsys, "scan-field", "--radius", radius, "--m-min", "0", "--m-max", m_max)
     assert (code, out) == (1, "")
