@@ -206,11 +206,21 @@ def _rate_record(channel, p_perp_sq: float, m_level: int, rel_tol: float) -> dic
     }
 
 
+def _positive_p_perp2(value: float) -> float:
+    """A p_perp2 flag or config value; zero or negative is a usage error."""
+    if value <= 0.0:
+        raise _UsageError(f"p_perp2 must be positive, got {value:g}")
+    return value
+
+
 def _cmd_rate(args, config) -> list[dict]:
     p_perp_sq = _pick(args, config, "p_perp2", _finite_float)
     m_level = _pick(args, config, "m_level", int)
     if p_perp_sq is None or m_level is None:
         raise _UsageError("rate requires --p-perp2 and --m")
+    _positive_p_perp2(p_perp_sq)
+    if m_level < 0:
+        raise _UsageError(f"m must be nonnegative, got {m_level}")
     channel = _channel(args, config)
     return [_rate_record(channel, p_perp_sq, m_level, _rel_tol(args, config))]
 
@@ -226,7 +236,7 @@ def _level_range(args, config) -> range:
 
 
 def _cmd_scan_m(args, config) -> list[dict]:
-    p_list = _pick(args, config, "p_perp2", _float_list, [1e4])
+    p_list = [_positive_p_perp2(p2) for p2 in _pick(args, config, "p_perp2", _float_list, [1e4])]
     levels = _level_range(args, config)
     channel = _channel(args, config)
     rel_tol = _rel_tol(args, config)

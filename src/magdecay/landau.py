@@ -52,7 +52,7 @@ class DecayChannel:
             )
         if self.m_parent <= 0.0 or self.m_charged < 0.0:
             raise ValueError("masses must be nonnegative and the parent massive")
-        if self.m_parent**2 < sys.float_info.min:
+        if self.m_parent * self.m_parent < sys.float_info.min:
             # the cutoffs and energies square the parent mass
             raise ValueError(
                 f"parent mass {self.m_parent} MeV squares below the normal float range"
@@ -65,6 +65,11 @@ class DecayChannel:
             )
         if self.coupling <= 0.0:
             raise ValueError(f"coupling must be positive, got {self.coupling}")
+        # the energies, cutoffs and widths square both (and the lighter
+        # charged daughter's mass)
+        for name, value in (("parent mass", self.m_parent), ("coupling", self.coupling)):
+            if math.isinf(value * value):
+                raise OverflowError(f"{name} {value:g} MeV squares past the float range")
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,17 @@ wider than a floor set by m and the number of levels.
 At every node one row of the recurrence across levels
 (:func:`magdecay.specfun.overlap_rows`) gives the weights of all the
 levels whose X_n reaches the node's panel, Miller's part past the turning
-points included, in slabs of eight levels that are reduced in place into
-per-panel Kronrod and Gauss sums as the row steps, so no (levels x nodes)
-matrix is held.  Level n takes the plain rules on its panels below
-the two around theta_n = sqrt(X_n / X_0); on those two, product weights
+points included, in slabs of 8 to 32 levels (as many as fit the row's
+work budget at the pass's nodes) that are reduced in place into per-panel
+Kronrod and Gauss sums as the row steps, so no (levels x nodes) matrix is
+held.  Level n takes the plain rules on its panels below the two around
+theta_n = sqrt(X_n / X_0); on those two, product weights
 from closed-form moments integrate (theta_n - t)^(-1/2) exactly against
 the interpolant of the rest (as QUADPACK's QAWS).  Their error is read
 from how the interpolant's top Legendre coefficients fall (as Gonnet's
 CQUAD), so it is that of the 61-node rule whose value is kept, and it is
 never taken below the roundoff that the weights and the product weights
-carry.  Every 32 levels the pass forms their values, errors and
+carry.  Every 64 levels the pass forms their values, errors and
 tolerances, so no (levels x panels) sum is held either.  Shared panels
 are bisected wherever a level misses its tolerance, and the next round is
 a new pass over every panel: only the edges go from one round to the
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .specfun import _LEVEL_BATCH, ROW_ABS_ERROR, overlap_rows
+from .specfun import ROW_ABS_ERROR, overlap_rows
 
 
 # panels the shared mesh may hold before the level sum is given up: the one
@@ -87,10 +88,11 @@ _TAIL_ROWS = np.vstack((_PRODUCT[-2 * _TAIL :], np.abs(_PRODUCT[-_TAIL:]).mean(a
 _DECAY = 0.5
 # 2 sqrt(2) / (2k + 1), k = 0..60
 _MOMENT = 2.0 * math.sqrt(2.0) / (2 * np.arange(_NODES.size) + 1)
-# levels the pass hands over at a time, four of the row's slabs, whose
-# plain sums it holds on every panel and whose end pieces are formed
-# together: their largest array, batch x 2 x 3 x 61 doubles, is then 94 KB
-_PIECE_BATCH = 32
+# levels the pass hands over at a time, a whole number of the row's slabs
+# (8, 16 or 32 levels), whose plain sums it holds on every panel and whose
+# end pieces are formed together: their largest array, batch x 2 x 3 x 61
+# doubles, is then 187 KB
+_PIECE_BATCH = 64
 _EPS = float(np.finfo(float).eps)
 # the roundoff of a product weight W_j = (mu V^-1)_j is at most 61 eps
 # (|mu| |V^-1|)_j, Higham's bound on a dot product of 61 terms
@@ -255,13 +257,14 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
     and its weights on its two panels around theta_n (in the place of the
     lower one of a lone first panel, the first node's, which
     :func:`_endpoint_pieces` scales by 0).  The buffers are filled again
-    for the next batch.  The row hands over ``_LEVEL_BATCH`` levels at a
-    time in its slab, which is the buffer of their plain reductions: the
-    pass takes out each level's two-panel weights, zeroes a level's
-    weights past its plain panels, and reduces the slab in place over the
-    panels that hold a nonzero weight of it.  The pass ends with the row,
-    at the last level with a nonzero weight at any node: the levels past
-    it are not yielded.
+    for the next batch.  The row hands over 8, 16 or 32 levels at a time
+    (as many as fit its work budget at the nodes), a batch being a whole
+    number of them, in its slab, which is the buffer of their plain
+    reductions: the pass takes out each level's two-panel weights, zeroes
+    a level's weights past its plain panels, and reduces the slab in place
+    over the panels that hold a nonzero weight of it.  The pass ends with
+    the row, at the last level with a nonzero weight at any node: the
+    levels past it are not yielded.
     """
     width = _NODES.size
     half = 0.5 * np.diff(edges)
@@ -274,10 +277,10 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
     plain_stop = (np.maximum(upper - 1, 0) * width).tolist()
     pair_end = (upper + 1) * width
     # a level's two panels end at its pair end, and row k of the slab
-    # starts k rows of nodes in; a lone first panel's lower one takes the
-    # first node's weights
+    # starts k rows of nodes in (a slab has at most a batch of rows); a
+    # lone first panel's lower one takes the first node's weights
     pair = np.arange(-2 * width, 0)
-    row_start = np.arange(_LEVEL_BATCH)[:, None] * t.size
+    row_start = np.arange(_PIECE_BATCH)[:, None] * t.size
     kronrod = np.zeros((_PIECE_BATCH, half.size))
     deviation = np.zeros((_PIECE_BATCH, half.size))
     pair_w = np.zeros((_PIECE_BATCH, 2 * width))

@@ -36,13 +36,15 @@ numpy across the nodes and the Python loop over n; it gives the bits of
 :func:`_overlap_row` at every node.  Miller's part runs first, each node
 stepped down from its own start, and keeps only the iterates that become
 weights, node by node.  The forward run then hands the weights over in
-slabs of eight levels at every node, one buffer that the caller reduces
-in place, so that it never holds a (levels x nodes) matrix.  Per level
-the Python loop only steps the forward nodes and writes their weights
-into the slab, eight numpy calls whatever the number of nodes.  Once a
-slab, the nodes that passed their turning points in it have their Miller
-parts scaled into weights, and the slab takes the Miller weights of its
-levels.
+slabs of levels at every node, one buffer that the caller reduces in
+place, so that it never holds a (levels x nodes) matrix; a slab has as
+many levels, 8 to 32, as fit a byte budget at the number of nodes
+(:func:`_work_rows`).  Per level the Python loop only steps the forward
+nodes and writes their weights into the slab, eight numpy calls whatever
+the number of nodes, so on a few thousand nodes a slab of more levels
+hands over the same weights in fewer calls.  Once a slab, the nodes that
+passed their turning points in it have their Miller parts scaled into
+weights, and the slab takes the Miller weights of its levels.
 
 :func:`overlap_weight_rows`, the level kernel, takes w one level at a time
 instead, each row at its own (n, m) and the rows in any order, for the
@@ -100,11 +102,11 @@ _TINY = 5e-324
 # exp(-h) is taken whole up to this h, and past it as a power of two times
 # the exponential of the rest, so that the seed never underflows
 _EXP_WHOLE = 600.0
-# factors of the array row's seed multiplied between rescales
-_SEED_BLOCK = 8
-# levels of a slab of overlap_rows, which writes their weights at every node
-# into one buffer and hands it over once they are all stepped
-_LEVEL_BATCH = 8
+# bytes that a work buffer of rows across every node may take: the slab of
+# levels of overlap_rows, which writes their weights at every node into one
+# buffer and hands it over once they are all stepped, and the block of the
+# array row's seed factors multiplied between rescales (_work_rows)
+_WORK_BYTES = 2**19
 _LN2 = math.log(2.0)
 
 
@@ -114,6 +116,15 @@ def _exp_neg(h):
     the same bits in either."""
     shift = np.ceil(np.maximum(h - _EXP_WHOLE, 0.0) / _LN2)
     return np.exp(shift * _LN2 - h), -shift.astype(np.int64)
+
+
+def _work_rows(nodes: int) -> int:
+    """Rows of a work buffer of doubles at every one of ``nodes``: the
+    largest of 32 and 16 whose buffer fits ``_WORK_BYTES``, else 8.  Numpy's
+    cost per call, not per node, sets the row's cost per level on a few
+    thousand nodes, so fewer nodes take more rows a call; past 4,096 nodes
+    the buffer keeps eight."""
+    return next((rows for rows in (32, 16) if rows * 8 * nodes <= _WORK_BYTES), 8)
 
 
 def _decay_stride(n, m, x, ops):
@@ -409,13 +420,13 @@ def overlap_rows(m: int, x, top):
     ``m`` is the one parent level of all nodes, ``x`` a 1-D array of
     arguments and ``top`` the last level each node needs.  The generator yields
     ``(n0, slab, first)``: row k of ``slab``, a ``(rows, nodes)`` array of
-    at most ``_LEVEL_BATCH`` rows, holds the weights of level n0 + k at the
-    nodes whose top is at least n0 + k, a leading run of them (its entries
-    at the other nodes are left as they are), and the nodes before
-    ``first`` have weight 0 at every level of the slab.  The slab is one
-    buffer that the next slab fills again: a caller may change it in place
-    as long as the entries before ``first``, which the row does not write
-    again, stay 0.  Every weight at x > 0 has the bits :func:`_overlap_row`
+    at most ``_work_rows(nodes)`` rows, n0 a multiple of that number, holds
+    the weights of level n0 + k at the nodes whose top is at least n0 + k,
+    a leading run of them (its entries at the other nodes are left as they
+    are), and the nodes before ``first`` have weight 0 at every level of
+    the slab.  The slab is one buffer that the next slab fills again: a
+    caller may change it in place as long as the entries before ``first``,
+    which the row does not write again, stay 0.  Every weight at x > 0 has the bits :func:`_overlap_row`
     gives it, and the row goes on past the last level of
     :func:`_overlap_row` up to Miller's start; from that start on, where
     the row's decay bound puts w below 1e-40, about Miller's own error in
@@ -494,13 +505,14 @@ def overlap_rows(m: int, x, top):
         end_at = np.minimum(lo_at, hi_at).tolist()
     every = _rescale_interval(root_x, int(top[0]) + m)
 
-    slab = np.zeros((_LEVEL_BATCH, x.size))
+    batch = _work_rows(x.size)
+    slab = np.zeros((batch, x.size))
     # the rows of both as views, made once
     iterates, weights = list(ring), list(slab)
     root, root_next = np.zeros((2, x.size))
     first = 0
-    for n0 in range(0, last + 1, _LEVEL_BATCH):
-        rows = min(_LEVEL_BATCH, last + 1 - n0)
+    for n0 in range(0, last + 1, batch):
+        rows = min(batch, last + 1 - n0)
         for n in range(n0, n0 + rows):
             lo, hi = lo_at[n], hi_at[n]
             if lo >= hi:
@@ -640,10 +652,11 @@ def _seed(m: int, x):
     """D_0 at every node of one m as _overlap_row makes it: a mantissa and
     twice its binary exponent (int32).
 
-    The factors sqrt(x / k) are multiplied in blocks, in the order of
-    _overlap_row, and the products rescaled after each block: a block is
-    short enough that no product leaves the float range, and rescaling by
-    exact powers of two at other steps changes no bit of the value.
+    The factors sqrt(x / k) are multiplied in blocks of up to
+    :func:`_work_rows` factors, in the order of _overlap_row, and the
+    products rescaled after each block: a block is short enough that no
+    product leaves the float range, and rescaling by exact powers of two at
+    other steps changes no bit of the value.
     """
     lift = np.where(x < _SMALL, 64, 0)
     lifted = np.ldexp(x, (2 * lift).astype(np.int32))
@@ -653,7 +666,7 @@ def _seed(m: int, x):
         # a factor is at most 2^|spread| from 1, so a block of `size`
         # factors moves a product inside (2^-400, 2^400) by under 2^500
         spread = max(abs(math.log2(lifted.max())), abs(math.log2(lifted.min() / m))) / 2
-        size = max(1, min(_SEED_BLOCK, int(500.0 / max(spread, 1.0))))
+        size = max(1, min(_work_rows(x.size), int(500.0 / max(spread, 1.0))))
         factors = np.empty((size, x.size))
         for k0 in range(1, m + 1, size):
             k = np.arange(k0, min(k0 + size, m + 1), dtype=float)

@@ -508,6 +508,64 @@ class TestLevelSum:
         bits = {"gamma": result.gamma_total.hex(), "quad_error": result.quad_error.hex()}
         assert {**counted, **bits} == work
 
+    @pytest.mark.parametrize("p_perp_sq,m,rows", [(1e4, 300, [16]), (1e3, 71, [32]), (10, 5, [32] * 5)])
+    def test_bits_do_not_depend_on_the_work_rows(self, monkeypatch, p_perp_sq, m, rows):
+        # the work budget gives the 2,562 nodes of (1e4, 300) slabs of 16
+        # levels, and the 1,525 of (1e3, 71) and the 1,159 to 1,647 of the
+        # five passes of (10, 5) slabs of 32; with no budget every slab and
+        # seed block has eight rows, and with end-piece batches of 32
+        # levels each pass runs as it did before the budget: every level
+        # keeps its bits
+        state = magnetized(p_perp_sq, m)
+        slabs = []
+        overlap_rows = mesh.overlap_rows
+
+        def capture(m, x, top):
+            slabs.append(0)
+            for n0, slab, first in overlap_rows(m, x, top):
+                slabs[-1] = max(slabs[-1], slab.shape[0])
+                yield n0, slab, first
+
+        monkeypatch.setattr(mesh, "overlap_rows", capture)
+        budget = result_bits(decay_rate(MUON, state))
+        assert slabs == rows
+        slabs.clear()
+        monkeypatch.setattr(specfun, "_WORK_BYTES", 0)
+        monkeypatch.setattr(mesh, "_PIECE_BATCH", 32)
+        assert result_bits(decay_rate(MUON, state)) == budget
+        assert slabs == [8] * len(rows)
+
+    def test_row_peak_within_the_work_budget(self, monkeypatch):
+        # the one pass at (1e4, 300): 2,562 nodes, for which the budget
+        # takes slabs of 16 levels (32 would pass it), and 24,197 weights
+        # of Miller's part.  The pass holds the store, 12 B a weight, about
+        # 12 work arrays of 8 B a node, and at most three buffers of the
+        # slab's size: the slab and the index and weight temporaries of the
+        # Miller weights it takes in
+        class Captured(Exception):
+            pass
+
+        layout = []
+
+        def capture(m, x, top):
+            layout.append((m, x, top))
+            raise Captured
+
+        monkeypatch.setattr(mesh, "overlap_rows", capture)
+        with pytest.raises(Captured):
+            decay_rate(MUON, magnetized(1e4, 300))
+        m, x, top = layout[0]
+        rows = specfun._work_rows(x.size)
+        slab = rows * 8 * x.size
+        assert (x.size, rows) == (2562, 16)
+        assert slab <= specfun._WORK_BYTES < 2 * slab
+        tracemalloc.start()
+        for _ in specfun.overlap_rows(m, x, top):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 12 * 8 * x.size + 3 * slab + 16 * miller_weights(m, x, top)
+
     def test_miller_store_holds_only_the_weights(self, monkeypatch):
         # the first round's nodes at (1e4, 1000): 8,296, of which 1,500 are
         # past their turning points with 123,686 weights of Miller's part
@@ -530,8 +588,10 @@ class TestLevelSum:
         store = specfun._miller_tail(m, x[tail], np.sqrt(x[tail]), top[tail], turn[tail])[0]
         assert weights <= store[0].size <= 1.01 * weights
         # a pass holds the store, 12 B a weight, and about 18 work arrays of
-        # 8 B a node, eight of them the slab of levels it hands over,
-        # whatever the levels past the nodes' turning points
+        # 8 B a node, eight of them the slab of levels it hands over (the
+        # work budget's eight rows at this node count), whatever the levels
+        # past the nodes' turning points
+        assert specfun._work_rows(x.size) == 8
         tracemalloc.start()
         for _ in specfun.overlap_rows(m, x, top):
             pass
@@ -570,7 +630,7 @@ class TestLevelSum:
         # a default run at (1e4, 1000) is one pass over 136 panels (8,296
         # nodes) for 2,118 levels.  Its peak is the row's (the bound of
         # test_miller_store_holds_only_the_weights, which holds the row's
-        # slab of _LEVEL_BATCH levels at every node), up to four
+        # slab, eight levels at every node at this node count), up to four
         # temporaries of the slab's size, four arrays of 8 B a node (t,
         # t^2, x and top), the two plain sums and the two-panel weights of a batch of
         # _PIECE_BATCH levels, and under 512 B a level for the level
@@ -594,6 +654,7 @@ class TestLevelSum:
         levels, panels = len(result.level_contributions), x.size // quadrature._NODES.size
         assert len(layout) == 1 and (levels, panels) == (2118, 136)
         row = 20 * 8 * x.size + 16 * miller_weights(m, x, top)
-        batch = 4 * mesh._LEVEL_BATCH * 8 * x.size + 4 * 8 * x.size
+        assert specfun._work_rows(x.size) == 8
+        batch = 4 * 8 * 8 * x.size + 4 * 8 * x.size
         pieces = mesh._PIECE_BATCH * (2 * panels + 2 * quadrature._NODES.size) * 8
         assert peak <= row + batch + pieces + 512 * levels

@@ -72,8 +72,8 @@ GOLDEN_RATE_1E4_300 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
     "16.638935108153078,145.50769739089407,1.3766101929129051,635,0.00013672409971016925,1.0000020629045894,1.7341670002158635e-17,1.185935152204e-12,3.5793859348068953e+28,1.2398419839593942e-14,2812663914202313.5\n"
 )
-# 870 levels on the shared mesh, not a whole number of the row's slabs of
-# eight levels, with a Miller band of 441 levels
+# 870 levels on the shared mesh, not a whole number of the row's slabs
+# (32 levels at its 1,525 nodes), with a Miller band of 441 levels
 GOLDEN_RATE_1E3_71 = (
     "eB_MeV2,omega_MeV,lorentz_gamma,n_max,Gamma_MeV,ratio,quad_error,radius_m,acceleration_m_s2,lambda_dB_m,B_gauss\n"
     "6.9930069930069934,110.32900797161189,1.0437938313302921,869,0.00018031858815112451,1.0000001539666059,1.4311597602626986e-17,8.9232386367038735e-13,8.2744563965091183e+27,3.9207246080136348e-14,1182105603101811.5\n"
@@ -240,17 +240,51 @@ class TestRateCommand:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,named",
     [
-        ["rate", "--p-perp2", "1e4", "--m", "30", "--G", "1e200"],  # G**2 in the free width
+        # G**2 in the free width, M**2 in the energies and cutoffs
+        (["rate", "--p-perp2", "1e4", "--m", "30", "--G", "1e200"], "coupling 1e+200 MeV"),
+        (["rate", "--p-perp2", "1e4", "--m", "30", "--M-mu", "1e200"], "parent mass 1e+200 MeV"),
+        (["table", "--G", "1e200"], "coupling 1e+200 MeV"),
+        (["verify", "--trials", "2", "--G", "1e200"], "coupling 1e+200 MeV"),
     ],
-    ids=["coupling"],
+    ids=["coupling", "parent-mass", "table", "verify"],
 )
-def test_overflow_exits_1(capsys, argv):
+def test_overflow_exits_1(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: result overflowed the float range: ")
     assert err.count("\n") == 1
+    assert err.endswith(f": {named} squares past the float range\n")
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["rate", "--p-perp2", "1e4", "--m", "-1"], None, "m must be nonnegative, got -1"),
+        (["rate", "--p-perp2", "-5", "--m", "3"], None, "p_perp2 must be positive, got -5"),
+        (["rate", "--p-perp2", "0", "--m", "3"], None, "p_perp2 must be positive, got 0"),
+        (["rate"], "p_perp2 = 1e4\nm = -1\n", "m must be nonnegative, got -1"),
+        (["rate"], "p_perp2 = -5\nm = 3\n", "p_perp2 must be positive, got -5"),
+        (["scan-m", "--p-perp2", "-5", "--m-min", "0", "--m-max", "1"], None,
+         "p_perp2 must be positive, got -5"),
+        (["scan-m", "--p-perp2", "1e3", "--p-perp2", "0", "--m-min", "0", "--m-max", "1"], None,
+         "p_perp2 must be positive, got 0"),
+        (["scan-m", "--m-min", "0", "--m-max", "1"], "p_perp2 = 1e3, -5\n", "p_perp2 must be positive, got -5"),
+    ],
+    ids=["rate-m", "rate-p", "rate-p-zero", "rate-m-config", "rate-p-config", "scan-m-p",
+         "scan-m-second-p", "scan-m-p-config"],
+)
+def test_bad_point_is_a_usage_error(capsys, tmp_path, argv, config, message):
+    # like a bad --m-min or --radius: the value never reaches the library,
+    # whose own ValueError would exit 1
+    if config is not None:
+        path = tmp_path / "point.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("radius,m_max,level", [("1e-300", "0", 0), ("5e-324", "0", 0), ("1e-154", "3", 1)])

@@ -35,6 +35,24 @@ class TestChannelAndState:
         # the square of 1.5e-154 is 2.25e-308, just inside the normal range
         landau.DecayChannel(m_parent=1.5e-154)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"m_parent": 1e200}, "parent mass 1e+200 MeV"),
+            ({"m_parent": 1e200, "m_charged": 1e160}, "parent mass 1e+200 MeV"),
+            ({"m_parent": M_MU, "coupling": 1e200}, "coupling 1e+200 MeV"),
+        ],
+        ids=["parent", "both-masses", "coupling"],
+    )
+    def test_square_past_the_float_range_named(self, kwargs, name):
+        # raised at construction, naming the value, not later as an errno
+        # tuple from the first power that overflows
+        with pytest.raises(OverflowError) as info:
+            landau.DecayChannel(**kwargs)
+        assert str(info.value) == f"{name} squares past the float range"
+        # the square of 1.3e154 is 1.69e308, just inside the float range
+        landau.DecayChannel(m_parent=1.3e154, coupling=1.3e154)
+
     def test_state_invariants(self):
         with pytest.raises(ValueError):
             landau.MagnetizedState(field=0.0, level=0)

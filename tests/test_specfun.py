@@ -392,8 +392,9 @@ def array_rows(m, x, top):
     0 at every node before the slab's first."""
     out = {}
     x, top = np.asarray(x), np.asarray(top)
+    rows = specfun._work_rows(x.size)
     for n0, slab, first in specfun.overlap_rows(m, x, top):
-        assert n0 % specfun._LEVEL_BATCH == 0 and 0 < slab.shape[0] <= specfun._LEVEL_BATCH
+        assert n0 % rows == 0 and 0 < slab.shape[0] <= rows
         assert slab.shape[1] == x.size and not slab[:, :first].any()
         for n, w in enumerate(slab.tolist(), start=n0):
             out.update(((i, n), v) for i, v in enumerate(w[: np.count_nonzero(top >= n)]))
@@ -439,41 +440,55 @@ class TestArrayRow:
         assert got[0, 4] == 2.5e-323 and got[0, 6] == 3e-323
         assert got == array_rows(5, np.array([5e-324]), np.array([7]))
 
-    @pytest.mark.parametrize("top", [0, 6, 7, 8, 14, 15])
-    def test_level_counts_at_slab_edges(self, top):
-        # 1, 7, 8, 9, 15 and 16 levels of a node that never passes its
-        # turning point (58 at (20, 10)): whole slabs of eight, then the rest
-        levels = top + 1
-        assert slab_sizes(20, [10.0], [top]) == [(n0, min(8, levels - n0)) for n0 in range(0, levels, 8)]
-        row = specfun._overlap_row(20, 10.0)
-        assert array_rows(20, np.array([10.0]), np.array([top])) == {(0, n): row[n] for n in range(levels)}
+    @pytest.mark.parametrize(
+        "nodes,rows", [(1, 32), (2048, 32), (2049, 16), (2562, 16), (4096, 16), (4097, 8), (8296, 8)]
+    )
+    def test_work_rows_by_node_count(self, nodes, rows):
+        # the largest of 32 and 16 rows of doubles at every node within the
+        # 512 KiB budget, else 8
+        assert specfun._work_rows(nodes) == rows
 
-    @pytest.mark.parametrize("top", [24, 30, 31])
+    @pytest.mark.parametrize("top", [0, 6, 7, 8, 14, 15, 30, 31, 32, 62, 63])
+    def test_level_counts_at_slab_edges(self, top):
+        # 1 to 16 levels inside the first slab, and 31, 32, 33, 63 and 64
+        # levels, on both sides of its edges, of a node that never passes
+        # its turning point (80 at (20, 20)): whole slabs of 32, the work
+        # budget's rows at one node, then the rest
+        levels = top + 1
+        assert specfun._work_rows(1) == 32 and specfun._row_levels(20, 20.0)[0] == 80
+        assert slab_sizes(20, [20.0], [top]) == [(n0, min(32, levels - n0)) for n0 in range(0, levels, 32)]
+        row = specfun._overlap_row(20, 20.0)
+        assert array_rows(20, np.array([20.0]), np.array([top])) == {(0, n): row[n] for n in range(levels)}
+
+    @pytest.mark.parametrize("top", [24, 30, 31, 32, 63])
     def test_miller_level_counts_at_slab_edges(self, top):
-        # 25, 31 and 32 levels of a node past its turning point, 16, and
-        # short of Miller's start, 101: every weight is the scalar row's
+        # 25, 31, 32, 33 and 64 levels (slabs of 32) of a node past its
+        # turning point, 16, and short of Miller's start, 101: every weight
+        # is the scalar row's
         row = specfun._overlap_row(0, 16.5)
         assert specfun._row_levels(0, 16.5)[::2] == (16, 101)
         assert array_rows(0, np.array([16.5]), np.array([top])) == {(0, n): row[n] for n in range(top + 1)}
         assert sum(rows for _, rows in slab_sizes(0, [16.5], [top])) == top + 1
 
     def test_turning_points_on_the_first_and_last_level_of_a_slab(self):
-        # at m = 0 the turning point is int(x): 16 is the first level of the
-        # third slab and 23 its last, so one node's Miller part is scaled in
-        # from the slab's second level and the other's from the next slab;
-        # alone, each runs to the end of its scalar row, and together up to
-        # a top they share
-        args = [16.5, 23.5]
-        assert [specfun._row_levels(0, x)[0] for x in args] == [16, 23]
+        # at m = 0 the turning point is int(x): in slabs of 32, the work
+        # budget's rows at one or two nodes, 32 is the first level of the
+        # second slab and 63 its last, so one node's Miller part is scaled
+        # in from the slab's second level and the other's from the next
+        # slab; alone, each runs to the end of its scalar row, and together
+        # up to a top they share
+        args = [32.5, 63.5]
+        assert specfun._work_rows(2) == 32
+        assert [specfun._row_levels(0, x)[0] for x in args] == [32, 63]
         for x in args:
             row = specfun._overlap_row(0, x)
             assert array_rows(0, np.array([x]), np.array([len(row) - 1])) == dict(
                 ((0, n), w) for n, w in enumerate(row)
             )
-        got = array_rows(0, np.array(args), np.array([70, 70]))
+        got = array_rows(0, np.array(args), np.array([100, 100]))
         for i, x in enumerate(args):
             row = specfun._overlap_row(0, x)
-            assert node_weights(got, i, 70) == {n: row[n] for n in range(71)}
+            assert node_weights(got, i, 100) == {n: row[n] for n in range(101)}
 
     def test_miller_start_before_and_past_the_top(self):
         # the first node runs past its Miller start, 101, where its weights
