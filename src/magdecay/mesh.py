@@ -310,20 +310,25 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
             lead, end = lead + nonzero[0] // width * width, lead + (nonzero[-1] // width + 1) * width
             th, r = theta[levels, None], rho[levels, None]
             ts = t[lead:end]
-            weights = slab[:, lead:end]
-            # in place: the gap, and f = w t / sqrt(gap) on the weights
+            # the gap, and f = w t / sqrt(gap) in an array of its own, not
+            # in the slab: its rows of panels are then contiguous, so the
+            # panel sums take them without a copy.  Both are let go before
+            # the row resumes, so that they never add to its peak
             gap = th - ts
-            gap *= th + ts
-            gap *= 1.0 - r * r * t_sq[lead:end]
+            f = np.add(th, ts)
+            gap *= f
+            np.multiply(r * r, t_sq[lead:end], out=f)
+            gap *= np.subtract(1.0, f, out=f)
             # past a level's own plain panels its weights are zero here
             np.sqrt(np.maximum(gap, _TINY_GAP, out=gap), out=gap)
-            f = np.multiply(weights, ts, out=weights)
-            f /= gap
+            np.divide(np.multiply(slab[:, lead:end], ts, out=f), gap, out=f)
+            del gap
             sums = (f.reshape(-1, width) @ quadrature._WEIGHTS_KG).reshape(rows, -1, 2)
             sums *= (2.0 * r)[:, :, None] * half[lead // width : end // width, None]
             panels = slice(lead // width, end // width)
             kronrod[at, panels] += sums[:, :, 0]
             deviation[at, panels] += sums[:, :, 0] - sums[:, :, 1]
+            del f
         stop = n0 + rows
         if stop % _PIECE_BATCH == 0:
             yield slice(stop - _PIECE_BATCH, stop), kronrod, deviation, pair_w

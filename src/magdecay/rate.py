@@ -163,30 +163,31 @@ def _shares_mesh(m: int, root_x) -> bool:
     The per-level k_z quadrature costs about m recurrence steps a point and
     the shared mesh about one row step a level at each node, besides a
     fixed cost per level and round.  Timed on one core along the figure
-    curves by ``scripts/mesh_crossover.py`` (one run at a5f1eb0 on a
+    curves by ``scripts/mesh_crossover.py`` (one run at 3ef2e2a on a
     2-core Intel Xeon host), the shared mesh over the k_z quadrature takes
-    0.98 (m = 24), 0.85 (29), 0.78 (32), 0.65 (36), 0.63 (41), 0.48 (49)
-    and 0.36 (60) of the time at p_perp^2 = 1e3; 1.05 (40), 0.84 (50),
-    0.66 (60), 0.56 (70) and 0.50 (80) at 5e3; 2.47 (30), 0.92 (60), 0.81
-    (66), 0.70 (70) and 0.62 (80) at 1e4, where the mesh converges in one
-    round at every point; 1.89 (65) and 1.32 (80) at 3e4; 1.56 (100) and
-    0.92 (120) at 5e4.  In m (levels) the crossover lies near 7,200 at
-    1e3, between 5,200 and 8,200 at 5e3, between 2,000 and 7,700 at 1e4
-    and between 12,300 and 17,640 at 5e4, and past the end of the 3e4
-    curve (8,800): the product does not order it across curves, so the
-    threshold sits above every crossover, where no figure point takes
-    longer on the mesh.  It sends the points from m = 41 at 1e3 and from
-    m = 79 at 5e3 to it.  At dcf9b43 a lower threshold did not pay on the
-    seed-7 sample of the figure points that the benchmark's ``figures``
-    workload runs: with whole passes alternated in one process
-    (one BLAS thread, CPU time at the benchmark's reference pace, three
-    processes of 12 rounds), 10,000 took 1.6-3.8% longer in the median
-    than 20,000 and was faster in 2-5 of 12 rounds, and 8,000 took
-    5.1-8.8% longer and was faster in 0-3.  A process that runs level sums
-    on the mesh holds about 2 MiB more at its peak: the mesh's import, and
-    Miller's store (about 1 MiB at (1e3, 71)).  The level kernel of the
-    k_z quadrature also refuses arguments past ``MAX_OVERLAP_ARGUMENT``,
-    which X_0 bounds.
+    0.80 (m = 24), 0.73 (29), 0.64 (32), 0.52 (36), 0.54 (41), 0.42 (49)
+    and 0.30 (60) of the time at p_perp^2 = 1e3; 0.86 (40), 0.71 (50),
+    0.60 (60), 0.48 (70) and 0.40 (80) at 5e3; 2.08 (30), 0.75 (60), 0.68
+    (66), 0.58 (70) and 0.64 (80) at 1e4, where the mesh converges in one
+    round at every point; 1.74 (65) and 1.13 (80) at 3e4; 1.28 (100) and
+    0.84 (120) at 5e4.  In m (levels) the crossover lies below 7,152 at
+    1e3 and below 5,240 at 5e3, the first points timed on those curves,
+    between 1,950 and 7,680 at 1e4 and between 12,300 and 17,640 at 5e4,
+    and past the end of the 3e4 curve (8,800): the product does not order
+    it across curves, so the threshold sits above every crossover, where
+    no figure point takes longer on the mesh.  It sends the points from m
+    = 41 at 1e3 and from m = 79 at 5e3 to it.  A lower threshold does not
+    pay on the figure points that the benchmark's ``figures`` workload
+    runs.  Whole passes of its sample, alternated in one process (10
+    rounds, one BLAS thread, process CPU time), took against 20,000: on
+    seed 7 at 8ff6edf, 1.051 for 10,000, 1.046 for 8,000, 1.151 for 5,000
+    and 1.94 with every level sum on the mesh; at 3ef2e2a, 0.991 for
+    10,000 on seed 7 (faster in 7 of 10 rounds) and 0.933 on seed 0 (8 of
+    10), 1.001 (5) and 0.970 (8) for 8,000, and 1.074 (1) and 1.010 (4)
+    for 5,000.  A process that runs level sums on the mesh holds about 2
+    MiB more at its peak: the mesh's import, and Miller's store (about 1
+    MiB at (1e3, 71)).  The level kernel of the k_z quadrature also
+    refuses arguments past ``MAX_OVERLAP_ARGUMENT``, which X_0 bounds.
     """
     return m * root_x.size >= _SHARED_MESH_WORK or root_x[0] * root_x[0] > MAX_OVERLAP_ARGUMENT
 
