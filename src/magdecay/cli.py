@@ -254,16 +254,16 @@ def _cmd_scan_field(args, config) -> list[dict]:
     levels = _level_range(args, config)
     channel = _channel(args, config)
     rel_tol = _rel_tol(args, config)
-    records = []
+    # every level's p_perp^2 is checked before the first rate is computed
+    points = []
     for m in levels:
         p_perp = landau.radial_energy_for_radius(radius, m)
         p_perp_sq = p_perp * p_perp
-        if not math.isfinite(p_perp_sq):
-            raise ValueError(
-                f"at radius {radius:g} and level {m}, p_perp^2 = ((2m+1)/R)^2 passes the float range"
-            )
-        records.append({"m": m, **_rate_record(channel, p_perp_sq, m, rel_tol)})
-    return records
+        if not 0.0 < p_perp_sq < math.inf:
+            limit = "underflows to 0" if p_perp_sq == 0.0 else "passes the float range"
+            raise ValueError(f"at radius {radius:g} and level {m}, p_perp^2 = ((2m+1)/R)^2 {limit}")
+        points.append((m, p_perp_sq))
+    return [{"m": m, **_rate_record(channel, p_perp_sq, m, rel_tol)} for m, p_perp_sq in points]
 
 
 def _cmd_scan_lll(args, config) -> list[dict]:
@@ -342,6 +342,8 @@ def _cmd_verify(args, config) -> list[dict]:
         raise _UsageError(f"trials must be positive, got {trials}")
     if seed < 0:
         raise _UsageError(f"seed must be nonnegative, got {seed}")
+    if seed > oracle.SEED_MAX:
+        raise _UsageError(f"seed must be at most 2^64 - 1 = {oracle.SEED_MAX}, got {seed}")
     channel = _channel(args, config)
     rel_tol = _rel_tol(args, config)
 
@@ -385,7 +387,12 @@ def _format_cell(value) -> str:
 
 
 def _emit(records: list[dict], fmt: str, stream) -> None:
-    """Write the records, or nothing at all if one of them cannot be formatted."""
+    """Write the records, or nothing at all if a value is not finite: the
+    error names its column, in either format."""
+    for record in records:
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"non-finite value in output column {key}: {value}")
     if fmt == "json":
         lines = [json.dumps(record, allow_nan=False, separators=(",", ":")) for record in records]
     else:

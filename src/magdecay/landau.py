@@ -114,11 +114,17 @@ def _open_levels(channel: DecayChannel, state: MagnetizedState):
     deterministically (it would contribute zero either way); a bound below
     one keeps level m open however small it is.  No open level gives empty
     arrays.  An n_max above the overlap index cap ``MAX_OVERLAP_INDEX``,
-    or a bound past the float range, raises :class:`ValueError` before any
-    array is allocated.
+    a bound past the float range, or a field past half the largest float,
+    whose double every level sum forms, raises :class:`ValueError` before
+    any array is allocated.
     """
     omega = state.energy(channel.m_parent)
     gap = channel.m_parent**2 - channel.m_charged**2
+    if math.isinf(2.0 * state.field):
+        raise ValueError(
+            f"field {state.field:.6g} MeV^2 is past half the float range: "
+            "2 field, which the level sum forms, overflows"
+        )
     excess = gap / (2.0 * state.field)
     if not excess > 0.0:
         return omega, np.empty(0, dtype=np.int64), np.empty(0)

@@ -26,13 +26,27 @@ is one call of the kernel, a row for each trial at its own (n, m), in the
 order drawn.  Each trial gets the bits it gets in an array of its own,
 so :func:`verify_closed_form` takes its trials in blocks of
 ``_TRIAL_BLOCK`` and hands each block over at once: its memory does not
-grow with the number of trials.  A block is drawn in one call of the
-seeded generator, a row of seven uniforms a trial, read from one stream
-in order, so the report does not depend on the block size.
+grow with the number of trials.
+
+The draws come from a counter-based SplitMix64 (Steele, Lea & Flood,
+"Fast splittable pseudorandom number generators", OOPSLA 2014) formed in
+uint64 arrays: the uniform of trial t and column c is SplitMix64's output
+function of key + (7 t + c + 1) * 0x9E3779B97F4A7C15 mod 2^64, its top 53
+bits times 2^-53, where the key is that output function of the seed, a
+bijection of [0, 2^64) that maps seed 0 onto key 0.  So a trial's draws
+depend only on the seed and the trial, not on the block that holds it,
+distinct seeds give distinct keys, and integer arithmetic gives the same
+bits on every host; ``numpy.random`` is never loaded.  The field is taken
+per trial by Python's float power (the C library's ``pow``), so every
+draw has the same bits everywhere.  What still rests on numpy's SIMD
+dispatch is the rule's side: the array ``np.exp`` of
+:func:`landau.oscillator_modes` and the ``np.cos`` and ``np.sin`` of the
+phases, each of which may differ from the C library by an ulp.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +54,16 @@ import numpy as np
 from . import landau
 from .specfun import overlap_weight_rows
 
-__all__ = ["VERIFY_INDEX_MAX", "OverlapVerification", "verify_closed_form"]
+__all__ = ["VERIFY_INDEX_MAX", "SEED_MAX", "OverlapVerification", "verify_closed_form"]
 
 # the randomized comparison draws both indices from [0, VERIFY_INDEX_MAX]
 VERIFY_INDEX_MAX = 8
+# seeds are 64-bit words, [0, SEED_MAX]
+SEED_MAX = 2**64 - 1
+# SplitMix64's increment, the odd integer nearest 2^64 / golden ratio
+_GAMMA = 0x9E3779B97F4A7C15
+# uniforms a trial draws: n, m, the field, and each momentum's size and sign
+_COLUMNS = 7
 # trials drawn and compared at a time: a trial's nodes and modes take about
 # 7 KB, so a block holds about 7 MB whatever the number of trials
 _TRIAL_BLOCK = 1000
@@ -150,6 +170,34 @@ def transverse_overlap_sq(n: np.ndarray, m: np.ndarray, q: np.ndarray, delta: np
     return re * re + im * im
 
 
+def _mix64(z):
+    """SplitMix64's output function of 64-bit words: a Python int in
+    [0, 2^64), or a uint64 array, which it overwrites (its products wrap
+    silently, and the masks leave it as it is)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= SEED_MAX
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= SEED_MAX
+    z ^= z >> 31
+    return z
+
+
+def _uniforms(key: int, first: int, count: int) -> np.ndarray:
+    """The ``(count, 7)`` uniforms in [0, 1) of trials first .. first + count - 1.
+
+    Entry (t, c) is SplitMix64's output at counter 7 t + c + 1 from ``key``
+    (:func:`_mix64` of the seed), its top 53 bits times 2^-53.  Seen from
+    key 0, its first three words are SplitMix64's outputs from state 0.
+    """
+    word = np.arange(_COLUMNS * first + 1, _COLUMNS * (first + count) + 1, dtype=np.uint64)
+    word *= _GAMMA
+    word += key
+    bits = _mix64(word) >> 11
+    return (bits * 2.0**-53).reshape(count, _COLUMNS)
+
+
 @dataclass(frozen=True)
 class OverlapVerification:
     """Outcome of a seeded randomized closed-form comparison."""
@@ -169,22 +217,27 @@ def verify_closed_form(trials: int, seed: int = 0) -> OverlapVerification:
     field, as |A|^2 / field is the amplitude's squared modulus in x.  The
     trials are drawn and compared ``_TRIAL_BLOCK`` at a time, and the
     report keeps the largest error of the blocks.  A trial's row of seven
-    uniforms u gives n = floor(9 u_0), m = floor(9 u_1), the field
-    10^(-0.3 + 3.6 u_2), |k_x| = (0.3 + 2.7 u_3) sqrt(field) and
+    uniforms u (:func:`_uniforms`, counter-based SplitMix64) gives
+    n = floor(9 u_0), m = floor(9 u_1), the field 10^(-0.3 + 3.6 u_2) by
+    Python's float power, |k_x| = (0.3 + 2.7 u_3) sqrt(field) and
     |delta_k_y| likewise from u_5, each momentum negative where its u_4 or
-    u_6 is below 1/2.  Identical seeds give identical reports.
+    u_6 is below 1/2.  A trial's draws depend only on the seed and the
+    trial, so identical seeds give identical reports whatever the block
+    size.  The seed is an int in [0, ``SEED_MAX``] = [0, 2^64 - 1]; any
+    other raises :class:`ValueError`.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
+    seed = operator.index(seed)
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must be in [0, 2^64 - 1 = {SEED_MAX}], got {seed}")
 
-    rng = np.random.default_rng(seed)
+    key = _mix64(seed)
     worst = []
     for block in range(0, trials, _TRIAL_BLOCK):
-        # a row of seven uniforms a trial, read from the stream in order, so
-        # a trial's draws do not depend on the block that holds it
-        u = rng.random((min(_TRIAL_BLOCK, trials - block), 7))
+        u = _uniforms(key, block, min(_TRIAL_BLOCK, trials - block))
         n, m = (u[:, :2] * (VERIFY_INDEX_MAX + 1)).astype(np.int64).T
-        field = 10.0 ** (-0.3 + 3.6 * u[:, 2])
+        field = np.array([10.0**v for v in (-0.3 + 3.6 * u[:, 2]).tolist()])
         root_field = np.sqrt(field)
         # |k_x| and |delta_k_y| from columns 3 and 5, their signs from 4 and 6
         sign = np.where(u[:, 4::2] < 0.5, -1.0, 1.0)

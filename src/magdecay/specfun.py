@@ -489,9 +489,11 @@ def overlap_rows(m: int, x, top):
             m, x[tail], root_x[tail], top[tail], turn[tail]
         )
         last = max(last, int(kept.max()))
-        # node i's B_n is store[slot[i] + n]
+        # node i's B_n is store[slot[i] + n], from n = above[i] at
+        # store[run_first[i]] to n = kept[i] at store[run_last[i]]
         above = turn[tail] + 1
-        slot = begin[:-1] - above
+        run_first, run_last = begin[:-1], begin[1:] - 1
+        slot = run_first - above
     # the forward nodes at level n are [lo, hi): lo counts the nodes whose
     # turning point is below n, and hi those whose top is at least n
     levels = np.arange(last + 2)
@@ -557,10 +559,26 @@ def overlap_rows(m: int, x, top):
             end = max(end_at[n0 : n0 + rows])
             if end > live:
                 block = slice(live, end)
-                at = levels[n0 : n0 + rows, None]
-                w = store[np.clip(at, above[block], kept[block]) + slot[block]]
-                w[at > kept[block]] = 0.0
-                np.copyto(slab[:rows, block], w, where=at > turn[block])
+                # the store index of each level and node, clipped into the
+                # node's run.  Whether the level is past the node's turning
+                # point, and past its last B, is read off the index before
+                # the clip, and take gathers the weights into the index's
+                # own memory (mode="clip" writes out directly, and reads
+                # each entry's index before its weight goes there).  So the
+                # index is the one temporary of the slab's size, and no
+                # call broadcasts more than one operand, each of which
+                # costs numpy a buffer; all are freed before the slab is
+                # handed over
+                index = np.repeat(levels[n0 : n0 + rows, None], end - live, axis=1)
+                index += slot[block]
+                miller = index >= run_first[block]
+                gone = index > run_last[block]
+                np.maximum(index, run_first[block], out=index)
+                np.minimum(index, run_last[block], out=index)
+                w = np.take(store, index, out=index.view(np.float64), mode="clip")
+                w[gone] = 0.0
+                np.copyto(slab[:rows, block], w, where=miller)
+                del index, w, miller, gone
         yield n0, slab[:rows], first
 
 

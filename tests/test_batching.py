@@ -566,6 +566,38 @@ class TestLevelSum:
         tracemalloc.stop()
         assert peak <= 12 * 8 * x.size + 3 * slab + 16 * miller_weights(m, x, top)
 
+    def test_row_peak_grows_by_the_slab_and_one_miller_index(self, monkeypatch):
+        # the one pass at (1e3, 71): 1,525 nodes, 599 of them past their
+        # turning points, slabs of 32 levels.  From slabs of 8 levels to 32
+        # the peak may grow by the slab and by one index array of the
+        # Miller block (8 B an entry, with two masks of 1 B) that the
+        # weights are gathered into; numpy's broadcast buffers fit in the
+        # rest of the allowance (0.90 MB at 8 rows and 1.30 MB at 32 here)
+        class Captured(Exception):
+            pass
+
+        layout = []
+
+        def capture(m, x, top):
+            layout.append((m, x, top))
+            raise Captured
+
+        monkeypatch.setattr(mesh, "overlap_rows", capture)
+        with pytest.raises(Captured):
+            decay_rate(MUON, magnetized(1e3, 71))
+        m, x, top = layout[0]
+        tails = int(np.count_nonzero(top > turning_points(m, x)))
+        assert (x.size, tails, specfun._work_rows(x.size)) == (1525, 599, 32)
+        peaks = {}
+        for budget in (0, specfun._WORK_BYTES):
+            monkeypatch.setattr(specfun, "_WORK_BYTES", budget)
+            tracemalloc.start()
+            for _ in specfun.overlap_rows(m, x, top):
+                pass
+            peaks[specfun._work_rows(x.size)] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[32] - peaks[8] <= (32 - 8) * (8 * x.size + 10 * tails)
+
     def test_miller_store_holds_only_the_weights(self, monkeypatch):
         # the first round's nodes at (1e4, 1000): 8,296, of which 1,500 are
         # past their turning points with 123,686 weights of Miller's part

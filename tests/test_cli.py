@@ -41,16 +41,16 @@ GOLDEN_RATE_1E4_30 = (
     "163.9344262295082,145.50769739089407,1.3766101929129051,64,0.00013675136769377558,1.0002015013350884,6.9132221770091833e-15,1.2036945804400002e-13,3.5265753226540061e+29,1.2398419839593942e-14,27711655941567060\n"
 )
 # the overlap_closed_form rows read the trials that oracle.verify_closed_form
-# draws, a row of seven uniforms of the seeded stream each
+# draws, a row of seven counter-based SplitMix64 uniforms each
 GOLDEN_VERIFY_3_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,7.1573781790708211e-15,9.9999999999999995e-07\n"
+    "overlap_closed_form,true,max_rel_err,4.5058304721089053e-16,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
     "overlap_completeness,true,max_abs_dev,6.8833827526759706e-15,1e-10\n"
 )
 GOLDEN_VERIFY_100_0 = (
     "check,passed,metric,value,threshold\n"
-    "overlap_closed_form,true,max_rel_err,2.3687809310280953e-13,9.9999999999999995e-07\n"
+    "overlap_closed_form,true,max_rel_err,2.0423506866489274e-13,9.9999999999999995e-07\n"
     "lowest_level_equivalence,true,max_rel_err,2.9144446318191227e-16,9.9999999999999995e-08\n"
     "overlap_completeness,true,max_abs_dev,6.8833827526759706e-15,1e-10\n"
 )
@@ -62,7 +62,7 @@ GOLDEN_TABLE_JSON = (
     '{"p_perp2_MeV2":1000.0,"m":5,"ratio":1.000026039656473,"radius_m":6.864029720541441e-14,"acceleration_m_s2":1.075679331546185e+29,"lambda_dB_m":3.920724608013635e-14,"B_gauss":1.536737284032355e+16}\n'
 )
 GOLDEN_VERIFY_3_0_JSON = (
-    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":7.157378179070821e-15,"threshold":1e-06}\n'
+    '{"check":"overlap_closed_form","passed":true,"metric":"max_rel_err","value":4.505830472108905e-16,"threshold":1e-06}\n'
     '{"check":"lowest_level_equivalence","passed":true,"metric":"max_rel_err","value":2.9144446318191227e-16,"threshold":1e-07}\n'
     '{"check":"overlap_completeness","passed":true,"metric":"max_abs_dev","value":6.8833827526759706e-15,"threshold":1e-10}\n'
 )
@@ -297,6 +297,45 @@ def test_tiny_radius_names_the_radius_and_level(capsys, radius, m_max, level):
     assert err == (
         f"error: at radius {float(radius):g} and level {level}, "
         "p_perp^2 = ((2m+1)/R)^2 passes the float range\n"
+    )
+
+
+@pytest.mark.parametrize("m_min", [0, 2])
+def test_huge_radius_names_the_radius_and_level(capsys, m_min):
+    # p_perp^2 = ((2m + 1)/R)^2 underflows to 0 at R = 1e300 from level 0
+    # on; no row is printed
+    code, out, err = run(capsys, "scan-field", "--radius", "1e300", "--m-min", str(m_min), "--m-max", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: at radius 1e+300 and level {m_min}, p_perp^2 = ((2m+1)/R)^2 underflows to 0\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_output_names_its_column(capsys, fmt):
+    # the field 1e300 MeV^2 is past the float range in Gauss, while the
+    # width at G = 1e100 MeV is a normal float
+    code, out, err = run(capsys, "rate", "--p-perp2", "1e300", "--m", "0", "--G", "1e100", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: non-finite value in output column B_gauss: inf\n"
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["scan-lll", "--eB-min", "6e3", "--eB-max", "1e308", "--points", "3"], "1e+308"),
+        (["rate", "--p-perp2", "1.7e308", "--m", "0"], "1.7e+308"),
+    ],
+    ids=["scan-lll", "rate"],
+)
+def test_field_past_half_the_float_range_exits_1(capsys, argv, field):
+    # the level sum forms 2 field, which overflows from about 8.99e307
+    # MeV^2; the channel is not closed there, and no row is printed
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: field {field} MeV^2 is past half the float range: "
+        "2 field, which the level sum forms, overflows\n"
     )
 
 
@@ -578,6 +617,26 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "usage error: seed must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_seed_past_64_bits_rejected(self, capsys, tmp_path, source):
+        if source == "flag":
+            argv = ["verify", "--trials", "2", "--seed", str(2**64)]
+        else:
+            config = tmp_path / "verify.cfg"
+            config.write_text(f"trials = 2\nseed = {2**64}\n")
+            argv = ["verify", "--config", str(config)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage error: seed must be at most 2^64 - 1 = 18446744073709551615, "
+            "got 18446744073709551616\n"
+        )
+
+    def test_largest_seed_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--trials", "10", "--seed", str(2**64 - 1))
+        assert code == 0
+        assert all(r["passed"] == "true" for r in parse_csv(out))
+
     @pytest.mark.parametrize(
         "threshold,failing",
         [
@@ -699,7 +758,7 @@ def test_unformattable_record_writes_nothing(capsys, monkeypatch, fmt):
     monkeypatch.setitem(cli._COMMANDS, "table", lambda args, config: records)
     code, out, err = run(capsys, "table", "--format", fmt)
     assert code == 1 and out == ""
-    assert "error:" in err
+    assert err == "error: non-finite value in output column ratio: nan\n"
 
 
 @pytest.fixture

@@ -86,18 +86,49 @@ def loop_overlap_sq(n, m, q, delta, rel_tol=1e-9):
     return value, error + 4.0 * EPS * value
 
 
+# SplitMix64's increment and its outputs from state 0 (Steele, Lea & Flood,
+# OOPSLA 2014, and Vigna's reference C code)
+GAMMA = 0x9E3779B97F4A7C15
+SPLITMIX64_FROM_0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+
+
+def mix(z):
+    """SplitMix64's output function of one 64-bit word, in Python ints."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def splitmix64(state):
+    """SplitMix64 as its authors give it: each step adds GAMMA to the state
+    and yields the output function of the new state."""
+    while True:
+        state = (state + GAMMA) % 2**64
+        yield mix(state)
+
+
+def verify_uniforms(trials, seed):
+    """The (trials, 7) uniforms verify_closed_form draws, one word at a time.
+
+    The words are SplitMix64's from the seed's key, the output function of
+    the seed; trial t takes words 7 t + 1 .. 7 t + 7, each word's top 53
+    bits times 2^-53.
+    """
+    words = splitmix64(mix(seed))
+    return np.array([[next(words) >> 11 for _ in range(7)] for _ in range(trials)]) * 2.0**-53
+
+
 def verify_draws(trials, seed):
     """The trials verify_closed_form draws, as arrays (n, m, k_x, delta_k_y, field).
 
-    Each trial is the next row of seven uniforms u of the seeded stream, drawn
-    here one row at a time: n = floor(9 u_0), m = floor(9 u_1), field =
-    10^(-0.3 + 3.6 u_2), |k_x| = (0.3 + 2.7 u_3) sqrt(field) with a minus
+    Each trial is a row of seven uniforms u (:func:`verify_uniforms`):
+    n = floor(9 u_0), m = floor(9 u_1), field = 10^(-0.3 + 3.6 u_2) by
+    Python's float power, |k_x| = (0.3 + 2.7 u_3) sqrt(field) with a minus
     sign where u_4 < 1/2, and delta_k_y likewise from u_5 and u_6.
     """
-    rng = np.random.default_rng(seed)
-    u = np.array([rng.random(7) for _ in range(trials)])
+    u = verify_uniforms(trials, seed)
     n, m = np.floor(u[:, :2] * (oracle.VERIFY_INDEX_MAX + 1)).astype(np.int64).T
-    field = 10.0 ** (-0.3 + 3.6 * u[:, 2])
+    field = np.array([10.0 ** (-0.3 + 3.6 * v) for v in u[:, 2].tolist()])
     scale = np.sqrt(field)
     k_x = (0.3 + 2.7 * u[:, 3]) * scale * np.where(u[:, 4] < 0.5, -1.0, 1.0)
     d_ky = (0.3 + 2.7 * u[:, 5]) * scale * np.where(u[:, 6] < 0.5, -1.0, 1.0)
@@ -294,7 +325,7 @@ class TestVerifyClosedForm:
         # the same draws in the same order, and every trial's bits do not
         # depend on its block: the report of 5,000 trials, as one block of
         # them all gives it
-        assert oracle.verify_closed_form(5000, seed=1).max_rel_err.hex() == "0x1.4b883550a44e6p-36"
+        assert oracle.verify_closed_form(5000, seed=1).max_rel_err.hex() == "0x1.5758f0ac21e7ep-35"
 
     @pytest.mark.parametrize("block", [7, 5000])
     def test_report_does_not_depend_on_the_block_size(self, monkeypatch, block):
@@ -305,19 +336,13 @@ class TestVerifyClosedForm:
     def test_generator_calls_per_block_do_not_grow_with_the_trials(self, monkeypatch):
         stub_oracle(monkeypatch)
         calls = []
-        make_rng = np.random.default_rng
+        uniforms = oracle._uniforms
 
-        def counting_rng(seed):
-            rng = make_rng(seed)
+        def counting(key, first, count):
+            calls.append((first, count))
+            return uniforms(key, first, count)
 
-            class Counting:
-                def __getattr__(self, name):
-                    calls.append(name)
-                    return getattr(rng, name)
-
-            return Counting()
-
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(oracle, "_uniforms", counting)
         counts = {}
         for trials in (100, 5000):
             calls.clear()
@@ -325,6 +350,44 @@ class TestVerifyClosedForm:
             counts[trials] = len(calls)
         # one block of 100 trials, five of 1,000
         assert counts == {100: 1, 5000: 5}
+
+    def test_splitmix64_reference_outputs(self):
+        # seed 0 has key 0, so its first three words are SplitMix64's
+        # outputs from state 0, here and in the generator of these tests
+        assert oracle._mix64(0) == 0
+        words = splitmix64(0)
+        assert tuple(next(words) for _ in range(3)) == SPLITMIX64_FROM_0
+        counter = np.arange(1, 4, dtype=np.uint64)
+        assert oracle._mix64(counter * oracle._GAMMA).tolist() == list(SPLITMIX64_FROM_0)
+        top = oracle._uniforms(0, 0, 1)[0, :3] * 2.0**53
+        assert top.tolist() == [float(word >> 11) for word in SPLITMIX64_FROM_0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 20260808, 2**63, oracle.SEED_MAX])
+    def test_block_draws_equal_their_trials_drawn_one_at_a_time(self, seed):
+        key = oracle._mix64(seed)
+        block = oracle._uniforms(key, 0, 1000)
+        alone = np.vstack([oracle._uniforms(key, t, 1) for t in range(1000)])
+        assert np.array_equal(block, alone)
+        # and each trial's uniforms are the generator's words in order
+        assert np.array_equal(block[:50], verify_uniforms(50, seed))
+        assert np.array_equal(oracle._uniforms(key, 990, 10), block[990:])
+
+    def test_distinct_seeds_give_distinct_draws(self):
+        # the key is a bijection of the 64-bit words, so distinct seeds start
+        # distinct streams; seed + 7 GAMMA, whose plain stream would be the
+        # seed's moved on by one trial, is not
+        seeds = [*range(2000), 7 * GAMMA % 2**64, 2**63, oracle.SEED_MAX - 1, oracle.SEED_MAX]
+        keys = [oracle._mix64(seed) for seed in seeds]
+        assert len(set(keys)) == len(seeds)
+        firsts = {tuple(oracle._uniforms(key, 0, 2).ravel().tolist()) for key in keys}
+        assert len(firsts) == len(seeds)
+        shifted = oracle._uniforms(oracle._mix64(7 * GAMMA % 2**64), 0, 1)
+        assert not np.array_equal(shifted, oracle._uniforms(oracle._mix64(0), 1, 1))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64 - 1 = 18446744073709551615\]"):
+            oracle.verify_closed_form(1, seed=seed)
 
     def test_draws_stay_in_their_ranges(self, monkeypatch):
         handed = stub_oracle(monkeypatch)
@@ -342,20 +405,19 @@ class TestVerifyClosedForm:
 
     @pytest.mark.parametrize("edge", [0.0, 1.0 - EPS / 2.0])
     def test_draws_at_the_ends_of_the_unit_interval(self, monkeypatch, edge):
-        # the least and the greatest double in [0, 1) map onto the ends of the ranges
+        # the least and the greatest uniform, 0 and 1 - 2^-53, map onto the
+        # ends of the ranges; both are draws of the generator's own grid
+        assert (edge * 2.0**53).is_integer()
         handed = stub_oracle(monkeypatch)
-
-        class Edge:
-            def random(self, shape):
-                return np.full(shape, edge)
-
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Edge())
+        monkeypatch.setattr(oracle, "_uniforms", lambda key, first, count: np.full((count, 7), edge))
         oracle.verify_closed_form(3, seed=0)
         (n, m, q, delta), = handed["rule"]
+        (_, _, x), = handed["closed form"]
         index, magnitude, sign = (0, 0.3, -1.0) if edge == 0.0 else (oracle.VERIFY_INDEX_MAX, 3.0, 1.0)
         assert n.tolist() == m.tolist() == [index] * 3
         assert np.allclose(q, sign * magnitude, rtol=2.0 * EPS, atol=0.0)
         assert np.allclose(delta, sign * magnitude, rtol=2.0 * EPS, atol=0.0)
+        assert np.allclose(x, magnitude * magnitude, rtol=6.0 * EPS, atol=0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sign_draws_keep_the_choice_stream(self, monkeypatch, seed):
@@ -450,17 +512,27 @@ class TestHermiteRule:
         )
         assert run_python(code) == "0 False\n"
 
-    def test_only_verify_loads_numpy_random(self):
-        # the draws import the generator on first use, so the CLI's import
-        # and parser, which every command pays for, leave it unloaded
+    def test_no_command_loads_numpy_random(self):
+        # the draws are SplitMix64 on numpy integers: neither the CLI's
+        # import and parser nor any command loads the generator package
         code = (
-            "import sys, magdecay.cli\n"
+            "import contextlib, io, sys, magdecay.cli\n"
             "magdecay.cli.build_parser()\n"
-            "loaded = 'numpy.random' in sys.modules\n"
-            "code = magdecay.cli.main(['verify', '--trials', '3'])\n"
-            "print(loaded, code, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+            "print('parser', 'numpy.random' in sys.modules, file=sys.stderr)\n"
+            "for argv in (['rate', '--p-perp2', '1e3', '--m', '5'],\n"
+            "             ['scan-m', '--p-perp2', '1e3', '--m-min', '1', '--m-max', '2'],\n"
+            "             ['scan-field', '--m-min', '1', '--m-max', '2'],\n"
+            "             ['scan-lll', '--points', '2'],\n"
+            "             ['table'],\n"
+            "             ['verify', '--trials', '3']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = magdecay.cli.main(argv)\n"
+            "    print(argv[0], code, 'numpy.random' in sys.modules, file=sys.stderr)\n"
         )
-        assert run_python(code) == "False 0 True\n"
+        assert run_python(code) == (
+            "parser False\nrate 0 False\nscan-m 0 False\nscan-field 0 False\n"
+            "scan-lll 0 False\ntable 0 False\nverify 0 False\n"
+        )
 
 
 def run_python(code):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from magdecay import (
     lll_ratio_factored,
     rate,
 )
-from magdecay.landau import kz_cutoffs
+from magdecay.landau import kz_cutoffs, level_edges
 from magdecay.rate import _integrand_arrays, free_rate_at_rest
 from reference_paths import count_shared_work
 
@@ -155,6 +156,18 @@ class TestDecayRate:
         # from about 5e206 MeV^2 on
         with pytest.raises(ValueError, match=r"width Gamma = .* below the normal float range"):
             decay_rate(MUON, MagnetizedState(field=field, level=0))
+
+    @pytest.mark.parametrize("field", [8.99e307, 1e308, 1.7976931348623157e308])
+    def test_field_past_half_the_float_range_rejected(self, field):
+        # the open levels, their edges and the integrand form 2 field, which
+        # overflows from about 8.99e307 MeV^2; the channel read as closed
+        # there (width and ratio 0, n_max -1), while the lowest-level ratio
+        # is 1.1e-304 at 1e308 MeV^2
+        state = MagnetizedState(field=field, level=0)
+        message = re.escape(f"field {field:.6g} MeV^2 is past half the float range")
+        for call in (decay_rate, kz_cutoffs, level_edges):
+            with pytest.raises(ValueError, match=message):
+                call(MUON, state)
 
     def test_width_just_above_the_normal_floor_kept(self):
         field = 1e206
