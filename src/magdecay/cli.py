@@ -353,7 +353,7 @@ def _cmd_verify(args, config) -> list[dict]:
         for factor in _LLL_FIELDS_OVER_MSQ
     )
     worst_sum = max(
-        abs(specfun.overlap_completeness_sum(m, x)[0] - 1.0)
+        abs(specfun.overlap_completeness_sum(m, x) - 1.0)
         for m in _COMPLETENESS_LEVELS
         for x in _COMPLETENESS_ARGS
     )
@@ -380,8 +380,6 @@ def _format_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value in output: {value}")
         return f"{value:.17g}"
     return str(value)
 
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
     try:
         try:
             config = _read_config(args.config, _config_keys()) if args.config else {}
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read config file: {exc}") from exc
         fmt = _pick(args, config, "format", str, "csv")
         if fmt not in ("csv", "json"):

@@ -262,7 +262,8 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
     number of them, in its slab, which is the buffer of their plain
     reductions: the pass takes out each level's two-panel weights, zeroes
     a level's weights past its plain panels, and reduces the slab in place
-    over the panels that hold a nonzero weight of it.  The pass ends with
+    over its first level's plain panels, from the panel of the first node
+    the row writes in it.  The pass ends with
     the row, at the last level with a nonzero weight at any node: the
     levels past it are not yielded.
     """
@@ -301,13 +302,7 @@ def _evaluate_panels(m, scale_x, theta, rho, edges, upper):
         lead, end = first // width * width, plain_stop[n0]
         for k, plain in enumerate(plain_stop[n0 + 1 : n0 + rows], start=1):
             slab[k, plain:end] = 0.0
-        # only the panels that hold a nonzero weight of the slab add to it:
-        # weights that underflow leave zeros at both ends of the nodes that
-        # step forward, where the row does not know them (the weights are
-        # never negative, so their largest is 0 only where all are)
-        nonzero = np.flatnonzero(slab[:, lead:end].max(axis=0, initial=0.0))
-        if nonzero.size:
-            lead, end = lead + nonzero[0] // width * width, lead + (nonzero[-1] // width + 1) * width
+        if end > lead:
             th, r = theta[levels, None], rho[levels, None]
             ts = t[lead:end]
             # the gap, and f = w t / sqrt(gap) in an array of its own, not

@@ -24,10 +24,11 @@ solution is the minimal one, so that part runs backward (Miller's
 algorithm; Gil, Segura and Temme, *Numerical Methods for Special
 Functions*, SIAM 2007, ch. 4) from a level where w < 1e-40, found from the
 row's own decay past the turning point, and is scaled to meet the forward
-values at the turning point and the level after it.  Every iterate is a
-mantissa times 2 to an integer exponent, and the seed is a product of
-factors kept inside the float range, so a weight is 0 only when it is below
-the float range, at any argument: there is no cap on x.
+values at the turning point and the level after it.  Both rows below end
+at that start: every weight past it is below Miller's own error.  Every
+iterate is a mantissa times 2 to an integer exponent, and the seed is a
+product of factors kept inside the float range, so a weight is 0 only when
+it is below the float range, at any argument: there is no cap on x.
 
 :func:`_overlap_row` runs one row in Python floats, for the completeness
 sum.  :func:`overlap_rows` runs the same recurrence at one m over an array
@@ -80,13 +81,10 @@ MAX_OVERLAP_ARGUMENT = 1400.0
 # psi stays below sqrt(2e8)**32 ~ 7e132 at the index cap, since |phi| <= 1
 # and every j(j+d) <= 1e4 * 2e4
 _RENORM_STEPS = 32
-# the completeness sum stops after 8 consecutive weights below this
-_COMPLETENESS_TAIL = 1e-16
-# the row's decay bound past the turning point: below _QUIET every later
-# weight is under half the completeness tail, and Miller's backward run
-# starts below _MILLER, which leaves an error of about that size in every
-# weight; the bound advances _STRIDE levels at a time
-_QUIET = 0.5 * _COMPLETENESS_TAIL
+# the row's decay bound past the turning point: Miller's backward run
+# starts, and the row ends, where it falls below _MILLER, which leaves an
+# error of about that size in every weight; the bound advances _STRIDE
+# levels at a time
 _MILLER = 1e-40
 _STRIDE = 4
 # the absolute error of every weight of overlap_rows: Miller's, about twice
@@ -145,48 +143,36 @@ def _decay_stride(n, m, x, ops):
     return q * q
 
 
-def _row_levels(m: int, x: float) -> tuple[int, int, int]:
-    """The turning point, the last level and Miller's start of :func:`_overlap_row` at x > 0.
+def _row_levels(m: int, x: float) -> tuple[int, int]:
+    """The turning point and Miller's start of :func:`_overlap_row`.
 
-    From w <= 1 at the level after the turning point, the row's decay bound
-    (:func:`_decay_stride`) gives the first level where every later weight
-    is below 1e-16 / 2, so that the completeness stop rule fires by 7
-    levels later, or at the first level past m + x: the last level is the
-    later of the two.  Miller's start is the first level past it where the
-    bound is below 1e-40.
+    From w <= 1 at the level after the turning point (w = 0 there at
+    x = 0), the row's decay bound (:func:`_decay_stride`) gives Miller's
+    start: the first level where the bound is below 1e-40.  The row ends
+    there, its last weight at the level before.
     """
     root_sum = math.sqrt(m) + math.sqrt(x)
     turn = int(root_sum * root_sum)
-    n, bound, quiet = turn + 1, 1.0, None
+    n, bound = turn + 1, 1.0 if x else 0.0
     while bound >= _MILLER:
-        if quiet is None and bound < _QUIET:
-            quiet = n
         bound *= _decay_stride(n, m, x, (math.sqrt, min, max))
         n += _STRIDE
-    last = max((n if quiet is None else quiet) + 7, int(m + x) + 1)
-    return turn, last, max(n, last + 1)
+    return turn, n
 
 
 def _row_levels_array(m: int, x, turn):
-    """Miller's start of :func:`_row_levels` at every node of one m."""
+    """Miller's start of :func:`_row_levels` at every node of one m, x > 0."""
     n = turn + 1
     bound = np.ones(x.size)
-    quiet = np.full(x.size, -1, dtype=np.int64)
-    start = np.full(x.size, -1, dtype=np.int64)
     pending = np.arange(x.size)
     while pending.size:
         now = n[pending]
-        fresh = (quiet[pending] < 0) & (bound[pending] < _QUIET)
-        quiet[pending[fresh]] = now[fresh]
         bound[pending] *= _decay_stride(
             now, m, x[pending], (np.sqrt, np.minimum, np.maximum)
         )
         n[pending] = now + _STRIDE
-        below = bound[pending] < _MILLER
-        start[pending[below]] = n[pending[below]]
-        pending = pending[~below]
-    quiet = np.where(quiet < 0, start, quiet)
-    return np.maximum(start, np.maximum(quiet + 7, (m + x).astype(np.int64) + 1) + 1)
+        pending = pending[bound[pending] >= _MILLER]
+    return n
 
 
 def overlap_weight_rows(n, m, x) -> np.ndarray:
@@ -310,15 +296,14 @@ def _phi_ascending(k: np.ndarray, d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return phi.reshape(-1, width)
 
 
-def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
-    """Compensated sum of w(n, m, x) over n with the tail truncated at 1e-16.
+def overlap_completeness_sum(m: int, x: float) -> float:
+    """Compensated sum of w(n, m, x) over the levels of one row.
 
-    Unitarity of the displacement makes the full sum exactly one; the
-    weights die off super-exponentially once n is past the peak near m + x,
-    so truncation is safe after a run of 8 sub-1e-16 terms beyond it.  The
-    weights are one row of :func:`_overlap_row`, summed with ``math.fsum``
-    in ascending n, never rescaled by their own sum.  Returns (total, last
-    n included).
+    Unitarity of the displacement makes the full sum exactly one.  The
+    weights are the row of :func:`_overlap_row`, which ends at Miller's
+    start, past which every weight is below 1e-40 and dies off
+    super-exponentially; they are summed with ``math.fsum`` in ascending
+    n, never rescaled by their own sum.
     """
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
@@ -328,26 +313,21 @@ def overlap_completeness_sum(m: int, x: float) -> tuple[float, int]:
         raise ValueError(f"indices above cap {MAX_OVERLAP_INDEX}")
     if x < 0.0:
         raise ValueError("argument must be nonnegative")
-    weights = _overlap_row(m, x)
-    small = 0
-    for n, w in enumerate(weights):
-        small = small + 1 if w < _COMPLETENESS_TAIL else 0
-        if small >= 8 and n > m + x:
-            break
-    return math.fsum(weights[: n + 1]), n
+    return math.fsum(_overlap_row(m, x))
 
 
 def _overlap_row(m: int, x: float) -> list[float]:
-    """w(n, m, x) for n = 0 .. N at one (m, x), N the last level of :func:`_row_levels`.
+    """w(n, m, x) for n = 0 .. start - 1 at one (m, x), start Miller's start of :func:`_row_levels`.
 
     The forward run keeps D_0 .. D_turn; the backward run from Miller's
-    start B_start+1 = 0, B_start = 1 keeps B_turn+1 .. B_N and is scaled
-    by the least-squares factor that takes (B_turn, B_turn+1) onto
+    start B_start+1 = 0, B_start = 1 keeps B_turn+1 .. B_start-1 and is
+    scaled by the least-squares factor that takes (B_turn, B_turn+1) onto
     (D_turn, D_turn+1), two levels since one of them may be near a node.
+    At x = 0 the row is the Kronecker delta, n = 0 .. m.
     """
     if x == 0.0:
-        return [0.0] * m + [1.0] + [0.0] * 8
-    turn, last, start = _row_levels(m, x)
+        return [0.0] * m + [1.0]
+    turn, start = _row_levels(m, x)
 
     # the seed as a product: its roundings are m independent ulps, where the
     # logarithm of D_0 would carry an absolute error of about m ln(m) ulps;
@@ -377,13 +357,13 @@ def _overlap_row(m: int, x: float) -> list[float]:
             prev = math.ldexp(prev, -shift)
             scale += shift
 
-    # backward from B_start+1 = 0 and B_start = 1: B_turn+1 .. B_last kept
-    # with the exponent each had, and B_turn, B_turn+1 left in (low, high)
+    # backward from B_start+1 = 0 and B_start = 1: B_turn+1 .. B_start-1
+    # kept with the exponent each had, and B_turn, B_turn+1 left in (low, high)
     high, low, back_scale = 0.0, 1.0, 0
     tail, tail_scale = [], []
     root = root_x * math.sqrt(start + 1)
     for n in range(start, turn, -1):
-        if n <= last:
+        if n < start:
             tail.append(low)
             tail_scale.append(back_scale)
         root_next = root_x * math.sqrt(n)
@@ -427,8 +407,7 @@ def overlap_rows(m: int, x, top):
     the slab.  The slab is one buffer that the next slab fills again: a
     caller may change it in place as long as the entries before ``first``,
     which the row does not write again, stay 0.  Every weight at x > 0 has the bits :func:`_overlap_row`
-    gives it, and the row goes on past the last level of
-    :func:`_overlap_row` up to Miller's start; from that start on, where
+    gives it, and both rows end at Miller's start: from there on, where
     the row's decay bound puts w below 1e-40, about Miller's own error in
     every weight, a weight is 0.  The row stops after the last level with a
     weight at any node: the largest of the tops of the nodes not past their

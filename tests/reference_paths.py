@@ -37,11 +37,10 @@ ROW_STEP_ROUNDINGS = 8.0
 ROW_MILLER_ERROR = 2e-40
 
 
-def row_steps(m: int, x: float, row) -> int:
+def row_steps(m: int, x: float) -> int:
     """Recurrence steps behind ``specfun._overlap_row(m, x)``: m seed
     factors, the forward run and the backward run from Miller's start."""
-    start = specfun._row_levels(m, x)[2]
-    return m + max(start, len(row)) + 1
+    return m + specfun._row_levels(m, x)[1] + 1
 
 
 def row_bounds(m: int, x: float, row) -> np.ndarray:
@@ -57,7 +56,7 @@ def row_bounds(m: int, x: float, row) -> np.ndarray:
     around = w.copy()
     around[1:] += w[:-1]
     around[:-1] += w[1:]
-    return ROW_STEP_ROUNDINGS * row_steps(m, x, row) * EPS * around + ROW_MILLER_ERROR
+    return ROW_STEP_ROUNDINGS * row_steps(m, x) * EPS * around + ROW_MILLER_ERROR
 
 
 def past_row(f, m: int, x: float, last: int) -> float:

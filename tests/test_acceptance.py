@@ -140,7 +140,7 @@ def test_criterion_5_completeness():
     worst = 0.0
     for m in (0, 5, 20, 50):
         for x in (0.1, 1.0, 10.0, 100.0):
-            total, _ = overlap_completeness_sum(m, x)
+            total = overlap_completeness_sum(m, x)
             worst = max(worst, abs(total - 1.0))
     passed = worst < 1e-10
     _line(5, passed, f"sum over levels deviates from 1 by at most {worst:.2e} (limit 1e-10)")

@@ -225,22 +225,17 @@ class TestRowKernel:
 
     @pytest.mark.parametrize("m,x", [(10, 3.0), (40, 25.0), (120, 60.0), (0, 100.0)])
     def test_completeness_sum_matches_term_by_term(self, m, x):
-        # the completeness row stops at the level where the kernel's own
-        # weights, one point per row, stop, and each of its weights is
-        # within the kernel's gated error (TestOverlapAccuracy: 1e-11 over
-        # n, m <= 700 and x <= 1400) plus the row's own bound
-        terms, small, n = [], 0, 0
-        while True:
-            w = one_row(n, m, x)
-            terms.append(w)
-            small = small + 1 if w < 1e-16 else 0
-            if small >= 8 and n > m + x:
-                break
-            n += 1
+        # the completeness row runs up to the level before Miller's start,
+        # and each of its weights is within the kernel's gated error
+        # (TestOverlapAccuracy: 1e-11 over n, m <= 700 and x <= 1400) of the
+        # kernel's own weight, one point per row, plus the row's own bound
+        start = specfun._row_levels(m, x)[1]
+        terms = [one_row(n, m, x) for n in range(start)]
         row = specfun._overlap_row(m, x)
-        assert specfun.overlap_completeness_sum(m, x) == (math.fsum(row[: n + 1]), n)
-        gap = np.abs(np.array(row[: n + 1]) - terms)
-        assert np.all(gap <= 1e-11 + row_bounds(m, x, row)[: n + 1])
+        assert len(row) == start
+        assert specfun.overlap_completeness_sum(m, x) == math.fsum(row)
+        gap = np.abs(np.array(row) - terms)
+        assert np.all(gap <= 1e-11 + row_bounds(m, x, row))
 
 
 class TestPanelRule:

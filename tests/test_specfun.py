@@ -184,17 +184,46 @@ class TestCompletenessSum:
     # 5e-324: the seed's factors x / k would underflow without the row's lift
     @pytest.mark.parametrize("x", [0.1, 10.0, 100.0, 5e-324])
     def test_sums_to_one(self, m, x):
-        total, n_used = specfun.overlap_completeness_sum(m, x)
+        total = specfun.overlap_completeness_sum(m, x)
         assert total == pytest.approx(1.0, abs=1e-10)
-        assert n_used > m
+        assert len(specfun._overlap_row(m, x)) - 1 > m
 
     def test_truncation_is_past_the_peak(self):
-        _, n_used = specfun.overlap_completeness_sum(5, 50.0)
-        assert n_used > 55
+        assert len(specfun._overlap_row(5, 50.0)) - 1 > 55
 
     @pytest.mark.parametrize("m", [0, 3, 40])
     def test_zero_argument_is_one_level(self, m):
-        assert specfun.overlap_completeness_sum(m, 0.0) == (1.0, m + 8)
+        assert specfun.overlap_completeness_sum(m, 0.0) == 1.0
+        assert specfun._overlap_row(m, 0.0) == [0.0] * m + [1.0]
+
+    # the 16 sums verify reports, pinned bit for bit: the row's weights far
+    # past the peak are below half an ulp of 1 and move no bit of a sum
+    COMPLETENESS_HEX = {
+        (0, 0.1): "0x1.0000000000000p+0",
+        (0, 1.0): "0x1.0000000000000p+0",
+        (0, 10.0): "0x1.fffffffffffe2p-1",
+        (0, 100.0): "0x1.fffffffffffc2p-1",
+        (5, 0.1): "0x1.ffffffffffff7p-1",
+        (5, 1.0): "0x1.ffffffffffffdp-1",
+        (5, 10.0): "0x1.0000000000000p+0",
+        (5, 100.0): "0x1.fffffffffffe4p-1",
+        (20, 0.1): "0x1.ffffffffffff9p-1",
+        (20, 1.0): "0x1.0000000000000p+0",
+        (20, 10.0): "0x1.ffffffffffff4p-1",
+        (20, 100.0): "0x1.0000000000004p+0",
+        (50, 0.1): "0x1.fffffffffffdfp-1",
+        (50, 1.0): "0x1.ffffffffffffdp-1",
+        (50, 10.0): "0x1.0000000000002p+0",
+        (50, 100.0): "0x1.ffffffffffff5p-1",
+    }
+
+    def test_verify_grid_sums_keep_their_bits(self):
+        from magdecay import cli
+
+        grid = [(m, x) for m in cli._COMPLETENESS_LEVELS for x in cli._COMPLETENESS_ARGS]
+        assert grid == list(self.COMPLETENESS_HEX)
+        got = {(m, x): specfun.overlap_completeness_sum(m, x).hex() for m, x in grid}
+        assert got == self.COMPLETENESS_HEX
 
     def test_never_calls_the_level_kernel(self, monkeypatch):
         def refuse(*args):
@@ -203,23 +232,24 @@ class TestCompletenessSum:
         monkeypatch.setattr(specfun, "overlap_weight_rows", refuse)
         for m in (0, 5, 20, 50):
             for x in (0.1, 1.0, 10.0, 100.0):
-                assert abs(specfun.overlap_completeness_sum(m, x)[0] - 1.0) < 1e-10
+                assert abs(specfun.overlap_completeness_sum(m, x) - 1.0) < 1e-10
 
     def test_high_level(self):
         # a single row of O(n_max) steps, where the level kernel would take
         # min(n, m) steps per level, about 3e7 in all
-        total, last = specfun.overlap_completeness_sum(5000, 100.0)
+        total = specfun.overlap_completeness_sum(5000, 100.0)
         assert abs(total - 1.0) < 1e-10
-        assert 5100 < last < specfun.MAX_OVERLAP_INDEX
+        assert 5100 < specfun._row_levels(5000, 100.0)[1] - 1 < specfun.MAX_OVERLAP_INDEX
 
     # (5000, 1000): the upper turning point (sqrt(5000) + sqrt(1000))^2 is
     # about 10,468 levels; (10000, 1400) the largest admissible point; and
-    # (10000, 1e-4) a peak at the cap that the stop rule passes by 8 levels
+    # (10000, 1e-4) a peak at the cap, whose row runs past it to Miller's
+    # start
     @pytest.mark.parametrize("m,x", [(5000, 1000.0), (10000, 1400.0), (10000, 1e-4)])
     def test_levels_past_the_index_cap_are_summed(self, m, x):
-        total, last = specfun.overlap_completeness_sum(m, x)
+        total = specfun.overlap_completeness_sum(m, x)
         assert abs(total - 1.0) < 1e-10
-        assert last > specfun.MAX_OVERLAP_INDEX
+        assert specfun._row_levels(m, x)[1] - 1 > specfun.MAX_OVERLAP_INDEX
 
     @pytest.mark.parametrize(
         "m,x,match",
@@ -239,9 +269,9 @@ class TestCompletenessSum:
     # kernel stops, the row's seed keeps its scale in the exponent
     @pytest.mark.parametrize("m,x", [(3, 1414.0), (100, 5000.0), (3000, 2000.0)])
     def test_arguments_past_the_kernel_cap_are_summed(self, m, x):
-        total, last = specfun.overlap_completeness_sum(m, x)
+        total = specfun.overlap_completeness_sum(m, x)
         assert abs(total - 1.0) < 1e-10
-        assert last > m + x
+        assert specfun._row_levels(m, x)[1] - 1 > m + x
 
 
 # the points every row identity runs on: D_0 is below the float range at
@@ -322,7 +352,7 @@ class TestOverlapRow:
         tail = [n for n, w in enumerate(row) if 1e-35 < w < 1e-16 and n > above]
         assert len(low) == 3 and len(tail) >= 3
         tail = [tail[0], tail[len(tail) // 2], tail[-1]]
-        relative = ROW_STEP_ROUNDINGS * row_steps(m, x, row) * EPS
+        relative = ROW_STEP_ROUNDINGS * row_steps(m, x) * EPS
         for n in low + tail:
             exact = mpmath_overlap(n, m, x, mpmath)
             tol = relative * exact + ROW_MILLER_ERROR + 2.0**-1074
@@ -434,7 +464,7 @@ class TestArrayRow:
         # the one exception to the scalar row's bits: at x = 0 the scalar
         # row is exactly 1 at n = m and 0 elsewhere, and the array row
         # takes x as 5e-324
-        assert specfun._overlap_row(5, 0.0)[:8] == [0.0] * 5 + [1.0, 0.0, 0.0]
+        assert specfun._overlap_row(5, 0.0) == [0.0] * 5 + [1.0]
         got = array_rows(5, np.array([0.0]), np.array([7]))
         assert got[0, 5] == 0.9999999999999996
         assert got[0, 4] == 2.5e-323 and got[0, 6] == 3e-323
@@ -466,7 +496,7 @@ class TestArrayRow:
         # turning point, 16, and short of Miller's start, 101: every weight
         # is the scalar row's
         row = specfun._overlap_row(0, 16.5)
-        assert specfun._row_levels(0, 16.5)[::2] == (16, 101)
+        assert specfun._row_levels(0, 16.5) == (16, 101)
         assert array_rows(0, np.array([16.5]), np.array([top])) == {(0, n): row[n] for n in range(top + 1)}
         assert sum(rows for _, rows in slab_sizes(0, [16.5], [top])) == top + 1
 
@@ -494,9 +524,9 @@ class TestArrayRow:
         # the first node runs past its Miller start, 101, where its weights
         # are 0; the second stops at 40, short of its start, 120; each has
         # the weights of its own call, and the scalar row's up to its last
-        # level (76 and 91)
+        # level (100 and 119)
         x, top = np.array([16.5, 23.5]), np.array([110, 40])
-        starts = [specfun._row_levels(0, v)[2] for v in x]
+        starts = [specfun._row_levels(0, v)[1] for v in x]
         assert starts == [101, 120]
         got = array_rows(0, x, top)
         for i in range(2):
@@ -547,7 +577,7 @@ class TestArrayRow:
         for i in range(40):
             alone = node_weights(array_rows(m, x[i : i + 1], top[i : i + 1]), 0, top[i])
             assert node_weights(got, i, top[i]) == alone
-            start = specfun._row_levels(m, float(x[i]))[2]
+            start = specfun._row_levels(m, float(x[i]))[1]
             past += top[i] >= start
             assert all(alone[n] == 0.0 for n in range(start, top[i] + 1))
         # some nodes run past Miller's start, where their weights are 0
@@ -567,7 +597,7 @@ class TestArrayRow:
         stops = []
         for i in range(40):
             row = specfun._overlap_row(m, float(x[i]))
-            start = specfun._row_levels(m, float(x[i]))[2]
+            start = specfun._row_levels(m, float(x[i]))[1]
             stops.append(min(int(top[i]), start - 1))
             for n in range(min(int(top[i]), last, len(row) - 1) + 1):
                 assert got[i, n] == row[n], (i, n)
@@ -605,7 +635,7 @@ class TestArrayRow:
         mpmath = pytest.importorskip("mpmath")
         w = array_rows(m, np.array([x]), np.array([n]))[0, n]
         exact = mpmath_overlap(n, m, x, mpmath)
-        turn, last, start = specfun._row_levels(m, x)
+        start = specfun._row_levels(m, x)[1]
         steps = m + max(start, n) + 1
         tol = ROW_STEP_ROUNDINGS * steps * EPS * exact + specfun.ROW_ABS_ERROR + 2.0**-1074
         assert exact > 0.0
@@ -640,11 +670,22 @@ class TestMillerStart:
     )
     def test_steps(self, m, x, steps, before):
         # before: the generating-function bound's start
-        row = specfun._overlap_row(m, x)
-        assert row_steps(m, x, row) == steps < before
+        assert row_steps(m, x) == steps < before
 
     @pytest.mark.parametrize("m,x", [(50, 100.0), (0, 100.0), (300, 50.0), (7, 3.3), (2000, 100.0)])
     def test_weight_at_the_start_is_below_the_threshold(self, m, x):
         mpmath = pytest.importorskip("mpmath")
-        start = specfun._row_levels(m, x)[2]
+        start = specfun._row_levels(m, x)[1]
         assert mpmath_overlap(start, m, x, mpmath) < 1e-40
+
+    @pytest.mark.parametrize("m,x", ARRAY_POINTS + [(0, 0.0), (7, 0.0), (300, 0.0)])
+    def test_both_rows_end_at_the_start(self, m, x):
+        # the scalar row's last weight is at the level before Miller's
+        # start (at x = 0, where the row is the Kronecker delta, the start
+        # is m + 1), and a node whose top is past its start has no nonzero
+        # weight from there on
+        start = specfun._row_levels(m, x)[1]
+        assert len(specfun._overlap_row(m, x)) == start
+        if x > 0.0:
+            got = array_rows(m, np.array([x]), np.array([start + 40]))
+            assert got and all(w == 0.0 for (_, n), w in got.items() if n >= start)
