@@ -12,7 +12,6 @@ live in their submodules (``landau``, ``units``, ``specfun``,
 from .landau import DecayChannel, MagnetizedState, field_for_radial_energy
 from .oracle import verify_closed_form
 from .rate import (
-    LevelRate,
     RateConvergenceError,
     RateResult,
     decay_rate,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecayChannel",
-    "LevelRate",
     "MagnetizedState",
     "RateConvergenceError",
     "RateResult",

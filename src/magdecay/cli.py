@@ -232,6 +232,14 @@ def _level_range(args, config) -> range:
         raise _UsageError(f"{args.command} requires --m-min and --m-max")
     if not 0 <= m_min <= m_max:
         raise _UsageError(f"need 0 <= m_min <= m_max, got [{m_min}, {m_max}]")
+    # a parent in level m opens daughter levels up to n_max >= m, so every
+    # level past the overlap index cap fails: refuse the range before any
+    # of its work
+    if m_max > specfun.MAX_OVERLAP_INDEX:
+        raise ValueError(
+            f"m_max = {m_max} is above the overlap index cap {specfun.MAX_OVERLAP_INDEX}: "
+            "a parent in level m opens daughter levels up to n_max >= m"
+        )
     return range(m_min, m_max + 1)
 
 

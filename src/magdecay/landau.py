@@ -23,7 +23,6 @@ from .specfun import MAX_OVERLAP_INDEX
 __all__ = [
     "DecayChannel",
     "MagnetizedState",
-    "kz_cutoffs",
     "level_edges",
     "field_for_radial_energy",
     "radial_energy_for_radius",
@@ -151,19 +150,11 @@ def _open_levels(channel: DecayChannel, state: MagnetizedState):
     return omega, n, gap + 2 * (state.level - n) * state.field
 
 
-def kz_cutoffs(channel: DecayChannel, state: MagnetizedState) -> np.ndarray:
-    """Largest |k_z| [MeV] open to the charged daughter in each level 0..n_max.
-
-    The cutoff of level n is (omega^2 - a_n) / (2 omega), with the open
-    levels and that difference from :func:`_open_levels`.  An empty array
-    means no level is open.
-    """
-    omega, _, head = _open_levels(channel, state)
-    return np.maximum(head / (2.0 * omega), 0.0)
-
-
-def level_edges(channel: DecayChannel, state: MagnetizedState) -> tuple[np.ndarray, np.ndarray]:
-    """The square roots of X_n and Y_n [1] of each level n = 0..n_max open to the charged daughter.
+def level_edges(
+    channel: DecayChannel, state: MagnetizedState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square roots of X_n and Y_n [1], and the largest |k_z| K_n [MeV], of
+    each level n = 0..n_max open to the charged daughter.
 
     Level n's share of the width is an integral over the neutral
     daughter's squared transverse momentum over twice the field,
@@ -174,16 +165,18 @@ def level_edges(channel: DecayChannel, state: MagnetizedState) -> tuple[np.ndarr
 
     omega - sqrt(a_n) is taken as (omega^2 - a_n) / (omega + sqrt(a_n)),
     with the open levels and that difference from :func:`_open_levels`, so
-    that X_n keeps its digits.  The largest |k_z| of the level is
-    K_n = field sqrt(X_n Y_n) / omega (:func:`kz_cutoffs`).  The roots are
-    returned because X_n itself falls below the float range at strong
-    fields (about 1e-405 at 1e206 MeV^2), where sqrt(X_n) does not.  Empty
-    arrays mean no level is open.
+    that X_n keeps its digits.  In the charged daughter's longitudinal
+    momentum the same level is the integral over |k_z| <= K_n, with
+    K_n = (omega^2 - a_n) / (2 omega) = field sqrt(X_n Y_n) / omega.  The
+    roots are returned because X_n itself falls below the float range at
+    strong fields (about 1e-405 at 1e206 MeV^2), where sqrt(X_n) does not.
+    Empty arrays mean no level is open.
     """
     omega, n, head = _open_levels(channel, state)
+    head = np.maximum(head, 0.0)
     outer = omega + np.sqrt(channel.m_charged**2 + (2 * n + 1) * state.field)
     root_field = math.sqrt(2.0 * state.field)
-    return np.maximum(head, 0.0) / outer / root_field, outer / root_field
+    return head / outer / root_field, outer / root_field, head / (2.0 * omega)
 
 
 def field_for_radial_energy(p_perp_sq: float, level: int) -> float:

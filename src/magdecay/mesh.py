@@ -189,7 +189,7 @@ def level_integrals(m: int, root_x, root_y, rel_tol: float, abs_tol: float):
         if panels >= _MAX_PANELS:
             n = int(missed[0])
             raise quadrature.RateConvergenceError(
-                n, float(value[n]), float(estimate[n]), float(tol[n]), _MAX_PANELS
+                n, float(value[n]), float(estimate[n]), float(tol[n])
             )
         # each cut is the midpoint of a panel, strictly inside it while the
         # panel is wider than two ulps, so the sorted edges stay increasing

@@ -6,7 +6,7 @@ whose error exceeds their width-proportional share of their interval's
 tolerance are bisected.  The panels of the intervals still open live in
 one flat table, and each refinement round evaluates the pending panels of
 all of them together, in vectorized integrand calls of at most ``_CHUNK``
-panels (7,680 points), which keeps the per-point cost low for integrands
+panels (7,625 points), which keeps the per-point cost low for integrands
 built on index recurrences.
 
 The refinement policy is deterministic and per interval: panel order,
@@ -145,9 +145,9 @@ class RateConvergenceError(RuntimeError):
     usable.
     """
 
-    def __init__(self, n: int, partial_value: float, error_estimate: float, tol: float, budget: int):
+    def __init__(self, n: int, partial_value: float, error_estimate: float, tol: float):
         super().__init__(
-            f"level {n}: no convergence within {budget} panels "
+            f"level {n}: no convergence within {_MAX_PANELS} panels "
             f"(error {error_estimate:.3e}, tolerance {tol:.3e})"
         )
         self.n = n
@@ -318,5 +318,5 @@ def integrate(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0):
 
     if failures:
         i = min(failures)
-        raise RateConvergenceError(i, *failures[i], _MAX_PANELS)
+        raise RateConvergenceError(i, *failures[i])
     return values, errors

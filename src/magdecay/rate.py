@@ -41,12 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .landau import DecayChannel, MagnetizedState, kz_cutoffs, level_edges
+from .landau import DecayChannel, MagnetizedState, level_edges
 from .quadrature import RateConvergenceError
 from .specfun import MAX_OVERLAP_ARGUMENT, overlap_weight_rows
 
 __all__ = [
-    "LevelRate",
     "RateResult",
     "RateConvergenceError",
     "decay_rate",
@@ -67,20 +66,16 @@ _SHARED_MESH_WORK = 20_000
 
 
 @dataclass(frozen=True)
-class LevelRate:
-    """One daughter level's share of the width, with its quadrature error."""
-
-    n: int
-    rate: float
-    quad_error: float
-
-
-@dataclass(frozen=True)
 class RateResult:
-    """Total width, its per-level breakdown, and the inertial comparison."""
+    """Total width, its per-level breakdown, and the inertial comparison.
+
+    ``level_rates[n]`` is daughter level n's share of the width and
+    ``level_errors[n]`` its quadrature error estimate, for n = 0..n_max_used.
+    """
 
     gamma_total: float
-    level_contributions: tuple[LevelRate, ...]
+    level_rates: tuple[float, ...]
+    level_errors: tuple[float, ...]
     ratio: float
     n_max_used: int
     lorentz_gamma: float
@@ -97,16 +92,18 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     same integrals, and the size of the problem picks one: with m (levels)
     at least ``_SHARED_MESH_WORK`` (20,000, where the mesh is the faster on
     every figure curve), or an X_0 past the level kernel's argument cap,
-    all levels share one mesh in x (:mod:`magdecay.mesh`);
-    below, each level is one interval [0, kz_cut(n)] of a
-    single multi-interval quadrature in k_z, with its own panels.  The
-    reduction is the compensated sum in ascending ``n``, and the total error
-    is the prefactor times the compensated sum of the level errors.  When a
-    level misses its tolerance within the panel budget,
-    :class:`RateConvergenceError` names the lowest such level.  A closed
-    channel (no open level) has width and ratio zero; an open one whose
-    prefactor G^2/(8 pi omega) or width falls below the normal float range
-    raises :class:`ValueError`, since its digits are lost.
+    all levels share one mesh in x (:mod:`magdecay.mesh`); below, each
+    level is one interval [0, K_n] of a single multi-interval quadrature
+    in k_z, with its own panels.  One :func:`magdecay.landau.level_edges`
+    call gives both schemes their level bounds.  The reduction is the
+    compensated sum in ascending ``n``, and the total error is the
+    prefactor times the compensated sum of the level errors, which the
+    result also keeps per level.  When a level misses its tolerance within
+    the panel budget, :class:`RateConvergenceError` names the lowest such
+    level.  A closed channel (no open level) has width and ratio zero; an
+    open one whose prefactor G^2/(8 pi omega) or width falls below the
+    normal float range raises :class:`ValueError`, since its digits are
+    lost.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
@@ -114,7 +111,7 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     lorentz_gamma = omega / channel.m_parent
     free_rest = free_rate_at_rest(channel)
 
-    root_x, root_y = level_edges(channel, state)
+    root_x, root_y, k_cut = level_edges(channel, state)
     prefactor = channel.coupling**2 / (16.0 * math.pi * omega) * 2.0
     if root_x.size and prefactor < sys.float_info.min:
         raise ValueError(
@@ -133,12 +130,18 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
 
         values, errors = mesh.level_integrals(state.level, root_x, root_y, rel_tol, abs_tol)
     else:
-        values, errors = _kz_level_integrals(channel, state, rel_tol, abs_tol)
+        # one multi-interval quadrature, whose rounds evaluate the pending
+        # panels of all levels together
+        values, errors = quadrature.integrate(
+            lambda k_z, n: _integrand_arrays(channel, state, n, k_z),
+            np.zeros(k_cut.size),
+            k_cut,
+            rel_tol,
+            abs_tol,
+        )
 
-    contributions = tuple(
-        LevelRate(n, prefactor * v, prefactor * e) for n, (v, e) in enumerate(zip(values, errors))
-    )
-    gamma_total = math.fsum(c.rate for c in contributions)
+    level_rates = tuple(prefactor * v for v in values)
+    gamma_total = math.fsum(level_rates)
     if root_x.size and gamma_total < sys.float_info.min:
         raise ValueError(
             f"width Gamma = {gamma_total:.6g} MeV is below the normal float range; "
@@ -149,7 +152,8 @@ def decay_rate(channel: DecayChannel, state: MagnetizedState, rel_tol: float = 1
     ratio = lorentz_gamma * gamma_total / free_rest
     return RateResult(
         gamma_total=gamma_total,
-        level_contributions=contributions,
+        level_rates=level_rates,
+        level_errors=tuple(prefactor * e for e in errors),
         ratio=ratio,
         n_max_used=root_x.size - 1,
         lorentz_gamma=lorentz_gamma,
@@ -162,49 +166,20 @@ def _shares_mesh(m: int, root_x) -> bool:
 
     The per-level k_z quadrature costs about m recurrence steps a point and
     the shared mesh about one row step a level at each node, besides a
-    fixed cost per level and round.  Timed on one core along the figure
-    curves by ``scripts/mesh_crossover.py`` (one run at 3ef2e2a on a
-    2-core Intel Xeon host), the shared mesh over the k_z quadrature takes
-    0.80 (m = 24), 0.73 (29), 0.64 (32), 0.52 (36), 0.54 (41), 0.42 (49)
-    and 0.30 (60) of the time at p_perp^2 = 1e3; 0.86 (40), 0.71 (50),
-    0.60 (60), 0.48 (70) and 0.40 (80) at 5e3; 2.08 (30), 0.75 (60), 0.68
-    (66), 0.58 (70) and 0.64 (80) at 1e4, where the mesh converges in one
-    round at every point; 1.74 (65) and 1.13 (80) at 3e4; 1.28 (100) and
-    0.84 (120) at 5e4.  In m (levels) the crossover lies below 7,152 at
-    1e3 and below 5,240 at 5e3, the first points timed on those curves,
-    between 1,950 and 7,680 at 1e4 and between 12,300 and 17,640 at 5e4,
-    and past the end of the 3e4 curve (8,800): the product does not order
-    it across curves, so the threshold sits above every crossover, where
-    no figure point takes longer on the mesh.  It sends the points from m
-    = 41 at 1e3 and from m = 79 at 5e3 to it.  A lower threshold does not
-    pay on the figure points that the benchmark's ``figures`` workload
-    runs.  Whole passes of its sample, alternated in one process (10
-    rounds, one BLAS thread, process CPU time), took against 20,000: on
-    seed 7 at 8ff6edf, 1.051 for 10,000, 1.046 for 8,000, 1.151 for 5,000
-    and 1.94 with every level sum on the mesh; at 3ef2e2a, 0.991 for
-    10,000 on seed 7 (faster in 7 of 10 rounds) and 0.933 on seed 0 (8 of
-    10), 1.001 (5) and 0.970 (8) for 8,000, and 1.074 (1) and 1.010 (4)
-    for 5,000.  A process that runs level sums on the mesh holds about 2
-    MiB more at its peak: the mesh's import, and Miller's store (about 1
-    MiB at (1e3, 71)).  The level kernel of the k_z quadrature also
-    refuses arguments past ``MAX_OVERLAP_ARGUMENT``, which X_0 bounds.
+    fixed cost per level and round.  Timed along the figure curves by
+    ``scripts/mesh_crossover.py``, the crossover in m (levels) lies below
+    7,152 at p_perp^2 = 1e3 and below 5,240 at 5e3, between 1,950 and
+    7,680 at 1e4 and between 12,300 and 17,640 at 5e4, and past the end of
+    the 3e4 curve (8,800): the product does not order it across curves, so
+    the threshold sits above every crossover, where no figure point takes
+    longer on the mesh.  It sends the points from m = 41 at 1e3 and from
+    m = 79 at 5e3 to it.  A process that runs level sums on the mesh also
+    holds about 2 MiB more at its peak: the mesh's import, and Miller's
+    store (about 1 MiB at (1e3, 71)).  The level kernel of the k_z
+    quadrature also refuses arguments past ``MAX_OVERLAP_ARGUMENT``, which
+    X_0 bounds.
     """
     return m * root_x.size >= _SHARED_MESH_WORK or root_x[0] * root_x[0] > MAX_OVERLAP_ARGUMENT
-
-
-def _kz_level_integrals(channel: DecayChannel, state: MagnetizedState, rel_tol: float, abs_tol: float):
-    """Every level's integral over its own k_z interval: one multi-interval
-    quadrature, whose rounds evaluate the pending panels of all levels
-    together, each level with its own tolerance, panel budget and
-    compensated sum."""
-    cuts = kz_cutoffs(channel, state)
-    return quadrature.integrate(
-        lambda k_z, n: _integrand_arrays(channel, state, n, k_z),
-        np.zeros(cuts.size),
-        cuts,
-        rel_tol,
-        abs_tol,
-    )
 
 
 def _integrand_arrays(

@@ -10,10 +10,12 @@ error bound of a completeness row, which the row's tests derive their
 tolerances from, lives here too, and so does ``row_weight``, the
 package's own weight at one level as a one-row call of
 ``specfun.overlap_weight_rows``, for the tests that take w one level at
-a time, and ``count_shared_work``, which counts the work of the level sum
-on the shared mesh.
+a time, ``count_shared_work``, which counts the work of the level sum
+on the shared mesh, and ``hex_digest``, which pins a long run of floats
+to their exact bits.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +37,11 @@ ROW_STEP_ROUNDINGS = 8.0
 # Miller's algorithm started where w < 1e-40 leaves an absolute error of
 # about twice that in every weight
 ROW_MILLER_ERROR = 2e-40
+
+
+def hex_digest(values) -> str:
+    """SHA-256 of the exact hex strings of ``values``, in order."""
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
 
 
 def row_steps(m: int, x: float) -> int:

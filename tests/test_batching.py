@@ -31,7 +31,7 @@ def magnetized(p_perp_sq, m):
 
 
 def result_bits(result):
-    levels = tuple((c.n, c.rate.hex(), c.quad_error.hex()) for c in result.level_contributions)
+    levels = tuple((r.hex(), e.hex()) for r, e in zip(result.level_rates, result.level_errors))
     return result.gamma_total.hex(), result.ratio.hex(), result.quad_error.hex(), levels
 
 
@@ -367,9 +367,10 @@ class TestMultiIntervalIntegrate:
 
 class TestLevelSum:
     def test_level_contribution_positive_and_bounded_error(self):
-        level = decay_rate(MUON, magnetized(5e3, 20), rel_tol=1e-9).level_contributions[7]
-        assert level.rate > 0.0
-        assert level.quad_error <= 1e-9 * level.rate + 1e-25
+        result = decay_rate(MUON, magnetized(5e3, 20), rel_tol=1e-9)
+        value, error = result.level_rates[7], result.level_errors[7]
+        assert value > 0.0
+        assert error <= 1e-9 * value + 1e-25
 
     def test_convergence_error_carries_partial(self, monkeypatch):
         state = magnetized(3e4, 65)
@@ -379,7 +380,7 @@ class TestLevelSum:
             decay_rate(MUON, state, rel_tol=1e-12)
         # the lowest level that fails on its own is the one reported
         for n in range(info.value.n + 1):
-            cut = landau.kz_cutoffs(MUON, state)[n]
+            cut = landau.level_edges(MUON, state)[2][n]
             integrand = lambda k_z, _: rate._integrand_arrays(
                 MUON, state, np.full(len(k_z), n), k_z
             )
@@ -642,15 +643,19 @@ class TestLevelSum:
         first = decay_rate(MUON, state, rel_tol=1e-6)
         assert counted["rounds"] == 1
         floor = rate._LEVEL_ABS_FLOOR * 1e-9 * rate.free_rate_at_rest(MUON) / first.lorentz_gamma
-        lowest = next(c for c in first.level_contributions if c.quad_error > max(1e-9 * c.rate, floor))
+        lowest = next(
+            n
+            for n, (value, error) in enumerate(zip(first.level_rates, first.level_errors))
+            if error > max(1e-9 * value, floor)
+        )
         monkeypatch.setattr(mesh, "_MAX_PANELS", counted["panels"])
         with pytest.raises(RateConvergenceError) as info:
             decay_rate(MUON, state, rel_tol=1e-9)
-        assert info.value.n == lowest.n
+        assert info.value.n == lowest
         assert info.value.partial_value > 0.0
         assert info.value.error_estimate > 1e-9 * info.value.partial_value
         assert info.value.error_estimate / info.value.partial_value == pytest.approx(
-            lowest.quad_error / lowest.rate, rel=1e-14
+            first.level_errors[lowest] / first.level_rates[lowest], rel=1e-14
         )
 
     def test_level_sum_memory_holds_no_sum_per_level_and_panel(self, monkeypatch):
@@ -678,7 +683,7 @@ class TestLevelSum:
         finally:
             tracemalloc.stop()
         m, x, top = layout[0]
-        levels, panels = len(result.level_contributions), x.size // quadrature._NODES.size
+        levels, panels = len(result.level_rates), x.size // quadrature._NODES.size
         assert len(layout) == 1 and (levels, panels) == (2118, 136)
         row = 20 * 8 * x.size + 16 * miller_weights(m, x, top)
         assert specfun._work_rows(x.size) == 8

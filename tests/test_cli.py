@@ -472,6 +472,25 @@ def test_level_range_rejected(capsys, command, bounds, message):
     assert message.format(command=command) in err
 
 
+@pytest.mark.parametrize("command", ["scan-m", "scan-field"])
+@pytest.mark.parametrize("m_min,m_max", [(0, 10_001), (10_001, 3_000_000)])
+def test_level_range_past_the_cap_fails_before_any_work(capsys, monkeypatch, command, m_min, m_max):
+    # a parent in level m opens daughter levels up to n_max >= m, so every
+    # level past the overlap index cap would fail: the range is refused
+    # before any p_perp^2 or rate of it is computed, and no row is printed
+    def never(*args, **kwargs):
+        raise AssertionError("called before the level range was checked")
+
+    monkeypatch.setattr(rate, "decay_rate", never)
+    monkeypatch.setattr(landau, "radial_energy_for_radius", never)
+    code, out, err = run(capsys, command, "--m-min", str(m_min), "--m-max", str(m_max))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: m_max = {m_max} is above the overlap index cap 10000: "
+        "a parent in level m opens daughter levels up to n_max >= m\n"
+    )
+
+
 class TestScanField:
     def test_field_column_follows_radius_lock(self, capsys):
         code, out, _ = run(capsys, "scan-field", "--radius", "0.1", "--m-min", "0", "--m-max", "3")

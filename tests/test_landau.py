@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magdecay import landau, quadrature, units
-from reference_paths import hermite, transverse_wavefunction
+from reference_paths import hermite, hex_digest, transverse_wavefunction
 
 M_MU = 105.7
 
@@ -124,70 +124,104 @@ class TestLandauEnergy:
         assert energy(mass, level, field * 1.5) > base
 
 
+def saturated_states():
+    """The muon at fields M^2/(2j), where the bound M^2/(2 field) + m is the
+    integer j + m, and up to 4 ulp either side of them."""
+    states = []
+    for j in (1, 7, 100):
+        for m in (0, 5, 300):
+            field = M_MU**2 / (2 * j)
+            fields = [field]
+            for direction in (0.0, math.inf):
+                f = field
+                for _ in range(4):
+                    f = math.nextafter(f, direction)
+                    fields.append(f)
+            states += [(j, m, f, landau.MagnetizedState(field=f, level=m)) for f in fields]
+    return states
+
+
 class TestDaughterCutoffs:
     def test_reference_level_count(self):
         channel = muon_like()
         state = landau.MagnetizedState(field=3e4 / 131, level=65)
-        assert len(landau.kz_cutoffs(channel, state)) - 1 == 89
+        assert len(landau.level_edges(channel, state)[2]) - 1 == 89
 
     def test_critical_field_leaves_one_level(self):
         channel = muon_like()
         state = landau.MagnetizedState(field=M_MU**2, level=0)
-        assert len(landau.kz_cutoffs(channel, state)) == 1
+        assert len(landau.level_edges(channel, state)[2]) == 1
 
     def test_exactly_saturated_level_is_dropped(self):
         # at field = M^2/2 and m = 0 the bound is exactly 1; the level with
         # zero phase space is excluded, deterministically
         channel = landau.DecayChannel(m_parent=2.0)
         state = landau.MagnetizedState(field=2.0, level=0)
-        assert len(landau.kz_cutoffs(channel, state)) == 1
-        # the muon at fields M^2/(2j), where the bound M^2/(2 field) + m is
-        # the integer j + m, and up to 4 ulp either side of them: no level
-        # at or past the bound is kept, and the last one kept is open
+        assert len(landau.level_edges(channel, state)[2]) == 1
+        # at the saturated fields of the muon no level at or past the bound
+        # is kept, and the last one kept is open
         channel = muon_like()
-        for j in (1, 7, 100):
-            for m in (0, 5, 300):
-                field = M_MU**2 / (2 * j)
-                fields = [field]
-                for direction in (0.0, math.inf):
-                    f = field
-                    for _ in range(4):
-                        f = math.nextafter(f, direction)
-                        fields.append(f)
-                for f in fields:
-                    cuts = landau.kz_cutoffs(channel, landau.MagnetizedState(field=f, level=m))
-                    assert len(cuts) - 1 < M_MU**2 / (2 * f) + m, (j, m, f)
-                    assert cuts[-1] > 0.0, (j, m, f)
+        for j, m, f, state in saturated_states():
+            cuts = landau.level_edges(channel, state)[2]
+            assert len(cuts) - 1 < M_MU**2 / (2 * f) + m, (j, m, f)
+            assert cuts[-1] > 0.0, (j, m, f)
 
     def test_level_count_checked_against_the_overlap_cap(self):
         # at m = 0 the bound is M^2/(2 field): n_max = 10,000 is the last
         # count the overlap weights accept, and 10,001 is refused up front
         channel = muon_like()
         at_cap = landau.MagnetizedState(field=M_MU**2 / (2 * 10_000.5), level=0)
-        assert len(landau.kz_cutoffs(channel, at_cap)) == 10_001
+        assert len(landau.level_edges(channel, at_cap)[2]) == 10_001
         past_cap = landau.MagnetizedState(field=M_MU**2 / (2 * 10_001.5), level=0)
         with pytest.raises(ValueError, match="10002 daughter levels open .* cap 10000"):
-            landau.kz_cutoffs(channel, past_cap)
+            landau.level_edges(channel, past_cap)
 
     def test_kz_reference_values(self):
         channel = muon_like()
         state = landau.MagnetizedState(field=3e4 / 131, level=65)
-        cut = landau.kz_cutoffs(channel, state)[0]
+        cut = landau.level_edges(channel, state)[2][0]
         assert cut == pytest.approx(100.89071873568656, rel=1e-12)
         assert cut == pytest.approx(100.89, rel=1e-4)
 
         lll = landau.MagnetizedState(field=100.0, level=0)
         expected = M_MU**2 / (2.0 * math.sqrt(M_MU**2 + 100.0))
-        cut = landau.kz_cutoffs(channel, lll)[0]
+        cut = landau.level_edges(channel, lll)[2][0]
         assert cut == pytest.approx(expected, rel=1e-14)
         assert cut == pytest.approx(52.61, rel=1e-4)
 
     def test_kz_strictly_decreasing_in_level(self):
         channel = muon_like()
         state = landau.MagnetizedState(field=3e4 / 131, level=65)
-        cuts = landau.kz_cutoffs(channel, state)
+        cuts = landau.level_edges(channel, state)[2]
         assert np.all(cuts[:-1] > cuts[1:])
         assert cuts[-1] >= 0.0
+
+    @pytest.mark.parametrize(
+        "channel,states,size,digest",
+        [
+            (muon_like(), [landau.MagnetizedState(field=3e4 / 131, level=65)], 90,
+             "e77da699eedd1d84568cffc88636cd54dfd2670e2315f7b1d459001737bd851d"),
+            (muon_like(), [landau.MagnetizedState(field=100.0, level=0)], 56,
+             "3729f2e60a7e2aad210a6433b93597229e31e70e2f0db749773e34a4b1a3c369"),
+            (muon_like(), [landau.MagnetizedState(field=M_MU**2, level=0)], 1,
+             "88b4b96120b0960d6f1b82f4c76c555e5f7f7892fd33d17ff068d8e6f043b092"),
+            (landau.DecayChannel(m_parent=2.0), [landau.MagnetizedState(field=2.0, level=0)], 1,
+             "67f053218f213c58b6ff25bc311e5c0501bfaf957053f7e71fe9a0e7a0e1693a"),
+            (muon_like(), [state for *_, state in saturated_states()], 11_151,
+             "962f4226619d876b28077b2ec703ed3ad2eb4018bb4e4cd054d342cb54b129f6"),
+            (muon_like(), [landau.MagnetizedState(field=M_MU**2 / (2 * 10_000.5), level=0)], 10_001,
+             "77f8bb032ffe653313c7d6f5d1d310bf00704fcdc5eb9416d79aedf0e20e14c5"),
+        ],
+        ids=["reference", "lowest", "critical", "saturated-two", "saturated-muon", "at-cap"],
+    )
+    def test_cutoff_bits_pinned(self, channel, states, size, digest):
+        # K_n = max(omega^2 - a_n, 0) / (2 omega) keeps the bits of
+        # max((omega^2 - a_n) / (2 omega), 0), the form the cutoffs were
+        # computed in before level_edges gave them: the digests are of
+        # that form's values
+        cuts = [k for state in states for k in landau.level_edges(channel, state)[2]]
+        assert len(cuts) == size
+        assert hex_digest(cuts) == digest
 
 
 class TestLevelEdges:
@@ -200,8 +234,7 @@ class TestLevelEdges:
         # at ordinary and at strong fields
         channel = muon_like()
         state = landau.MagnetizedState(field=field, level=level)
-        root_x, root_y = landau.level_edges(channel, state)
-        cuts = landau.kz_cutoffs(channel, state)
+        root_x, root_y, cuts = landau.level_edges(channel, state)
         omega = state.energy(M_MU)
         assert root_x.size == cuts.size
         np.testing.assert_allclose(field * root_x * root_y / omega, cuts, rtol=1e-14, atol=0.0)
@@ -209,13 +242,11 @@ class TestLevelEdges:
     def test_edges_order_and_massive_daughter(self):
         channel = landau.DecayChannel(m_parent=M_MU, m_charged=30.0)
         state = landau.MagnetizedState(field=1e4 / 61, level=30)
-        root_x, root_y = landau.level_edges(channel, state)
+        root_x, root_y, cuts = landau.level_edges(channel, state)
         assert np.all(root_x[:-1] > root_x[1:]) and root_x[-1] > 0.0
         assert np.all(root_y > root_x)
         np.testing.assert_allclose(
-            state.field * root_x * root_y / state.energy(M_MU),
-            landau.kz_cutoffs(channel, state),
-            rtol=1e-14,
+            state.field * root_x * root_y / state.energy(M_MU), cuts, rtol=1e-14
         )
 
     def test_same_levels_as_the_cutoffs(self):

@@ -266,7 +266,7 @@ class TestFirstMesh:
         # grid of 8,192 points in t, and the densest holds six
         m = 300
         state = MagnetizedState(field=field_for_radial_energy(1e4, m), level=m)
-        root_x, root_y = landau.level_edges(DecayChannel(m_parent=105.7), state)
+        root_x, root_y, _ = landau.level_edges(DecayChannel(m_parent=105.7), state)
         first = []
         evaluate = mesh._evaluate_panels
 

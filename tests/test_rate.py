@@ -11,13 +11,14 @@ from magdecay import (
     RateResult,
     decay_rate,
     field_for_radial_energy,
+    landau,
     lll_ratio_exact,
     lll_ratio_factored,
     rate,
 )
-from magdecay.landau import kz_cutoffs, level_edges
+from magdecay.landau import level_edges
 from magdecay.rate import _integrand_arrays, free_rate_at_rest
-from reference_paths import count_shared_work
+from reference_paths import count_shared_work, hex_digest
 
 M_MU = 105.7
 MUON = DecayChannel(m_parent=M_MU)
@@ -63,7 +64,7 @@ class TestLevelIntegrand:
 
     def test_even_in_kz(self):
         state = magnetized(3e4, 65)
-        cuts = kz_cutoffs(MUON, state)
+        cuts = level_edges(MUON, state)[2]
         for n in (0, 3, 40):
             cut = cuts[n]
             for frac in (0.2, 0.77):
@@ -74,12 +75,12 @@ class TestLevelIntegrand:
 
     def test_vanishes_at_kinematic_edge_for_distinct_levels(self):
         state = magnetized(3e4, 65)
-        cut = kz_cutoffs(MUON, state)[3]
+        cut = level_edges(MUON, state)[2][3]
         assert integrand_at(MUON, state, 3, cut) == pytest.approx(0.0, abs=1e-30)
 
     def test_rejects_momentum_outside_window(self):
         state = magnetized(3e4, 65)
-        cut = kz_cutoffs(MUON, state)[0]
+        cut = level_edges(MUON, state)[2][0]
         with pytest.raises(ValueError):
             integrand_at(MUON, state, 0, cut * 1.01)
 
@@ -99,9 +100,9 @@ class TestDecayRate:
     def test_result_invariants(self):
         result = decay_rate(MUON, magnetized(1e4, 30))
         assert result.n_max_used == 64
-        assert result.gamma_total == math.fsum(c.rate for c in result.level_contributions)
-        assert all(c.rate >= 0.0 for c in result.level_contributions)
-        assert [c.n for c in result.level_contributions] == list(range(65))
+        assert result.gamma_total == math.fsum(result.level_rates)
+        assert all(rate >= 0.0 for rate in result.level_rates)
+        assert len(result.level_rates) == len(result.level_errors) == 65
         omega = math.sqrt(M_MU**2 + 1e4)
         assert result.lorentz_gamma == pytest.approx(omega / M_MU, rel=1e-14)
         assert result.ratio == pytest.approx(
@@ -121,9 +122,45 @@ class TestDecayRate:
         second = decay_rate(MUON, magnetized(5e3, 20))
         assert first.gamma_total.hex() == second.gamma_total.hex()
         assert first.ratio.hex() == second.ratio.hex()
-        assert [(c.n, c.rate.hex(), c.quad_error.hex()) for c in first.level_contributions] == [
-            (c.n, c.rate.hex(), c.quad_error.hex()) for c in second.level_contributions
+        assert [(r.hex(), e.hex()) for r, e in zip(first.level_rates, first.level_errors)] == [
+            (r.hex(), e.hex()) for r, e in zip(second.level_rates, second.level_errors)
         ]
+
+    @pytest.mark.parametrize("p_sq,m,shared", [(1e4, 30, False), (1e4, 300, True)], ids=["kz", "mesh"])
+    def test_level_bounds_come_from_one_call(self, monkeypatch, p_sq, m, shared):
+        # both schemes take the open levels, their edges and their k_z
+        # cutoffs from one level_edges call
+        state = magnetized(p_sq, m)
+        assert bool(rate._shares_mesh(m, level_edges(MUON, state)[0])) is shared
+        open_levels, calls = landau._open_levels, []
+
+        def counted(channel, state):
+            calls.append(state)
+            return open_levels(channel, state)
+
+        monkeypatch.setattr(landau, "_open_levels", counted)
+        decay_rate(MUON, state)
+        assert calls == [state]
+
+    @pytest.mark.parametrize(
+        "p_sq,m,levels,rates,errors",
+        [
+            (1e4, 30, 65,
+             "31c922adf29be4b00fbd07d68f3762b7e19704237db37b069a83088beb73160c",
+             "4e9ad2f909dacb56a4064b163924df23c4ad25fda8b486711e496c003d92e0aa"),
+            (1e4, 300, 636,
+             "c7bc26a0f18da0f04c1e12c720cfcc08a5a0321b3d9f189a634670bd0e5acf72",
+             "890538b38ce4bc9576bac6a4265e0471d13d0bc60275e724ff9906046a70b54f"),
+        ],
+        ids=["kz", "mesh"],
+    )
+    def test_level_bits_pinned(self, p_sq, m, levels, rates, errors):
+        # every level's share and error estimate, in level order, as they
+        # were before the result held them as two tuples of floats
+        result = decay_rate(MUON, magnetized(p_sq, m))
+        assert len(result.level_rates) == len(result.level_errors) == levels
+        assert hex_digest(result.level_rates) == rates
+        assert hex_digest(result.level_errors) == errors
 
     def test_deviation_shrinks_toward_inertial_limit(self):
         low = decay_rate(MUON, magnetized(1e4, 30)).ratio
@@ -133,11 +170,12 @@ class TestDecayRate:
     def test_closed_channel_is_zero_and_checks_tolerance(self, monkeypatch):
         # no open level: only a field far beyond the documented range gets here
         monkeypatch.setattr(
-            "magdecay.rate.level_edges", lambda channel, state: (np.empty(0), np.empty(0))
+            "magdecay.rate.level_edges",
+            lambda channel, state: (np.empty(0), np.empty(0), np.empty(0)),
         )
         state = magnetized(1e4, 30)
         gamma = state.energy(M_MU) / M_MU
-        closed = RateResult(0.0, (), 0.0, -1, gamma, 0.0)
+        closed = RateResult(0.0, (), (), 0.0, -1, gamma, 0.0)
         assert decay_rate(MUON, state) == closed
         with pytest.raises(ValueError, match="rel_tol"):
             decay_rate(MUON, state, rel_tol=0.0)
@@ -165,7 +203,7 @@ class TestDecayRate:
         # is 1.1e-304 at 1e308 MeV^2
         state = MagnetizedState(field=field, level=0)
         message = re.escape(f"field {field:.6g} MeV^2 is past half the float range")
-        for call in (decay_rate, kz_cutoffs, level_edges):
+        for call in (decay_rate, level_edges):
             with pytest.raises(ValueError, match=message):
                 call(MUON, state)
 
@@ -191,7 +229,7 @@ class TestDecayRate:
     @settings(max_examples=25, deadline=None)
     def test_every_level_nonnegative(self, m, p_sq):
         result = decay_rate(MUON, magnetized(p_sq, m))
-        assert all(c.rate >= 0.0 for c in result.level_contributions)
+        assert all(rate >= 0.0 for rate in result.level_rates)
         assert result.gamma_total >= 0.0
 
 
@@ -294,11 +332,11 @@ def assert_bounds_a_tight_run(state):
     default = decay_rate(MUON, state, rel_tol=1e-9)
     tight = decay_rate(MUON, state, rel_tol=1e-13)
     slack = 4.0 * np.finfo(float).eps
-    pairs = zip(default.level_contributions, tight.level_contributions, strict=True)
-    for level, reference in pairs:
-        assert level.n == reference.n
-        shift = abs(level.rate - reference.rate)
-        assert shift <= level.quad_error + slack * abs(level.rate), level.n
+    assert len(default.level_rates) == len(tight.level_rates)
+    levels = zip(default.level_rates, default.level_errors, tight.level_rates)
+    for n, (value, error, reference) in enumerate(levels):
+        shift = abs(value - reference)
+        assert shift <= error + slack * abs(value), n
     shift = abs(default.gamma_total - tight.gamma_total)
     assert shift <= default.quad_error + slack * default.gamma_total
 
@@ -441,9 +479,9 @@ class TestSharedMesh:
         # of its end piece have their square-root branch: c - 1 formed from
         # c there once left it 1.2e-8 off at this point
         state = magnetized(3e4, 65)
-        mesh = forced(monkeypatch, True, state, 1e-13).level_contributions[0]
-        kz = forced(monkeypatch, False, state, 1e-13).level_contributions[0]
-        assert mesh.rate == pytest.approx(kz.rate, rel=1e-12, abs=0.0)
+        mesh = forced(monkeypatch, True, state, 1e-13).level_rates[0]
+        kz = forced(monkeypatch, False, state, 1e-13).level_rates[0]
+        assert mesh == pytest.approx(kz, rel=1e-12, abs=0.0)
 
     def test_size_picks_the_scheme(self):
         # m (levels) against the threshold, and X_0 against the level
